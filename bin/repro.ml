@@ -158,13 +158,16 @@ let jobs_arg =
 (* Enough for the tail of a quick run; the ring keeps the newest events. *)
 let trace_capacity = 262_144
 
+(* A malformed REPRO_VM, REPRO_ALLOC or REPRO_JOBS is refused before
+   anything runs, with the matching flag's wording. *)
+let check_env () =
+  match Simcore.Config.env_errors () with
+  | [] -> Ok ()
+  | errs -> Error (String.concat "; " errs)
+
+(* Only read after {!check_env} has passed. *)
 let default_jobs () =
-  match Sys.getenv_opt "REPRO_JOBS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
+  Result.value (Simcore.Config.jobs_of_env (Sys.getenv_opt "REPRO_JOBS")) ~default:1
 
 let default_sanitize () =
   match Sys.getenv_opt "REPRO_SANITIZE" with
@@ -217,6 +220,9 @@ let run_cmd =
   let doc = "Run experiments and print their tables." in
   let run threads quick seed stats profile profile_out trace_out sanitize_spec
       race_spec jobs no_vm alloc ids =
+    match check_env () with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
     let jobs = match jobs with Some n -> n | None -> default_jobs () in
     apply_no_vm no_vm;
     let profile = profile || profile_out <> None in
@@ -418,6 +424,7 @@ let serve_cmd =
   let ( let* ) r f = match r with Error msg -> `Error (false, msg) | Ok v -> f v in
   let run quick seed stats profile json_out trace_out sanitize_spec race_spec
       jobs no_vm alloc rates duration mix dist arrival queue_cap =
+    let* () = check_env () in
     let jobs = match jobs with Some n -> n | None -> default_jobs () in
     apply_no_vm no_vm;
     let* () = resolve_alloc alloc in
@@ -548,6 +555,9 @@ let probes_cmd =
      serving stack) — probes register when subsystems are built."
   in
   let run () =
+    match check_env () with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
     Simcore.Telemetry.mark ();
     let drc = List.assoc "DRC (+snap)" Workload.Fig6.schemes in
     ignore
@@ -593,9 +603,10 @@ let probes_cmd =
         Printf.printf "%-36s %-8s %d\n" name kind shards)
       rows;
     Printf.printf "\n%d probes (see repro run --stats / serve --stats)\n"
-      (List.length rows)
+      (List.length rows);
+    `Ok ()
   in
-  Cmd.v (Cmd.info "probes" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "probes" ~doc) Term.(ret (const run $ const ()))
 
 let main =
   let doc =

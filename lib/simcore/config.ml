@@ -74,24 +74,59 @@ let default =
 let small =
   { default with cores = 4; quantum = 64; max_steps = 50_000_000; lookahead = 0 }
 
+(* Environment values are parsed strictly: a malformed one is an
+   error worded like the matching CLI flag's, which the CLI reports
+   before anything runs ({!env_errors}). Unset or empty means the
+   default. *)
+
+let bad_env var v expected =
+  Error (Printf.sprintf "%s: invalid value '%s', expected %s" var v expected)
+
+let vm_of_env = function
+  | None | Some "" | Some "1" -> Ok true
+  | Some "0" -> Ok false
+  | Some v -> bad_env "REPRO_VM" v "0 or 1"
+
+let alloc_of_env = function
+  | None | Some "" -> Ok Legacy
+  | Some v -> (
+      match alloc_policy_of_string v with
+      | Ok p -> Ok p
+      | Error msg -> Error ("REPRO_ALLOC: " ^ msg))
+
+let jobs_of_env = function
+  | None | Some "" -> Ok 1
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 1 -> Ok n
+      | Some _ -> Error "REPRO_JOBS: --jobs must be >= 1"
+      | None -> bad_env "REPRO_JOBS" v "an integer")
+
+let env_errors () =
+  List.filter_map
+    (function Ok _ -> None | Error msg -> Some msg)
+    [
+      Result.map ignore (vm_of_env (Sys.getenv_opt "REPRO_VM"));
+      Result.map ignore (alloc_of_env (Sys.getenv_opt "REPRO_ALLOC"));
+      Result.map ignore (jobs_of_env (Sys.getenv_opt "REPRO_JOBS"));
+    ]
+
 (* Process-wide override for [vm], consulted by the workload runners when
    building their default per-point config (an explicitly passed config
    is never rewritten). Initialised from REPRO_VM and flipped by the
    CLI's --no-vm before any pool worker spawns, so reads from worker
-   domains see a settled value. *)
-let vm_enabled = Atomic.make (Sys.getenv_opt "REPRO_VM" <> Some "0") (* lint: allow-atomic *)
+   domains see a settled value. A malformed REPRO_VM leaves the default
+   here; the CLI has already refused it. *)
+let vm_enabled =
+  Atomic.make (* lint: allow-atomic *)
+    (Result.value (vm_of_env (Sys.getenv_opt "REPRO_VM")) ~default:true)
 
 let with_vm c = { c with vm = Atomic.get vm_enabled } (* lint: allow-atomic *)
 
 (* Same pattern for the allocator policy: REPRO_ALLOC seeds the default,
-   the CLI's --alloc overrides it before any pool worker spawns. An
-   unrecognized environment value falls back to [Legacy] (the CLI, by
-   contrast, rejects bad spellings loudly). *)
+   the CLI's --alloc overrides it before any pool worker spawns. *)
 let alloc_default =
   Atomic.make (* lint: allow-atomic *)
-    (match Sys.getenv_opt "REPRO_ALLOC" with
-    | Some s -> (
-        match alloc_policy_of_string s with Ok p -> p | Error _ -> Legacy)
-    | None -> Legacy)
+    (Result.value (alloc_of_env (Sys.getenv_opt "REPRO_ALLOC")) ~default:Legacy)
 
 let with_alloc c = { c with alloc = Atomic.get alloc_default } (* lint: allow-atomic *)

@@ -89,9 +89,30 @@ val small : t
 (** A small deterministic machine for unit tests: 4 cores, tiny quantum,
     strict interleaving ([lookahead = 0]). *)
 
+(** {1 Environment}
+
+    Strict parsers for the environment variables the CLI honours. Unset
+    or empty means the default; anything malformed is an [Error] worded
+    like the matching flag's error, prefixed with the variable name. *)
+
+val vm_of_env : string option -> (bool, string) result
+(** [REPRO_VM]: ["1"] (the default) or ["0"]. *)
+
+val alloc_of_env : string option -> (alloc_policy, string) result
+(** [REPRO_ALLOC]: [legacy] (the default) or [pooled], as [--alloc]. *)
+
+val jobs_of_env : string option -> (int, string) result
+(** [REPRO_JOBS]: an integer [>= 1], as [--jobs]; the default is 1. *)
+
+val env_errors : unit -> string list
+(** The errors of the current [REPRO_VM], [REPRO_ALLOC] and
+    [REPRO_JOBS] values, in that order; empty when all are
+    well-formed. The CLI refuses to start otherwise. *)
+
 val vm_enabled : bool Atomic.t
 (** Process-wide override for {!field-vm}, initialised from the
-    [REPRO_VM] environment variable ([REPRO_VM=0] disables) and flipped
+    [REPRO_VM] environment variable ([REPRO_VM=0] disables; a malformed
+    value leaves the default, see {!env_errors}) and flipped
     by the CLI's [--no-vm]. Workload runners apply it via {!with_vm}
     when building their {e default} per-point config; a config passed
     explicitly by a caller is used as-is. Set it only before runs
@@ -103,8 +124,8 @@ val with_vm : t -> t
 
 val alloc_default : alloc_policy Atomic.t
 (** Process-wide override for {!field-alloc}, initialised from the
-    [REPRO_ALLOC] environment variable (["pooled"] selects the pooled
-    allocator; anything else means {!Legacy}) and set by the CLI's
+    [REPRO_ALLOC] environment variable (see {!alloc_of_env}; a
+    malformed value leaves {!Legacy}) and set by the CLI's
     [--alloc]. Applied by the workload runners via {!with_alloc} when
     building their default per-point config; same settling discipline
     as {!vm_enabled}. *)

@@ -206,41 +206,45 @@ let validate t a =
 
 let validate_addr t a = ignore (validate t a)
 
-(* Validation plus sanitizer hooks for a real (tick-charged) access:
-   the protection-window audit on SMR-tracked blocks, and the
-   recent-ops provenance ring. *)
-let check_access ?(write = false) t a =
-  let bid = validate t a in
-  if t.san_on then begin
-    let sh = t.shadows.(bid) in
-    let m = Sanitizer.mode t.san in
-    let pid = Proc.self () in
-    (* Audit only in-simulation dereferences of SMR-tracked blocks that
-       were allocated in-simulation. Setup-allocated blocks (structure
-       roots, prefill) are immortal or handed over with the structure;
-       the allocating pid may touch its own block bare until it is
-       published and retired (it owns it outright before publication). *)
-    if
-      m.Sanitizer.protocol && Sanitizer.tracked sh && pid >= 0
-      && Sanitizer.alloc_pid sh >= 0
-      && not (pid = Sanitizer.alloc_pid sh && not (Sanitizer.retired sh))
-      && not (Sanitizer.pid_shielded t.san ~pid)
-    then
-      mem_fault t Protection_violation ~addr:a ~tag:t.h.Memcore.b_tag.(bid)
-        ~extra:
-          [ "SMR-tracked block dereferenced outside any protection window" ]
-        ();
-    if m.Sanitizer.shadow then
-      Sanitizer.note_access t.san sh ~write ~pid ~time:(Proc.global_now ())
-  end
+(* {1 Instrument glue}
 
-(* {1 Race checker glue}
+   A real (tick-charged) access fetches the ambient environment once,
+   pays, validates, and only then — when an instrument is armed
+   ([Memcore.san_on] covers both) — reads pid and virtual time from
+   that same environment and hands them to the sanitizer and the race
+   checker. The pay may suspend and resume this process, but it
+   resumes under the same environment, so [e.pid] and [e.gclock ()]
+   equal what [Proc.self]/[Proc.global_now] would return here. *)
 
-   Decorate a conflict from {!Racecheck} with block provenance and
+let env_pid = function Some e -> e.Proc.pid | None -> -1
+
+let env_time = function Some e -> e.Proc.gclock () | None -> 0
+
+(* Sanitizer hooks for an access to block [bid]: the protection-window
+   audit on SMR-tracked blocks, and the recent-ops provenance ring. *)
+let san_access t ~write ~pid ~time bid a =
+  let sh = t.shadows.(bid) in
+  let m = Sanitizer.mode t.san in
+  (* Audit only in-simulation dereferences of SMR-tracked blocks that
+     were allocated in-simulation. Setup-allocated blocks (structure
+     roots, prefill) are immortal or handed over with the structure;
+     the allocating pid may touch its own block bare until it is
+     published and retired (it owns it outright before publication). *)
+  if
+    m.Sanitizer.protocol && Sanitizer.tracked sh && pid >= 0
+    && Sanitizer.alloc_pid sh >= 0
+    && not (pid = Sanitizer.alloc_pid sh && not (Sanitizer.retired sh))
+    && not (Sanitizer.pid_shielded t.san ~pid)
+  then
+    mem_fault t Protection_violation ~addr:a ~tag:t.h.Memcore.b_tag.(bid)
+      ~extra:[ "SMR-tracked block dereferenced outside any protection window" ]
+      ();
+  if m.Sanitizer.shadow then Sanitizer.note_access t.san sh ~write ~pid ~time
+
+(* Decorate a conflict from {!Racecheck} with block provenance and
    record it the way sanitizer reports are recorded: an ASan-style
    text (retained, counted, recorder-noted, auto-dumped). Races never
    raise — the run completes and the audit reads the report list. *)
-
 let race_note t (r : Racecheck.race) =
   let h = t.h in
   let addr = r.Racecheck.r_addr in
@@ -268,29 +272,14 @@ let race_note t (r : Racecheck.race) =
   if Recorder.auto_dump_enabled () then
     Recorder.dump_stderr ~header:"flight recorder: racecheck report" t.recorder
 
-let race_read t a =
-  match
-    Racecheck.on_read t.race ~addr:a ~pid:(Proc.self ())
-      ~time:(Proc.global_now ())
-  with
-  | Some r -> race_note t r
-  | None -> ()
+let race_noted t = function Some r -> race_note t r | None -> ()
 
-let race_write t a =
-  match
-    Racecheck.on_write t.race ~addr:a ~pid:(Proc.self ())
-      ~time:(Proc.global_now ())
-  with
-  | Some r -> race_note t r
-  | None -> ()
-
-let race_rmw t a =
-  match
-    Racecheck.on_rmw t.race ~addr:a ~pid:(Proc.self ())
-      ~time:(Proc.global_now ())
-  with
-  | Some r -> race_note t r
-  | None -> ()
+(* Both instruments on one validated access to [a] in block [bid];
+   [race] is the checker's hook for the access kind. *)
+let instrument t env ~write race bid a =
+  let pid = env_pid env and time = env_time env in
+  if t.san_on then san_access t ~write ~pid ~time bid a;
+  if t.race_on then race_noted t (race t.race ~addr:a ~pid ~time)
 
 (* {1 Allocation} *)
 
@@ -373,12 +362,13 @@ let alloc t ~tag ~size =
         if t.san_on then shadow_slot t id;
         (id, base)
   in
-  if t.san_on then
-    Sanitizer.shadow_alloc t.san t.shadows.(id) ~pid:(Proc.self ())
-      ~time:(Proc.global_now ());
-  if t.race_on then
-    Racecheck.on_alloc t.race ~bid:id ~base ~size:h.Memcore.b_size.(id)
-      ~pid:(Proc.self ()) ~time:(Proc.global_now ());
+  if h.Memcore.san_on then begin
+    let time = Proc.global_now () in
+    if t.san_on then Sanitizer.shadow_alloc t.san t.shadows.(id) ~pid ~time;
+    if t.race_on then
+      Racecheck.on_alloc t.race ~bid:id ~base ~size:h.Memcore.b_size.(id) ~pid
+        ~time
+  end;
   t.allocated <- t.allocated + 1;
   t.live <- t.live + 1;
   t.live_words <- t.live_words + size;
@@ -418,6 +408,7 @@ let quarantine_release_oldest t =
 
 let free t a =
   let h = t.h in
+  let pid = Proc.self () in
   (* Peek the size for the release plan without validating: a bogus
      address gets cost 0 here and faults below, after the [c_free]
      charge — exactly the legacy validation order. *)
@@ -429,7 +420,7 @@ let free t a =
       in
       if bid <> 0 && h.Memcore.b_base.(bid) = a && h.Memcore.b_live.(bid) = 1
       then
-        Alloc.plan_release t.al ~pid:(Proc.self ())
+        Alloc.plan_release t.al ~pid
           ~size:h.Memcore.b_size.(bid)
       else 0
     end
@@ -456,8 +447,8 @@ let free t a =
         ()
   end;
   h.Memcore.b_live.(bid) <- 0;
-  h.Memcore.b_freed_by.(bid) <- Proc.self ();
-  if t.race_on then Racecheck.on_free t.race ~bid ~pid:(Proc.self ());
+  h.Memcore.b_freed_by.(bid) <- pid;
+  if t.race_on then Racecheck.on_free t.race ~bid ~pid;
   t.freed <- t.freed + 1;
   t.live <- t.live - 1;
   t.live_words <- t.live_words - h.Memcore.b_size.(bid);
@@ -467,8 +458,7 @@ let free t a =
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
   if t.san_on then begin
-    Sanitizer.shadow_free t.san t.shadows.(bid) ~pid:(Proc.self ())
-      ~time:(Proc.global_now ());
+    Sanitizer.shadow_free t.san t.shadows.(bid) ~pid ~time:(Proc.global_now ());
     let q = (Sanitizer.mode t.san).Sanitizer.quarantine in
     if q > 0 then begin
       (* Poison and hold the block out of the freelist for the next [q]
@@ -482,10 +472,9 @@ let free t a =
       Sanitizer.set_quarantine_level t.san (Queue.length t.quarantine)
     end
     else if t.config.Config.reuse then
-      Alloc.release t.al ~pid:(Proc.self ()) ~bid
+      Alloc.release t.al ~pid ~bid
   end
-  else if t.config.Config.reuse then
-    Alloc.release t.al ~pid:(Proc.self ()) ~bid
+  else if t.config.Config.reuse then Alloc.release t.al ~pid ~bid
 
 (* {1 Atomic word operations}
 
@@ -505,38 +494,41 @@ let free t a =
 
 let read t a =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:a in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_l1)
   | None -> ignore (Memcore.cost_read h ~pid:(-1) ~addr:a));
-  check_access t a;
-  if t.race_on then race_read t a;
+  let bid = validate t a in
+  if h.Memcore.san_on then instrument t env ~write:false Racecheck.on_read bid a;
   h.Memcore.words.(a)
 
 let write t a v =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
   | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  check_access ~write:true t a;
-  if t.race_on then race_write t a;
+  let bid = validate t a in
+  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_write bid a;
   h.Memcore.words.(a) <- v
 
 let cas t a ~expected ~desired =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
   | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  check_access ~write:true t a;
-  if t.race_on then race_rmw t a;
+  let bid = validate t a in
+  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
   if h.Memcore.words.(a) = expected then begin
     h.Memcore.words.(a) <- desired;
     true
@@ -545,35 +537,38 @@ let cas t a ~expected ~desired =
 
 let faa t a d =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
   | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  check_access ~write:true t a;
-  if t.race_on then race_rmw t a;
+  let bid = validate t a in
+  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
   let old = h.Memcore.words.(a) in
   h.Memcore.words.(a) <- old + d;
   old
 
 let fas t a v =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned)
   | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  check_access ~write:true t a;
-  if t.race_on then race_rmw t a;
+  let bid = validate t a in
+  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
   let old = h.Memcore.words.(a) in
   h.Memcore.words.(a) <- v;
   old
 
 let cas2 t a ~e0 ~e1 ~d0 ~d1 =
   let h = t.h in
-  (match Proc.get_env () with
+  let env = Proc.get_env () in
+  (match env with
   | Some e ->
       let c =
         Memcore.cost_write h ~pid:e.Proc.pid ~addr:a
@@ -582,12 +577,19 @@ let cas2 t a ~e0 ~e1 ~d0 ~d1 =
       Proc.pay_env e c;
       Profiler.demote e (c - h.Memcore.c_rmw_owned - h.Memcore.c_dwcas_extra)
   | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  check_access ~write:true t a;
-  check_access ~write:true t (a + 1);
-  if t.race_on then begin
-    race_rmw t a;
-    race_rmw t (a + 1)
-  end;
+  (* Validate and audit both words before racing either. *)
+  let b0 = validate t a in
+  if h.Memcore.san_on then begin
+    let pid = env_pid env and time = env_time env in
+    if t.san_on then san_access t ~write:true ~pid ~time b0 a;
+    let b1 = validate t (a + 1) in
+    if t.san_on then san_access t ~write:true ~pid ~time b1 (a + 1);
+    if t.race_on then begin
+      race_noted t (Racecheck.on_rmw t.race ~addr:a ~pid ~time);
+      race_noted t (Racecheck.on_rmw t.race ~addr:(a + 1) ~pid ~time)
+    end
+  end
+  else ignore (validate t (a + 1));
   if h.Memcore.words.(a) = e0 && h.Memcore.words.(a + 1) = e1 then begin
     h.Memcore.words.(a) <- d0;
     h.Memcore.words.(a + 1) <- d1;

@@ -15,9 +15,12 @@
      vector clock only after genuinely concurrent reads, and a
      sync/data classification bit.
    - sync words (atomic locations) carry a release clock [L_x] in a
-     side table; every access to them is a release-acquire edge and is
-     never itself reported. A word becomes sync on its first RMW
-     (CAS/FAA/FAS/CAS2) or by explicit annotation
+     per-word array beside the epochs; every access to them is a
+     release-acquire edge and is never itself reported. An RMW's
+     [L_x := C_s] copies into the word's existing clock in place, and a
+     reallocation zeroes it rather than dropping it, so in steady state
+     the access path neither hashes nor allocates. A word becomes sync
+     on its first RMW (CAS/FAA/FAS/CAS2) or by explicit annotation
      ({!Memory.mark_race_sync}) for single-writer protocols whose
      stores are plain writes in the model (HP announcements, EBR
      reservations, swcopy destinations).
@@ -110,6 +113,8 @@ type race = { r_addr : int; r_cur : side; r_prev : side }
 
 let vc_get v i = if i < Array.length v then v.(i) else 0
 
+let unborn v = Array.length v = 0
+
 let joined a b =
   let la = Array.length a and lb = Array.length b in
   if lb <= la then begin
@@ -126,6 +131,18 @@ let joined a b =
     done;
     c
   end
+
+(* [assigned dst src]: a clock equal to [src], written into [dst] in
+   place when it is long enough (zeroing its tail), otherwise a fresh
+   copy — callers always reassign. *)
+let assigned dst src =
+  let ld = Array.length dst and ls = Array.length src in
+  if ls <= ld then begin
+    Array.blit src 0 dst 0 ls;
+    Array.fill dst ls (ld - ls) 0;
+    dst
+  end
+  else Array.copy src
 
 let epoch_leq e v = epoch_clock e <= vc_get v (epoch_slot e)
 
@@ -149,9 +166,6 @@ let run_count : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0) (* lint: a
 (* lint: allow-atomic *)
 let note_run_start () = Domain.DLS.set run_count (Domain.DLS.get run_count + 1) (* lint: allow-atomic *)
 
-(* lint: allow-atomic *)
-let run_stamp () = (((Domain.self () :> int)), Domain.DLS.get run_count) (* lint: allow-atomic *)
-
 (* {1 State} *)
 
 (* Per-word flag bits. *)
@@ -166,7 +180,8 @@ type t = {
   (* clocks *)
   vcs : int array array; (* slot -> clock vector; [||] = unborn *)
   mutable max_slot : int;
-  mutable seen_run : int * int;
+  mutable seen_dom : int; (* domain and serial of the last barrier *)
+  mutable seen_serial : int;
   mutable sim_dirty : bool;
   (* per-word shadow state, parallel to [Memcore.words] *)
   mutable wep : int array; (* last-write epoch; 0 = none *)
@@ -174,10 +189,10 @@ type t = {
   mutable rep : int array; (* last-read epoch; 0 = none, -1 = escalated *)
   mutable rinfo : int array; (* packed (pid, time) of last read *)
   mutable flags : Bytes.t; (* f_sync / f_reported bits *)
-  rvcs : (int, int array) Hashtbl.t; (* escalated read clocks, by addr *)
-  lvcs : (int, int array) Hashtbl.t; (* sync-word release clocks L_x *)
+  mutable lvcs : int array array; (* sync-word release clocks L_x; [||] = none *)
+  mutable rvcs : int array array; (* read clocks; all-zero unless rep = -1 *)
   (* custody *)
-  custody : (int, int array) Hashtbl.t; (* block id -> hand-off clock *)
+  mutable custody : int array array; (* block id -> hand-off clock; [||] = none *)
   mutable b_alloc : int array; (* block id -> packed alloc (pid, time) *)
   (* reports *)
   mutable rev_reports : string list; (* newest first, capped *)
@@ -191,16 +206,17 @@ let create m tele =
     c_reports = None;
     vcs = Array.make n_slots [||];
     max_slot = 0;
-    seen_run = (-1, -1);
+    seen_dom = -1;
+    seen_serial = -1;
     sim_dirty = false;
     wep = Array.make 256 0;
     winfo = Array.make 256 0;
     rep = Array.make 256 0;
     rinfo = Array.make 256 0;
     flags = Bytes.make 256 '\000';
-    rvcs = Hashtbl.create 32;
-    lvcs = Hashtbl.create 64;
-    custody = Hashtbl.create 64;
+    lvcs = Array.make 256 [||];
+    rvcs = Array.make 256 [||];
+    custody = Array.make 256 [||];
     b_alloc = Array.make 256 0;
     rev_reports = [];
     n_reports = 0;
@@ -208,11 +224,13 @@ let create m tele =
 
 let mode t = t.m
 
-let grow_int_array arr ~needed =
+let grow arr ~needed ~fill =
   let n = max needed (2 * Array.length arr) in
-  let a = Array.make n 0 in
+  let a = Array.make n fill in
   Array.blit arr 0 a 0 (Array.length arr);
   a
+
+let grow_int_array arr ~needed = grow arr ~needed ~fill:0
 
 let ensure_words t n =
   if n > Array.length t.wep then begin
@@ -220,14 +238,18 @@ let ensure_words t n =
     t.winfo <- grow_int_array t.winfo ~needed:n;
     t.rep <- grow_int_array t.rep ~needed:n;
     t.rinfo <- grow_int_array t.rinfo ~needed:n;
+    t.lvcs <- grow t.lvcs ~needed:n ~fill:[||];
+    t.rvcs <- grow t.rvcs ~needed:n ~fill:[||];
     let b = Bytes.make (Array.length t.wep) '\000' in
     Bytes.blit t.flags 0 b 0 (Bytes.length t.flags);
     t.flags <- b
   end
 
 let ensure_blocks t n =
-  if n > Array.length t.b_alloc then
-    t.b_alloc <- grow_int_array t.b_alloc ~needed:n
+  if n > Array.length t.b_alloc then begin
+    t.b_alloc <- grow_int_array t.b_alloc ~needed:n;
+    t.custody <- grow t.custody ~needed:n ~fill:[||]
+  end
 
 let flag_test t a f = Char.code (Bytes.get t.flags a) land f <> 0
 
@@ -243,7 +265,7 @@ let flag_clear_all t a = Bytes.set t.flags a '\000'
    anything any other clock holds for this slot. *)
 let cvec t s =
   let v = t.vcs.(s) in
-  if v <> [||] then v
+  if not (unborn v) then v
   else begin
     if s > t.max_slot then t.max_slot <- s;
     let root = t.vcs.(0) in
@@ -264,15 +286,16 @@ let cur_epoch t s = epoch s t.vcs.(s).(s)
 (* Run-start barrier: everything before the run happens-before every
    process of the run. Join all born clocks, then advance each so
    post-barrier accesses are not retroactively covered. *)
-let barrier t =
-  t.seen_run <- run_stamp ();
+let barrier t ~dom ~serial =
+  t.seen_dom <- dom;
+  t.seen_serial <- serial;
   let j = ref [||] in
   for s = 0 to t.max_slot do
-    if t.vcs.(s) <> [||] then j := joined !j t.vcs.(s)
+    if not (unborn t.vcs.(s)) then j := joined !j t.vcs.(s)
   done;
-  if !j <> [||] then
+  if not (unborn !j) then
     for s = 0 to t.max_slot do
-      if t.vcs.(s) <> [||] then begin
+      if not (unborn t.vcs.(s)) then begin
         let c = Array.copy !j in
         c.(s) <- c.(s) + 1;
         t.vcs.(s) <- c
@@ -286,16 +309,21 @@ let root_join t =
   t.sim_dirty <- false;
   let r = ref (cvec t 0) in
   for s = 1 to t.max_slot do
-    if t.vcs.(s) <> [||] then r := joined !r t.vcs.(s)
+    if not (unborn t.vcs.(s)) then r := joined !r t.vcs.(s)
   done;
   let r = !r in
   r.(0) <- r.(0) + 1;
   t.vcs.(0) <- r
 
+(* The run stamp is compared as two ints: no tuple, no polymorphic
+   compare on the access path. *)
 let prologue t ~pid =
   let s = slot_of pid in
   if pid >= 0 then begin
-    if t.seen_run <> run_stamp () then barrier t;
+    let dom = (Domain.self () :> int) (* lint: allow-atomic *) in
+    let serial = Domain.DLS.get run_count (* lint: allow-atomic *) in
+    if serial <> t.seen_serial || dom <> t.seen_dom then
+      barrier t ~dom ~serial;
     t.sim_dirty <- true
   end
   else if t.sim_dirty then root_join t;
@@ -358,26 +386,31 @@ let side_of_info i what =
 
 (* One report per word: after a word races once, further reports on it
    are suppressed (the state keeps updating, so other words still
-   report independently). *)
-let found t addr cur prev =
+   report independently). The sides are built only for a report, so a
+   suppressed conflict allocates nothing. *)
+let found t addr ~pid ~time what prev_info prev_what =
   if t.m.hb && not (flag_test t addr f_reported) then begin
     flag_set t addr f_reported;
-    Some { r_addr = addr; r_cur = cur; r_prev = prev }
+    Some
+      {
+        r_addr = addr;
+        r_cur = { s_pid = pid; s_time = time; s_what = what };
+        r_prev = side_of_info prev_info prev_what;
+      }
   end
   else None
 
 (* {1 Access hooks} *)
 
+(* A word's release clock is never dropped, only zeroed (see
+   {!on_alloc}); an all-zero clock acquires nothing and releases into
+   exactly [C_s], so it stands for "no release yet". *)
 let acquire t s addr =
-  match Hashtbl.find_opt t.lvcs addr with
-  | Some l -> t.vcs.(s) <- joined t.vcs.(s) l
-  | None -> ()
+  let l = t.lvcs.(addr) in
+  if not (unborn l) then t.vcs.(s) <- joined t.vcs.(s) l
 
 let release t s addr =
-  let c = t.vcs.(s) in
-  (match Hashtbl.find_opt t.lvcs addr with
-  | Some l -> Hashtbl.replace t.lvcs addr (joined l c)
-  | None -> Hashtbl.replace t.lvcs addr (Array.copy c));
+  t.lvcs.(addr) <- joined t.lvcs.(addr) t.vcs.(s);
   bump t s
 
 let on_read t ~addr ~pid ~time =
@@ -392,55 +425,57 @@ let on_read t ~addr ~pid ~time =
     let race =
       let w = t.wep.(addr) in
       if w <> 0 && not (epoch_leq w c) then
-        found t addr
-          { s_pid = pid; s_time = time; s_what = "read" }
-          (side_of_info t.winfo.(addr) "write")
+        found t addr ~pid ~time "read" t.winfo.(addr) "write"
       else None
     in
     (match t.rep.(addr) with
     | 0 -> t.rep.(addr) <- cur_epoch t s
     | -1 ->
-        let rv = Hashtbl.find t.rvcs addr in
+        let rv = t.rvcs.(addr) in
         if s < Array.length rv then rv.(s) <- max rv.(s) c.(s)
         else begin
           let rv' = grow_int_array rv ~needed:(s + 1) in
           rv'.(s) <- c.(s);
-          Hashtbl.replace t.rvcs addr rv'
+          t.rvcs.(addr) <- rv'
         end
     | re when epoch_slot re = s || epoch_leq re c ->
         t.rep.(addr) <- cur_epoch t s
     | re ->
-        (* Two genuinely concurrent readers: escalate to a read clock. *)
-        let rv = Array.make (max (epoch_slot re + 1) (s + 1)) 0 in
+        (* Two genuinely concurrent readers: escalate to a read clock,
+           reusing the word's zeroed one when it is long enough. *)
+        let needed = max (epoch_slot re + 1) (s + 1) in
+        let rv = t.rvcs.(addr) in
+        let rv = if needed <= Array.length rv then rv else grow_int_array rv ~needed in
         rv.(epoch_slot re) <- epoch_clock re;
         rv.(s) <- max rv.(s) c.(s);
-        Hashtbl.replace t.rvcs addr rv;
+        t.rvcs.(addr) <- rv;
         t.rep.(addr) <- -1);
     t.rinfo.(addr) <- pack_info pid time;
     race
   end
 
+(* A read clock is non-zero exactly while [rep = -1]; leaving it
+   zeroed rather than dropped lets the next escalation reuse it. *)
+let clear_reads t addr =
+  if t.rep.(addr) = -1 then begin
+    let rv = t.rvcs.(addr) in
+    Array.fill rv 0 (Array.length rv) 0
+  end;
+  t.rep.(addr) <- 0
+
 let plain_write_race t ~addr ~pid ~time c =
   let w = t.wep.(addr) in
   if w <> 0 && not (epoch_leq w c) then
-    found t addr
-      { s_pid = pid; s_time = time; s_what = "write" }
-      (side_of_info t.winfo.(addr) "write")
+    found t addr ~pid ~time "write" t.winfo.(addr) "write"
   else
     match t.rep.(addr) with
     | 0 -> None
     | -1 ->
-        if vc_leq (Hashtbl.find t.rvcs addr) c then None
-        else
-          found t addr
-            { s_pid = pid; s_time = time; s_what = "write" }
-            (side_of_info t.rinfo.(addr) "read")
+        if vc_leq t.rvcs.(addr) c then None
+        else found t addr ~pid ~time "write" t.rinfo.(addr) "read"
     | re ->
         if epoch_leq re c then None
-        else
-          found t addr
-            { s_pid = pid; s_time = time; s_what = "write" }
-            (side_of_info t.rinfo.(addr) "read")
+        else found t addr ~pid ~time "write" t.rinfo.(addr) "read"
 
 let on_write t ~addr ~pid ~time =
   ensure_words t (addr + 1);
@@ -457,8 +492,7 @@ let on_write t ~addr ~pid ~time =
     let race = plain_write_race t ~addr ~pid ~time c in
     t.wep.(addr) <- cur_epoch t s;
     t.winfo.(addr) <- pack_info pid time;
-    t.rep.(addr) <- 0;
-    Hashtbl.remove t.rvcs addr;
+    clear_reads t addr;
     race
   end
 
@@ -467,8 +501,10 @@ let on_rmw t ~addr ~pid ~time =
   let s = prologue t ~pid in
   let c = cvec t s in
   if flag_test t addr f_sync then begin
+    (* After the acquire C_s covers L_x, so L_x := C_s is a copy in
+       place. *)
     acquire t s addr;
-    Hashtbl.replace t.lvcs addr (Array.copy t.vcs.(s));
+    t.lvcs.(addr) <- assigned t.lvcs.(addr) t.vcs.(s);
     bump t s;
     None
   end
@@ -481,16 +517,13 @@ let on_rmw t ~addr ~pid ~time =
     let race =
       let w = t.wep.(addr) in
       if w <> 0 && not (epoch_leq w c) then
-        found t addr
-          { s_pid = pid; s_time = time; s_what = "atomic rmw" }
-          (side_of_info t.winfo.(addr) "write")
+        found t addr ~pid ~time "atomic rmw" t.winfo.(addr) "write"
       else None
     in
     flag_set t addr f_sync;
     t.wep.(addr) <- 0;
-    t.rep.(addr) <- 0;
-    Hashtbl.remove t.rvcs addr;
-    Hashtbl.replace t.lvcs addr (Array.copy c);
+    clear_reads t addr;
+    t.lvcs.(addr) <- assigned t.lvcs.(addr) c;
     bump t s;
     race
   end
@@ -500,22 +533,16 @@ let mark_sync t ~addr =
   if not (flag_test t addr f_sync) then begin
     flag_set t addr f_sync;
     t.wep.(addr) <- 0;
-    t.rep.(addr) <- 0;
-    Hashtbl.remove t.rvcs addr
+    clear_reads t addr
   end
 
 (* {1 Custody} *)
 
 let release_block t ~bid ~pid =
+  ensure_blocks t (bid + 1);
   let s = prologue t ~pid in
   if t.m.custody then begin
-    let c = cvec t s in
-    let cv =
-      match Hashtbl.find_opt t.custody bid with
-      | Some old -> joined old c
-      | None -> Array.copy c
-    in
-    Hashtbl.replace t.custody bid cv;
+    t.custody.(bid) <- joined t.custody.(bid) (cvec t s);
     bump t s
   end
 
@@ -528,23 +555,23 @@ let on_alloc t ~bid ~base ~size ~pid ~time =
   ensure_blocks t (bid + 1);
   let s = prologue t ~pid in
   (if t.m.custody then
-     match Hashtbl.find_opt t.custody bid with
-     | Some cv ->
-         (* Acquire the hand-off: the freeing (or retiring) process's
-            history happens-before this lifetime. *)
-         t.vcs.(s) <- joined (cvec t s) cv;
-         Hashtbl.remove t.custody bid
-     | None -> ());
+     let cv = t.custody.(bid) in
+     if not (unborn cv) then begin
+       (* Acquire the hand-off: the freeing (or retiring) process's
+          history happens-before this lifetime. *)
+       t.vcs.(s) <- joined (cvec t s) cv;
+       t.custody.(bid) <- [||]
+     end);
   let c = cvec t s in
   let me = epoch s c.(s) in
   let info = pack_info pid time in
   for a = base to base + size - 1 do
     t.wep.(a) <- me;
     t.winfo.(a) <- info;
-    t.rep.(a) <- 0;
+    clear_reads t a;
     flag_clear_all t a;
-    Hashtbl.remove t.rvcs a;
-    Hashtbl.remove t.lvcs a
+    let l = t.lvcs.(a) in
+    Array.fill l 0 (Array.length l) 0
   done;
   t.b_alloc.(bid) <- info
 

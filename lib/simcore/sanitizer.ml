@@ -134,12 +134,20 @@ let retired sh = sh.s_retired
 let quarantined sh = sh.s_quarantined
 let set_quarantined sh q = sh.s_quarantined <- q
 
-(* {1 Protocol state} *)
+(* {1 Protocol state}
+
+   Array-backed, so the annotations on the acquire path (a slot
+   overwrite is two count updates and four stores) never hash or
+   allocate: slot keys are dense because {!register_slots} hands them
+   out contiguously from 0, pids are small ints (index [pid + 1], so
+   the orchestrator's [-1] is index 0), and protected addresses are
+   heap block bases. Every array grows on demand by doubling. *)
 
 type pstate = {
   mutable p_depth : int;  (* open windows *)
   mutable p_slots : int;  (* live slot protections owned by this pid *)
-  p_wset : (int, int) Hashtbl.t;  (* window-protected addr -> count *)
+  mutable p_wset : int array;  (* window-protected addrs, one per protection *)
+  mutable p_wlen : int;
 }
 
 type t = {
@@ -148,12 +156,15 @@ type t = {
   mutable c_reports : Telemetry.counter option;
   mutable g_quar : Telemetry.gauge option;
   mutable next_key : int;
-  slots : (int, int * int) Hashtbl.t;  (* slot key -> (pid, addr) *)
-  prot : (int, int) Hashtbl.t;  (* addr -> total protection count *)
-  pids : (int, pstate) Hashtbl.t;
+  mutable slot_pid : int array;  (* slot key -> owning pid *)
+  mutable slot_addr : int array;  (* slot key -> protected addr; 0 = empty *)
+  mutable prot : int array;  (* addr -> total protection count *)
+  mutable pids : pstate array;  (* pid + 1 -> state *)
   mutable rev_reports : string list;  (* newest first, capped *)
   mutable n_reports : int;
 }
+
+let fresh_pstate _ = { p_depth = 0; p_slots = 0; p_wset = [||]; p_wlen = 0 }
 
 let create m tele =
   {
@@ -162,9 +173,10 @@ let create m tele =
     c_reports = None;
     g_quar = None;
     next_key = 0;
-    slots = Hashtbl.create 64;
-    prot = Hashtbl.create 64;
-    pids = Hashtbl.create 16;
+    slot_pid = Array.make 64 0;
+    slot_addr = Array.make 64 0;
+    prot = Array.make 256 0;
+    pids = Array.init 16 fresh_pstate;
     rev_reports = [];
     n_reports = 0;
   }
@@ -233,35 +245,52 @@ let provenance _t sh =
 
 (* {1 Protocol auditor} *)
 
+let grown a ~needed ~fill =
+  let b = Array.make (max needed (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let pstate t pid =
-  match Hashtbl.find_opt t.pids pid with
-  | Some p -> p
-  | None ->
-      let p = { p_depth = 0; p_slots = 0; p_wset = Hashtbl.create 8 } in
-      Hashtbl.add t.pids pid p;
-      p
+  let i = pid + 1 in
+  if i >= Array.length t.pids then begin
+    let n = Array.length t.pids in
+    t.pids <-
+      Array.init (max (i + 1) (2 * n)) (fun j ->
+          if j < n then t.pids.(j) else fresh_pstate j)
+  end;
+  t.pids.(i)
 
 let prot_incr t addr n =
-  let c = match Hashtbl.find_opt t.prot addr with Some c -> c | None -> 0 in
-  let c' = c + n in
-  if c' <= 0 then Hashtbl.remove t.prot addr else Hashtbl.replace t.prot addr c'
+  if addr >= Array.length t.prot then t.prot <- grown t.prot ~needed:(addr + 1) ~fill:0;
+  t.prot.(addr) <- max 0 (t.prot.(addr) + n)
+
+let ensure_slots t n =
+  if n > Array.length t.slot_addr then begin
+    t.slot_pid <- grown t.slot_pid ~needed:n ~fill:0;
+    t.slot_addr <- grown t.slot_addr ~needed:n ~fill:0
+  end
 
 let register_slots t ~n =
   let b = t.next_key in
   t.next_key <- b + n;
+  ensure_slots t t.next_key;
   b
 
 let protect t ~key ~pid addr =
   if t.m.protocol then begin
-    (match Hashtbl.find_opt t.slots key with
-    | Some (opid, oaddr) ->
-        Hashtbl.remove t.slots key;
-        (pstate t opid).p_slots <- (pstate t opid).p_slots - 1;
-        prot_incr t oaddr (-1)
-    | None -> ());
+    ensure_slots t (key + 1);
+    let oaddr = t.slot_addr.(key) in
+    if oaddr <> 0 then begin
+      let o = pstate t t.slot_pid.(key) in
+      o.p_slots <- o.p_slots - 1;
+      prot_incr t oaddr (-1);
+      t.slot_addr.(key) <- 0
+    end;
     if addr <> 0 then begin
-      Hashtbl.replace t.slots key (pid, addr);
-      (pstate t pid).p_slots <- (pstate t pid).p_slots + 1;
+      t.slot_pid.(key) <- pid;
+      t.slot_addr.(key) <- addr;
+      let p = pstate t pid in
+      p.p_slots <- p.p_slots + 1;
       prot_incr t addr 1
     end
   end
@@ -277,8 +306,10 @@ let window_exit t ~pid =
     let p = pstate t pid in
     p.p_depth <- max 0 (p.p_depth - 1);
     if p.p_depth = 0 then begin
-      Hashtbl.iter (fun addr n -> prot_incr t addr (-n)) p.p_wset;
-      Hashtbl.reset p.p_wset
+      for i = 0 to p.p_wlen - 1 do
+        prot_incr t p.p_wset.(i) (-1)
+      done;
+      p.p_wlen <- 0
     end
   end
 
@@ -286,37 +317,47 @@ let window_protect t ~pid addr =
   if t.m.protocol && addr <> 0 then begin
     let p = pstate t pid in
     if p.p_depth > 0 then begin
-      let c =
-        match Hashtbl.find_opt p.p_wset addr with Some c -> c | None -> 0
-      in
-      Hashtbl.replace p.p_wset addr (c + 1);
+      if p.p_wlen = Array.length p.p_wset then
+        p.p_wset <- grown p.p_wset ~needed:8 ~fill:0;
+      p.p_wset.(p.p_wlen) <- addr;
+      p.p_wlen <- p.p_wlen + 1;
       prot_incr t addr 1
     end
   end
 
 let protected_count t addr =
-  match Hashtbl.find_opt t.prot addr with Some c -> c | None -> 0
+  if addr >= 0 && addr < Array.length t.prot then t.prot.(addr) else 0
+
+let window_holds p addr =
+  let rec go i = i < p.p_wlen && (p.p_wset.(i) = addr || go (i + 1)) in
+  go 0
 
 let protectors t addr =
   let acc = ref [] in
-  Hashtbl.iter
-    (fun _key (pid, a) -> if a = addr then acc := (pid, "slot") :: !acc)
-    t.slots;
-  Hashtbl.iter
-    (fun pid p ->
-      if Hashtbl.mem p.p_wset addr then acc := (pid, "window") :: !acc)
+  for key = 0 to Array.length t.slot_addr - 1 do
+    if addr <> 0 && t.slot_addr.(key) = addr then acc := (t.slot_pid.(key), "slot") :: !acc
+  done;
+  Array.iteri
+    (fun i p -> if window_holds p addr then acc := (i - 1, "window") :: !acc)
     t.pids;
   List.sort_uniq compare !acc
 
 let pid_shielded t ~pid =
-  match Hashtbl.find_opt t.pids pid with
-  | None -> false
-  | Some p -> p.p_depth > 0 || p.p_slots > 0
+  let i = pid + 1 in
+  i >= 0 && i < Array.length t.pids
+  &&
+  let p = t.pids.(i) in
+  p.p_depth > 0 || p.p_slots > 0
 
 let reset_protocol t =
-  Hashtbl.reset t.slots;
-  Hashtbl.reset t.prot;
-  Hashtbl.reset t.pids
+  Array.fill t.slot_addr 0 (Array.length t.slot_addr) 0;
+  Array.fill t.prot 0 (Array.length t.prot) 0;
+  Array.iter
+    (fun p ->
+      p.p_depth <- 0;
+      p.p_slots <- 0;
+      p.p_wlen <- 0)
+    t.pids
 
 (* {1 Reports and probes}
 

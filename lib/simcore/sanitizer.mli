@@ -151,7 +151,12 @@ val provenance : t -> shadow -> string list
     (epoch-like — every address touched between [window_enter] and
     [window_exit] stays protected until the window closes). All
     registration points register only validated protections, so the
-    auditor under-approximates and never reports a false violation. *)
+    auditor under-approximates and never reports a false violation.
+
+    The state is array-backed: slot keys, pids (from [-1], the
+    orchestrator) and addresses index arrays that grow by doubling, so
+    no annotation hashes, and none allocates once the arrays have
+    grown (DESIGN.md §4f). *)
 
 val register_slots : t -> n:int -> int
 (** Reserve [n] slot keys; returns the first key. Callers address slots

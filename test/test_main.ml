@@ -8,6 +8,7 @@ let () =
       ("dist", Test_dist.suite);
       ("pqueue", Test_pqueue.suite);
       ("word", Test_word.suite);
+      ("config", Test_config.suite);
       ("memory", Test_memory.suite);
       ("alloc", Test_alloc.suite);
       ("stats", Test_stats.suite);

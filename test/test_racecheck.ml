@@ -316,3 +316,4 @@ let suite =
       test_engine_verdict_identity;
     QCheck_alcotest.to_alcotest prop_fastpath_verdict_identity;
   ]
+  @ Test_racecheck_model.suite

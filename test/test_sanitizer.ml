@@ -304,6 +304,125 @@ let test_sanitize_bit_identity () =
   Alcotest.(check bool) "sanitized, fastpath off = plain" true
     (point ~fastpath:false ~sanitize:Sanitizer.default_on () = base)
 
+(* {1 Protocol state edge cases}
+
+   Driven on a bare auditor: slot keys, pids and addresses are plain
+   ints here, so the array-backed state is exercised at its growth
+   boundaries and across a reset. *)
+
+let auditor () = Sanitizer.create Sanitizer.default_on (Telemetry.create ())
+
+let who = Alcotest.(list (pair int string))
+
+let test_slot_overwrite_and_clear () =
+  let s = auditor () in
+  let k = Sanitizer.register_slots s ~n:2 in
+  Sanitizer.protect s ~key:k ~pid:0 64;
+  Sanitizer.protect s ~key:(k + 1) ~pid:0 64;
+  Alcotest.(check int) "two slots on one addr" 2 (Sanitizer.protected_count s 64);
+  (* Overwriting a slot drops its previous protection. *)
+  Sanitizer.protect s ~key:k ~pid:0 96;
+  Alcotest.(check int) "old addr dropped" 1 (Sanitizer.protected_count s 64);
+  Alcotest.(check int) "new addr held" 1 (Sanitizer.protected_count s 96);
+  Sanitizer.protect s ~key:k ~pid:0 0;
+  Sanitizer.protect s ~key:(k + 1) ~pid:0 0;
+  Alcotest.(check int) "cleared" 0
+    (Sanitizer.protected_count s 64 + Sanitizer.protected_count s 96);
+  Alcotest.(check bool) "pid no longer shielded" false
+    (Sanitizer.pid_shielded s ~pid:0);
+  (* Clearing an empty slot is a no-op. *)
+  Sanitizer.protect s ~key:k ~pid:0 0;
+  Alcotest.(check who) "no protectors" [] (Sanitizer.protectors s 64)
+
+let test_pid_range () =
+  let s = auditor () in
+  (* The orchestrator (pid -1) and a pid far above the initial
+     capacity, on slot keys far above theirs. *)
+  let k = Sanitizer.register_slots s ~n:1000 in
+  Sanitizer.window_enter s ~pid:(-1);
+  Sanitizer.window_protect s ~pid:(-1) 32;
+  Sanitizer.protect s ~key:(k + 999) ~pid:700 32;
+  Alcotest.(check int) "both count" 2 (Sanitizer.protected_count s 32);
+  Alcotest.(check bool) "pid -1 shielded" true (Sanitizer.pid_shielded s ~pid:(-1));
+  Alcotest.(check bool) "pid 700 shielded" true (Sanitizer.pid_shielded s ~pid:700);
+  Alcotest.(check bool) "pid 5000 unseen" false (Sanitizer.pid_shielded s ~pid:5000);
+  Alcotest.(check who) "protectors" [ (-1, "window"); (700, "slot") ]
+    (Sanitizer.protectors s 32);
+  Sanitizer.window_exit s ~pid:(-1);
+  Alcotest.(check int) "window released" 1 (Sanitizer.protected_count s 32);
+  (* An address beyond anything registered is simply unprotected. *)
+  Alcotest.(check int) "far addr" 0 (Sanitizer.protected_count s 1_000_000)
+
+let test_nested_windows () =
+  let s = auditor () in
+  Sanitizer.window_protect s ~pid:1 48;
+  Alcotest.(check int) "no window, no protection" 0 (Sanitizer.protected_count s 48);
+  Sanitizer.window_enter s ~pid:1;
+  Sanitizer.window_protect s ~pid:1 48;
+  Sanitizer.window_enter s ~pid:1;
+  Sanitizer.window_protect s ~pid:1 48;
+  Sanitizer.window_protect s ~pid:1 80;
+  Sanitizer.window_exit s ~pid:1;
+  Alcotest.(check int) "inner exit keeps all" 2 (Sanitizer.protected_count s 48);
+  Alcotest.(check bool) "still shielded" true (Sanitizer.pid_shielded s ~pid:1);
+  Sanitizer.window_exit s ~pid:1;
+  Alcotest.(check int) "outer exit drops all" 0
+    (Sanitizer.protected_count s 48 + Sanitizer.protected_count s 80);
+  Alcotest.(check bool) "unshielded" false (Sanitizer.pid_shielded s ~pid:1);
+  (* An unmatched exit stays at depth 0. *)
+  Sanitizer.window_exit s ~pid:1;
+  Sanitizer.window_enter s ~pid:1;
+  Sanitizer.window_protect s ~pid:1 48;
+  Alcotest.(check int) "fresh window" 1 (Sanitizer.protected_count s 48)
+
+let test_reset_then_reuse () =
+  let s = auditor () in
+  let k = Sanitizer.register_slots s ~n:4 in
+  Sanitizer.protect s ~key:k ~pid:0 16;
+  Sanitizer.window_enter s ~pid:2;
+  Sanitizer.window_protect s ~pid:2 16;
+  Sanitizer.reset_protocol s;
+  Alcotest.(check int) "reset clears counts" 0 (Sanitizer.protected_count s 16);
+  Alcotest.(check bool) "reset clears slots" false (Sanitizer.pid_shielded s ~pid:0);
+  Alcotest.(check bool) "reset closes windows" false (Sanitizer.pid_shielded s ~pid:2);
+  Alcotest.(check who) "no protectors" [] (Sanitizer.protectors s 16);
+  (* Keys keep counting past the reset; old keys stay usable. *)
+  let k' = Sanitizer.register_slots s ~n:4 in
+  Alcotest.(check int) "fresh keys follow the old" (k + 4) k';
+  Sanitizer.protect s ~key:k ~pid:0 16;
+  Sanitizer.protect s ~key:k' ~pid:3 16;
+  Alcotest.(check int) "reused" 2 (Sanitizer.protected_count s 16);
+  Sanitizer.window_protect s ~pid:2 16;
+  Alcotest.(check int) "closed window adds nothing" 2 (Sanitizer.protected_count s 16)
+
+let test_protectors_sorted () =
+  let s = auditor () in
+  let k = Sanitizer.register_slots s ~n:8 in
+  (* Registered out of order, with a duplicate slot and window per pid. *)
+  Sanitizer.protect s ~key:(k + 7) ~pid:3 40;
+  Sanitizer.window_enter s ~pid:2;
+  Sanitizer.window_protect s ~pid:2 40;
+  Sanitizer.window_protect s ~pid:2 40;
+  Sanitizer.protect s ~key:(k + 1) ~pid:0 40;
+  Sanitizer.protect s ~key:(k + 2) ~pid:0 40;
+  Sanitizer.window_enter s ~pid:0;
+  Sanitizer.window_protect s ~pid:0 40;
+  Sanitizer.protect s ~key:(k + 4) ~pid:2 40;
+  Sanitizer.protect s ~key:(k + 5) ~pid:1 72;
+  Alcotest.(check who) "sorted, deduplicated"
+    [ (0, "slot"); (0, "window"); (2, "slot"); (2, "window"); (3, "slot") ]
+    (Sanitizer.protectors s 40);
+  Alcotest.(check int) "every protection counted" 7 (Sanitizer.protected_count s 40)
+
+let test_protocol_off_is_inert () =
+  let s = Sanitizer.create { Sanitizer.default_on with protocol = false } (Telemetry.create ()) in
+  let k = Sanitizer.register_slots s ~n:1 in
+  Sanitizer.protect s ~key:k ~pid:0 16;
+  Sanitizer.window_enter s ~pid:0;
+  Sanitizer.window_protect s ~pid:0 16;
+  Alcotest.(check int) "nothing counted" 0 (Sanitizer.protected_count s 16);
+  Alcotest.(check bool) "nobody shielded" false (Sanitizer.pid_shielded s ~pid:0)
+
 let suite =
   [
     Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
@@ -322,4 +441,14 @@ let suite =
       test_schemes_auditor_clean;
     Alcotest.test_case "sanitize bit-identity" `Quick
       test_sanitize_bit_identity;
+    Alcotest.test_case "protocol: slot overwrite and clear" `Quick
+      test_slot_overwrite_and_clear;
+    Alcotest.test_case "protocol: pid -1 and high pids" `Quick test_pid_range;
+    Alcotest.test_case "protocol: nested windows" `Quick test_nested_windows;
+    Alcotest.test_case "protocol: reuse after reset" `Quick
+      test_reset_then_reuse;
+    Alcotest.test_case "protocol: protectors sorted" `Quick
+      test_protectors_sorted;
+    Alcotest.test_case "protocol: off is inert" `Quick
+      test_protocol_off_is_inert;
   ]
