@@ -17,8 +17,20 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let threads_arg =
-  let doc = "Comma-separated thread counts to sweep (e.g. 1,48,144,192)." in
+  let doc =
+    "Comma-separated thread counts to sweep (e.g. 1,48,144,192), each \
+     between 1 and 1023."
+  in
   Arg.(value & opt (some (list int)) None & info [ "threads"; "t" ] ~doc)
+
+(* Sim.run refuses the same counts; checking them here gives the
+   flag's wording before any cell starts. *)
+let check_threads = function
+  | Some l when List.exists (fun n -> n < 1 || n > Simcore.Sim.max_procs) l ->
+      Error
+        (Printf.sprintf "--threads values must be between 1 and %d"
+           Simcore.Sim.max_procs)
+  | _ -> Ok ()
 
 let quick_arg =
   let doc = "Smaller sweeps, horizons and workload sizes." in
@@ -235,6 +247,9 @@ let run_cmd =
     match resolve_race race_spec with
     | Error msg -> `Error (false, msg)
     | Ok race ->
+    match check_threads threads with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
     if jobs < 1 then `Error (false, "--jobs must be >= 1")
     else if trace_out <> None && jobs > 1 then `Error (false, trace_jobs_error)
     else begin

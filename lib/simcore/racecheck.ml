@@ -19,10 +19,13 @@
      release-acquire edge and is never itself reported. An RMW's
      [L_x := C_s] copies into the word's existing clock in place, and a
      reallocation zeroes it rather than dropping it, so in steady state
-     the access path neither hashes nor allocates. A word becomes sync
-     on its first RMW (CAS/FAA/FAS/CAS2) or by explicit annotation
-     ({!Memory.mark_race_sync}) for single-writer protocols whose
-     stores are plain writes in the model (HP announcements, EBR
+     the access path neither hashes nor allocates. Each sync word also
+     keeps an acquired set: the slots whose clock already covers [L_x]
+     since [L_x] last changed, whose acquires are skipped and whose
+     store-releases copy rather than join (see {!acquire}). A word
+     becomes sync on its first RMW (CAS/FAA/FAS/CAS2) or by explicit
+     annotation ({!Memory.mark_race_sync}) for single-writer protocols
+     whose stores are plain writes in the model (HP announcements, EBR
      reservations, swcopy destinations).
    - custody: free/retire release the freeing process's clock into a
      per-block hand-off vector; a reallocation acquires it and stamps
@@ -109,25 +112,40 @@ type race = { r_addr : int; r_cur : side; r_prev : side }
 
    Variable-length int arrays; a missing component is 0. [joined a b]
    mutates [a] in place when it is long enough, otherwise returns a
-   fresh widened array — callers always reassign. *)
+   fresh widened array — callers always reassign.
+
+   Clocks are copied and zeroed with typed int loops, never with
+   [Array.blit]/[Array.fill]: those are generic over the element type
+   and go through the major heap's write barrier element by element,
+   about twice the cost of a plain loop on a 49-entry clock. The hot
+   loops index unchecked: each runs below the length of every array it
+   touches, checked once before the loop. *)
 
 let vc_get v i = if i < Array.length v then v.(i) else 0
 
 let unborn v = Array.length v = 0
 
-let joined a b =
+let zero_clock (v : int array) =
+  for i = 0 to Array.length v - 1 do
+    Array.unsafe_set v i 0
+  done
+
+let joined (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   if lb <= la then begin
     for i = 0 to lb - 1 do
-      if b.(i) > a.(i) then a.(i) <- b.(i)
+      let x = Array.unsafe_get b i in
+      if x > Array.unsafe_get a i then Array.unsafe_set a i x
     done;
     a
   end
   else begin
     let c = Array.make lb 0 in
-    Array.blit a 0 c 0 la;
-    for i = 0 to lb - 1 do
-      if b.(i) > c.(i) then c.(i) <- b.(i)
+    for i = 0 to la - 1 do
+      c.(i) <- (if b.(i) > a.(i) then b.(i) else a.(i))
+    done;
+    for i = la to lb - 1 do
+      c.(i) <- b.(i)
     done;
     c
   end
@@ -135,11 +153,15 @@ let joined a b =
 (* [assigned dst src]: a clock equal to [src], written into [dst] in
    place when it is long enough (zeroing its tail), otherwise a fresh
    copy — callers always reassign. *)
-let assigned dst src =
+let assigned (dst : int array) (src : int array) =
   let ld = Array.length dst and ls = Array.length src in
   if ls <= ld then begin
-    Array.blit src 0 dst 0 ls;
-    Array.fill dst ls (ld - ls) 0;
+    for i = 0 to ls - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get src i)
+    done;
+    for i = ls to ld - 1 do
+      Array.unsafe_set dst i 0
+    done;
     dst
   end
   else Array.copy src
@@ -173,6 +195,8 @@ let f_sync = 1
 
 let f_reported = 2
 
+let f_wide = 4 (* sync word: the acquired set may have members >= acq_bits *)
+
 type t = {
   m : mode;
   tele : Telemetry.t;
@@ -186,11 +210,16 @@ type t = {
   (* per-word shadow state, parallel to [Memcore.words] *)
   mutable wep : int array; (* last-write epoch; 0 = none *)
   mutable winfo : int array; (* packed (pid, time) of last write *)
-  mutable rep : int array; (* last-read epoch; 0 = none, -1 = escalated *)
+  mutable rep : int array;
+      (* data word: last-read epoch, 0 = none, -1 = escalated;
+         sync word: acquired-set bits for slots < acq_bits *)
   mutable rinfo : int array; (* packed (pid, time) of last read *)
-  mutable flags : Bytes.t; (* f_sync / f_reported bits *)
+  mutable flags : Bytes.t; (* f_sync / f_reported / f_wide bits *)
   mutable lvcs : int array array; (* sync-word release clocks L_x; [||] = none *)
-  mutable rvcs : int array array; (* read clocks; all-zero unless rep = -1 *)
+  mutable rvcs : int array array;
+      (* data word: read clock, all-zero unless rep = -1;
+         sync word: acquired-set bits for slots >= acq_bits, all-zero
+         unless f_wide *)
   (* custody *)
   mutable custody : int array array; (* block id -> hand-off clock; [||] = none *)
   mutable b_alloc : int array; (* block id -> packed alloc (pid, time) *)
@@ -255,6 +284,9 @@ let flag_test t a f = Char.code (Bytes.get t.flags a) land f <> 0
 
 let flag_set t a f =
   Bytes.set t.flags a (Char.chr (Char.code (Bytes.get t.flags a) lor f))
+
+let flag_clear t a f =
+  Bytes.set t.flags a (Char.chr (Char.code (Bytes.get t.flags a) land lnot f))
 
 let flag_clear_all t a = Bytes.set t.flags a '\000'
 
@@ -402,16 +434,85 @@ let found t addr ~pid ~time what prev_info prev_what =
 
 (* {1 Access hooks} *)
 
+(* {2 Acquired sets}
+
+   A sync word's acquired set holds the slots whose clock already
+   covers [L_x] since [L_x] last changed. A member's acquire would
+   change nothing, so it is skipped, and a member's store-release
+   [L_x := L_x ⊔ C_s] is the copy [L_x := C_s]. This is exact, not a
+   heuristic, because a clock never decreases: [C_s] is written only by
+   [bump], [joined], [barrier], [root_join] and the custody acquire in
+   {!on_alloc}, each of which leaves every component at least where it
+   was. Once [C_s] covers [L_x] it keeps covering it until [L_x] itself
+   changes, and every change to [L_x] rewrites the set:
+   - an RMW, or a member's store-release, leaves [L_x] equal to the
+     releaser's clock before its bump: the set becomes {releaser};
+   - any other store-release joins, so [L_x] may hold history the
+     releaser lacks: the set empties;
+   - zeroing at reallocation empties it.
+
+   Slots below [acq_bits] are bits of the word's [rep] entry (unused as
+   a read epoch on a sync word); higher slots spill into its [rvcs]
+   entry (unused as a read clock), which [f_wide] marks as possibly
+   non-zero, so emptying the set is O(1) unless a wide slot joined. *)
+
+let acq_bits = 62 (* bits 0..61: [rep] stays non-negative, never -1 *)
+
+let acquired t addr s =
+  if s < acq_bits then t.rep.(addr) land (1 lsl s) <> 0
+  else begin
+    let k = (s / acq_bits) - 1 and w = t.rvcs.(addr) in
+    k < Array.length w && w.(k) land (1 lsl (s mod acq_bits)) <> 0
+  end
+
+let add_acquired t addr s =
+  if s < acq_bits then t.rep.(addr) <- t.rep.(addr) lor (1 lsl s)
+  else begin
+    let k = (s / acq_bits) - 1 in
+    let w = t.rvcs.(addr) in
+    let w =
+      if k < Array.length w then w
+      else begin
+        let w = grow_int_array w ~needed:(k + 1) in
+        t.rvcs.(addr) <- w;
+        w
+      end
+    in
+    w.(k) <- w.(k) lor (1 lsl (s mod acq_bits));
+    flag_set t addr f_wide
+  end
+
+let clear_acquired t addr =
+  t.rep.(addr) <- 0;
+  if flag_test t addr f_wide then begin
+    zero_clock t.rvcs.(addr);
+    flag_clear t addr f_wide
+  end
+
 (* A word's release clock is never dropped, only zeroed (see
    {!on_alloc}); an all-zero clock acquires nothing and releases into
    exactly [C_s], so it stands for "no release yet". *)
 let acquire t s addr =
-  let l = t.lvcs.(addr) in
-  if not (unborn l) then t.vcs.(s) <- joined t.vcs.(s) l
+  if not (acquired t addr s) then begin
+    let l = t.lvcs.(addr) in
+    if not (unborn l) then t.vcs.(s) <- joined t.vcs.(s) l;
+    add_acquired t addr s
+  end
+
+(* [L_x := C_s], for a releaser whose clock covers [L_x]. *)
+let release_copy t s addr =
+  t.lvcs.(addr) <- assigned t.lvcs.(addr) t.vcs.(s);
+  clear_acquired t addr;
+  add_acquired t addr s;
+  bump t s
 
 let release t s addr =
-  t.lvcs.(addr) <- joined t.lvcs.(addr) t.vcs.(s);
-  bump t s
+  if acquired t addr s then release_copy t s addr
+  else begin
+    t.lvcs.(addr) <- joined t.lvcs.(addr) t.vcs.(s);
+    clear_acquired t addr;
+    bump t s
+  end
 
 let on_read t ~addr ~pid ~time =
   ensure_words t (addr + 1);
@@ -432,7 +533,9 @@ let on_read t ~addr ~pid ~time =
     | 0 -> t.rep.(addr) <- cur_epoch t s
     | -1 ->
         let rv = t.rvcs.(addr) in
-        if s < Array.length rv then rv.(s) <- max rv.(s) c.(s)
+        if s < Array.length rv then begin
+          if c.(s) > rv.(s) then rv.(s) <- c.(s)
+        end
         else begin
           let rv' = grow_int_array rv ~needed:(s + 1) in
           rv'.(s) <- c.(s);
@@ -447,7 +550,7 @@ let on_read t ~addr ~pid ~time =
         let rv = t.rvcs.(addr) in
         let rv = if needed <= Array.length rv then rv else grow_int_array rv ~needed in
         rv.(epoch_slot re) <- epoch_clock re;
-        rv.(s) <- max rv.(s) c.(s);
+        if c.(s) > rv.(s) then rv.(s) <- c.(s);
         t.rvcs.(addr) <- rv;
         t.rep.(addr) <- -1);
     t.rinfo.(addr) <- pack_info pid time;
@@ -457,10 +560,7 @@ let on_read t ~addr ~pid ~time =
 (* A read clock is non-zero exactly while [rep = -1]; leaving it
    zeroed rather than dropped lets the next escalation reuse it. *)
 let clear_reads t addr =
-  if t.rep.(addr) = -1 then begin
-    let rv = t.rvcs.(addr) in
-    Array.fill rv 0 (Array.length rv) 0
-  end;
+  if t.rep.(addr) = -1 then zero_clock t.rvcs.(addr);
   t.rep.(addr) <- 0
 
 let plain_write_race t ~addr ~pid ~time c =
@@ -504,8 +604,7 @@ let on_rmw t ~addr ~pid ~time =
     (* After the acquire C_s covers L_x, so L_x := C_s is a copy in
        place. *)
     acquire t s addr;
-    t.lvcs.(addr) <- assigned t.lvcs.(addr) t.vcs.(s);
-    bump t s;
+    release_copy t s addr;
     None
   end
   else begin
@@ -523,8 +622,7 @@ let on_rmw t ~addr ~pid ~time =
     flag_set t addr f_sync;
     t.wep.(addr) <- 0;
     clear_reads t addr;
-    t.lvcs.(addr) <- assigned t.lvcs.(addr) c;
-    bump t s;
+    release_copy t s addr;
     race
   end
 
@@ -568,10 +666,9 @@ let on_alloc t ~bid ~base ~size ~pid ~time =
   for a = base to base + size - 1 do
     t.wep.(a) <- me;
     t.winfo.(a) <- info;
-    clear_reads t a;
+    if flag_test t a f_sync then clear_acquired t a else clear_reads t a;
     flag_clear_all t a;
-    let l = t.lvcs.(a) in
-    Array.fill l 0 (Array.length l) 0
+    zero_clock t.lvcs.(a)
   done;
   t.b_alloc.(bid) <- info
 

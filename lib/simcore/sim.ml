@@ -32,9 +32,16 @@ type core = {
   mutable slice : int;  (* ticks left before involuntary switch *)
 }
 
+(* Pid [max_procs] and above would share {!Memcore.pid_slot}'s last
+   coherence slot with the orchestrator (pid -1). *)
+let max_procs = Memcore.max_pids - 1
+
 let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     ?coroutine ?adversary ~config ~procs body =
-  assert (procs > 0);
+  if procs < 1 || procs > max_procs then
+    invalid_arg
+      (Printf.sprintf "Sim.run: procs = %d, must be between 1 and %d" procs
+         max_procs);
   (* An adversary with an empty script costs nothing: every hook below
      is guarded by [adv_on], so unfaulted runs are untouched. *)
   let adv_on =

@@ -37,6 +37,12 @@ exception Stuck of string
 (** Raised when [config.max_steps] is exceeded — a deadlocked or
     livelocked simulation. *)
 
+val max_procs : int
+(** The most processes one {!run} may start: [Memcore.max_pids - 1].
+    Every pid below it owns a private coherence slot and race-checker
+    clock; larger pids would share them with each other or with the
+    orchestrator, skewing costs and hiding races. *)
+
 val run :
   ?policy:policy ->
   ?seed:int ->
@@ -97,4 +103,7 @@ val run :
     runs to keep those points visible). Parked processes stop consuming
     instructions; a run whose unparked processes all finish terminates
     normally, reporting the parked ones' clocks as they stood. An
-    inactive adversary (empty script) perturbs nothing. *)
+    inactive adversary (empty script) perturbs nothing.
+
+    @raise Invalid_argument if [procs] is below 1 or above
+    {!max_procs}. *)

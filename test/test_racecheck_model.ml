@@ -1,5 +1,6 @@
 (* A reference model for the race checker. Random traces over 2-4
-   pids and three two-word blocks are fed both to {!Racecheck} and to
+   pids (either 0..3 or drawn from a pool that straddles the checker's
+   acquired-set word boundaries) and three two-word blocks are fed both to {!Racecheck} and to
    a naive DJIT+-style model kept here: full vector clocks everywhere,
    a full release clock per sync word and per block hand-off, and the
    complete access history of every data word instead of FastTrack's
@@ -75,8 +76,8 @@ type model = {
   handoff : int array array; (* blocks: hand-off clock *)
 }
 
-let model ~hb ~custody ~procs =
-  let n_slots = procs + 1 in
+let model ~hb ~custody ~pids =
+  let n_slots = List.fold_left max 0 pids + 2 in
   {
     hb;
     custody;
@@ -276,13 +277,27 @@ let check_step rc ~time op : verdict option =
 
 (* {1 Traces} *)
 
+(* Pids on both sides of the checker's acquired-set word boundaries:
+   slots (pid + 1) 0..61 are one word's bits, 62..123 the next, and so
+   on, so pids 60/61 and 122/123 are the last and first of a word. *)
+let wide_pids = [ 0; 1; 60; 61; 62; 63; 122; 123; 126; 127; 200 ]
+
+let gen_pids =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun n ->
+    oneof
+      [
+        return (List.init n Fun.id);
+        shuffle_l wide_pids >|= List.filteri (fun i _ -> i < n);
+      ])
+
 (* Traces alternate an orchestrator phase (pid -1: set-up, oracle
    reads, teardown frees) with a run (a run start, then in-sim pids
    only) — the shape {!Sim.run} gives every heap, and the assumption
    behind the orchestrator's join of every in-sim clock. *)
 let gen_trace =
   QCheck.Gen.(
-    int_range 2 4 >>= fun procs ->
+    gen_pids >>= fun pids ->
     let word = int_range 1 (n_words - 1) in
     let block = int_range 1 n_blocks in
     let op pid =
@@ -298,15 +313,17 @@ let gen_trace =
         ]
     in
     let outside = list_size (int_range 0 6) (op (-1)) in
-    let run = list_size (int_range 1 30) (int_range 0 (procs - 1) >>= op) in
+    let run = list_size (int_range 1 30) (oneofl pids >>= op) in
     let phase = map2 (fun o r -> o @ (Run_start :: r)) outside run in
     pair bool (list_size (int_range 1 4) phase) >|= fun (custody, phases) ->
-    (procs, custody, List.concat phases))
+    (pids, custody, List.concat phases))
 
 let arb_trace =
   QCheck.make
-    ~print:(fun (procs, custody, ops) ->
-      Printf.sprintf "procs=%d custody=%b [%s]" procs custody
+    ~print:(fun (pids, custody, ops) ->
+      Printf.sprintf "pids=%s custody=%b [%s]"
+        (String.concat "," (List.map string_of_int pids))
+        custody
         (String.concat "; " (List.map pp_op ops)))
     gen_trace
 
@@ -315,9 +332,9 @@ let pp_verdict = function
   | Some (a, (p, t, w), (p', t', w')) ->
       Printf.sprintf "word %d: %s p%d@%d vs %s p%d@%d" a w p t w' p' t'
 
-let agrees (procs, custody, ops) =
+let agrees (pids, custody, ops) =
   let rc = Racecheck.create { Racecheck.hb = true; custody } (Telemetry.create ()) in
-  let m = model ~hb:true ~custody ~procs in
+  let m = model ~hb:true ~custody ~pids in
   List.iteri
     (fun i op ->
       let time = i + 1 in
@@ -338,8 +355,8 @@ let test_model_finds_races () =
   let rand = Random.State.make [| 7 |] in
   let kinds = Hashtbl.create 8 in
   for _ = 1 to 300 do
-    let procs, custody, ops = QCheck.Gen.generate1 ~rand gen_trace in
-    let m = model ~hb:true ~custody ~procs in
+    let pids, custody, ops = QCheck.Gen.generate1 ~rand gen_trace in
+    let m = model ~hb:true ~custody ~pids in
     List.iteri
       (fun i op ->
         match step m ~time:(i + 1) op with
@@ -370,15 +387,43 @@ let test_reescalation_starts_clean () =
       Write (1, 1);
     ]
   in
-  Alcotest.(check bool) "checker = model" true (agrees (3, true, trace));
+  Alcotest.(check bool) "checker = model" true (agrees ([ 0; 1; 2 ], true, trace));
   let rc = Racecheck.create Racecheck.default_on (Telemetry.create ()) in
   List.iteri (fun i op -> ignore (check_step rc ~time:(i + 1) op)) trace;
   Alcotest.(check int) "no race" 0 (Racecheck.report_count rc)
+
+(* The join-release trap. A store-release by a process that has not
+   acquired the word is a join: afterwards [L_x] holds history the
+   releaser lacks (here p1's write of word 1, published by p1's RMW).
+   The releaser's next RMW must still acquire it, so its read of word 1
+   is ordered. A checker that counted the joining releaser as having
+   acquired [L_x] would skip that acquire and report a race. Each pid
+   pair is tried in both halves of the acquired set. *)
+let test_join_release_trap () =
+  List.iter
+    (fun (p0, p1) ->
+      let trace =
+        [
+          Alloc (-1, 1); Alloc (-1, 3); Run_start;
+          Write (p1, 1); Rmw (p1, 5); (* publish p1's write through x = 5 *)
+          Write (p0, 5); (* store-release by a non-acquirer: a join *)
+          Rmw (p0, 5); (* must acquire p1's history *)
+          Read (p0, 1);
+        ]
+      in
+      let name = Printf.sprintf "p%d after p%d" p0 p1 in
+      Alcotest.(check bool) (name ^ ": checker = model") true
+        (agrees ([ p0; p1 ], true, trace));
+      let rc = Racecheck.create Racecheck.default_on (Telemetry.create ()) in
+      List.iteri (fun i op -> ignore (check_step rc ~time:(i + 1) op)) trace;
+      Alcotest.(check int) (name ^ ": no race") 0 (Racecheck.report_count rc))
+    [ (0, 1); (200, 61); (61, 200); (123, 126) ]
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_matches_model;
     Alcotest.test_case "re-escalation starts clean" `Quick
       test_reescalation_starts_clean;
+    Alcotest.test_case "join-release trap" `Quick test_join_release_trap;
     Alcotest.test_case "model reaches every race kind" `Quick test_model_finds_races;
   ]

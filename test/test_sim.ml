@@ -159,6 +159,28 @@ let test_pid_visible () =
   in
   Alcotest.(check bool) "all pids ran" true (Array.for_all Fun.id seen)
 
+(* Pid Sim.max_procs and above would share a coherence slot (and
+   race-checker clock) with other pids, so such runs are refused rather
+   than silently merged. *)
+let test_procs_bounds () =
+  let refused procs =
+    match Sim.run ~config:small ~procs (fun _ -> ()) with
+    | _ -> Alcotest.failf "procs = %d accepted" procs
+    | exception Invalid_argument msg ->
+        Alcotest.(check string)
+          (Printf.sprintf "procs = %d" procs)
+          (Printf.sprintf "Sim.run: procs = %d, must be between 1 and 1023" procs)
+          msg
+  in
+  Alcotest.(check int) "bound" (Memcore.max_pids - 1) Sim.max_procs;
+  List.iter refused [ 0; -1; Sim.max_procs + 1; 1030 ];
+  let last = ref (-1) in
+  let _ =
+    Sim.run ~config:small ~procs:Sim.max_procs (fun pid ->
+        Proc.pay 1;
+        if pid > !last then last := pid)
+  in
+  Alcotest.(check int) "largest pid ran" (Sim.max_procs - 1) !last
 
 let test_global_now_total_order () =
   (* Global steps give an execution-order-consistent timestamp under
@@ -195,4 +217,5 @@ let suite =
     Alcotest.test_case "parallel speedup" `Quick test_parallel_speedup;
     Alcotest.test_case "outside-sim noops" `Quick test_outside_sim_noops;
     Alcotest.test_case "pid visible" `Quick test_pid_visible;
+    Alcotest.test_case "procs bounds" `Quick test_procs_bounds;
   ]
