@@ -74,8 +74,18 @@ val ensure_line : t -> int -> unit
 
 val pid_slot : int -> int
 
+(** {1 Coherence cost model}
+
+    A two-state (shared / exclusive-by-one-core) abstraction of MESI,
+    plus a two-way per-process L1. [cost_*] return the tick price of an
+    access {e and} perform the resulting state transition. This is what
+    makes contended reference-count updates expensive and single-writer
+    hazard-pointer announcements cheap — the asymmetry at the heart of
+    the paper's §5.2. *)
+
 val cost_read : t -> pid:int -> addr:int -> int
-(** Tick price of a read, performing the line-state transition. *)
+(** Tick price of a read, performing the line-state transition: a line
+    held exclusively by another core is demoted to shared. *)
 
 val cost_write : t -> pid:int -> addr:int -> int
 (** Tick price of a store/CAS/FAA/FAS, taking the line exclusive. *)

@@ -479,7 +479,7 @@ let free t a =
 (* {1 Atomic word operations}
 
    Each fetches the ambient environment once and pays inline
-   ({!Proc.pay_env}): the former [Coherence.cost .. Proc.pay ..]
+   ({!Proc.pay_env}): the former [Memcore.cost_* .. Proc.pay ..]
    sequence performed two domain-local lookups per access, which
    dominated the host-path op cost. Outside a simulation the coherence
    transition still happens (with pid [-1]) and the pay is skipped,

@@ -1,68 +1,10 @@
-(* Pairing heap with an insertion sequence number for deterministic
-   tie-breaking. *)
-
-type 'a node = {
-  key : int;
-  seq : int;
-  value : 'a;
-  mutable children : 'a node list;
-}
-
-type 'a t = {
-  mutable root : 'a node option;
-  mutable size : int;
-  mutable next_seq : int;
-}
-
-let create () = { root = None; size = 0; next_seq = 0 }
-
-let is_empty t = t.root = None
-
-let length t = t.size
-
-(* [a] wins on smaller key, then smaller sequence number. *)
-let before a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
-
-let meld a b =
-  if before a b then begin
-    a.children <- b :: a.children;
-    a
-  end else begin
-    b.children <- a :: b.children;
-    b
-  end
-
-let add t ~key value =
-  let n = { key; seq = t.next_seq; value; children = [] } in
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  t.root <- (match t.root with None -> Some n | Some r -> Some (meld r n))
-
-(* Two-pass pairing combine. *)
-let rec combine = function
-  | [] -> None
-  | [ n ] -> Some n
-  | a :: b :: rest -> (
-      let ab = meld a b in
-      match combine rest with None -> Some ab | Some r -> Some (meld ab r))
-
-let pop_min t =
-  match t.root with
-  | None -> None
-  | Some r ->
-      t.root <- combine r.children;
-      t.size <- t.size - 1;
-      Some (r.key, r.value)
-
-let peek_min_key t = match t.root with None -> None | Some r -> Some r.key
-
-(* Allocation-free variant for the scheduler hot loop: a 4-ary array
-   heap over int values with the same deterministic
-   (key, insertion-sequence) order as the pairing heap above. Key and
-   sequence number are packed into one int, [(key lsl 31) lor seq], so
-   every comparison is a single unboxed int compare and a sift moves one
-   word per level; 4-ary halves the tree depth for the scheduler's
-   core-count-sized heaps. [pop_min] returns [-1] instead of an option.
+(* Allocation-free heap for the scheduler hot loop: a 4-ary array heap
+   over int values with a deterministic (key, insertion-sequence) order
+   — ties pop in insertion order. Key and sequence number are packed
+   into one int, [(key lsl 31) lor seq], so every comparison is a single
+   unboxed int compare and a sift moves one word per level; 4-ary
+   halves the tree depth for the scheduler's core-count-sized heaps.
+   [pop_min] returns [-1] instead of an option.
 
    The packing bounds keys to [0, 2^31-1] ticks and insertions to 2^31
    — both a couple of orders of magnitude beyond any simulated run, and

@@ -1,29 +1,12 @@
-(** Minimal imperative pairing heap keyed by [int], used as the
-    simulator's run queue. Ties are broken by insertion order so that
-    scheduling is fully deterministic. *)
+(** The simulator's run queues: two deterministic int priority queues
+    that pop by (key, insertion order), so scheduling is fully
+    deterministic. *)
 
-type 'a t
-
-val create : unit -> 'a t
-
-val is_empty : 'a t -> bool
-
-val length : 'a t -> int
-
-val add : 'a t -> key:int -> 'a -> unit
-(** [add t ~key v] inserts [v] with priority [key] (smaller pops first). *)
-
-val pop_min : 'a t -> (int * 'a) option
-(** Remove and return the minimum-key element, if any. *)
-
-val peek_min_key : 'a t -> int option
-
-(** Allocation-free 4-ary array heap over non-negative int values, with
-    the same deterministic (key, insertion order) priority as the
-    pairing heap above; key and sequence number are packed into one int
-    so comparisons are single unboxed compares. Keys are limited to
-    [0, 2^31-1]. Used by the scheduler hot loop, where per-step
-    heap-node allocation would dominate. *)
+(** Allocation-free 4-ary array heap over non-negative int values,
+    ordered by (key, insertion order); key and sequence number are
+    packed into one int so comparisons are single unboxed compares. Keys
+    are limited to [0, 2^31-1]. Used by the scheduler hot loop, where
+    per-step heap-node allocation would dominate. *)
 module Int_heap : sig
   type t
 
@@ -59,7 +42,7 @@ module Int_heap : sig
 
   val pop_min : t -> int
   (** Remove and return the minimum element's value, or [-1] when
-      empty. Ties pop in insertion order, like the pairing heap. *)
+      empty. Ties pop in insertion order. *)
 end
 
 (** O(1) priority queue for the scheduler's core clocks: same

@@ -368,6 +368,8 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
               Queue.iter (fun q -> if q <> p then Queue.push q core.runq) tmp)
       | Uniform | Chaos _ -> ()
   in
+  (* Ticks [adv_revive] added to idle cores' clocks. *)
+  let lifted = ref 0 in
   let adv_revive p =
     if states.(p) <> Finished then
       match policy with
@@ -381,9 +383,13 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
              stale frozen clock — idling accrues no entitlement. A core
              still in the ring keeps its key (its clock is never below
              the minimum), so the lift applies exactly to revived-idle
-             cores. *)
+             cores. No pay made the lift, so [finish] keeps it out of
+             the profiler's expected total. *)
           let m = Pqueue.Core_ring.min_key core_pq in
-          if m <> max_int && core.clock < m then core.clock <- m;
+          if m <> max_int && core.clock < m then begin
+            lifted := !lifted + (m - core.clock);
+            core.clock <- m
+          end;
           requeue_core c
       | Uniform | Chaos _ -> ()
   in
@@ -444,11 +450,13 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
       | Uniform | Chaos _ -> Array.copy pclocks
     in
     let makespan = Array.fold_left max 0 clocks in
-    (* Feed the conservation check: clocks advance only through pays,
-       and every pay charged a phase slot exactly once, so the
-       profiler's per-phase sums must equal this total. *)
+    (* Feed the conservation check: apart from revive lifts, clocks
+       advance only through pays, and every pay charged a phase slot
+       exactly once, so the profiler's per-phase sums must equal this
+       total. *)
     (match profiler with
-    | Some t -> Profiler.add_expected t (Array.fold_left ( + ) 0 clocks)
+    | Some t ->
+        Profiler.add_expected t (Array.fold_left ( + ) 0 clocks - !lifted)
     | None -> ());
     { makespan; steps = !steps; faults = List.rev !faults; clocks }
   in

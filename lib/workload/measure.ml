@@ -15,32 +15,21 @@ type point = {
   counters : (string * int) list;
 }
 
-(* Each point churns transient scheduler state; the seed version ran
-   [Gc.compact] after every point, which dominated quick sweeps. A
-   periodic full major keeps long sweeps within RAM at a fraction of the
-   cost; MEASURE_COMPACT=1 restores per-point compaction. Points may run
-   on any {!Simcore.Domain_pool} worker domain, so the pacing counter is
-   domain-local state, not a shared ref, and the compaction override is
-   an atomic (written only between sweeps, read per point). *)
+(* Each point churns transient scheduler state; a periodic full major
+   keeps long sweeps within RAM. Points may run on any
+   {!Simcore.Domain_pool} worker domain, so the pacing counter is
+   domain-local state, not a shared ref. *)
 let gc_major_every = 8
 
 let points_since_major : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0) (* lint: allow-atomic *)
 
-let compact_every_point =
-  Atomic.make (Sys.getenv_opt "MEASURE_COMPACT" = Some "1") (* lint: allow-atomic *)
-
-let set_compact_per_point b = Atomic.set compact_every_point b (* lint: allow-atomic *)
-
 let after_point_gc () =
-  if Atomic.get compact_every_point then Gc.compact () (* lint: allow-atomic *)
-  else begin
-    let n = Domain.DLS.get points_since_major + 1 in (* lint: allow-atomic *)
-    if n >= gc_major_every then begin
-      Domain.DLS.set points_since_major 0; (* lint: allow-atomic *)
-      Gc.full_major ()
-    end
-    else Domain.DLS.set points_since_major n (* lint: allow-atomic *)
+  let n = Domain.DLS.get points_since_major + 1 in (* lint: allow-atomic *)
+  if n >= gc_major_every then begin
+    Domain.DLS.set points_since_major 0; (* lint: allow-atomic *)
+    Gc.full_major ()
   end
+  else Domain.DLS.set points_since_major n (* lint: allow-atomic *)
 
 (* Driver cell protocol (shared with the compiled driver below): cell 0
    counts completed operations, cell 1 is the next sampling deadline. *)

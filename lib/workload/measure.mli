@@ -74,18 +74,9 @@ val run_point :
     [--jobs 1], so a trace is always a single coherent sequential
     story.
 
-    Between points the measurement layer runs a periodic [Gc.full_major]
-    (per-point [Gc.compact] was the dominant cost of quick sweeps; set
-    MEASURE_COMPACT=1 to restore it for memory-constrained full sweeps).
+    Between points the measurement layer runs a periodic [Gc.full_major].
     The pacing counter is per-domain ([Domain.DLS]), so each pool worker
     paces its own GC. *)
-
-val set_compact_per_point : bool -> unit
-(** Override the between-points GC discipline at runtime (initialised
-    from MEASURE_COMPACT; stored in an [Atomic.t], so safe to read from
-    pool workers — set it only between sweeps). The perf smoke uses it
-    to time the seed's per-point [Gc.compact] behaviour in its baseline
-    pass. *)
 
 val default_threads : int list
 (** The sweep used by the figures: 1 … 192, crossing the paper's

@@ -57,16 +57,25 @@ let test_bit_identical () =
         policies)
     configs
 
-(* The figure runners must be equally oblivious: a Figure 6a point and a
-   Figure 7 point (which run under [Config.default], 144 cores) are
-   structurally identical with elision on and off. *)
+(* The figure runners must be equally oblivious: Figure 6a points for
+   every scheme, below and above the core count, and a Figure 7 point
+   (which run under [Config.default], 144 cores) are structurally
+   identical with elision on and off. *)
 let test_fig6_point_identical () =
-  let run fastpath =
-    Workload.Fig6.loadstore_point ~fastpath
-      (List.assoc "DRC" Workload.Fig6.schemes)
-      ~threads:8 ~horizon:3_000 ~seed:42 ~n_locs:10 ~p_store:0.1
-  in
-  Alcotest.(check bool) "fig6a point identical" true (run true = run false)
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun threads ->
+          let run fastpath =
+            Workload.Fig6.loadstore_point ~fastpath m ~threads ~horizon:20_000
+              ~seed:42 ~n_locs:10 ~p_store:0.1
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "fig6a point identical (%s, P=%d)" name threads)
+            true
+            (run true = run false))
+        [ 8; 192 ])
+    Workload.Fig6.schemes
 
 let test_fig7_point_identical () =
   let run fastpath =

@@ -1,78 +1,8 @@
-(* The pairing heap behind the scheduler: ordering, stability, and
-   model-based behaviour. *)
+(* The scheduler's run queues: Int_heap against a stable-sorted list
+   model, and Core_ring against Int_heap under the scheduling round's
+   op pattern. *)
 
 open Simcore
-
-let test_empty () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check (option (pair int int))) "pop empty" None (Pqueue.pop_min q);
-  Alcotest.(check (option int)) "peek empty" None (Pqueue.peek_min_key q)
-
-let test_ordering () =
-  let q = Pqueue.create () in
-  List.iter (fun k -> Pqueue.add q ~key:k k) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Pqueue.pop_min q with
-    | Some (k, _) ->
-        out := k :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (List.rev !out)
-
-let test_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iteri (fun i v -> Pqueue.add q ~key:7 (i * 10 + v)) [ 1; 2; 3; 4 ];
-  let vals =
-    List.init 4 (fun _ ->
-        match Pqueue.pop_min q with Some (_, v) -> v | None -> -1)
-  in
-  Alcotest.(check (list int)) "insertion order on equal keys"
-    [ 1; 12; 23; 34 ] vals
-
-let test_length () =
-  let q = Pqueue.create () in
-  for i = 1 to 10 do
-    Pqueue.add q ~key:i i
-  done;
-  Alcotest.(check int) "length" 10 (Pqueue.length q);
-  ignore (Pqueue.pop_min q);
-  Alcotest.(check int) "length after pop" 9 (Pqueue.length q)
-
-(* Model check: interleaved adds and pops behave like a sorted list with
-   stable ties. *)
-let prop_model =
-  QCheck.Test.make ~count:300 ~name:"pqueue matches stable-sorted model"
-    QCheck.(list (pair (int_range 0 20) bool))
-    (fun ops ->
-      let q = Pqueue.create () in
-      (* model: list of (key, seq) kept stable-sorted *)
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (k, is_add) ->
-          if is_add then begin
-            Pqueue.add q ~key:k !seq;
-            model := !model @ [ (k, !seq) ];
-            incr seq
-          end
-          else begin
-            let sorted =
-              List.stable_sort (fun (a, _) (b, _) -> compare a b) !model
-            in
-            match (Pqueue.pop_min q, sorted) with
-            | None, [] -> ()
-            | Some (k', v'), (mk, mv) :: _ ->
-                if k' <> mk || v' <> mv then ok := false
-                else model := List.filter (fun (_, s) -> s <> mv) !model
-            | Some _, [] | None, _ :: _ -> ok := false
-          end)
-        ops;
-      !ok && Pqueue.length q = List.length !model)
 
 (* {1 Int_heap: the allocation-free scheduler heap} *)
 
@@ -94,36 +24,39 @@ let test_int_heap_ordering_and_growth () =
   Alcotest.(check (list int)) "stable sorted"
     [ 106; 101; 103; 104; 102; 100; 105 ] vals
 
-(* Equivalence: Int_heap pops in exactly the pairing heap's order for
-   any interleaving of adds and pops — the scheduler's determinism
-   depends on the two structures agreeing. *)
-let prop_int_heap_matches_pairing =
-  QCheck.Test.make ~count:300 ~name:"Int_heap matches pairing heap order"
+(* Model check: interleaved adds and pops behave like a list kept
+   stable-sorted by key — the scheduler's determinism depends on ties
+   popping in insertion order. *)
+let prop_int_heap_model =
+  QCheck.Test.make ~count:300 ~name:"Int_heap matches stable-sorted model"
     QCheck.(list (pair (int_range 0 20) bool))
     (fun ops ->
-      let q = Pqueue.create () in
       let ih = Pqueue.Int_heap.create 1 in
+      (* model: (key, seq) in insertion order *)
+      let model = ref [] in
       let seq = ref 0 in
       let ok = ref true in
+      let sorted () =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) !model
+      in
       List.iter
         (fun (k, is_add) ->
           if is_add then begin
-            Pqueue.add q ~key:k !seq;
             Pqueue.Int_heap.add ih ~key:k !seq;
+            model := !model @ [ (k, !seq) ];
             incr seq
           end
-          else begin
-            let expect = match Pqueue.pop_min q with
-              | Some (_, v) -> v
-              | None -> -1
-            in
-            if Pqueue.Int_heap.pop_min ih <> expect then ok := false
-          end)
+          else
+            match sorted () with
+            | [] -> if Pqueue.Int_heap.pop_min ih <> -1 then ok := false
+            | (_, mv) :: _ ->
+                if Pqueue.Int_heap.pop_min ih <> mv then ok := false
+                else model := List.filter (fun (_, s) -> s <> mv) !model)
         ops;
       !ok
-      && Pqueue.Int_heap.length ih = Pqueue.length q
+      && Pqueue.Int_heap.length ih = List.length !model
       && Pqueue.Int_heap.min_key ih
-         = (match Pqueue.peek_min_key q with Some k -> k | None -> max_int))
+         = (match sorted () with (k, _) :: _ -> k | [] -> max_int))
 
 (* {1 Core_ring: the O(1) scheduler queue}
 
@@ -183,6 +116,9 @@ let prop_core_ring_matches_int_heap =
       done;
       (* values currently popped (re-addable) *)
       let out = Queue.create () in
+      (* last minimum seen: an emptied queue is refilled at or above it,
+         since core clocks only advance *)
+      let last = ref 0 in
       let ok = ref true in
       let agree () =
         Pqueue.Int_heap.min_key ih = Pqueue.Core_ring.min_key cr
@@ -196,6 +132,7 @@ let prop_core_ring_matches_int_heap =
             if not (agree ()) then ok := false
             else
               let lo = Pqueue.Int_heap.min_key ih in
+              if lo <> max_int then last := lo;
               match c with
               | 0 when lo <> max_int ->
                   (* the scheduling round: requeue the minimum higher *)
@@ -209,7 +146,7 @@ let prop_core_ring_matches_int_heap =
                   (* re-add a parked value at or above the minimum *)
                   if not (Queue.is_empty out) then begin
                     let v = Queue.pop out in
-                    let key = (if lo = max_int then delta else lo + delta) in
+                    let key = !last + delta in
                     Pqueue.Int_heap.add ih ~key v;
                     Pqueue.Core_ring.add cr ~key v
                   end
@@ -226,13 +163,12 @@ let prop_core_ring_matches_int_heap =
 
 let suite =
   [
-    Alcotest.test_case "empty" `Quick test_empty;
-    Alcotest.test_case "ordering" `Quick test_ordering;
-    Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
-    Alcotest.test_case "length" `Quick test_length;
-    QCheck_alcotest.to_alcotest prop_model;
     Alcotest.test_case "int heap empty" `Quick test_int_heap_empty;
     Alcotest.test_case "int heap ordering+growth" `Quick
       test_int_heap_ordering_and_growth;
-    QCheck_alcotest.to_alcotest prop_int_heap_matches_pairing;
+    QCheck_alcotest.to_alcotest prop_int_heap_model;
+    Alcotest.test_case "core ring basic" `Quick test_core_ring_basic;
+    Alcotest.test_case "core ring overflow jumps" `Quick
+      test_core_ring_overflow_jumps;
+    QCheck_alcotest.to_alcotest prop_core_ring_matches_int_heap;
   ]

@@ -103,6 +103,23 @@ let test_plus_is_free_without_faults () =
     && debra_s = dplus_s);
   Alcotest.(check int) "no signals" 0 (FR.counter dplus_pt "adv.signals")
 
+(* Profiling must conserve ticks under crash-restart too: a revived
+   victim whose core drained re-enters at the current minimum clock
+   without paying for the lift, so the profiler's expected total must
+   leave it out. [point] raises on a conservation violation. *)
+let test_crash_restart_profile_conserves () =
+  List.iter
+    (fun scheme ->
+      let profiled, _ =
+        FR.point ~profile:true ~scheme ~fault:FR.Crash_restart ~threads:8
+          ~horizon:24_000 ~seed:42 ~size:16 ~update_pct:50 ()
+      in
+      let plain, _ = point ~scheme ~fault:FR.Crash_restart in
+      Alcotest.(check bool)
+        (scheme ^ ": profiled point = plain point")
+        true (profiled = plain))
+    FR.scheme_names
+
 let suite =
   [
     Alcotest.test_case "stalled reader: ebr diverges, debra+ bounded" `Quick
@@ -113,4 +130,6 @@ let suite =
       test_crash_restart_recovers;
     Alcotest.test_case "debra+ free when fault-free" `Quick
       test_plus_is_free_without_faults;
+    Alcotest.test_case "crash-restart profile conserves ticks" `Quick
+      test_crash_restart_profile_conserves;
   ]
