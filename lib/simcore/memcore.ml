@@ -40,8 +40,9 @@ type t = {
   c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
-  (* Sanitizer armed: compiled memory ops must take the slow
-     ({!Memory}) path so shadow/protocol hooks run. *)
+  (* An instrument (sanitizer or race checker) is armed: compiled
+     memory ops flush their elided pays and call {!Memory}'s observer
+     after validation. *)
   mutable san_on : bool;
 }
 

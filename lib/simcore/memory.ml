@@ -77,8 +77,9 @@ type t = {
   quarantine : int Queue.t;
   (* Race checker: always present (no-op when off). Pays no ticks and
      allocates nothing simulated, so arming it perturbs no schedule;
-     [race_on] also forces the VM onto the hosted slow path (like the
-     sanitizer) so both engines feed it the identical access stream. *)
+     the VM's memory opcodes call the same {!instrument} observer after
+     flushing their elided pays, so both engines feed it the identical
+     access stream. *)
   race : Racecheck.t;
   race_on : bool;
   (* Flight recorder: always-on bounded ring of recent events (allocs,
@@ -214,15 +215,19 @@ let validate_addr t a = ignore (validate t a)
    that same environment and hands them to the sanitizer and the race
    checker. The pay may suspend and resume this process, but it
    resumes under the same environment, so [e.pid] and [e.gclock ()]
-   equal what [Proc.self]/[Proc.global_now] would return here. *)
+   equal what [Proc.self]/[Proc.global_now] would return here. The
+   {!Vm}'s memory opcodes call {!instrument}/{!instrument_pair} at the
+   same point, after flushing their elided pays, so the virtual time
+   the instruments read does not depend on the engine. *)
 
 let env_pid = function Some e -> e.Proc.pid | None -> -1
 
 let env_time = function Some e -> e.Proc.gclock () | None -> 0
 
-(* Sanitizer hooks for an access to block [bid]: the protection-window
+(* Sanitizer hooks for a validated access to [a]: the protection-window
    audit on SMR-tracked blocks, and the recent-ops provenance ring. *)
-let san_access t ~write ~pid ~time bid a =
+let san_access t ~write ~pid ~time a =
+  let bid = t.h.Memcore.block_id.(a) in
   let sh = t.shadows.(bid) in
   let m = Sanitizer.mode t.san in
   (* Audit only in-simulation dereferences of SMR-tracked blocks that
@@ -274,12 +279,25 @@ let race_note t (r : Racecheck.race) =
 
 let race_noted t = function Some r -> race_note t r | None -> ()
 
-(* Both instruments on one validated access to [a] in block [bid];
-   [race] is the checker's hook for the access kind. *)
-let instrument t env ~write race bid a =
+(* Both instruments on one validated access to [a]; [race] is the
+   checker's hook for the access kind. *)
+let instrument t env ~write race a =
   let pid = env_pid env and time = env_time env in
-  if t.san_on then san_access t ~write ~pid ~time bid a;
+  if t.san_on then san_access t ~write ~pid ~time a;
   if t.race_on then race_noted t (race t.race ~addr:a ~pid ~time)
+
+(* A double-word RMW at [a, a+1], [a] already validated: audit [a],
+   validate and audit [a + 1], and only then race both — the fault
+   order of a sanitized [cas2]. *)
+let instrument_pair t env a =
+  let pid = env_pid env and time = env_time env in
+  if t.san_on then san_access t ~write:true ~pid ~time a;
+  validate_addr t (a + 1);
+  if t.san_on then san_access t ~write:true ~pid ~time (a + 1);
+  if t.race_on then begin
+    race_noted t (Racecheck.on_rmw t.race ~addr:a ~pid ~time);
+    race_noted t (Racecheck.on_rmw t.race ~addr:(a + 1) ~pid ~time)
+  end
 
 (* {1 Allocation} *)
 
@@ -478,121 +496,83 @@ let free t a =
 
 (* {1 Atomic word operations}
 
-   Each fetches the ambient environment once and pays inline
-   ({!Proc.pay_env}): the former [Memcore.cost_* .. Proc.pay ..]
-   sequence performed two domain-local lookups per access, which
-   dominated the host-path op cost. Outside a simulation the coherence
-   transition still happens (with pid [-1]) and the pay is skipped,
-   exactly as before. *)
+   Every access fetches the ambient environment once and pays inline
+   ({!Proc.pay_env}); outside a simulation the coherence transition
+   still happens (with pid [-1]) and the pay is skipped. Profiling
+   splits each cost into the scheme-independent floor (an L1 read, an
+   owned-line RMW) charged to the surrounding phase and the coherence
+   penalty above it, which {!Profiler.demote} moves to the phase's
+   [Coherence] child; with profiling off both are one no-op match. The
+   shared prelude below is inlined into each entry point, which thus
+   makes the same calls as a hand-written body. *)
 
-(* Profiling splits each access cost into the scheme-independent floor
-   (an L1 read, an owned-line RMW) charged to the surrounding phase,
-   and the cache-coherence penalty above it, demoted to the phase's
-   [Coherence] child — [pay_env] charges the full cost first, then
-   {!Profiler.demote} moves the penalty. With profiling off both are
-   one no-op match. *)
+(* Charge one access to [a] ([extra]: CAS2's surcharge, above the
+   floor) and return the environment for the instruments. *)
+let[@inline] pay_access h ~write ~extra a =
+  let env = Proc.get_env () in
+  let pid = env_pid env in
+  let c =
+    if write then Memcore.cost_write h ~pid ~addr:a
+    else Memcore.cost_read h ~pid ~addr:a
+  in
+  (match env with
+  | Some e ->
+      Proc.pay_env e (c + extra);
+      Profiler.demote e
+        (c - if write then h.Memcore.c_rmw_owned else h.Memcore.c_l1)
+  | None -> ());
+  env
+
+(* A single-word access up to the data itself: pay, validate, then
+   observe when an instrument is armed ([hook]: the race checker's hook
+   for the access kind). *)
+let[@inline] access t ~write hook a =
+  let h = t.h in
+  let env = pay_access h ~write ~extra:0 a in
+  validate_addr t a;
+  if h.Memcore.san_on then instrument t env ~write hook a
 
 let read t a =
-  let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:a in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_l1)
-  | None -> ignore (Memcore.cost_read h ~pid:(-1) ~addr:a));
-  let bid = validate t a in
-  if h.Memcore.san_on then instrument t env ~write:false Racecheck.on_read bid a;
-  h.Memcore.words.(a)
+  access t ~write:false Racecheck.on_read a;
+  t.h.Memcore.words.(a)
 
 let write t a v =
-  let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  let bid = validate t a in
-  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_write bid a;
-  h.Memcore.words.(a) <- v
+  access t ~write:true Racecheck.on_write a;
+  t.h.Memcore.words.(a) <- v
 
 let cas t a ~expected ~desired =
-  let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  let bid = validate t a in
-  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
-  if h.Memcore.words.(a) = expected then begin
-    h.Memcore.words.(a) <- desired;
+  access t ~write:true Racecheck.on_rmw a;
+  let w = t.h.Memcore.words in
+  if w.(a) = expected then begin
+    w.(a) <- desired;
     true
   end
   else false
 
 let faa t a d =
-  let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  let bid = validate t a in
-  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
-  let old = h.Memcore.words.(a) in
-  h.Memcore.words.(a) <- old + d;
+  access t ~write:true Racecheck.on_rmw a;
+  let w = t.h.Memcore.words in
+  let old = w.(a) in
+  w.(a) <- old + d;
   old
 
 let fas t a v =
-  let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c = Memcore.cost_write h ~pid:e.Proc.pid ~addr:a in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_rmw_owned)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  let bid = validate t a in
-  if h.Memcore.san_on then instrument t env ~write:true Racecheck.on_rmw bid a;
-  let old = h.Memcore.words.(a) in
-  h.Memcore.words.(a) <- v;
+  access t ~write:true Racecheck.on_rmw a;
+  let w = t.h.Memcore.words in
+  let old = w.(a) in
+  w.(a) <- v;
   old
 
 let cas2 t a ~e0 ~e1 ~d0 ~d1 =
   let h = t.h in
-  let env = Proc.get_env () in
-  (match env with
-  | Some e ->
-      let c =
-        Memcore.cost_write h ~pid:e.Proc.pid ~addr:a
-        + h.Memcore.c_dwcas_extra
-      in
-      Proc.pay_env e c;
-      Profiler.demote e (c - h.Memcore.c_rmw_owned - h.Memcore.c_dwcas_extra)
-  | None -> ignore (Memcore.cost_write h ~pid:(-1) ~addr:a));
-  (* Validate and audit both words before racing either. *)
-  let b0 = validate t a in
-  if h.Memcore.san_on then begin
-    let pid = env_pid env and time = env_time env in
-    if t.san_on then san_access t ~write:true ~pid ~time b0 a;
-    let b1 = validate t (a + 1) in
-    if t.san_on then san_access t ~write:true ~pid ~time b1 (a + 1);
-    if t.race_on then begin
-      race_noted t (Racecheck.on_rmw t.race ~addr:a ~pid ~time);
-      race_noted t (Racecheck.on_rmw t.race ~addr:(a + 1) ~pid ~time)
-    end
-  end
-  else ignore (validate t (a + 1));
-  if h.Memcore.words.(a) = e0 && h.Memcore.words.(a + 1) = e1 then begin
-    h.Memcore.words.(a) <- d0;
-    h.Memcore.words.(a + 1) <- d1;
+  let env = pay_access h ~write:true ~extra:h.Memcore.c_dwcas_extra a in
+  validate_addr t a;
+  if h.Memcore.san_on then instrument_pair t env a
+  else validate_addr t (a + 1);
+  let w = h.Memcore.words in
+  if w.(a) = e0 && w.(a + 1) = e1 then begin
+    w.(a) <- d0;
+    w.(a + 1) <- d1;
     true
   end
   else false

@@ -174,9 +174,9 @@ val sanitizer_reports : t -> string list
     sanitizer reports — retained, counted as [race.reports], noted in
     the flight recorder, auto-dumped). Races never raise: the run
     completes and the audit reads the report list. Arming the checker
-    pays no ticks, so schedules are unperturbed; like the sanitizer it
-    routes the {!Vm}'s memory opcodes through this module, so both
-    execution engines produce identical verdicts. *)
+    pays no ticks, so schedules are unperturbed; the {!Vm}'s memory
+    opcodes call the same per-access observer as this module's entry
+    points, so both execution engines produce identical verdicts. *)
 
 val racecheck : t -> Racecheck.t
 (** Always present; every entry point is a cheap no-op when off. *)
@@ -231,3 +231,23 @@ val validate_addr : t -> int -> unit
 (* Address validation alone (no sanitizer hooks, no cost): raises the
    exact {!Fault} [read]/[write] would. The {!Vm} inlines the common
    checks and calls this to materialize the fault on failure. *)
+
+val instrument :
+  t ->
+  Proc.env option ->
+  write:bool ->
+  (Racecheck.t -> addr:int -> pid:int -> time:int -> Racecheck.race option) ->
+  int ->
+  unit
+(* [instrument t env ~write hook a]: the armed instruments' observer for
+   one validated access to [a] — the sanitizer's audit and provenance
+   note, then the race checker's [hook] for the access kind. The heap's
+   own entry points and the {!Vm}'s memory opcodes both call it after
+   paying and validating, and only while [Memcore.san_on] is set. The
+   VM flushes its elided pays first, so the pid and virtual time read
+   from [env] are the closure path's. *)
+
+val instrument_pair : t -> Proc.env option -> int -> unit
+(* [instrument_pair t env a]: the observer for a double-word RMW at
+   [a, a+1] whose first word is validated. Audits [a], validates and
+   audits [a + 1], then races both: [cas2]'s fault order. *)

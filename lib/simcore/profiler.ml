@@ -251,22 +251,6 @@ let demote (e : Proc.env) pen =
       p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
   | Some _ | None -> ()
 
-(* The VM's elided memory opcodes bypass [pay_env]: charge the split
-   directly. *)
-let charge_split (e : Proc.env) ~cost ~pen =
-  match e.Proc.prof with
-  | Some p ->
-      p.Proc.pcounts.(p.Proc.pcur) <-
-        p.Proc.pcounts.(p.Proc.pcur) + cost - pen;
-      if pen > 0 then
-        p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
-  | None -> ()
-
-let charge (e : Proc.env) n =
-  match e.Proc.prof with
-  | Some p -> p.Proc.pcounts.(p.Proc.pcur) <- p.Proc.pcounts.(p.Proc.pcur) + n
-  | None -> ()
-
 (* {1 Reading} *)
 
 let total t =

@@ -72,19 +72,12 @@ val exit : unit -> unit
 
 val with_phase : phase -> (unit -> 'a) -> 'a
 
-(** {1 Charging} (internal: called by [Memory] and [Vm]) *)
+(** {1 Charging} (internal: called by [Memory]) *)
 
 val demote : Proc.env -> int -> unit
 (** Move [pen] already-charged ticks from the current slot to its
     coherence-penalty child (the closure path: [pay_env] charged the
     full memory-op cost first). *)
-
-val charge_split : Proc.env -> cost:int -> pen:int -> unit
-(** Charge [cost - pen] to the current slot and [pen] to its coherence
-    child (the VM elide/yield path, which bypasses [pay_env]). *)
-
-val charge : Proc.env -> int -> unit
-(** Charge [n] to the current slot (VM non-memory pay sites). *)
 
 (** {1 Reading} *)
 

@@ -24,10 +24,12 @@
      whole loop is part of the process's fiber, so it suspends and
      resumes mid-instruction like any other simulated code.
    - {b Memory opcodes mirror {!Memory} exactly}: coherence cost, then
-     pay, then validation, then the array access — with the sanitizer on
-     ([Memcore.san_on]) the opcode instead defers to the {!Memory} entry
-     point, so shadow/protocol hooks and fault reports are identical.
-     An inline validation failure re-raises through
+     pay, then validation, then the array access. With an instrument
+     armed ([Memcore.san_on]: sanitizer or race checker) the opcode
+     flushes its elided pays after validation and calls the observer
+     the {!Memory} entry points call ({!Memory.instrument}), so
+     shadow/protocol hooks, race verdicts and fault reports are
+     identical. An inline validation failure re-raises through
      {!Memory.validate_addr}, producing the very same {!Memory.Fault}. *)
 
 (* Outcome of running a host call in its own one-shot fiber: either it
@@ -180,8 +182,8 @@ let () = assert (Array.length arity = n_opcodes)
 
 (* {1 Symbolic instructions}
 
-   Used by the round-trip tests and the disassembler; the assembler
-   below emits the packed stream directly. *)
+   Used by the round-trip tests; the assembler below emits the packed
+   stream directly. *)
 
 type instr =
   | Halt
@@ -577,9 +579,8 @@ exception Halted
 
 exception Yielded
 
-(* Pays performed inside a [HOST] call (or a sanitized memory opcode,
-   which defers to the {!Memory} entry points) land here instead of in
-   the scheduler: the host runs in its own one-shot fiber, so the charge
+(* Pays performed inside a [HOST] call land here instead of in the
+   scheduler: the host runs in its own one-shot fiber, so the charge
    unwinds to the dispatch loop as an [H_pay] and the loop yields it
    like one of its own pays. *)
 let host_handler : (unit, hosted) Effect.Deep.handler =
@@ -597,68 +598,106 @@ let host_handler : (unit, hosted) Effect.Deep.handler =
         | _ -> None);
   }
 
+(* Unflushed elided pays: [fr.acc] ticks over [fr.npays] pays. Flushed
+   through [bulk_pay] before anything that could observe clocks or the
+   step counter — host calls, yields, faults, armed instruments, halt —
+   so the accumulator is always empty when the coroutine returns. *)
+let flush e fr =
+  if fr.acc > 0 then begin
+    e.Proc.bulk_pay fr.acc fr.npays;
+    fr.acc <- 0;
+    fr.npays <- 0
+  end
+
+(* Every pay site of the loop: [c] ticks, [pen] of them coherence
+   penalty. The inline sites bypass [Proc.pay_env], so the profiler's
+   phase split is charged here, exactly once per pay (mirroring
+   [Memory]'s demotion on the closure path; one [None] match with
+   profiling off). A pay inside the granted run-ahead budget is elided
+   into the accumulator; any other flushes and yields [c]. No inline
+   regrant: at the process counts where the flat path matters the
+   running core has lost the race by [c] almost surely, and the
+   scheduler's own round replays the would-be regrant bit-identically
+   (same accounting, same [steps] bump, fresh seq). [mid] marks a
+   memory opcode's mid-instruction pay: [fr.pc] still points at the
+   opcode, and [fr.paid] makes the re-dispatch skip the charge
+   (coherence state already transitioned) and go straight to the
+   access — which, exactly like the closure path, happens after the
+   suspension. Inlined, like [charge] and [valid], so the dispatch loop
+   makes no call on the elided path but the cost function's. *)
+let[@inline] pay e fr c pen mid =
+  (match e.Proc.prof with
+  | Some p ->
+      p.Proc.pcounts.(p.Proc.pcur) <- p.Proc.pcounts.(p.Proc.pcur) + c - pen;
+      if pen > 0 then
+        p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
+  | None -> ());
+  if e.Proc.fast && c < e.Proc.budget then begin
+    e.Proc.budget <- e.Proc.budget - c;
+    fr.acc <- fr.acc + c;
+    fr.npays <- fr.npays + 1
+  end
+  else begin
+    flush e fr;
+    fr.paid <- mid;
+    fr.yn <- c;
+    raise_notrace Yielded
+  end
+
+(* A memory opcode's charge — coherence transition, then pay — as
+   {!Memory}'s prelude computes it ([extra] is CAS2's surcharge, above
+   the floor); skipped on the re-dispatch after its own yield. *)
+let[@inline] charge e fr hc ~write ~extra a =
+  if fr.paid then fr.paid <- false
+  else if write then begin
+    let c = Memcore.cost_write hc ~pid:e.Proc.pid ~addr:a in
+    pay e fr (c + extra) (c - hc.Memcore.c_rmw_owned) true
+  end
+  else begin
+    let c = Memcore.cost_read hc ~pid:e.Proc.pid ~addr:a in
+    pay e fr c (c - hc.Memcore.c_l1) true
+  end
+
+(* Inline address validation ([a < top] also bounds the unchecked
+   [words]/[block_id] loads — both arrays are kept at least [top]
+   long); on failure, [vfail] materializes the exact {!Memory.Fault}
+   through the slow path (which never returns). *)
+let[@inline] valid hc a =
+  a > 0 && a < hc.Memcore.top
+  && begin
+       let id = Array.unsafe_get hc.Memcore.block_id a in
+       id <> 0 && Array.unsafe_get hc.Memcore.b_live id = 1
+     end
+
+let vfail e fr a =
+  flush e fr;
+  Memory.validate_addr fr.mem a;
+  assert false
+
 let coroutine p fr =
   let e =
     match Proc.get_env () with
     | Some e -> e
     | None -> invalid_arg "Vm.coroutine: not inside a simulation"
   in
+  let env = Some e in
   let code = p.code in
   let regs = fr.regs in
   let cells = fr.cells in
   let hc = fr.hc in
   let rng = fr.rng in
   let mem = fr.mem in
-  let pid = e.Proc.pid in
-  let fast = e.Proc.fast in
-  (* Profiling: the inline pay sites below bypass [Proc.pay_env], so
-     each charges its phase slot here — cost minus the coherence
-     penalty to the current stack slot, the penalty to its coherence
-     child (mirroring [Memory]'s demotion on the closure path). With
-     profiling off this is one [None] match per pay. A re-dispatch
-     after a mid-instruction yield skips the charge along with the pay
-     ([fr.paid]), so each op charges exactly once. *)
-  let prof = e.Proc.prof in
-  let vcharge c pen =
-    match prof with
-    | Some p ->
-        p.Proc.pcounts.(p.Proc.pcur) <- p.Proc.pcounts.(p.Proc.pcur) + c - pen;
-        if pen > 0 then
-          p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
-    | None -> ()
+  (* With an instrument armed ([Memcore.san_on]), a memory opcode that
+     has paid and validated flushes — so the instruments read the
+     closure path's virtual time — and calls the observer the {!Memory}
+     entry points call, at the same point of the access. *)
+  let observe ~write hook a =
+    flush e fr;
+    Memory.instrument mem env ~write hook a
   in
-  (* Unflushed elided pays: [fr.acc] ticks over [fr.npays] pays.
-     Flushed through [bulk_pay] before anything that could observe
-     clocks or the step counter — host calls, yields, faults, halt — so
-     the accumulator is always empty when the coroutine returns. The
-     pay/charge elision logic is inlined at each site below: a dispatch
-     then touches no closure blocks, only the frame's own line. *)
-  let flush () =
-    if fr.acc > 0 then begin
-      e.Proc.bulk_pay fr.acc fr.npays;
-      fr.acc <- 0;
-      fr.npays <- 0
-    end
-  in
-  (* Inline address validation ([a < top] also bounds the unchecked
-     [words]/[block_id] loads — both arrays are kept at least [top]
-     long); on failure, materialize the exact {!Memory.Fault} through
-     the slow path (which never returns). *)
-  let valid a =
-    a > 0 && a < hc.Memcore.top
-    && begin
-         let id = Array.unsafe_get hc.Memcore.block_id a in
-         id <> 0 && Array.unsafe_get hc.Memcore.b_live id = 1
-       end
-  in
-  let vfail : int -> int =
-   fun a ->
-    flush ();
-    Memory.validate_addr mem a;
-    assert false
-  in
-  let hosted f =
-    match Effect.Deep.match_with f () host_handler with
+  (* A host call's outcome: returned, or parked in the frame on a pay
+     the loop yields (resumed before the next dispatch). *)
+  let park = function
     | H_done -> ()
     | H_pay (n, t) ->
         fr.pending <- Some t;
@@ -670,12 +709,7 @@ let coroutine p fr =
       (match fr.pending with
       | Some t ->
           fr.pending <- None;
-          (match t () with
-          | H_done -> ()
-          | H_pay (n, t') ->
-              fr.pending <- Some t';
-              fr.yn <- n;
-              raise_notrace Yielded)
+          park (t ())
       | None -> ());
       while true do
         let base = fr.pc in
@@ -786,369 +820,90 @@ let coroutine p fr =
             fr.pc <- base + 4
         | 18 (* READ rd ra *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 3;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (Memory.read mem a))
-            end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_read hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_l1);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                Array.unsafe_set regs
-                  (Array.unsafe_get code (base + 1))
-                  (Array.unsafe_get hc.Memcore.words a);
-                fr.pc <- base + 3
-              end
-              else ignore (vfail a)
-            end
+            charge e fr hc ~write:false ~extra:0 a;
+            if not (valid hc a) then vfail e fr a;
+            if hc.Memcore.san_on then observe ~write:false Racecheck.on_read a;
+            Array.unsafe_set regs
+              (Array.unsafe_get code (base + 1))
+              (Array.unsafe_get hc.Memcore.words a);
+            fr.pc <- base + 3
         | 19 (* WRITE ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
-            let v = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 3;
-              flush ();
-              hosted (fun () -> Memory.write mem a v)
-            end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_rmw_owned);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                Array.unsafe_set hc.Memcore.words a v;
-                fr.pc <- base + 3
-              end
-              else ignore (vfail a)
-            end
+            charge e fr hc ~write:true ~extra:0 a;
+            if not (valid hc a) then vfail e fr a;
+            if hc.Memcore.san_on then observe ~write:true Racecheck.on_write a;
+            Array.unsafe_set hc.Memcore.words a
+              (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
+            fr.pc <- base + 3
         | 20 (* CAS rd ra re rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            let expected =
-              Array.unsafe_get regs (Array.unsafe_get code (base + 3))
-            in
-            let desired =
-              Array.unsafe_get regs (Array.unsafe_get code (base + 4))
-            in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 5;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (if Memory.cas mem a ~expected ~desired then 1 else 0))
+            charge e fr hc ~write:true ~extra:0 a;
+            if not (valid hc a) then vfail e fr a;
+            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
+            if
+              Array.unsafe_get hc.Memcore.words a
+              = Array.unsafe_get regs (Array.unsafe_get code (base + 3))
+            then begin
+              Array.unsafe_set hc.Memcore.words a
+                (Array.unsafe_get regs (Array.unsafe_get code (base + 4)));
+              Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 1
             end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_rmw_owned);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                if Array.unsafe_get hc.Memcore.words a = expected then begin
-                  Array.unsafe_set hc.Memcore.words a desired;
-                  Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 1
-                end
-                else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
-                fr.pc <- base + 5
-              end
-              else ignore (vfail a)
-            end
-        | 21 (* FAA rd ra rdelta *) ->
+            else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
+            fr.pc <- base + 5
+        | (21 | 22) as op (* FAA rd ra rdelta, FAAI rd ra i *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            let d = Array.unsafe_get regs (Array.unsafe_get code (base + 3)) in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 4;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (Memory.faa mem a d))
-            end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_rmw_owned);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                let old = Array.unsafe_get hc.Memcore.words a in
-                Array.unsafe_set hc.Memcore.words a (old + d);
-                Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
-                fr.pc <- base + 4
-              end
-              else ignore (vfail a)
-            end
-        | 22 (* FAAI rd ra i *) ->
-            let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
+            charge e fr hc ~write:true ~extra:0 a;
+            if not (valid hc a) then vfail e fr a;
+            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
             let d = Array.unsafe_get code (base + 3) in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 4;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (Memory.faa mem a d))
-            end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_rmw_owned);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                let old = Array.unsafe_get hc.Memcore.words a in
-                Array.unsafe_set hc.Memcore.words a (old + d);
-                Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
-                fr.pc <- base + 4
-              end
-              else ignore (vfail a)
-            end
+            let d = if op = 21 then Array.unsafe_get regs d else d in
+            let old = Array.unsafe_get hc.Memcore.words a in
+            Array.unsafe_set hc.Memcore.words a (old + d);
+            Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
+            fr.pc <- base + 4
         | 23 (* FAS rd ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            let v = Array.unsafe_get regs (Array.unsafe_get code (base + 3)) in
-            if hc.Memcore.san_on then begin
-              fr.pc <- base + 4;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (Memory.fas mem a v))
-            end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a in
-                vcharge c (c - hc.Memcore.c_rmw_owned);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if valid a then begin
-                let old = Array.unsafe_get hc.Memcore.words a in
-                Array.unsafe_set hc.Memcore.words a v;
-                Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
-                fr.pc <- base + 4
-              end
-              else ignore (vfail a)
-            end
+            charge e fr hc ~write:true ~extra:0 a;
+            if not (valid hc a) then vfail e fr a;
+            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
+            let old = Array.unsafe_get hc.Memcore.words a in
+            Array.unsafe_set hc.Memcore.words a
+              (Array.unsafe_get regs (Array.unsafe_get code (base + 3)));
+            Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
+            fr.pc <- base + 4
         | 24 (* CAS2 rd ra re0 re1 rd0 rd1 *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            let e0 = Array.unsafe_get regs (Array.unsafe_get code (base + 3)) in
-            let e1 = Array.unsafe_get regs (Array.unsafe_get code (base + 4)) in
-            let d0 = Array.unsafe_get regs (Array.unsafe_get code (base + 5)) in
-            let d1 = Array.unsafe_get regs (Array.unsafe_get code (base + 6)) in
+            charge e fr hc ~write:true ~extra:hc.Memcore.c_dwcas_extra a;
+            if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then begin
-              fr.pc <- base + 7;
-              flush ();
-              hosted (fun () ->
-                  Array.unsafe_set regs
-                    (Array.unsafe_get code (base + 1))
-                    (if Memory.cas2 mem a ~e0 ~e1 ~d0 ~d1 then 1 else 0))
+              flush e fr;
+              Memory.instrument_pair mem env a
             end
-            else begin
-              if fr.paid then fr.paid <- false
-              else begin
-                (* Mid-instruction pay: [fr.pc] still points at the
-                   opcode; [paid] makes the re-dispatch skip the charge
-                   (coherence state already transitioned) and go
-                   straight to the access — which, exactly like the
-                   closure path, happens after the suspension. *)
-                let c = Memcore.cost_write hc ~pid ~addr:a + hc.Memcore.c_dwcas_extra in
-                vcharge c (c - hc.Memcore.c_rmw_owned - hc.Memcore.c_dwcas_extra);
-                if fast && c < e.Proc.budget then begin
-                  e.Proc.budget <- e.Proc.budget - c;
-                  fr.acc <- fr.acc + c;
-                  fr.npays <- fr.npays + 1
-                end
-                else begin
-                  (* No inline regrant here: at the process counts where
-                     the flat path matters the running core has lost the
-                     race by [c] almost surely, and the scheduler's own
-                     round replays the would-be regrant bit-identically
-                     (same accounting, same [steps] bump, fresh seq). *)
-                  flush ();
-                  fr.paid <- true;
-                  fr.yn <- c;
-                  raise_notrace Yielded
-                end
-              end;
-              if not (valid a) then ignore (vfail a);
-              if not (valid (a + 1)) then ignore (vfail (a + 1));
-              if
-                Array.unsafe_get hc.Memcore.words a = e0
-                && Array.unsafe_get hc.Memcore.words (a + 1) = e1
-              then begin
-                Array.unsafe_set hc.Memcore.words a d0;
-                Array.unsafe_set hc.Memcore.words (a + 1) d1;
-                Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 1
-              end
-              else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
-              fr.pc <- base + 7
+            else if not (valid hc (a + 1)) then vfail e fr (a + 1);
+            if
+              Array.unsafe_get hc.Memcore.words a
+              = Array.unsafe_get regs (Array.unsafe_get code (base + 3))
+              && Array.unsafe_get hc.Memcore.words (a + 1)
+                 = Array.unsafe_get regs (Array.unsafe_get code (base + 4))
+            then begin
+              Array.unsafe_set hc.Memcore.words a
+                (Array.unsafe_get regs (Array.unsafe_get code (base + 5)));
+              Array.unsafe_set hc.Memcore.words (a + 1)
+                (Array.unsafe_get regs (Array.unsafe_get code (base + 6)));
+              Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 1
             end
+            else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
+            fr.pc <- base + 7
         | 25 (* PAYI i *) ->
             (* Instruction-boundary pay: [fr.pc] is already on the next
                instruction, so a yield resumes right after it. *)
             fr.pc <- base + 2;
             let n = Array.unsafe_get code (base + 1) in
-            if n > 0 then begin
-              vcharge n 0;
-              if fast && n < e.Proc.budget then begin
-                e.Proc.budget <- e.Proc.budget - n;
-                fr.acc <- fr.acc + n;
-                fr.npays <- fr.npays + 1
-              end
-              else begin
-                flush ();
-                fr.yn <- n;
-                raise_notrace Yielded
-              end
-            end
+            if n > 0 then pay e fr n 0 false
         | 26 (* PAYR r *) ->
             fr.pc <- base + 2;
             let n = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
-            if n > 0 then begin
-              vcharge n 0;
-              if fast && n < e.Proc.budget then begin
-                e.Proc.budget <- e.Proc.budget - n;
-                fr.acc <- fr.acc + n;
-                fr.npays <- fr.npays + 1
-              end
-              else begin
-                flush ();
-                fr.yn <- n;
-                raise_notrace Yielded
-              end
-            end
+            if n > 0 then pay e fr n 0 false
         | 27 (* NOW rd *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
@@ -1171,9 +926,9 @@ let coroutine p fr =
             fr.pc <- base + 3
         | 30 (* HOST #h *) ->
             fr.pc <- base + 2;
-            flush ();
+            flush e fr;
             let h = Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)) in
-            hosted (fun () -> h fr)
+            park (Effect.Deep.match_with h fr host_handler)
         | 31 (* TAB rd #t ri *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
@@ -1210,7 +965,7 @@ let coroutine p fr =
       assert false
     with
     | Halted ->
-        flush ();
+        flush e fr;
         -1
     | Yielded -> fr.yn
 

@@ -14,8 +14,9 @@
 
     - memory opcodes replicate {!Memory}'s exact sequence — coherence
       cost, pay, address validation, array access — against the same
-      shared {!Memcore} state, and fall back to the {!Memory} entry
-      points verbatim whenever the heap sanitizer is on;
+      shared {!Memcore} state; with the sanitizer or race checker
+      armed they flush their elided pays and call the same per-access
+      observer as the {!Memory} entry points, right after validation;
     - pays elided under the scheduler's run-ahead budget are batched in
       a local accumulator and flushed through [Proc.env.bulk_pay] before
       any point that could observe clocks or step counts (host calls,

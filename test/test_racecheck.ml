@@ -276,6 +276,47 @@ let test_engine_verdict_identity () =
   Alcotest.(check (list string)) "same report texts" r_on r_off;
   Alcotest.(check int) "scheme is race-free" 0 t_on
 
+(* A racy counter plus a publication on two processes, as closures or
+   assembled for the VM and run by [Vm.exec] (the same tick sequence:
+   only the memory opcodes pay). Returns the race verdict. *)
+let racy_verdict ~config ~fastpath ~seed ~iters ~compiled =
+  let mem = Memory.create config in
+  let ctr = Memory.alloc mem ~tag:"ctr" ~size:1 in
+  let pub = Memory.alloc mem ~tag:"pub" ~size:1 in
+  let closure pid =
+    for _ = 1 to iters do
+      let v = Memory.read mem ctr in
+      Memory.write mem ctr (v + 1)
+    done;
+    if pid = 0 then Memory.write mem pub 1 else ignore (Memory.read mem pub)
+  in
+  let vm pid =
+    let module A = Vm.Asm in
+    let a = A.create () in
+    let r_i = A.reg a and r_a = A.reg a and r_v = A.reg a in
+    let loop = A.label a and done_ = A.label a in
+    A.movi a r_a ctr;
+    A.place a loop;
+    A.bgei a r_i iters done_;
+    A.read a r_v r_a;
+    A.addi a r_v r_v 1;
+    A.write a r_a r_v;
+    A.addi a r_i r_i 1;
+    A.jmp a loop;
+    A.place a done_;
+    A.movi a r_a pub;
+    A.movi a r_v 1;
+    if pid = 0 then A.write a r_a r_v else A.read a r_v r_a;
+    A.halt a;
+    let prog = A.assemble a in
+    Vm.exec prog
+      (Vm.frame prog ~mem ~rng:(Proc.rng ())
+         ~cells:(Array.make prog.Vm.n_cells 0))
+  in
+  ignore
+    (Sim.run ~fastpath ~seed ~config ~procs:2 (if compiled then vm else closure));
+  (Memory.race_report_count mem, Memory.race_reports mem)
+
 (* Racy workloads too: the fastpath must not change which races are
    found, nor the reported pids and times (schedules are bit-identical,
    so the report texts must be too). *)
@@ -285,20 +326,24 @@ let prop_fastpath_verdict_identity =
     QCheck.(pair (int_range 0 999) (int_range 5 60))
     (fun (seed, iters) ->
       let run fastpath =
-        let mem = Memory.create config in
-        let ctr = Memory.alloc mem ~tag:"ctr" ~size:1 in
-        let pub = Memory.alloc mem ~tag:"pub" ~size:1 in
-        ignore
-          (Sim.run ~fastpath ~seed ~config ~procs:2 (fun pid ->
-               for _ = 1 to iters do
-                 let v = Memory.read mem ctr in
-                 Memory.write mem ctr (v + 1)
-               done;
-               if pid = 0 then Memory.write mem pub 1
-               else ignore (Memory.read mem pub)));
-        (Memory.race_report_count mem, Memory.race_reports mem)
+        racy_verdict ~config ~fastpath ~seed ~iters ~compiled:false
       in
       run true = run false)
+
+(* And racy compiled code: the VM's armed memory opcodes flush their
+   elided pays and then call the heap's observer, so its verdict —
+   pids and virtual times included — must be the closure twin's. Pays
+   are elided under [lookahead = 64] with the fastpath on, which is
+   where a missing flush would show. *)
+let prop_engine_verdict_racy =
+  QCheck.Test.make ~count:25
+    ~name:"compiled = closure: identical race verdicts on racy code"
+    QCheck.(quad (int_range 0 999) (int_range 5 60) (oneofl [ 0; 64 ]) bool)
+    (fun (seed, iters, lookahead, fastpath) ->
+      let config = { config with Config.lookahead } in
+      let run compiled = racy_verdict ~config ~fastpath ~seed ~iters ~compiled in
+      let ((n, _) as vm) = run true in
+      n > 0 && vm = run false)
 
 let suite =
   [
@@ -315,5 +360,6 @@ let suite =
     Alcotest.test_case "engine verdict identity" `Quick
       test_engine_verdict_identity;
     QCheck_alcotest.to_alcotest prop_fastpath_verdict_identity;
+    QCheck_alcotest.to_alcotest prop_engine_verdict_racy;
   ]
   @ Test_racecheck_model.suite

@@ -115,21 +115,32 @@ let test_decode_rejects () =
 
    A bad address must fail identically however it is reached: the
    inline validation of the flat dispatch loop re-raises through
-   {!Memory.validate_addr}, and a sanitized run routes the access
-   through the {!Memory} entry points — both must surface the same
-   {!Memory.Fault} (same culprit address and process) out of
-   [Sim.run], rendered by {!Memory.pp_fault}. *)
-let vm_fault ~sanitize =
-  let config = { Config.small with Config.sanitize; Config.vm = true } in
+   {!Memory.validate_addr}, with or without an instrument armed — both
+   must surface the same {!Memory.Fault} (same culprit address and
+   process) out of [Sim.run], rendered by {!Memory.pp_fault}. The
+   program CASes a live word pair and pays, so the fault lands after
+   elided pays, then reads a freed block — or, with [tail], CASes a
+   pair whose second word lies past the live block. Its closure twin
+   charges the same ticks. Returns the expected fault address. *)
+let vm_fault ?(sanitize = Sanitizer.off) ?(race = Racecheck.off) ?(tail = false)
+    ~compiled () =
+  let config = { Config.small with Config.sanitize; race; Config.vm = true } in
   let mem = Memory.create config in
+  let live = Memory.alloc mem ~tag:"live" ~size:2 in
   let a0 = Memory.alloc mem ~tag:"victim" ~size:1 in
   Memory.free mem a0 (* lint: allow-free *);
-  let coroutine _pid =
+  let compiled_body _pid =
     let module A = Vm.Asm in
     let a = A.create () in
-    let r_a = A.reg a and r_d = A.reg a in
-    A.movi a r_a a0;
-    A.read a r_d r_a;
+    let r_a = A.reg a and r_d = A.reg a and r_z = A.reg a in
+    A.movi a r_a live;
+    A.movi a r_d 1;
+    A.movi a r_z 0;
+    A.cas2 a r_d r_a ~e0:r_z ~e1:r_z ~d0:r_d ~d1:r_d;
+    A.payi a 5;
+    A.movi a r_a (if tail then live + 1 else a0);
+    if tail then A.cas2 a r_d r_a ~e0:r_z ~e1:r_z ~d0:r_d ~d1:r_d
+    else A.read a r_d r_a;
     A.halt a;
     let prog = A.assemble a in
     let fr =
@@ -138,15 +149,20 @@ let vm_fault ~sanitize =
     in
     Some (Vm.coroutine prog fr)
   in
-  let res =
-    Sim.run ~policy:Sim.Fair ~seed:3 ~config ~procs:1 ~coroutine (fun _ ->
-        assert false)
+  let closure _pid =
+    ignore (Memory.cas2 mem live ~e0:0 ~e1:0 ~d0:1 ~d1:1);
+    Proc.pay 5;
+    if tail then ignore (Memory.cas2 mem (live + 1) ~e0:0 ~e1:0 ~d0:1 ~d1:1)
+    else ignore (Memory.read mem a0)
   in
+  let coroutine = if compiled then Some compiled_body else None in
+  let res = Sim.run ~policy:Sim.Fair ~seed:3 ~config ~procs:1 ?coroutine closure in
   match res.Sim.faults with
-  | [ { Sim.pid; exn } ] -> (a0, pid, exn)
+  | [ { Sim.pid; exn } ] ->
+      ((if tail then live + 2 else a0), pid, exn, Memory.sanitizer_reports mem)
   | l -> Alcotest.failf "expected exactly one fault, got %d" (List.length l)
 
-let check_fault name (a0, pid, exn) =
+let check_fault name (a0, pid, exn, _) =
   Alcotest.(check int) (name ^ ": faulting pid") 0 pid;
   (match exn with
   | Memory.Fault { addr; pid = fpid; _ } ->
@@ -164,9 +180,26 @@ let check_fault name (a0, pid, exn) =
     true
     (contains s (Printf.sprintf "addr=%d" a0))
 
+(* Sanitized faults also match their closure twins in full: the
+   rendered fault, and the sanitizer's report, whose provenance and
+   faulting-access lines carry pids and virtual times. The CAS2 tail
+   faults inside the observer, after auditing the first word. *)
 let test_fault_routing () =
-  check_fault "inline validation" (vm_fault ~sanitize:Sanitizer.off);
-  check_fault "sanitized (shadow) path" (vm_fault ~sanitize:Sanitizer.default_on)
+  check_fault "inline validation" (vm_fault ~compiled:true ());
+  check_fault "race armed alone"
+    (vm_fault ~race:Racecheck.default_on ~compiled:true ());
+  let sanitize = Sanitizer.default_on in
+  let render (_, _, exn, reports) = Memory.fault_to_string exn :: reports in
+  List.iter
+    (fun (name, tail) ->
+      let ((_, _, _, reports) as vm) = vm_fault ~sanitize ~tail ~compiled:true () in
+      check_fault name vm;
+      Alcotest.(check bool) (name ^ ": reported") true (reports <> []);
+      Alcotest.(check (list string))
+        (name ^ ": compiled fault and report = closure's")
+        (render (vm_fault ~sanitize ~tail ~compiled:false ()))
+        (render vm))
+    [ ("sanitized (shadow) path", false); ("sanitized CAS2 past a block", true) ]
 
 let suite =
   [

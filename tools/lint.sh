@@ -41,6 +41,11 @@
 #      deliberate host-side uses (domain-local keys, process-wide CLI
 #      knobs set before workers spawn) are marked on the same line with
 #      `(* lint: allow-atomic *)`.
+#   7. One access path per VM memory opcode: lib/simcore/vm.ml may name
+#      only Memory.t, hot, validate_addr, Fault and the per-access
+#      observer (instrument, instrument_pair). Calling Memory.read and
+#      the like from the dispatch loop would bring back a second access
+#      path that can drift from the inline one.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -184,6 +189,17 @@ for dir in lib bin test examples bench; do
   done
 done
 
+# --- Rule 7: one access path per VM memory opcode ---------------------------
+vm_ml=$root/lib/simcore/vm.ml
+if [ -f "$vm_ml" ]; then
+  hits=$(grep -noE '(^|[^.A-Za-z0-9_])Memory\.(\(|[A-Za-z_][A-Za-z0-9_]*)' "$vm_ml" \
+    | grep -vE 'Memory\.(t|hot|validate_addr|Fault|instrument|instrument_pair)$')
+  if [ -n "$hits" ]; then
+    fail "lint: lib/simcore/vm.ml reaches Memory beyond t/hot/validate_addr/Fault/instrument/instrument_pair (memory opcodes access the heap inline and call the observer):"
+    printf '%s\n' "$hits" >&2
+  fi
+fi
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -197,6 +213,15 @@ if [ "${1:-}" = "--self-test" ]; then
     # $1 = description, stdin provided the seeded tree already under $tmp
     if LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
       echo "lint --self-test FAILED: did not catch $1" >&2
+      exit 1
+    fi
+    rm -rf "$tmp"/lib "$tmp"/test
+  }
+
+  check_passes() {
+    # $1 = description; the seeded tree under $tmp must lint clean
+    if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
+      echo "lint --self-test FAILED: flagged $1" >&2
       exit 1
     fi
     rm -rf "$tmp"/lib "$tmp"/test
@@ -236,11 +261,7 @@ if [ "${1:-}" = "--self-test" ]; then
 
   mkdir -p "$tmp/lib/simcore"
   echo 'let f () = Effect.perform (Pay 1)' > "$tmp/lib/simcore/proc.ml"
-  if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
-    echo "lint --self-test FAILED: flagged Effect.perform in proc.ml" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"/lib "$tmp"/test
+  check_passes "Effect.perform in proc.ml"
 
   mkdir -p "$tmp/lib/simcore"
   echo 'let report () = Printf.printf "x\n"' > "$tmp/lib/simcore/bad.ml"
@@ -254,11 +275,7 @@ if [ "${1:-}" = "--self-test" ]; then
   mkdir -p "$tmp/lib/cds" "$tmp/lib/smr"
   echo 'let g mem a = Memory.free mem a (* lint: allow-free *)' > "$tmp/lib/cds/ok.ml"
   echo 'let g mem a = M.free mem a' > "$tmp/lib/smr/ok.ml"
-  if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
-    echo "lint --self-test FAILED: flagged an allowed free" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"/lib "$tmp"/test
+  check_passes "an allowed free"
 
   mkdir -p "$tmp/lib/cds"
   echo 'let steal t = t.free_heads.(3)' > "$tmp/lib/cds/bad.ml"
@@ -271,11 +288,7 @@ if [ "${1:-}" = "--self-test" ]; then
   # The allocator seam itself must pass.
   mkdir -p "$tmp/lib/simcore"
   echo 'let pop t s = if s < 512 then t.free_heads.(s) else 0' > "$tmp/lib/simcore/alloc.ml"
-  if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
-    echo "lint --self-test FAILED: flagged freelist internals in lib/simcore/alloc.ml" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"/lib "$tmp"/test
+  check_passes "freelist internals in lib/simcore/alloc.ml"
 
   mkdir -p "$tmp/lib/cds"
   echo 'let racy = Atomic.make 0' > "$tmp/lib/cds/bad.ml"
@@ -289,11 +302,7 @@ if [ "${1:-}" = "--self-test" ]; then
   mkdir -p "$tmp/lib/simcore"
   echo 'let k = Domain.DLS.new_key (fun () -> 0) (* lint: allow-atomic *)' > "$tmp/lib/simcore/ok.ml"
   echo 'let d = Domain.spawn (fun () -> Atomic.make 0)' > "$tmp/lib/simcore/domain_pool.ml"
-  if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
-    echo "lint --self-test FAILED: flagged an allowed Domain./Atomic. use" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"/lib "$tmp"/test
+  check_passes "an allowed Domain./Atomic. use"
 
   # Print escapes: the allow-print annotation, a designated report
   # module, and a formatter-taking pp_print_string must all pass.
@@ -302,10 +311,24 @@ if [ "${1:-}" = "--self-test" ]; then
   echo 'let render () = Printf.printf "x\n"' > "$tmp/lib/workload/tables.ml"
   echo 'let render () = print_endline "figure R"' > "$tmp/lib/workload/fig_robust.ml"
   echo 'let pp ppf = Format.pp_print_string ppf "x"' > "$tmp/lib/simcore/ok2.ml"
-  if ! LINT_ROOT=$tmp sh "$0" >/dev/null 2>&1; then
-    echo "lint --self-test FAILED: flagged an allowed print" >&2
-    exit 1
-  fi
+  check_passes "an allowed print"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let read mem a = Memory.read mem a' > "$tmp/lib/simcore/vm.ml"
+  check_catches "Memory.read in lib/simcore/vm.ml"
+
+  # The names the dispatch loop needs, and Memory.read elsewhere, pass.
+  mkdir -p "$tmp/lib/simcore"
+  cat > "$tmp/lib/simcore/vm.ml" <<'VM'
+type f = { mem : Memory.t }
+let hc fr = Memory.hot fr.mem
+let v fr a = Memory.validate_addr fr.mem a
+let obs fr env hook a = Memory.instrument fr.mem env ~write:false hook a
+let obs2 fr env a = Memory.instrument_pair fr.mem env a
+let is_fault = function Memory.Fault _ -> true | _ -> false
+VM
+  echo 'let read mem a = Memory.read mem a' > "$tmp/lib/simcore/ok.ml"
+  check_passes "an allowed Memory reference"
 
   echo "lint --self-test: ok"
   exit 0
