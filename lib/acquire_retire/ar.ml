@@ -127,8 +127,6 @@ let slot_dst h slot =
   assert (slot >= 0 && slot < h.t.slots);
   h.t.ann.(h.pid).(slot)
 
-let slot_addr h ~slot = Swcopy.addr (slot_dst h slot)
-
 (* Sanitizer slot-protection key of (pid, slot). *)
 let san_key h slot = h.t.san_base + (h.pid * h.t.slots) + slot
 
@@ -190,6 +188,49 @@ let release h ~slot =
     san_begin h slot;
     Swcopy.write h.t.swc (slot_dst h slot) Word.null
   end
+
+(* {1 Compiled forms}
+
+   [acquire_lockfree] and [release] emitted into a per-process
+   {!Simcore.Vm} stream: the slot's heap address is a per-(pid, slot)
+   constant, so the announcement is a plain store of the Swcopy value
+   encoding ([v lsl 1]; null encodes to 0). With the sanitizer's
+   protection auditor on at emit time, the slot-protection notes are
+   [HOST] calls at the closure's points — [san_begin] before the first
+   source read and before the null announce, [san_validated] on the
+   confirmed word — so the auditor's protected set evolves as under the
+   closure acquire; with it off the stream carries none. *)
+
+module A = Simcore.Vm.Asm
+
+let san_notes h = (San.mode h.t.san).San.protocol
+
+let vm_emit_acquire h a ~slot ~src =
+  assert (h.t.ar_mode = `Lockfree);
+  let notes = san_notes h in
+  let r_dst = A.reg a and r_v = A.reg a and r_v' = A.reg a in
+  let r_enc = A.reg a in
+  A.movi a r_dst (Swcopy.addr (slot_dst h slot));
+  if notes then A.host a (fun _ -> san_begin h slot);
+  A.read a r_v src;
+  let retry = A.label a and got = A.label a in
+  A.place a retry;
+  A.shli a r_enc r_v 1;
+  A.write a r_dst r_enc;
+  A.read a r_v' src;
+  A.beq a r_v' r_v got;
+  A.mov a r_v r_v';
+  A.jmp a retry;
+  A.place a got;
+  if notes then
+    A.host a (fun fr -> san_validated h slot fr.Simcore.Vm.regs.(r_v));
+  (r_v, r_dst)
+
+let vm_emit_release h a ~slot ~slot_reg =
+  if san_notes h then A.host a (fun _ -> san_begin h slot);
+  let r_zero = A.reg a in
+  A.movi a r_zero 0;
+  A.write a slot_reg r_zero
 
 (* Owner-side read: the owner can never observe a foreign in-flight copy
    in its own slot, so no read-side protection is needed. *)

@@ -53,12 +53,22 @@ val handle : t -> int -> h
 val acquire : h -> slot:int -> int -> int
 (** [acquire h ~slot src]: protect and return the pointer word at [src]. *)
 
-val slot_addr : h -> slot:int -> int
-(** Heap address of the handle's announcement slot — a per-(pid, slot)
-    constant, exposed so compiled instruction streams ({!Simcore.Vm})
-    can announce with plain stores. Not valid on the setup handle. *)
-
 val release : h -> slot:int -> unit
+
+val vm_emit_acquire :
+  h -> Simcore.Vm.Asm.t -> slot:int -> src:int -> int * int
+(** [vm_emit_acquire h a ~slot ~src] emits the lock-free [acquire] from
+    the address in register [src] into a {!Simcore.Vm} stream for [h]'s
+    process, tick- and heap-identical to the closure form; returns
+    [(r_v, r_slot)]: the register holding the protected word and the
+    one holding the slot's address (for {!vm_emit_release}). With the
+    sanitizer's [protocol] auditor on at emit time, the slot-protection
+    notes are emitted as [HOST] calls at the closure's points. Lock-free
+    mode only; not valid on the setup handle. *)
+
+val vm_emit_release : h -> Simcore.Vm.Asm.t -> slot:int -> slot_reg:int -> unit
+(** Emit [release h ~slot], given the [r_slot] register returned by the
+    matching {!vm_emit_acquire}. *)
 
 val announced : h -> slot:int -> int
 (** Current announcement in the slot ({!Simcore.Word.null} if empty). *)

@@ -349,43 +349,24 @@ let flush t =
 (* {1 Compiled forms}
 
    The Fig. 3 fast paths emitted into a {!Simcore.Vm} stream; tick-,
-   RNG- and heap-identical to [load]/[store]/[destruct] when the heap
-   sanitizer is off (the only configuration the workload drivers compile
-   under — the sanitizer's slot-protection bookkeeping lives in the
-   closure path). Retire/eject and delete cascades stay host calls.
-   Only meaningful for the lock-free acquire mode; the wait-free
-   swcopy slow path is not compiled. *)
+   RNG- and heap-identical to [load]/[store]/[destruct]. The acquire and
+   release come from {!Ar}, sanitizer slot-protection notes included.
+   Retire/eject and delete cascades stay host calls. Only meaningful
+   for the lock-free acquire mode; the wait-free swcopy slow path is
+   not compiled. *)
 
 module A = Simcore.Vm.Asm
 
 let vm_emit_load t a ~pid ~src =
   let h = handle t pid in
-  let dst = Ar.slot_addr h.arh ~slot:op_slot in
-  let r_dst = A.reg a and r_v = A.reg a and r_v' = A.reg a in
-  let r_enc = A.reg a in
-  A.movi a r_dst dst;
-  A.read a r_v src;
-  let retry = A.label a and got = A.label a in
-  (* acquire_lockfree: announce (Swcopy value encoding: [v lsl 1]),
-     confirm the source still holds the announced word, retry. *)
-  A.place a retry;
-  A.shli a r_enc r_v 1;
-  A.write a r_dst r_enc;
-  A.read a r_v' src;
-  A.beq a r_v' r_v got;
-  A.mov a r_v r_v';
-  A.jmp a retry;
-  A.place a got;
+  let r_v, r_slot = Ar.vm_emit_acquire h.arh a ~slot:op_slot ~src in
   let r_a = A.reg a and r_t = A.reg a in
   let rel = A.label a in
   A.shri a r_a r_v 2;
   A.beqi a r_a 0 rel;
   A.faai a r_t r_a 1;
   A.place a rel;
-  (* release: announce null (encodes to 0) *)
-  let r_zero = A.reg a in
-  A.movi a r_zero 0;
-  A.write a r_dst r_zero;
+  Ar.vm_emit_release h.arh a ~slot:op_slot ~slot_reg:r_slot;
   r_v
 
 let vm_emit_store_fresh t a ~pid ~dst ~value =

@@ -207,8 +207,9 @@ val set_trace : (string -> int -> unit) -> unit
     count address on every increment, decrement and retire. *)
 
 val vm_emit_load : t -> Simcore.Vm.Asm.t -> pid:int -> src:int -> int
-(** Emit the compiled form of {!load} (lock-free acquire mode only;
-    sanitizer off). Returns the register holding the loaded word. *)
+(** Emit the compiled form of {!load} (lock-free acquire mode only),
+    sanitizer slot-protection notes included when the auditor is on.
+    Returns the register holding the loaded word. *)
 
 val vm_emit_store_fresh :
   t -> Simcore.Vm.Asm.t -> pid:int -> dst:int -> value:int -> unit

@@ -57,25 +57,31 @@ module Cell = struct
   let emit_faa_borrow a ~loc =
     let r_w = A.reg a and r_w1 = A.reg a in
     let retry = A.label a and out = A.label a in
+    let frames = Vm_retry.start a in
     A.place a retry;
     A.read a r_w loc;
     A.addi a r_w1 r_w 1;
     let r_ok = emit_dwcas a ~loc ~expected:r_w ~desired:r_w1 in
     A.bnei a r_ok 0 out;
+    Vm_retry.retry a frames;
     A.jmp a retry;
     A.place a out;
+    Vm_retry.exit a frames;
     r_w
 
   let emit_swap_install a ~loc ~ptr =
     let r_iw = A.reg a and r_w = A.reg a in
     A.shli a r_iw ptr Split_core.ext_bits;
     let retry = A.label a and out = A.label a in
+    let frames = Vm_retry.start a in
     A.place a retry;
     A.read a r_w loc;
     let r_ok = emit_dwcas a ~loc ~expected:r_w ~desired:r_iw in
     A.bnei a r_ok 0 out;
+    Vm_retry.retry a frames;
     A.jmp a retry;
     A.place a out;
+    Vm_retry.exit a frames;
     r_w
 end
 

@@ -207,14 +207,17 @@ module Make (Opt : OPT) : Rc_intf.S = struct
     else begin
       let r_c = A.reg a and r_c1 = A.reg a in
       let retry = A.label a and out = A.label a in
+      let frames = Vm_retry.start a in
       A.place a retry;
       A.read a r_c r_a;
       A.addi a r_c1 r_c 1;
       let r_ok = A.reg a in
       A.cas a r_ok r_a ~expected:r_c ~desired:r_c1;
       A.bnei a r_ok 0 out;
+      Vm_retry.retry a frames;
       A.jmp a retry;
-      A.place a out
+      A.place a out;
+      Vm_retry.exit a frames
     end
 
   (* [dec] of the non-null word in [r_w]; the zero transition (flag
@@ -231,14 +234,17 @@ module Make (Opt : OPT) : Rc_intf.S = struct
       else begin
         let r_c = A.reg a and r_c1 = A.reg a in
         let retry = A.label a and out = A.label a in
+        let frames = Vm_retry.start a in
         A.place a retry;
         A.read a r_c r_a;
         A.addi a r_c1 r_c (-1);
         let r_ok = A.reg a in
         A.cas a r_ok r_a ~expected:r_c ~desired:r_c1;
         A.bnei a r_ok 0 out;
+        Vm_retry.retry a frames;
         A.jmp a retry;
         A.place a out;
+        Vm_retry.exit a frames;
         r_c
       end
     in
@@ -286,13 +292,16 @@ module Make (Opt : OPT) : Rc_intf.S = struct
               else begin
                 let r_cur = A.reg a in
                 let retry = A.label a and out = A.label a in
+                let frames = Vm_retry.start a in
                 A.place a retry;
                 A.read a r_cur dst;
                 let r_ok = A.reg a in
                 A.cas a r_ok dst ~expected:r_cur ~desired:value;
                 A.bnei a r_ok 0 out;
+                Vm_retry.retry a frames;
                 A.jmp a retry;
                 A.place a out;
+                Vm_retry.exit a frames;
                 r_cur
               end
             in

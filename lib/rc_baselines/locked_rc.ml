@@ -124,8 +124,9 @@ let flush _ = ()
 module A = Simcore.Vm.Asm
 
 (* Spin for the lock of the location in [r_loc]: the CAS loop of [lock],
-   including the 4-tick backoff between attempts. Returns the register
-   holding the lock's address (for [unlock]). *)
+   including the 4-tick backoff between attempts and its retry-stall
+   attribution. Returns the register holding the lock's address (for
+   [unlock]). *)
 let emit_lock t a r_loc =
   let t_locks = A.table a t.locks in
   let r_li = A.reg a and r_lock = A.reg a in
@@ -135,12 +136,15 @@ let emit_lock t a r_loc =
   A.movi a r_zero 0;
   A.movi a r_one 1;
   let spin = A.label a and locked = A.label a in
+  let frames = Vm_retry.start a in
   A.place a spin;
   A.cas a r_ok r_lock ~expected:r_zero ~desired:r_one;
   A.bnei a r_ok 0 locked;
+  Vm_retry.retry a frames;
   A.payi a 4;
   A.jmp a spin;
   A.place a locked;
+  Vm_retry.exit a frames;
   (r_lock, r_zero)
 
 (* The [dec] of the non-null word in [r_w]: fetch-and-add, with the

@@ -19,13 +19,17 @@
     stream is per-process), letting per-process constants — guard
     addresses, announcement slots — become immediates.
 
-    Contract: with the heap sanitizer off, the emitted sequence must be
-    tick-, RNG- and heap-identical to the closure operation it compiles:
-    [vm_load] to [load], [vm_destruct] to [destruct], and
-    [vm_store_fresh] to [store] of a freshly allocated (count-1,
-    non-null) reference. Rare paths (reclamation, scans) stay host
-    closures, so only the per-operation fast path is flattened. The
-    closure operations remain the differential oracle ([test_vm]). *)
+    Contract: the emitted sequence must be tick-, RNG- and
+    heap-identical to the closure operation it compiles: [vm_load] to
+    [load], [vm_destruct] to [destruct], and [vm_store_fresh] to [store]
+    of a freshly allocated (count-1, non-null) reference. Annotations
+    the closure makes outside the heap are emitted as [HOST] calls at
+    the same points, and only when armed at emit time: the sanitizer's
+    slot-protection notes (DRC's acquire, see {!Acquire_retire.Ar}) and
+    the profiler's retry frames ({!Vm_retry}). Rare paths (reclamation,
+    scans) stay host closures, so only the per-operation fast path is
+    flattened. The closure operations remain the differential oracle
+    ([test_vm]). *)
 type vm_ops = {
   vm_header : int;
       (** header words before user fields, so [field_addr] can be

@@ -217,6 +217,11 @@ let pop_prof (p : Proc.prof) =
     refresh p
   end
 
+let active () =
+  match Proc.get_env () with
+  | Some { Proc.prof = Some _; _ } -> true
+  | Some _ | None -> false
+
 let enter ph =
   match Proc.get_env () with
   | Some { Proc.prof = Some p; _ } -> push_prof p ph

@@ -66,6 +66,11 @@ val expected : t -> int
     sites in scheme code cost one domain-local read when profiling is
     off. [exit] without a matching [enter] is tolerated (no-op). *)
 
+val active : unit -> bool
+(** The calling simulated process is profiled. Compiled streams are
+    assembled inside their process (see {!Sim.run}'s [coroutine]), so
+    an emitter asks this to decide whether to emit phase annotations. *)
+
 val enter : phase -> unit
 
 val exit : unit -> unit

@@ -56,8 +56,8 @@ let with_race race config =
 (* {1 Load/store microbenchmark (6a-6d)} *)
 
 let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
-    ?(profile = false) (module R : Rc_intf.S) ~threads ~horizon ~seed ~n_locs
-    ~p_store =
+    ?(profile = false) ?(on_heap = ignore) (module R : Rc_intf.S) ~threads
+    ~horizon ~seed ~n_locs ~p_store =
   let profiler = cell_profiler ~profile R.name in
   (* An explicitly passed config is authoritative (tests drive [vm]
      directly); the default one honours the CLI-level --no-vm switch. *)
@@ -91,13 +91,14 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
      instruction around the scheme's {!Rc_intf.vm_ops} — identical RNG
      draws (location, store coin, payload) and tick sequence as [op]
      above, which stays as the closure form (and oracle, [test_vm]).
-     Allocation stays a host call. Schemes without compiled ops, and any
-     sanitized run (slot-protection bookkeeping lives in the closure
-     path), instead run [op] behind a host call in the compiled driver
-     loop. *)
+     Allocation stays a host call. Schemes without compiled ops instead
+     run [op] behind a host call in the compiled driver loop. Sanitized
+     and raced runs compile too: the memory opcodes call the same
+     observer as {!M}, and DRC's acquire emits its slot-protection
+     notes. *)
   let vm_body =
     match R.vm_ops t with
-    | Some vops when Simcore.Sanitizer.is_off config.Simcore.Config.sanitize ->
+    | Some vops ->
         Some
           (fun a ~pid ->
             let module A = Simcore.Vm.Asm in
@@ -126,7 +127,7 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
             A.read a r_d r_f;
             vops.Rc_intf.vm_destruct a ~pid ~ptr:r_w;
             A.place a done_)
-    | Some _ | None -> None
+    | None -> None
   in
   let pt =
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
@@ -139,6 +140,7 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
   (* Teardown doubles as a leak check for every benchmark point. *)
   Array.iter (fun c -> R.store h0 c Word.null) locs;
   R.flush t;
+  on_heap mem;
   let leftover = M.live_with_tag mem "obj" in
   if leftover <> 0 then begin
     (* With the [leaks] mode on, attribute the leak to its sites. *)

@@ -32,6 +32,7 @@ val loadstore_point :
   ?race:Simcore.Racecheck.mode ->
   ?config:Simcore.Config.t ->
   ?profile:bool ->
+  ?on_heap:(Simcore.Memory.t -> unit) ->
   (module Rc_baselines.Rc_intf.S) ->
   threads:int ->
   horizon:int ->
@@ -49,7 +50,8 @@ val loadstore_point :
     the point stays bit-identical to an unsanitized run. [race]
     likewise overrides [config]'s {!Simcore.Racecheck} mode; the
     checker pays no ticks, so a raced point is always bit-identical to
-    a plain one. *)
+    a plain one. [on_heap] is called with the cell's heap after the
+    teardown flush (tests read its sanitizer and race reports). *)
 
 val loadstore :
   ?pool:Simcore.Domain_pool.t ->

@@ -488,6 +488,71 @@ let test_snapshot_takeover_aba () =
   Drc.flush drc;
   Alcotest.(check int) "balanced" 0 (Memory.live_with_tag mem "box")
 
+(* The compiled load carries the closure's slot-protection notes: with
+   the sanitizer's protocol auditor on, whether pid 0 is shielded
+   evolves identically when it runs DRC [load]/[destruct] pairs as
+   compiled code ({!Vm.exec}) or as closures. Pid 1 samples
+   [pid_shielded ~pid:0] after each unit pay; without the fast path
+   every pay is a scheduling point, so the samples interleave with pid
+   0's acquire windows. *)
+let shield_trace ~compiled =
+  let config = { small with Config.sanitize = Sanitizer.default_on } in
+  let mem = Memory.create config in
+  let drc = Drc.create mem ~procs:2 in
+  let cls = Drc.register_class drc ~tag:"box" ~fields:1 ~ref_fields:[] in
+  let cell = Drc.alloc_cells drc ~tag:"c" ~n:1 in
+  let h0 = Drc.handle drc (-1) in
+  Drc.store h0 cell (Drc.make h0 cls [| 1 |]);
+  let pairs = 50 in
+  let trace = ref [] in
+  let pid0 () =
+    if compiled then begin
+      let module A = Vm.Asm in
+      let a = A.create () in
+      let r_src = A.reg a and r_n = A.reg a in
+      let loop = A.label a and done_ = A.label a in
+      A.movi a r_src cell;
+      A.movi a r_n pairs;
+      A.place a loop;
+      A.beqi a r_n 0 done_;
+      let r_w = Drc.vm_emit_load drc a ~pid:0 ~src:r_src in
+      Drc.vm_emit_destruct drc a ~pid:0 ~ptr:r_w;
+      A.addi a r_n r_n (-1);
+      A.jmp a loop;
+      A.place a done_;
+      A.halt a;
+      let prog = A.assemble a in
+      Vm.exec prog
+        (Vm.frame prog ~mem ~rng:(Proc.rng ())
+           ~cells:(Array.make prog.Vm.n_cells 0))
+    end
+    else begin
+      let h = Drc.handle drc 0 in
+      for _ = 1 to pairs do
+        Drc.destruct h (Drc.load h cell)
+      done
+    end
+  in
+  let r =
+    Sim.run ~fastpath:false ~config ~procs:2 (fun pid ->
+        if pid = 0 then pid0 ()
+        else
+          for _ = 1 to 400 do
+            Proc.pay 1;
+            trace :=
+              Sanitizer.pid_shielded (Memory.sanitizer mem) ~pid:0 :: !trace
+          done)
+  in
+  Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
+  List.rev !trace
+
+let test_compiled_protection_parity () =
+  let closure = shield_trace ~compiled:false in
+  Alcotest.(check (list bool))
+    "shielded samples: compiled = closure" closure
+    (shield_trace ~compiled:true);
+  Alcotest.(check bool) "pid 0 observed shielded" true (List.mem true closure)
+
 let suite =
   [
     Alcotest.test_case "make/destruct" `Quick test_make_destruct;
@@ -512,4 +577,6 @@ let suite =
     Alcotest.test_case "weak: concurrent upgrades" `Quick
       test_weak_concurrent_upgrade;
     QCheck_alcotest.to_alcotest prop_snapshot_release_orders;
+    Alcotest.test_case "compiled load: protection-state parity" `Quick
+      test_compiled_protection_parity;
   ]

@@ -219,6 +219,29 @@ let test_zero_perturbation () =
         [ true; false ])
     policies
 
+(* Phase attribution does not depend on the engine: compiled retry
+   loops enter and leave the same nested [cas-retry] frames as their
+   closure forms, so every scheme's collapsed stacks agree with the VM
+   on and off. Eight processes on eight locations keep the lock spins
+   and CAS loops retrying. *)
+let test_vm_attribution () =
+  List.iter
+    (fun (sname, m) ->
+      let collapsed vm =
+        Prof.mark ();
+        ignore
+          (Workload.Fig6.loadstore_point ~config:{ Config.default with Config.vm }
+             ~profile:true m ~threads:8 ~horizon:4_000 ~seed:11 ~n_locs:8
+             ~p_store:0.3);
+        match Prof.recent () with
+        | [ p ] -> Prof.collapsed p
+        | l -> Alcotest.failf "%s: %d profilers" sname (List.length l)
+      in
+      Alcotest.(check (list (pair string int)))
+        (sname ^ ": collapsed stacks, vm on = off")
+        (collapsed false) (collapsed true))
+    Workload.Fig6.schemes
+
 let suite =
   [
     QCheck_alcotest.to_alcotest conservation_test;
@@ -229,4 +252,6 @@ let suite =
       test_recorder_wrap;
     Alcotest.test_case "profiled = unprofiled (policies x fastpath x vm)"
       `Quick test_zero_perturbation;
+    Alcotest.test_case "collapsed stacks: vm on = off (every scheme)" `Quick
+      test_vm_attribution;
   ]

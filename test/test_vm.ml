@@ -18,30 +18,47 @@ let vm_on = { Config.default with Config.vm = true }
 
 let vm_off = { Config.default with Config.vm = false }
 
-let point ~config ?fastpath policy m =
-  Workload.Fig6.loadstore_point ~policy ?fastpath ~config m ~threads:8
-    ~horizon:2_500 ~seed:7 ~n_locs:8 ~p_store:0.3
+let point ~config ?fastpath ?on_heap policy m =
+  Workload.Fig6.loadstore_point ~policy ?fastpath ~config ?on_heap m
+    ~threads:8 ~horizon:2_500 ~seed:7 ~n_locs:8 ~p_store:0.3
 
-(* Every scheme, every policy: compiled = closure, field for field
-   (ops, steps, makespan, throughput, memory series, full telemetry
-   snapshot). Schemes without compiled ops still exercise the compiled
-   driver loop around a host call. *)
+(* Every scheme, every policy, plain and with the sanitizer's default
+   modes and the race checker armed: compiled = closure, field for
+   field (ops, steps, makespan, throughput, memory series, full
+   telemetry snapshot), and the heap's sanitizer and race report texts
+   agree. Schemes without compiled ops still exercise the compiled
+   driver loop around a host call; armed, DRC's compiled acquire also
+   emits its slot-protection notes. *)
 let test_oracle_identity () =
+  let armed c =
+    { c with Config.sanitize = Sanitizer.default_on; race = Racecheck.default_on }
+  in
+  let run config policy m =
+    let reports = ref ([], []) in
+    let on_heap mem =
+      reports := (Memory.sanitizer_reports mem, Memory.race_reports mem)
+    in
+    let pt = point ~config ~on_heap policy m in
+    (pt, !reports)
+  in
   List.iter
-    (fun (sname, m) ->
+    (fun (mode, instrument) ->
       List.iter
-        (fun (pname, policy) ->
-          let on = point ~config:vm_on policy m in
-          let off = point ~config:vm_off policy m in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: vm on = off" sname pname)
-            true (on = off);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: non-trivial" sname pname)
-            true
-            (on.Workload.Measure.ops > 0))
-        policies)
-    Workload.Fig6.schemes
+        (fun (sname, m) ->
+          List.iter
+            (fun (pname, policy) ->
+              let on, (san_on, race_on) = run (instrument vm_on) policy m in
+              let off, (san_off, race_off) = run (instrument vm_off) policy m in
+              let name what = Printf.sprintf "%s/%s%s: %s" sname pname mode what in
+              Alcotest.(check bool) (name "vm on = off") true (on = off);
+              Alcotest.(check bool) (name "non-trivial") true
+                (on.Workload.Measure.ops > 0);
+              Alcotest.(check (list string)) (name "sanitizer reports") san_off
+                san_on;
+              Alcotest.(check (list string)) (name "race reports") race_off race_on)
+            policies)
+        Workload.Fig6.schemes)
+    [ ("", Fun.id); (" (sanitize + race)", armed) ]
 
 (* The two elision layers compose: all four combinations of [Config.vm]
    and [fastpath] give the same point. *)

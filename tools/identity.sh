@@ -36,6 +36,7 @@ modes='--jobs 2
 --alloc legacy
 --alloc pooled
 --sanitize
+--sanitize --no-vm
 --race
 --sanitize --race
 --profile'
