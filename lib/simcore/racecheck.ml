@@ -35,14 +35,14 @@
      reader reaching a block before the publishing release — is not,
      and reports.
 
-   Run boundaries: {!note_run_start} bumps a domain-local serial;
-   the first in-sim access of a new run performs a barrier join (all
-   clocks learn all history, then each advances), modelling the
-   fork/join edges of {!Sim.run} without the simulator knowing about
-   any particular heap. Orchestrator accesses between runs lazily join
-   every in-sim clock first. The serial is domain-local (not a process
-   global) so parallel [--jobs] sweeps cannot leak barriers into each
-   other's cells. *)
+   Run boundaries: {!note_run_start} gives the calling domain a fresh
+   run token; the first in-sim access of a new run performs a barrier
+   join (all clocks learn all history, then each advances), modelling
+   the fork/join edges of {!Sim.run} without the simulator knowing
+   about any particular heap. Orchestrator accesses between runs lazily
+   join every in-sim clock first. The token is held domain-locally, so
+   parallel [--jobs] sweeps cannot leak barriers into each other's
+   cells. *)
 
 (* {1 Mode} *)
 
@@ -97,7 +97,8 @@ let epoch_slot e = e lsr 48
 let epoch_clock e = e land time_mask
 
 let pack_info pid time =
-  let pid' = min 4095 (max 0 (pid + 2)) in
+  let p = pid + 2 in
+  let pid' = if p < 0 then 0 else if p > 4095 then 4095 else p in
   (pid' lsl 48) lor (time land time_mask)
 
 let info_pid i = ((i lsr 48) land 0xFFF) - 2
@@ -175,18 +176,26 @@ let vc_leq a b =
   done;
   !ok
 
-(* {1 Run serial}
+(* {1 Run token}
 
-   Domain-local on purpose: a parallel sweep runs each cell's
-   simulation wholly inside one worker domain, so a run starting in
-   another worker must not trigger a barrier here (that would mask
-   races nondeterministically with the job count). *)
+   Each {!Sim.run} takes a token from one process-wide counter and
+   holds it domain-locally, so a token names one run in one domain: a
+   run starting in another worker of a parallel sweep never changes
+   this domain's token (a barrier there would mask races
+   nondeterministically with the job count), and one comparison with
+   the heap's last token replaces a (domain, serial) pair. A domain
+   that has not started a run yet holds a token of its own too. *)
 
-(* lint: allow-atomic — domain-local run serial, no simulated state *)
-let run_count : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0) (* lint: allow-atomic *)
+(* lint: allow-atomic — run-token source, no simulated state *)
+let next_token = Atomic.make 0 (* lint: allow-atomic *)
+
+let fresh_token () = Atomic.fetch_and_add next_token 1 (* lint: allow-atomic *)
 
 (* lint: allow-atomic *)
-let note_run_start () = Domain.DLS.set run_count (Domain.DLS.get run_count + 1) (* lint: allow-atomic *)
+let run_token : int Domain.DLS.key = Domain.DLS.new_key fresh_token (* lint: allow-atomic *)
+
+(* lint: allow-atomic *)
+let note_run_start () = Domain.DLS.set run_token (fresh_token ()) (* lint: allow-atomic *)
 
 (* {1 State} *)
 
@@ -204,8 +213,7 @@ type t = {
   (* clocks *)
   vcs : int array array; (* slot -> clock vector; [||] = unborn *)
   mutable max_slot : int;
-  mutable seen_dom : int; (* domain and serial of the last barrier *)
-  mutable seen_serial : int;
+  mutable seen_token : int; (* run token of the last barrier; -1 = none *)
   mutable sim_dirty : bool;
   (* per-word shadow state, parallel to [Memcore.words] *)
   mutable wep : int array; (* last-write epoch; 0 = none *)
@@ -235,8 +243,7 @@ let create m tele =
     c_reports = None;
     vcs = Array.make n_slots [||];
     max_slot = 0;
-    seen_dom = -1;
-    seen_serial = -1;
+    seen_token = -1;
     sim_dirty = false;
     wep = Array.make 256 0;
     winfo = Array.make 256 0;
@@ -254,7 +261,7 @@ let create m tele =
 let mode t = t.m
 
 let grow arr ~needed ~fill =
-  let n = max needed (2 * Array.length arr) in
+  let n = Int.max needed (2 * Array.length arr) in
   let a = Array.make n fill in
   Array.blit arr 0 a 0 (Array.length arr);
   a
@@ -301,7 +308,7 @@ let cvec t s =
   else begin
     if s > t.max_slot then t.max_slot <- s;
     let root = t.vcs.(0) in
-    let len = max (s + 1) (Array.length root) in
+    let len = Int.max (s + 1) (Array.length root) in
     let v = Array.make len 0 in
     Array.blit root 0 v 0 (Array.length root);
     v.(s) <- v.(s) + 1;
@@ -318,9 +325,8 @@ let cur_epoch t s = epoch s t.vcs.(s).(s)
 (* Run-start barrier: everything before the run happens-before every
    process of the run. Join all born clocks, then advance each so
    post-barrier accesses are not retroactively covered. *)
-let barrier t ~dom ~serial =
-  t.seen_dom <- dom;
-  t.seen_serial <- serial;
+let barrier t token =
+  t.seen_token <- token;
   let j = ref [||] in
   for s = 0 to t.max_slot do
     if not (unborn t.vcs.(s)) then j := joined !j t.vcs.(s)
@@ -347,15 +353,14 @@ let root_join t =
   r.(0) <- r.(0) + 1;
   t.vcs.(0) <- r
 
-(* The run stamp is compared as two ints: no tuple, no polymorphic
-   compare on the access path. *)
+(* The run stamp is one int compare against the domain's token: an
+   in-sim access always follows its own run's {!note_run_start} in the
+   same domain, so a changed token is exactly a new run. *)
 let prologue t ~pid =
   let s = slot_of pid in
   if pid >= 0 then begin
-    let dom = (Domain.self () :> int) (* lint: allow-atomic *) in
-    let serial = Domain.DLS.get run_count (* lint: allow-atomic *) in
-    if serial <> t.seen_serial || dom <> t.seen_dom then
-      barrier t ~dom ~serial;
+    let token = Domain.DLS.get run_token (* lint: allow-atomic *) in
+    if token <> t.seen_token then barrier t token;
     t.sim_dirty <- true
   end
   else if t.sim_dirty then root_join t;
@@ -491,17 +496,27 @@ let clear_acquired t addr =
 
 (* A word's release clock is never dropped, only zeroed (see
    {!on_alloc}); an all-zero clock acquires nothing and releases into
-   exactly [C_s], so it stands for "no release yet". *)
+   exactly [C_s], so it stands for "no release yet".
+
+   [joined] and [assigned] usually return the array they were given;
+   storing it back anyway would run the write barrier on every edge, so
+   the clock arrays are written only when a fresh array came back. *)
 let acquire t s addr =
   if not (acquired t addr s) then begin
     let l = t.lvcs.(addr) in
-    if not (unborn l) then t.vcs.(s) <- joined t.vcs.(s) l;
+    if not (unborn l) then begin
+      let c = t.vcs.(s) in
+      let c' = joined c l in
+      if c' != c then t.vcs.(s) <- c'
+    end;
     add_acquired t addr s
   end
 
 (* [L_x := C_s], for a releaser whose clock covers [L_x]. *)
 let release_copy t s addr =
-  t.lvcs.(addr) <- assigned t.lvcs.(addr) t.vcs.(s);
+  let l = t.lvcs.(addr) in
+  let l' = assigned l t.vcs.(s) in
+  if l' != l then t.lvcs.(addr) <- l';
   clear_acquired t addr;
   add_acquired t addr s;
   bump t s
@@ -509,7 +524,9 @@ let release_copy t s addr =
 let release t s addr =
   if acquired t addr s then release_copy t s addr
   else begin
-    t.lvcs.(addr) <- joined t.lvcs.(addr) t.vcs.(s);
+    let l = t.lvcs.(addr) in
+    let l' = joined l t.vcs.(s) in
+    if l' != l then t.lvcs.(addr) <- l';
     clear_acquired t addr;
     bump t s
   end
@@ -546,7 +563,7 @@ let on_read t ~addr ~pid ~time =
     | re ->
         (* Two genuinely concurrent readers: escalate to a read clock,
            reusing the word's zeroed one when it is long enough. *)
-        let needed = max (epoch_slot re + 1) (s + 1) in
+        let needed = Int.max (epoch_slot re + 1) (s + 1) in
         let rv = t.rvcs.(addr) in
         let rv = if needed <= Array.length rv then rv else grow_int_array rv ~needed in
         rv.(epoch_slot re) <- epoch_clock re;
@@ -640,7 +657,9 @@ let release_block t ~bid ~pid =
   ensure_blocks t (bid + 1);
   let s = prologue t ~pid in
   if t.m.custody then begin
-    t.custody.(bid) <- joined t.custody.(bid) (cvec t s);
+    let cv = t.custody.(bid) in
+    let cv' = joined cv (cvec t s) in
+    if cv' != cv then t.custody.(bid) <- cv';
     bump t s
   end
 
@@ -657,7 +676,9 @@ let on_alloc t ~bid ~base ~size ~pid ~time =
      if not (unborn cv) then begin
        (* Acquire the hand-off: the freeing (or retiring) process's
           history happens-before this lifetime. *)
-       t.vcs.(s) <- joined (cvec t s) cv;
+       let c = cvec t s in
+       let c' = joined c cv in
+       if c' != c then t.vcs.(s) <- c';
        t.custody.(bid) <- [||]
      end);
   let c = cvec t s in

@@ -58,10 +58,15 @@ type race = { r_addr : int; r_cur : side; r_prev : side }
 (** {1 Run boundaries} *)
 
 val note_run_start : unit -> unit
-(** Called by {!Sim.run} on entry (unconditionally; domain-local and
-    O(1)). The first in-sim access of a new run then performs a
-    barrier join: everything before the run happens-before every
-    process of the run. *)
+(** Called by {!Sim.run} on entry (unconditionally; O(1)): gives the
+    calling domain a fresh run token from a process-wide counter. The
+    first in-sim access of a new run sees a token the heap has not
+    seen and performs a barrier join: everything before the run
+    happens-before every process of the run. *)
+
+val pack_info : int -> int -> int
+(** [pack_info pid time]: an access's (pid, virtual time) in one int,
+    the pid clamped to [-2, 4093]. Exposed for tests. *)
 
 (** {1 Access hooks}
 

@@ -46,7 +46,7 @@ let mode_of_string s =
             (Ok
                {
                  shadow = true;
-                 quarantine = max m.quarantine default_quarantine;
+                 quarantine = Int.max m.quarantine default_quarantine;
                  protocol = true;
                  leaks = true;
                })
@@ -87,7 +87,8 @@ let ev_name = function
   | _ -> "?"
 
 let pack ev pid time =
-  let pid' = min 4095 (max 0 (pid + 2)) in
+  let p = pid + 2 in
+  let pid' = if p < 0 then 0 else if p > 4095 then 4095 else p in
   (ev lsl 60) lor (pid' lsl 48) lor (time land 0xFFFF_FFFF_FFFF)
 
 let unpack e =
@@ -230,7 +231,7 @@ let provenance _t sh =
   let ring =
     if sh.s_ring_n = 0 then []
     else begin
-      let n = min sh.s_ring_n ring_len in
+      let n = Int.min sh.s_ring_n ring_len in
       let evs = ref [] in
       for i = 0 to n - 1 do
         (* oldest retained first *)
@@ -246,7 +247,7 @@ let provenance _t sh =
 (* {1 Protocol auditor} *)
 
 let grown a ~needed ~fill =
-  let b = Array.make (max needed (2 * Array.length a)) fill in
+  let b = Array.make (Int.max needed (2 * Array.length a)) fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
@@ -255,14 +256,15 @@ let pstate t pid =
   if i >= Array.length t.pids then begin
     let n = Array.length t.pids in
     t.pids <-
-      Array.init (max (i + 1) (2 * n)) (fun j ->
+      Array.init (Int.max (i + 1) (2 * n)) (fun j ->
           if j < n then t.pids.(j) else fresh_pstate j)
   end;
   t.pids.(i)
 
 let prot_incr t addr n =
   if addr >= Array.length t.prot then t.prot <- grown t.prot ~needed:(addr + 1) ~fill:0;
-  t.prot.(addr) <- max 0 (t.prot.(addr) + n)
+  let c = t.prot.(addr) + n in
+  t.prot.(addr) <- (if c < 0 then 0 else c)
 
 let ensure_slots t n =
   if n > Array.length t.slot_addr then begin
@@ -304,7 +306,7 @@ let window_enter t ~pid =
 let window_exit t ~pid =
   if t.m.protocol then begin
     let p = pstate t pid in
-    p.p_depth <- max 0 (p.p_depth - 1);
+    if p.p_depth > 0 then p.p_depth <- p.p_depth - 1;
     if p.p_depth = 0 then begin
       for i = 0 to p.p_wlen - 1 do
         prot_incr t p.p_wset.(i) (-1)
@@ -340,7 +342,10 @@ let protectors t addr =
   Array.iteri
     (fun i p -> if window_holds p addr then acc := (i - 1, "window") :: !acc)
     t.pids;
-  List.sort_uniq compare !acc
+  List.sort_uniq
+    (fun (p1, h1) (p2, h2) ->
+      match Int.compare p1 p2 with 0 -> String.compare h1 h2 | c -> c)
+    !acc
 
 let pid_shielded t ~pid =
   let i = pid + 1 in

@@ -137,6 +137,10 @@ val quarantined : shadow -> bool
 
 val set_quarantined : shadow -> bool -> unit
 
+val pack : int -> int -> int -> int
+(** [pack ev pid time]: one recent-op ring entry, the pid clamped to
+    [-2, 4093]. Exposed for tests. *)
+
 val provenance : t -> shadow -> string list
 (** Human-readable provenance lines (allocation/free sites, quarantine
     state, recent-op ring) for fault reports. *)

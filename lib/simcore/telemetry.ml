@@ -76,7 +76,7 @@ let hist t name =
    [add] so the hot path is a non-recursive, inlinable array store. *)
 let grow c i =
   let s = c.shards in
-  let s' = Array.make (max (i + 1) (2 * Array.length s)) 0 in
+  let s' = Array.make (Int.max (i + 1) (2 * Array.length s)) 0 in
   Array.blit s 0 s' 0 (Array.length s);
   c.shards <- s'
 
@@ -121,7 +121,7 @@ let rec observe h v =
     Stats.Histogram.add s v
   end
   else begin
-    let s' = Array.make (max (i + 1) (2 * Array.length h.hshards)) None in
+    let s' = Array.make (Int.max (i + 1) (2 * Array.length h.hshards)) None in
     Array.blit h.hshards 0 s' 0 (Array.length h.hshards);
     h.hshards <- s';
     observe h v
@@ -210,7 +210,7 @@ let merged_recent () =
           match Hashtbl.find_opt acc k with
           | None -> Hashtbl.add acc k v
           | Some prev ->
-              Hashtbl.replace acc k (if is_max_key k then max prev v else prev + v))
+              Hashtbl.replace acc k (if is_max_key k then Int.max prev v else prev + v))
         (snapshot t))
     (recent ());
   by_name (Hashtbl.fold (fun k v l -> (k, v) :: l) acc [])

@@ -71,7 +71,7 @@ type program = {
 let frame p ~mem ~rng ~cells =
   assert (Array.length cells >= p.n_cells);
   {
-    regs = Array.make (max 1 p.n_regs) 0;
+    regs = Array.make (Int.max 1 p.n_regs) 0;
     cells;
     rng;
     mem;
@@ -556,7 +556,9 @@ end
 (* {1 Execution}
 
    The dispatch loop is the simulator's innermost loop, so it is written
-   for the code the OCaml compiler actually emits (no flambda): a dense
+   for the code the OCaml compiler actually emits here: no flambda, and
+   no cross-module inlining, since dune's dev profile passes [-opaque]
+   (see {!Memcore}). Calls within this module do inline. A dense
    integer [match] compiles to a jump table, every branch bumps [fr.pc]
    by its own constant (no [arity] lookup), and stream/register/cell
    accesses are unchecked — the indices come from {!Asm}, which only

@@ -238,6 +238,48 @@ let test_run_barrier_clean () =
   Alcotest.(check int) "no reports across runs" 0
     (Memory.race_report_count mem)
 
+(* One barrier per run: two runs back to back on one heap, with no
+   orchestrator access between them. Each process of run 2 reads what
+   the other process wrote in run 1, which only the run-2 barrier
+   orders; a concurrent write inside run 2 must still report. A run
+   token that never changed would leave the cross-run reads unordered
+   and report them too. *)
+let test_barrier_per_run () =
+  let mem = Memory.create config in
+  let a = Memory.alloc mem ~tag:"a" ~size:1 in
+  let b = Memory.alloc mem ~tag:"b" ~size:1 in
+  let w = Memory.alloc mem ~tag:"w" ~size:1 in
+  ignore
+    (Sim.run ~config ~procs:2 (fun pid ->
+         Memory.write mem (if pid = 0 then a else b) (pid + 1)));
+  Alcotest.(check int) "run 1 is clean" 0 (Memory.race_report_count mem);
+  ignore
+    (Sim.run ~config ~procs:2 (fun pid ->
+         ignore (Memory.read mem (if pid = 0 then b else a));
+         Memory.write mem w pid));
+  Alcotest.(check int) "one report: the concurrent write" 1
+    (Memory.race_report_count mem);
+  Alcotest.(check bool) "it is on w" true (reports_mention mem "tag=w")
+
+(* The access-info clamps are int compares now; they must agree with
+   the polymorphic formula they replaced on every pid from -5 to 5000
+   (the outside-sim -1 and every pid a run can pass included). *)
+let prop_pack_clamps =
+  let old_pid pid = Stdlib.min 4095 (Stdlib.max 0 (pid + 2)) in
+  let mask = 0xFFFF_FFFF_FFFF in
+  QCheck.Test.make ~count:50 ~name:"pack/pack_info clamps = polymorphic formula"
+    QCheck.(pair (int_bound max_int) (int_range 0 7))
+    (fun (time, ev) ->
+      let ok = ref true in
+      for pid = -5 to 5000 do
+        let p = old_pid pid lsl 48 and t = time land mask in
+        if
+          Racecheck.pack_info pid time <> (p lor t)
+          || Sanitizer.pack ev pid time <> ((ev lsl 60) lor p lor t)
+        then ok := false
+      done;
+      !ok)
+
 (* {1 Differential guarantees} *)
 
 let vm_on = { Config.default with Config.vm = true }
@@ -345,6 +387,55 @@ let prop_engine_verdict_racy =
       let ((n, _) as vm) = run true in
       n > 0 && vm = run false)
 
+(* One token per domain: raced cells run on two worker domains, whose
+   runs interleave, report exactly what they report one after the
+   other. Each cell is a raced Figure 6 point (clean) and a series of
+   short runs on fresh heaps in which pid 1 reads, long after, a word
+   pid 0 wrote: one report per run. A run starting in the other domain
+   must not barrier this domain's run, or it would order the two
+   accesses and hide the race. *)
+let late_race seed =
+  let mem = Memory.create config in
+  let x = Memory.alloc mem ~tag:"x" ~size:1 in
+  ignore
+    (Sim.run ~seed ~config ~procs:2 (fun pid ->
+         if pid = 0 then Memory.write mem x 1;
+         for _ = 1 to 200 do
+           Proc.pay 3
+         done;
+         if pid = 1 then ignore (Memory.read mem x)));
+  Memory.race_reports mem
+
+let test_barrier_per_domain () =
+  let cell seed =
+    let heap = ref None in
+    let p =
+      Workload.Fig6.loadstore_point ~race:race_on
+        ~on_heap:(fun m -> heap := Some m)
+        (module Rc_baselines.Drc_scheme.Plain)
+        ~threads:4 ~horizon:20_000 ~seed ~n_locs:10 ~p_store:0.3
+    in
+    let fig6_reports =
+      match !heap with Some m -> Memory.race_reports m | None -> []
+    in
+    (p, fig6_reports, List.init 40 (fun k -> late_race (seed + k)))
+  in
+  let seeds = [ 3; 4; 5; 6 ] in
+  let seq = List.map cell seeds in
+  let par =
+    Domain_pool.with_pool ~jobs:2 (fun pool ->
+        Domain_pool.map_ordered pool cell seeds)
+  in
+  List.iter2
+    (fun (p, r, late) (p', r', late') ->
+      Alcotest.(check bool) "same Figure 6 point" true (p = p');
+      Alcotest.(check (list string)) "same Figure 6 reports" r r';
+      Alcotest.(check (list (list string))) "same late-race reports" late late';
+      List.iter
+        (fun texts -> Alcotest.(check int) "one report per run" 1 (List.length texts))
+        late)
+    seq par
+
 let suite =
   [
     Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
@@ -356,6 +447,9 @@ let suite =
     Alcotest.test_case "mark_sync SWMR clean" `Quick test_mark_sync_swmr_clean;
     Alcotest.test_case "benign reuse clean" `Quick test_benign_reuse_clean;
     Alcotest.test_case "run barrier clean" `Quick test_run_barrier_clean;
+    Alcotest.test_case "barrier per run" `Quick test_barrier_per_run;
+    Alcotest.test_case "barrier per domain" `Quick test_barrier_per_domain;
+    QCheck_alcotest.to_alcotest prop_pack_clamps;
     Alcotest.test_case "race bit-identity" `Quick test_race_bit_identity;
     Alcotest.test_case "engine verdict identity" `Quick
       test_engine_verdict_identity;

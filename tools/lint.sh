@@ -46,6 +46,15 @@
 #      observer (instrument, instrument_pair). Calling Memory.read and
 #      the like from the dispatch loop would bring back a second access
 #      path that can drift from the inline one.
+#   8. No hidden runtime calls in the simulator core:
+#      lib/simcore/{memory,memcore,vm,sim,proc,racecheck,sanitizer,
+#      profiler,telemetry,alloc}.ml may not use the bare polymorphic
+#      min, max or compare, nor Domain.self. On ints the polymorphic
+#      ones call the runtime's generic comparison, and Domain.self is a
+#      C call that switches stacks; both once ran per simulated access.
+#      Int code uses Int.min/Int.max or an explicit test, and sort sites
+#      pass a typed comparator. Comments and string literals are
+#      ignored.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -200,6 +209,41 @@ if [ -f "$vm_ml" ]; then
   fi
 fi
 
+# --- Rule 8: no hidden runtime calls in the simulator core -----------------
+# Blank out comments and string literals (keeping line numbers), then
+# look for the banned names as whole identifiers.
+strip_comments_strings() {
+  awk '{
+    out = ""; n = length($0); i = 1
+    while (i <= n) {
+      c = substr($0, i, 1); c2 = substr($0, i, 2)
+      if (instr) {
+        if (c == "\\") { i += 2; continue }
+        if (c == "\"") instr = 0
+      } else if (depth > 0) {
+        if (c2 == "(*") { depth++; i += 2; continue }
+        if (c2 == "*)") { depth--; i += 2; continue }
+      } else if (c2 == "(*") { depth = 1; i += 2; continue }
+      else if (substr($0, i, 3) == "'"'"'\"'"'"'") { out = out "   "; i += 3; continue }
+      else if (c == "\"") instr = 1
+      else out = out c
+      i++
+    }
+    print out
+  }' "$1"
+}
+
+for name in memory memcore vm sim proc racecheck sanitizer profiler telemetry alloc; do
+  f=$root/lib/simcore/$name.ml
+  [ -f "$f" ] || continue
+  hits=$(strip_comments_strings "$f" \
+    | grep -nE "(^|[^.A-Za-z0-9_'])(min|max|compare)([^A-Za-z0-9_']|\$)|Domain\.self")
+  if [ -n "$hits" ]; then
+    fail "lint: polymorphic min/max/compare or Domain.self in $f (use Int.min/Int.max, an explicit test or a typed comparator):"
+    printf '%s\n' "$hits" >&2
+  fi
+done
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -329,6 +373,33 @@ let is_fault = function Memory.Fault _ -> true | _ -> false
 VM
   echo 'let read mem a = Memory.read mem a' > "$tmp/lib/simcore/ok.ml"
   check_passes "an allowed Memory reference"
+
+  # Rule 8: a polymorphic clamp seeded into a copy of racecheck.ml.
+  mkdir -p "$tmp/lib/simcore"
+  if [ -f "$root/lib/simcore/racecheck.ml" ]; then
+    cp "$root/lib/simcore/racecheck.ml" "$tmp/lib/simcore/racecheck.ml"
+  fi
+  echo 'let clamp x = max 0 x' >> "$tmp/lib/simcore/racecheck.ml"
+  check_catches "max 0 x in lib/simcore/racecheck.ml"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let d () = (Domain.self () :> int) (* lint: allow-atomic *)' > "$tmp/lib/simcore/sim.ml"
+  check_catches "Domain.self in lib/simcore/sim.ml"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let s l = List.sort compare l' > "$tmp/lib/simcore/profiler.ml"
+  check_catches "List.sort compare in lib/simcore/profiler.ml"
+
+  # Typed forms, comments, strings and files outside the list pass.
+  mkdir -p "$tmp/lib/simcore" "$tmp/lib/workload"
+  cat > "$tmp/lib/simcore/racecheck.ml" <<'RC'
+(* the polymorphic max 0 x is banned here *)
+let clamp x = if x < 0 then 0 else Int.max x 1
+let k = "/max" and max_int' = max_int and q = '"' and r = String.compare
+let s l = List.sort Int.compare l
+RC
+  echo 'let m a b = max a b' > "$tmp/lib/workload/ok.ml"
+  check_passes "typed comparisons and polymorphic ones elsewhere"
 
   echo "lint --self-test: ok"
   exit 0
