@@ -46,6 +46,15 @@ let horizon = 75_000 (* the registry's quick 6a horizon *)
 
 let seed = 42
 
+(* The configuration every pass runs with: the REPRO_* variables, as
+   the CLI reads them, so REPRO_VM=0 times the closure driver. *)
+let config =
+  match Config.resolve ~getenv:Sys.getenv_opt () with
+  | Ok (c, _) -> c
+  | Error msg ->
+      prerr_endline ("perf_smoke: " ^ msg);
+      exit 124
+
 (* Sum of per-point fingerprints, telemetry included: catches any
    run-to-run divergence in results or in probes. *)
 let fingerprint pts =
@@ -94,14 +103,13 @@ let sweep ?(pool = Pool.sequential) ?(profile = false) ?race () =
     Pool.map_grid pool ~rows:threads ~cols:Fig6.schemes
       ~label:(fun th (name, _) -> Printf.sprintf "6a-quick [%s, P=%d]" name th)
       (fun th (_, m) ->
-        Fig6.loadstore_point ~profile ?race m ~threads:th
+        Fig6.loadstore_point ~config ~profile ?race m ~threads:th
           ~horizon ~seed ~n_locs:10 ~p_store:0.1)
     |> List.concat_map snd
   in
   let wall = Unix.gettimeofday () -. t0 in
   let steps = List.fold_left (fun a (p : Measure.point) -> a + p.steps) 0 pts in
-  let vm = (Config.with_vm Config.default).Config.vm in
-  { wall; steps; fp = fingerprint pts; vm; pts }
+  { wall; steps; fp = fingerprint pts; vm = config.vm; pts }
 
 (* The single JSON-append point: every row shares the bench id and
    epoch prefix (rendered by {!Simcore.Bench_json}, the same module
@@ -169,15 +177,15 @@ let robust_sweep () =
       List.map
         (fun (scheme, fault) ->
           fst
-            (FR.point ~scheme ~fault ~threads:8 ~horizon:8_000 ~seed ~size:16
-               ~update_pct:50 ()))
+            (FR.point ~config ~scheme ~fault ~threads:8 ~horizon:8_000 ~seed
+               ~size:16 ~update_pct:50 ()))
         cells
     in
     let wall = Unix.gettimeofday () -. t0 in
     let steps =
       List.fold_left (fun a (p : Measure.point) -> a + p.steps) 0 pts
     in
-    { wall; steps; fp = fingerprint pts; vm = true; pts }
+    { wall; steps; fp = fingerprint pts; vm = config.vm; pts }
   in
   let r1 = one () and r2 = one () and r3 = one () in
   divergence ~what:"robust slice not deterministic across repeats (1 vs 2)" r1
@@ -225,7 +233,8 @@ let service_pass () =
   let p = Serve.default ~quick:true in
   let t0 = Unix.gettimeofday () in
   let reports =
-    Serve.grid ~seed p |> List.concat_map snd
+    Serve.grid ~arm:{ Measure.unarmed with config } ~seed p
+    |> List.concat_map snd
   in
   let wall = Unix.gettimeofday () -. t0 in
   let completed =
@@ -242,8 +251,7 @@ let service_pass () =
   append_row ~bench:"service_quick"
     [
       J.str "pass" "service";
-      J.str "vm"
-        (if (Config.with_vm Config.default).Config.vm then "on" else "off");
+      J.str "vm" (if config.vm then "on" else "off");
       J.float "wall_s" wall;
       J.int "cells" (List.length reports);
       J.int "completed" completed;

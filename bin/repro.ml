@@ -129,9 +129,6 @@ let no_vm_arg =
   in
   Arg.(value & flag & info [ "no-vm" ] ~doc)
 
-let apply_no_vm no_vm =
-  if no_vm then Atomic.set Simcore.Config.vm_enabled false (* lint: allow-atomic *)
-
 let alloc_arg =
   let doc =
     "Allocator backing the simulated heap: $(b,legacy) (single global \
@@ -146,17 +143,6 @@ let alloc_arg =
   Arg.(
     value & opt (some string) None & info [ "alloc" ] ~docv:"POLICY" ~doc)
 
-(* Validate and install the --alloc override; returns an error string
-   for cmdliner's [ret] on an unknown policy. *)
-let resolve_alloc = function
-  | None -> Ok ()
-  | Some s -> (
-      match Simcore.Config.alloc_policy_of_string s with
-      | Ok p ->
-          Atomic.set Simcore.Config.alloc_default p; (* lint: allow-atomic *)
-          Ok ()
-      | Error msg -> Error msg)
-
 let jobs_arg =
   let doc =
     "Run benchmark cells on $(docv) worker domains. Every cell of a sweep \
@@ -170,130 +156,81 @@ let jobs_arg =
 (* Enough for the tail of a quick run; the ring keeps the newest events. *)
 let trace_capacity = 262_144
 
-(* A malformed REPRO_VM, REPRO_ALLOC or REPRO_JOBS is refused before
-   anything runs, with the matching flag's wording. *)
-let check_env () =
-  match Simcore.Config.env_errors () with
-  | [] -> Ok ()
-  | errs -> Error (String.concat "; " errs)
+(* The one way a command arms its cells: the flags, else the REPRO_*
+   variables, resolved into a config and a job count, or the first
+   malformed value's error. [probes] takes none of the flags, so its
+   config comes from the variables alone, refused the same way. *)
+let config_term =
+  Term.(
+    const (fun no_vm alloc sanitize race jobs ->
+        Simcore.Config.resolve ~getenv:Sys.getenv_opt ~no_vm ?alloc ?sanitize
+          ?race ?jobs ())
+    $ no_vm_arg $ alloc_arg $ sanitize_arg $ race_arg $ jobs_arg)
 
-(* Only read after {!check_env} has passed. *)
-let default_jobs () =
-  Result.value (Simcore.Config.jobs_of_env (Sys.getenv_opt "REPRO_JOBS")) ~default:1
-
-let default_sanitize () =
-  match Sys.getenv_opt "REPRO_SANITIZE" with
-  | None | Some "" -> None
-  | Some s -> Some s
-
-let resolve_sanitize sanitize_spec =
-  let spec =
-    match sanitize_spec with Some _ as s -> s | None -> default_sanitize ()
-  in
-  match spec with
-  | None -> Ok None
-  | Some spec -> (
-      match Simcore.Sanitizer.mode_of_string spec with
-      | Ok m -> Ok (if Simcore.Sanitizer.is_off m then None else Some m)
-      | Error why ->
-          Error (Printf.sprintf "bad --sanitize spec %S: %s" spec why))
-
-let default_race () =
-  match Sys.getenv_opt "REPRO_RACE" with
-  | None | Some "" -> None
-  | Some s -> Some s
-
-let resolve_race race_spec =
-  let spec =
-    match race_spec with Some _ as s -> s | None -> default_race ()
-  in
-  match spec with
-  | None -> Ok None
-  | Some spec -> (
-      match Simcore.Racecheck.mode_of_string spec with
-      | Ok m -> Ok (if Simcore.Racecheck.is_off m then None else Some m)
-      | Error why ->
-          Error (Printf.sprintf "bad --race spec %S: %s" spec why))
+let env_config_term =
+  Term.(
+    const (fun () -> Simcore.Config.resolve ~getenv:Sys.getenv_opt ())
+    $ const ())
 
 let trace_jobs_error =
   "--trace-out records a single sequential event stream and cannot be \
    combined with --jobs > 1; rerun with --jobs 1 (or drop --trace-out)"
 
-let write_trace trace_out tracer =
-  match (trace_out, tracer) with
-  | Some file, Some tr ->
-      let oc = open_out file in
-      output_string oc (Simcore.Trace.chrome_json tr);
-      close_out oc;
-      Printf.printf "\nwrote Chrome trace to %s\n" file
-  | _ -> ()
+(* Run [f pool tracer] on a [jobs]-domain pool and write the trace;
+   a failing experiment or benchmark cell becomes the command's error. *)
+let run_cells ~jobs ~trace_out f =
+  if trace_out <> None && jobs > 1 then `Error (false, trace_jobs_error)
+  else begin
+    let tracer =
+      match trace_out with
+      | None -> None
+      | Some _ -> Some (Simcore.Trace.create ~capacity:trace_capacity)
+    in
+    let res =
+      Simcore.Domain_pool.with_pool ~jobs (fun pool ->
+          match f pool tracer with
+          | () -> `Ok ()
+          | exception Failure msg -> `Error (false, msg)
+          | exception Simcore.Domain_pool.Job_error { label; exn; _ } ->
+              `Error
+                ( false,
+                  Printf.sprintf "benchmark cell %s failed: %s" label
+                    (Printexc.to_string exn) ))
+    in
+    (match (trace_out, tracer) with
+    | Some file, Some tr ->
+        let oc = open_out file in
+        output_string oc (Simcore.Trace.chrome_json tr);
+        close_out oc;
+        Printf.printf "\nwrote Chrome trace to %s\n" file
+    | _ -> ());
+    res
+  end
 
 let run_cmd =
   let doc = "Run experiments and print their tables." in
-  let run threads quick seed stats profile profile_out trace_out sanitize_spec
-      race_spec jobs no_vm alloc ids =
-    match check_env () with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    let jobs = match jobs with Some n -> n | None -> default_jobs () in
-    apply_no_vm no_vm;
-    let profile = profile || profile_out <> None in
-    match resolve_alloc alloc with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    match resolve_sanitize sanitize_spec with
-    | Error msg -> `Error (false, msg)
-    | Ok sanitize ->
-    match resolve_race race_spec with
-    | Error msg -> `Error (false, msg)
-    | Ok race ->
-    match check_threads threads with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-    if jobs < 1 then `Error (false, "--jobs must be >= 1")
-    else if trace_out <> None && jobs > 1 then `Error (false, trace_jobs_error)
-    else begin
-      let tracer =
-        match trace_out with
-        | None -> None
-        | Some _ -> Some (Simcore.Trace.create ~capacity:trace_capacity)
-      in
-      let res =
-        Simcore.Domain_pool.with_pool ~jobs (fun pool ->
-            let ctx =
+  let run threads quick seed stats profile profile_out trace_out resolved ids =
+    match (resolved, check_threads threads) with
+    | Error msg, _ | _, Error msg -> `Error (false, msg)
+    | Ok (config, jobs), Ok () ->
+        let profile = profile || profile_out <> None in
+        run_cells ~jobs ~trace_out (fun pool tracer ->
+            Workload.Registry.run_ids
               {
                 Workload.Registry.threads;
                 quick;
                 seed;
                 stats;
-                profile;
                 profile_out;
-                pool;
-                tracer;
-                sanitize;
-                race;
+                arm = { Workload.Measure.pool; config; profile; tracer };
               }
-            in
-            match Workload.Registry.run_ids ctx ids with
-            | () -> `Ok ()
-            | exception Failure msg -> `Error (false, msg)
-            | exception
-                Simcore.Domain_pool.Job_error { label; exn; _ } ->
-                `Error
-                  ( false,
-                    Printf.sprintf "benchmark cell %s failed: %s" label
-                      (Printexc.to_string exn) ))
-      in
-      write_trace trace_out tracer;
-      res
-    end
+              ids)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
         (const run $ threads_arg $ quick_arg $ seed_arg $ stats_arg
-       $ profile_arg $ profile_out_arg $ trace_out_arg $ sanitize_arg
-       $ race_arg $ jobs_arg $ no_vm_arg $ alloc_arg $ ids_arg))
+       $ profile_arg $ profile_out_arg $ trace_out_arg $ config_term $ ids_arg))
 
 (* {1 The serving benchmark (Figure S)} *)
 
@@ -437,14 +374,9 @@ let serve_cmd =
      offered load (rows) across reclamation schemes (columns)."
   in
   let ( let* ) r f = match r with Error msg -> `Error (false, msg) | Ok v -> f v in
-  let run quick seed stats profile json_out trace_out sanitize_spec race_spec
-      jobs no_vm alloc rates duration mix dist arrival queue_cap =
-    let* () = check_env () in
-    let jobs = match jobs with Some n -> n | None -> default_jobs () in
-    apply_no_vm no_vm;
-    let* () = resolve_alloc alloc in
-    let* sanitize = resolve_sanitize sanitize_spec in
-    let* race = resolve_race race_spec in
+  let run quick seed stats profile json_out trace_out resolved rates duration
+      mix dist arrival queue_cap =
+    let* config, jobs = resolved in
     let* mix =
       match mix with
       | None -> Ok None
@@ -487,10 +419,6 @@ let serve_cmd =
              request to complete), so nothing is ever queued or shed"
       | _ -> Ok ()
     in
-    let* () = if jobs >= 1 then Ok () else Error "--jobs must be >= 1" in
-    let* () =
-      if trace_out <> None && jobs > 1 then Error trace_jobs_error else Ok ()
-    in
     let d = Workload.Serve.default ~quick in
     let override o v = match o with Some x -> x | None -> v in
     let params =
@@ -504,61 +432,25 @@ let serve_cmd =
         queue_cap = override queue_cap d.Workload.Serve.queue_cap;
       }
     in
-    let tracer =
-      match trace_out with
-      | None -> None
-      | Some _ -> Some (Simcore.Trace.create ~capacity:trace_capacity)
-    in
-    let res =
-      Simcore.Domain_pool.with_pool ~jobs (fun pool ->
-          if stats then Simcore.Telemetry.mark ();
-          if profile then Simcore.Profiler.mark ();
-          if race <> None then Simcore.Racecheck.mark ();
-          match
-            Workload.Serve.run ~pool ?tracer ?sanitize ?race ~profile
-              ?json_out ~seed params
-          with
-          | () ->
-              if stats then begin
-                print_string
-                  "\n--- telemetry (serve; summed across cells, peaks maxed) \
-                   ---\n";
-                Workload.Registry.print_stats ()
-              end;
-              if profile then
-                (* Self-contained block (no blank separators): the CI
-                   byte-diff strips exactly marker-to-marker. *)
-                Printf.printf
-                  "--- profile (serve; ticks by phase, cells merged by \
-                   scheme) ---\n%s--- end profile ---\n"
-                  (Simcore.Profiler.report_string (Simcore.Profiler.recent ()));
-              (if race <> None then begin
-                 let reports, total = Simcore.Racecheck.recent_reports () in
-                 Printf.printf "--- racecheck (serve; %d reports) ---\n" total;
-                 List.iter (fun r -> Printf.printf "%s\n" r) reports;
-                 if total > List.length reports then
-                   Printf.printf "  ... %d more (retention cap)\n"
-                     (total - List.length reports);
-                 Printf.printf "--- end racecheck ---\n"
-               end);
-              `Ok ()
-          | exception Failure msg -> `Error (false, msg)
-          | exception Simcore.Domain_pool.Job_error { label; exn; _ } ->
-              `Error
-                ( false,
-                  Printf.sprintf "benchmark cell %s failed: %s" label
-                    (Printexc.to_string exn) ))
-    in
-    write_trace trace_out tracer;
-    res
+    run_cells ~jobs ~trace_out (fun pool tracer ->
+        let ctx =
+          {
+            Workload.Registry.default_ctx with
+            seed;
+            stats;
+            arm = { Workload.Measure.pool; config; profile; tracer };
+          }
+        in
+        ignore
+          (Workload.Registry.report ctx ~id:"serve" (fun () ->
+               Workload.Serve.run ~arm:ctx.arm ?json_out ~seed params)))
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       ret
         (const run $ quick_arg $ seed_arg $ stats_arg $ profile_arg
-       $ json_out_arg $ trace_out_arg $ sanitize_arg $ race_arg $ jobs_arg
-       $ no_vm_arg $ alloc_arg $ rate_arg $ duration_arg $ mix_arg $ dist_arg
-       $ arrival_arg $ queue_cap_arg))
+       $ json_out_arg $ trace_out_arg $ config_term $ rate_arg $ duration_arg
+       $ mix_arg $ dist_arg $ arrival_arg $ queue_cap_arg))
 
 (* {1 Probe discovery} *)
 
@@ -569,21 +461,22 @@ let probes_cmd =
      of each benchmark universe (RC microbenchmark, SMR structure, \
      serving stack) — probes register when subsystems are built."
   in
-  let run () =
-    match check_env () with
+  let run = function
     | Error msg -> `Error (false, msg)
-    | Ok () ->
+    | Ok (config, _) ->
     Simcore.Telemetry.mark ();
     let drc = List.assoc "DRC (+snap)" Workload.Fig6.schemes in
     ignore
-      (Workload.Fig6.loadstore_point drc ~threads:3 ~horizon:2_000 ~seed:42
-         ~n_locs:8 ~p_store:0.3);
+      (Workload.Fig6.loadstore_point ~config drc ~threads:3 ~horizon:2_000
+         ~seed:42 ~n_locs:8 ~p_store:0.3);
     ignore
-      (Workload.Fig7.point ~structure:Workload.Fig7.List_set ~scheme:"HP"
-         ~threads:3 ~horizon:2_000 ~seed:42 ~size:16 ~update_pct:10 ());
+      (Workload.Fig7.point ~config ~structure:Workload.Fig7.List_set
+         ~scheme:"HP" ~threads:3 ~horizon:2_000 ~seed:42 ~size:16
+         ~update_pct:10 ());
     let d = Workload.Serve.default ~quick:true in
     ignore
-      (Workload.Serve.grid ~seed:42
+      (Workload.Serve.grid ~arm:{ Workload.Measure.unarmed with config }
+         ~seed:42
          {
            d with
            Workload.Serve.schemes = [ "DRC" ];
@@ -621,7 +514,7 @@ let probes_cmd =
       (List.length rows);
     `Ok ()
   in
-  Cmd.v (Cmd.info "probes" ~doc) Term.(ret (const run $ const ()))
+  Cmd.v (Cmd.info "probes" ~doc) Term.(ret (const run $ env_config_term))
 
 let main =
   let doc =

@@ -27,27 +27,9 @@ type params = {
    nonzero service time. *)
 let request_overhead = 8
 
-let base_config = Simcore.Config.default
-
-let with_sanitize sanitize config =
-  match sanitize with
-  | None -> config
-  | Some m -> { config with Simcore.Config.sanitize = m }
-
-let with_race race config =
-  match race with
-  | None -> config
-  | Some m -> { config with Simcore.Config.race = m }
-
-let run ?fastpath ?tracer ?sanitize ?race ?config ?profiler ?(seed = 42) p =
+let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
+    ?(seed = 42) p =
   if p.workers < 1 then invalid_arg "Bench.run: workers must be >= 1";
-  (* As in Fig6: an explicit config wins; the default honours --no-vm. *)
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Simcore.Config.with_alloc (Simcore.Config.with_vm base_config)
-  in
-  let config = with_race race (with_sanitize sanitize config) in
   let reqs =
     Loadgen.generate ~seed ~arrival:p.arrival ~rate:p.rate
       ~duration:p.duration ~clients:p.clients ~key_dist:p.key_dist

@@ -37,14 +37,13 @@ val request_overhead : int
 val run :
   ?fastpath:bool ->
   ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
   ?config:Simcore.Config.t ->
   ?profiler:Simcore.Profiler.t ->
   ?seed:int ->
   params ->
   Slo.report
-(** Run the cell to completion (arrival window plus drain) and report.
+(** Run the cell to completion (arrival window plus drain) and report,
+    under [config] (default {!Simcore.Config.default}).
     Deterministic for a given seed; bit-identical across [fastpath]
     modes and pool placements — and with or without [profiler], which
     adds phase attribution (idle waits, the queueing overhead, and the

@@ -74,10 +74,12 @@ let default =
 let small =
   { default with cores = 4; quantum = 64; max_steps = 50_000_000; lookahead = 0 }
 
-(* Environment values are parsed strictly: a malformed one is an
-   error worded like the matching CLI flag's, which the CLI reports
-   before anything runs ({!env_errors}). Unset or empty means the
-   default. *)
+(* {1 Resolving a run's arming from flags and environment}
+
+   Environment values are parsed strictly: a malformed one is an error
+   naming the variable, worded like the matching flag's. Unset or empty
+   means the default. The caller passes [getenv], so nothing under
+   lib/ reads the process environment. *)
 
 let bad_env var v expected =
   Error (Printf.sprintf "%s: invalid value '%s', expected %s" var v expected)
@@ -102,31 +104,40 @@ let jobs_of_env = function
       | Some _ -> Error "REPRO_JOBS: --jobs must be >= 1"
       | None -> bad_env "REPRO_JOBS" v "an integer")
 
-let env_errors () =
-  List.filter_map
-    (function Ok _ -> None | Error msg -> Some msg)
-    [
-      Result.map ignore (vm_of_env (Sys.getenv_opt "REPRO_VM"));
-      Result.map ignore (alloc_of_env (Sys.getenv_opt "REPRO_ALLOC"));
-      Result.map ignore (jobs_of_env (Sys.getenv_opt "REPRO_JOBS"));
-    ]
+let ( let* ) = Result.bind
 
-(* Process-wide override for [vm], consulted by the workload runners when
-   building their default per-point config (an explicitly passed config
-   is never rewritten). Initialised from REPRO_VM and flipped by the
-   CLI's --no-vm before any pool worker spawns, so reads from worker
-   domains see a settled value. A malformed REPRO_VM leaves the default
-   here; the CLI has already refused it. *)
-let vm_enabled =
-  Atomic.make (* lint: allow-atomic *)
-    (Result.value (vm_of_env (Sys.getenv_opt "REPRO_VM")) ~default:true)
+(* A checker mode from its flag, else its variable, else [off]. The
+   variable is checked even when the flag overrides it. *)
+let mode ~var ~flag ~of_string ~off ~getenv spec =
+  let* env =
+    match getenv var with
+    | None | Some "" -> Ok off
+    | Some v -> Result.map_error (fun why -> var ^ ": " ^ why) (of_string v)
+  in
+  match spec with
+  | None -> Ok env
+  | Some s ->
+      Result.map_error (Printf.sprintf "bad --%s spec %S: %s" flag s) (of_string s)
 
-let with_vm c = { c with vm = Atomic.get vm_enabled } (* lint: allow-atomic *)
-
-(* Same pattern for the allocator policy: REPRO_ALLOC seeds the default,
-   the CLI's --alloc overrides it before any pool worker spawns. *)
-let alloc_default =
-  Atomic.make (* lint: allow-atomic *)
-    (Result.value (alloc_of_env (Sys.getenv_opt "REPRO_ALLOC")) ~default:Legacy)
-
-let with_alloc c = { c with alloc = Atomic.get alloc_default } (* lint: allow-atomic *)
+let resolve ~getenv ?(no_vm = false) ?alloc ?sanitize ?race ?jobs () =
+  let* vm = vm_of_env (getenv "REPRO_VM") in
+  let* env_alloc = alloc_of_env (getenv "REPRO_ALLOC") in
+  let* alloc =
+    match alloc with None -> Ok env_alloc | Some s -> alloc_policy_of_string s
+  in
+  let* sanitize =
+    mode ~var:"REPRO_SANITIZE" ~flag:"sanitize"
+      ~of_string:Sanitizer.mode_of_string ~off:Sanitizer.off ~getenv sanitize
+  in
+  let* race =
+    mode ~var:"REPRO_RACE" ~flag:"race" ~of_string:Racecheck.mode_of_string
+      ~off:Racecheck.off ~getenv race
+  in
+  let* env_jobs = jobs_of_env (getenv "REPRO_JOBS") in
+  let* jobs =
+    match jobs with
+    | None -> Ok env_jobs
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error "--jobs must be >= 1"
+  in
+  Ok ({ default with vm = vm && not no_vm; alloc; sanitize; race }, jobs)

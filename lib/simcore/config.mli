@@ -89,11 +89,14 @@ val small : t
 (** A small deterministic machine for unit tests: 4 cores, tiny quantum,
     strict interleaving ([lookahead = 0]). *)
 
-(** {1 Environment}
+(** {1 Resolving a run's configuration}
 
-    Strict parsers for the environment variables the CLI honours. Unset
-    or empty means the default; anything malformed is an [Error] worded
-    like the matching flag's error, prefixed with the variable name. *)
+    The CLI's [--no-vm], [--alloc], [--sanitize], [--race] and [--jobs]
+    flags and the [REPRO_VM], [REPRO_ALLOC], [REPRO_SANITIZE],
+    [REPRO_RACE] and [REPRO_JOBS] variables become one {!t} and a job
+    count in {!resolve}, the only place either is read. A flag beats its
+    variable; an unset or empty variable means the default. Nothing
+    under [lib/] reads the environment: callers pass [getenv]. *)
 
 val vm_of_env : string option -> (bool, string) result
 (** [REPRO_VM]: ["1"] (the default) or ["0"]. *)
@@ -104,32 +107,19 @@ val alloc_of_env : string option -> (alloc_policy, string) result
 val jobs_of_env : string option -> (int, string) result
 (** [REPRO_JOBS]: an integer [>= 1], as [--jobs]; the default is 1. *)
 
-val env_errors : unit -> string list
-(** The errors of the current [REPRO_VM], [REPRO_ALLOC] and
-    [REPRO_JOBS] values, in that order; empty when all are
-    well-formed. The CLI refuses to start otherwise. *)
-
-val vm_enabled : bool Atomic.t
-(** Process-wide override for {!field-vm}, initialised from the
-    [REPRO_VM] environment variable ([REPRO_VM=0] disables; a malformed
-    value leaves the default, see {!env_errors}) and flipped
-    by the CLI's [--no-vm]. Workload runners apply it via {!with_vm}
-    when building their {e default} per-point config; a config passed
-    explicitly by a caller is used as-is. Set it only before runs
-    start — pool worker domains read it concurrently. *)
-
-val with_vm : t -> t
-(** [with_vm c] is [c] with [vm] replaced by the current
-    {!vm_enabled}. *)
-
-val alloc_default : alloc_policy Atomic.t
-(** Process-wide override for {!field-alloc}, initialised from the
-    [REPRO_ALLOC] environment variable (see {!alloc_of_env}; a
-    malformed value leaves {!Legacy}) and set by the CLI's
-    [--alloc]. Applied by the workload runners via {!with_alloc} when
-    building their default per-point config; same settling discipline
-    as {!vm_enabled}. *)
-
-val with_alloc : t -> t
-(** [with_alloc c] is [c] with [alloc] replaced by the current
-    {!alloc_default}. *)
+val resolve :
+  getenv:(string -> string option) ->
+  ?no_vm:bool ->
+  ?alloc:string ->
+  ?sanitize:string ->
+  ?race:string ->
+  ?jobs:int ->
+  unit ->
+  (t * int, string) result
+(** [resolve ~getenv ?no_vm ?alloc ?sanitize ?race ?jobs ()] is
+    {!default} with [vm], [alloc], [sanitize] and [race] set from the
+    flags given ([--no-vm], [--alloc POLICY], [--sanitize MODES],
+    [--race MODES]), else from the variables [getenv] returns, plus the
+    job count ([--jobs N], else [REPRO_JOBS], else 1). Every variable is checked,
+    even one its flag overrides, and the first malformed value is an
+    [Error]: a variable's names the variable, a flag's names the flag. *)

@@ -6,22 +6,10 @@ module Drc = Cdrc.Drc
 module Ar = Acquire_retire.Ar
 module Tele = Simcore.Telemetry
 
-let bench_config = Simcore.Config.default
-
-let with_sanitize sanitize config =
-  match sanitize with
-  | None -> config
-  | Some m -> { config with Simcore.Config.sanitize = m }
-
-let with_race race config =
-  match race with
-  | None -> config
-  | Some m -> { config with Simcore.Config.race = m }
-
 (* A DRC load/store mix instrumented for a given purpose. *)
-let drc_run ?policy ?(mode = `Lockfree) ?(eject_work = 4) ?tracer ?sanitize
-    ?race ~threads ~horizon ~seed ~p_store ~n_locs ~on_sample () =
-  let config = with_race race (with_sanitize sanitize bench_config) in
+let drc_run ?policy ?(mode = `Lockfree) ?(eject_work = 4) ?tracer
+    ?(config = Simcore.Config.default) ~threads ~horizon ~seed ~p_store ~n_locs
+    ~on_sample () =
   let mem = M.create config in
   let drc = Drc.create ~mode ~eject_work mem ~procs:threads in
   let cls = Drc.register_class drc ~tag:"obj" ~fields:1 ~ref_fields:[] in
@@ -53,15 +41,16 @@ let drc_run ?policy ?(mode = `Lockfree) ?(eject_work = 4) ?tracer ?sanitize
   assert (M.live_with_tag mem "obj" = 0);
   (pt, M.telemetry mem)
 
-let bounds ?(pool = Pool.sequential) ?tracer ?sanitize ?race
+let bounds ?(arm = Measure.unarmed)
     ?(threads = [ 4; 16; 48; 96; 144 ]) ?(seed = 42) () =
   let rows =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun th -> Printf.sprintf "audit-bounds [P=%d]" th)
       (fun th ->
         let _, tele =
-          drc_run ?tracer ?sanitize ?race ~threads:th ~horizon:120_000 ~seed
-            ~p_store:0.5 ~n_locs:10 ~on_sample:Drc.deferred_decrements ()
+          drc_run ?tracer:arm.tracer ~config:arm.config ~threads:th
+            ~horizon:120_000 ~seed ~p_store:0.5 ~n_locs:10
+            ~on_sample:Drc.deferred_decrements ()
         in
         (* The gauges track every retire/eject, so their high-water marks
            are the exact peaks — not the sampled approximation the seed
@@ -105,11 +94,12 @@ let bounds ?(pool = Pool.sequential) ?tracer ?sanitize ?race
      the claim. *)
   let debra_batch = 8 in
   let debra_rows =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun th -> Printf.sprintf "audit-bounds [DEBRA+, P=%d]" th)
       (fun th ->
         let pt, _ =
-          Fig_robust.point ?tracer ?sanitize ?race ~scheme:"DEBRA+"
+          Fig_robust.point ?tracer:arm.tracer ~config:arm.config
+            ~scheme:"DEBRA+"
             ~fault:Fig_robust.Stall_one ~threads:th ~horizon:30_000 ~seed
             ~size:16 ~update_pct:50 ()
         in
@@ -136,15 +126,15 @@ let bounds ?(pool = Pool.sequential) ?tracer ?sanitize ?race
     ~columns:[ "peak limbo"; "bound"; "peak/P" ]
     ~rows:debra_rows ()
 
-let cost ?(pool = Pool.sequential) ?tracer ?sanitize ?race
+let cost ?(arm = Measure.unarmed)
     ?(threads = [ 1; 4; 16; 48; 96; 144 ]) ?(seed = 42) () =
   let rows =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun th -> Printf.sprintf "audit-cost [P=%d]" th)
       (fun th ->
         let pt, _ =
-          drc_run ?tracer ?sanitize ?race ~threads:th ~horizon:120_000 ~seed
-            ~p_store:0.1 ~n_locs:100_000
+          drc_run ?tracer:arm.tracer ~config:arm.config ~threads:th
+            ~horizon:120_000 ~seed ~p_store:0.1 ~n_locs:100_000
             ~on_sample:(fun _ -> 0)
             ()
         in
@@ -161,14 +151,14 @@ let cost ?(pool = Pool.sequential) ?tracer ?sanitize ?race
     ~unit_label:"average simulated ticks per operation (per process)"
     ~columns:[ "ticks/op" ] ~rows ()
 
-let eject_work ?(pool = Pool.sequential) ?tracer ?sanitize ?race
+let eject_work ?(arm = Measure.unarmed)
     ?(work = [ 1; 2; 4; 8; 16 ]) ?(threads = 96) ?(seed = 42) () =
   let rows =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun w -> Printf.sprintf "ablation-eject [work=%d]" w)
       (fun w ->
         let pt, tele =
-          drc_run ?tracer ?sanitize ?race ~eject_work:w ~threads
+          drc_run ?tracer:arm.tracer ~config:arm.config ~eject_work:w ~threads
             ~horizon:120_000 ~seed ~p_store:0.5 ~n_locs:10
             ~on_sample:Drc.deferred_decrements ()
         in
@@ -184,18 +174,18 @@ let eject_work ?(pool = Pool.sequential) ?tracer ?sanitize ?race
     ~columns:[ "throughput"; "max deferred" ]
     ~rows ()
 
-let acquire_mode ?(pool = Pool.sequential) ?tracer ?sanitize ?race
+let acquire_mode ?(arm = Measure.unarmed)
     ?(threads = [ 1; 16; 48; 96; 144 ]) ?(seed = 42) () =
   let rows =
-    Pool.map_grid pool ~rows:threads ~cols:[ `Lockfree; `Waitfree ]
+    Pool.map_grid arm.Measure.pool ~rows:threads ~cols:[ `Lockfree; `Waitfree ]
       ~label:(fun th mode ->
         Printf.sprintf "ablation-acquire [%s, P=%d]"
           (match mode with `Lockfree -> "lock-free" | `Waitfree -> "wait-free")
           th)
       (fun th mode ->
         (fst
-           (drc_run ?tracer ?sanitize ?race ~mode ~threads:th ~horizon:120_000
-              ~seed ~p_store:0.1 ~n_locs:10
+           (drc_run ?tracer:arm.tracer ~config:arm.config ~mode ~threads:th
+              ~horizon:120_000 ~seed ~p_store:0.1 ~n_locs:10
               ~on_sample:(fun _ -> 0)
               ()))
           .Measure.throughput)
@@ -212,10 +202,9 @@ let acquire_mode ?(pool = Pool.sequential) ?tracer ?sanitize ?race
    the contended microbenchmark. Lock-free schemes retry under
    contention (long tails); the deferred scheme's operations are
    bounded. *)
-let latency ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
-    ?(seed = 42) () =
+let latency ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
   let module H = Simcore.Stats.Histogram in
-  let config = with_race race (with_sanitize sanitize bench_config) in
+  let config = arm.Measure.config in
   let run (module R : Rc_baselines.Rc_intf.S) =
     let mem = M.create config in
     let t = R.create mem ~procs:threads in
@@ -237,7 +226,8 @@ let latency ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
       H.add hist (Simcore.Proc.now () - t0)
     in
     let _ =
-      Measure.run_point ?tracer ~config ~seed ~threads ~horizon:100_000 ~op ()
+      Measure.run_point ?tracer:arm.tracer ~config ~seed ~threads
+        ~horizon:100_000 ~op ()
     in
     hist
   in
@@ -253,7 +243,7 @@ let latency ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
     ]
   in
   let hists =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun (name, _) -> Printf.sprintf "audit-latency [%s]" name)
       (fun (_, m) -> run m)
       contenders
@@ -273,11 +263,10 @@ let latency ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
    same machinery. *)
 module H_ebr_skew = Cds.Hash_smr.Make (Smr.Ebr)
 
-let skew ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
-    ?(seed = 42) () =
+let skew ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
   let size = 4096 in
   let thetas = [ 0.0; 0.5; 0.9; 0.99 ] in
-  let config = with_race race (with_sanitize sanitize bench_config) in
+  let config = arm.Measure.config in
   let run_point theta (build : M.t -> (int -> int -> bool) * (unit -> unit)) =
     let mem = M.create config in
     let contains, flush = build mem in
@@ -287,7 +276,8 @@ let skew ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
       ignore (contains pid (Simcore.Dist.Zipf.draw z rng))
     in
     let pt =
-      Measure.run_point ?tracer ~config ~seed ~threads ~horizon:100_000 ~op ()
+      Measure.run_point ?tracer:arm.tracer ~config ~seed ~threads
+        ~horizon:100_000 ~op ()
     in
     flush ();
     pt.Measure.throughput
@@ -326,7 +316,7 @@ let skew ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?(threads = 96)
      fun () -> Cds.Hash_rc.Plain.flush t)
   in
   let rows =
-    Pool.map_grid pool ~rows:thetas
+    Pool.map_grid arm.Measure.pool ~rows:thetas
       ~cols:[ ("EBR", ebr); ("DRC (+snap)", drc); ("DRC", drc_plain) ]
       ~label:(fun theta (name, _) ->
         Printf.sprintf "ablation-skew [%s, theta=%.2f]" name theta)
@@ -359,8 +349,9 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
+let races ?(arm = Measure.unarmed) ?(seed = 42) ?(quick = false) () =
   let race = Simcore.Racecheck.default_on in
+  let config = { arm.Measure.config with race } in
   let threads = if quick then 4 else 8 in
   let horizon = if quick then 10_000 else 25_000 in
   (* Clean phase. Cells are independent (own heap each) and report into
@@ -373,7 +364,7 @@ let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
         ( "loadstore/" ^ name,
           fun () ->
             ignore
-              (Fig6.loadstore_point ~policy:chaos ~race m ~threads ~horizon
+              (Fig6.loadstore_point ~policy:chaos ~config m ~threads ~horizon
                  ~seed ~n_locs:10 ~p_store:0.5) ))
       Fig6.schemes
   in
@@ -389,7 +380,7 @@ let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
             ( sname ^ "/" ^ scheme,
               fun () ->
                 ignore
-                  (Fig7.point ~policy:chaos ~race ~structure ~scheme ~threads
+                  (Fig7.point ~policy:chaos ~config ~structure ~scheme ~threads
                      ~horizon ~seed ~size ~update_pct:30 ()) ))
           Fig7.scheme_names)
       structures
@@ -398,7 +389,7 @@ let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
     ( "drc/wait-free acquire (swcopy)",
       fun () ->
         ignore
-          (drc_run ~policy:chaos ~race ~mode:`Waitfree ~threads ~horizon ~seed
+          (drc_run ~policy:chaos ~config ~mode:`Waitfree ~threads ~horizon ~seed
              ~p_store:0.3 ~n_locs:10
              ~on_sample:(fun _ -> 0)
              ()) )
@@ -415,14 +406,14 @@ let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
         ( "robust/" ^ scheme ^ "/stall",
           fun () ->
             ignore
-              (Fig_robust.point ~policy:chaos ~race ~scheme
+              (Fig_robust.point ~policy:chaos ~config ~scheme
                  ~fault:Fig_robust.Stall_one ~threads ~horizon ~seed ~size:16
                  ~update_pct:50 ()) ))
       [ "DEBRA"; "DEBRA+" ]
   in
   let cells = fig6_cells @ fig7_cells @ robust_cells @ [ swcopy_cell ] in
   let _ =
-    Pool.map_ordered pool
+    Pool.map_ordered arm.Measure.pool
       ~label:(fun (name, _) -> "audit-races [" ^ name ^ "]")
       (fun (_, f) -> f ())
       cells
@@ -437,7 +428,6 @@ let races ?(pool = Pool.sequential) ?(seed = 42) ?(quick = false) () =
   end;
   (* Seeded phase: each racy workload runs on its own heap (so the
      reports can be read per cell), sequentially — they are tiny. *)
-  let config = { bench_config with Simcore.Config.race } in
   let unfenced_publication () =
     let mem = M.create config in
     let slot = M.alloc mem ~tag:"slot" ~size:1 in

@@ -14,36 +14,27 @@
       (§7: "as fast as the lock-free one after applying a fast-path
       slow-path methodology").
 
-    Like the figure runners, every audit enumerates its sweep as
-    independent cells and maps them through [?pool]
-    (default {!Simcore.Domain_pool.sequential}); results and printed
-    tables are bit-identical at any parallelism level. *)
+    Like the figure runners, every audit takes one {!Measure.arm}
+    (default {!Measure.unarmed}): its sweep's independent cells map
+    through the arm's pool, with bit-identical results and tables at
+    any parallelism level, and each cell builds on the arm's config. *)
 
 val bounds :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?seed:int ->
   unit ->
   unit
 
 val cost :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?seed:int ->
   unit ->
   unit
 
 val eject_work :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?work:int list ->
   ?threads:int ->
   ?seed:int ->
@@ -51,20 +42,14 @@ val eject_work :
   unit
 
 val acquire_mode :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?seed:int ->
   unit ->
   unit
 
 val latency :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?threads:int ->
   ?seed:int ->
   unit ->
@@ -74,10 +59,7 @@ val latency :
     merely lock-free schemes. *)
 
 val skew :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?arm:Measure.arm ->
   ?threads:int ->
   ?seed:int ->
   unit ->
@@ -86,7 +68,7 @@ val skew :
     counted reads versus epochs as key popularity concentrates. *)
 
 val races :
-  ?pool:Simcore.Domain_pool.t ->
+  ?arm:Measure.arm ->
   ?seed:int ->
   ?quick:bool ->
   unit ->
@@ -94,7 +76,8 @@ val races :
 (** Race-freedom certification sweep: every reclamation scheme of
     Figure 6, every Figure 7 structure/scheme pair, swcopy, and the
     pooled allocator run under the adversarial [Chaos] policy with the
-    {!Simcore.Racecheck} analyzer fully on ([hb]+[custody]), asserting
+    {!Simcore.Racecheck} analyzer fully on ([hb]+[custody], whatever
+    the arm's [race] mode), asserting
     zero reports; then three deliberately racy workloads
     (publication without a release fence, a plain shared counter, and
     a write to a block already handed off through free) are run the

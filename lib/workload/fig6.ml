@@ -36,37 +36,22 @@ let schemes : (string * (module Rc_intf.S)) list =
     ("DRC (+snap)", (module Rc_baselines.Drc_scheme.Snapshots));
   ]
 
-let bench_config = Simcore.Config.default
-
-(* The sanitizer rides on the per-cell config; with the default
-   (non-quarantine) modes the simulation is unperturbed, so sanitized
-   tables must be byte-identical to unsanitized ones (CI diffs them). *)
-let with_sanitize sanitize config =
-  match sanitize with
-  | None -> config
-  | Some m -> { config with Simcore.Config.sanitize = m }
-
-(* Same contract for the race checker: it pays no ticks, so raced
-   tables are byte-identical to plain ones (modulo report blocks). *)
-let with_race race config =
-  match race with
-  | None -> config
-  | Some m -> { config with Simcore.Config.race = m }
-
 (* {1 Load/store microbenchmark (6a-6d)} *)
 
-let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
-    ?(profile = false) ?(on_heap = ignore) (module R : Rc_intf.S) ~threads
-    ~horizon ~seed ~n_locs ~p_store =
+(* [sanitize] and [race] override [config]'s modes, and [profile] is a
+   flag rather than an arm record, only because perfbench calls this
+   point that way; every other caller passes [config]. *)
+let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race
+    ?(config = Simcore.Config.default) ?(profile = false) ?(on_heap = ignore)
+    (module R : Rc_intf.S) ~threads ~horizon ~seed ~n_locs ~p_store =
   let profiler = cell_profiler ~profile R.name in
-  (* An explicitly passed config is authoritative (tests drive [vm]
-     directly); the default one honours the CLI-level --no-vm switch. *)
   let config =
-    match config with
-    | Some c -> c
-    | None -> Simcore.Config.with_alloc (Simcore.Config.with_vm bench_config)
+    {
+      config with
+      sanitize = Option.value sanitize ~default:config.Simcore.Config.sanitize;
+      race = Option.value race ~default:config.race;
+    }
   in
-  let config = with_race race (with_sanitize sanitize config) in
   let mem = M.create config in
   let t = R.create mem ~procs:threads in
   let cls = R.register_class t ~tag:"obj" ~fields:1 ~ref_fields:[] in
@@ -157,19 +142,18 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race ?config
   end;
   pt
 
-let loadstore ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
-    ?(threads = Measure.default_threads) ?(horizon = 150_000) ?(seed = 42)
-    ~n_locs ~p_store ~title ~with_memory () =
+let loadstore ?(arm = Measure.unarmed) ?(threads = Measure.default_threads)
+    ?(horizon = 150_000) ?(seed = 42) ~n_locs ~p_store ~title ~with_memory () =
   (* The sweep is a flat (thread-count × scheme) cell grid: every cell
      owns its own heap/telemetry/RNG universe, so the pool may run them
      on any worker in any order — [map_grid] returns them row-major,
      exactly as the sequential nest produced them. *)
   let results =
-    Pool.map_grid pool ~rows:threads ~cols:schemes
+    Pool.map_grid arm.Measure.pool ~rows:threads ~cols:schemes
       ~label:(fun th (name, _) -> Printf.sprintf "%s [%s, P=%d]" title name th)
       (fun th (_, m) ->
-        loadstore_point ?tracer ?sanitize ?race ?profile m ~threads:th ~horizon
-          ~seed ~n_locs ~p_store)
+        loadstore_point ?tracer:arm.tracer ~config:arm.config
+          ~profile:arm.profile m ~threads:th ~horizon ~seed ~n_locs ~p_store)
   in
   Tables.print_series ~title ~unit_label:"throughput: operations per megatick"
     ~columns:(List.map fst schemes)
@@ -188,16 +172,11 @@ let loadstore ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
 
 (* {1 Concurrent stack benchmark (6e-6h)} *)
 
-let stack_point ?tracer ?sanitize ?race ?(profile = false)
+let stack_point ?tracer ?(config = Simcore.Config.default) ?(profile = false)
     (module R : Rc_intf.S) ~threads ~horizon ~seed ~n_stacks ~init_size
     ~p_update =
   let profiler = cell_profiler ~profile R.name in
   let module S = Cds.Stack.Make (R) in
-  let config =
-    with_race race
-      (with_sanitize sanitize
-         (Simcore.Config.with_alloc (Simcore.Config.with_vm bench_config)))
-  in
   let mem = M.create config in
   let t = S.create mem ~procs:threads ~stacks:n_stacks in
   let h0 = S.handle t (-1) in
@@ -229,31 +208,31 @@ let stack_point ?tracer ?sanitize ?race ?(profile = false)
   S.flush t;
   pt
 
-let stack ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
-    ?(threads = Measure.default_threads) ?(horizon = 200_000) ?(seed = 42)
-    ~n_stacks ~init_size ~p_update ~title () =
+let stack ?(arm = Measure.unarmed) ?(threads = Measure.default_threads)
+    ?(horizon = 200_000) ?(seed = 42) ~n_stacks ~init_size ~p_update ~title () =
   let results =
-    Pool.map_grid pool ~rows:threads ~cols:schemes
+    Pool.map_grid arm.Measure.pool ~rows:threads ~cols:schemes
       ~label:(fun th (name, _) -> Printf.sprintf "%s [%s, P=%d]" title name th)
       (fun th (_, m) ->
-        (stack_point ?tracer ?sanitize ?race ?profile m ~threads:th ~horizon
-           ~seed ~n_stacks ~init_size ~p_update)
+        (stack_point ?tracer:arm.tracer ~config:arm.config ~profile:arm.profile
+           m ~threads:th ~horizon ~seed ~n_stacks ~init_size ~p_update)
           .Measure.throughput)
   in
   Tables.print_series ~title ~unit_label:"throughput: operations per megatick"
     ~columns:(List.map fst schemes) ~rows:results ()
 
-let stack_memory ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
+let stack_memory ?(arm = Measure.unarmed)
     ?(sizes = [ 16; 64; 256; 1024; 4096 ]) ?(threads = 128)
     ?(horizon = 120_000) ?(seed = 42) () =
   let columns = List.map fst schemes in
   let rows =
-    Pool.map_grid pool ~rows:sizes ~cols:schemes
+    Pool.map_grid arm.Measure.pool ~rows:sizes ~cols:schemes
       ~label:(fun size (name, _) ->
         Printf.sprintf "Fig 6h [%s, size=%d]" name size)
       (fun size (_, m) ->
-        (stack_point ?tracer ?sanitize ?race ?profile m ~threads ~horizon ~seed
-           ~n_stacks:10 ~init_size:size ~p_update:0.5)
+        (stack_point ?tracer:arm.tracer ~config:arm.config ~profile:arm.profile
+           m ~threads ~horizon ~seed ~n_stacks:10 ~init_size:size
+           ~p_update:0.5)
           .Measure.mem_metric)
     |> List.map (fun (size, values) -> (size * 10, values))
   in

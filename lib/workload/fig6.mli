@@ -4,11 +4,12 @@
     scheme of {!Rc_baselines}.
 
     Every sweep is enumerated as a flat list of independent cells —
-    (scheme × thread count) — and mapped through a
-    {!Simcore.Domain_pool}, so [?pool] parallelizes the sweep across
-    domains with bit-identical tables (each cell owns its heap,
-    telemetry registry, and RNG stream; the pool preserves submission
-    order). The default pool is {!Simcore.Domain_pool.sequential}. *)
+    (scheme × thread count) — and mapped through the
+    {!Simcore.Domain_pool} of its {!Measure.arm} (default
+    {!Measure.unarmed}), with bit-identical tables at any parallelism
+    (each cell owns its heap, telemetry registry, and RNG stream; the
+    pool preserves submission order). The arm also gives each cell its
+    config, profiler and tracer. *)
 
 val schemes : (string * (module Rc_baselines.Rc_intf.S)) list
 (** The Figure 6 contenders, in the paper's legend order. *)
@@ -44,21 +45,18 @@ val loadstore_point :
     Exposed for the fastpath determinism regression tests and the perf
     smoke; neither [fastpath] nor [Config.vm] may change the point
     (bit-identical), under every [policy] (default [Fair]).
-    [config] (default {!Simcore.Config.default}) lets the perf smoke
-    time a seed-equivalent schedule ([lookahead = 0]). [sanitize]
-    overrides [config]'s sanitizer mode; with the non-quarantine modes
-    the point stays bit-identical to an unsanitized run. [race]
-    likewise overrides [config]'s {!Simcore.Racecheck} mode; the
-    checker pays no ticks, so a raced point is always bit-identical to
-    a plain one. [on_heap] is called with the cell's heap after the
-    teardown flush (tests read its sanitizer and race reports). *)
+    [config] (default {!Simcore.Config.default}) is the cell's whole
+    configuration. [sanitize] and [race] override its modes and
+    [profile] arms a profiler; they exist only because perfbench calls this
+    point with them, and its calls stay fixed so that its runs compare
+    across commits. With the
+    non-quarantine sanitizer modes and with the race checker the point
+    stays bit-identical to a plain run. [on_heap] is called with the
+    cell's heap after the teardown flush (tests read its sanitizer and
+    race reports). *)
 
 val loadstore :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?horizon:int ->
   ?seed:int ->
@@ -73,11 +71,7 @@ val loadstore :
     table from the same runs. *)
 
 val stack :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?horizon:int ->
   ?seed:int ->
@@ -90,11 +84,7 @@ val stack :
 (** Figures 6e–6g: bank of stacks, find versus pop-then-push mix. *)
 
 val stack_memory :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?sizes:int list ->
   ?threads:int ->
   ?horizon:int ->

@@ -8,8 +8,6 @@ type structure = List_set | Hash_set | Bst_set
 let scheme_names =
   [ "EBR"; "HP"; "HPopt"; "IBR"; "HE"; "No MM"; "DRC"; "DRC (+snap)" ]
 
-let bench_config = Simcore.Config.default
-
 (* All structure/scheme instantiations. HP and HPopt share a module and
    differ only in how often the announcement array is scanned (§7.2). *)
 module L_ebr = Cds.List_smr.Make (Smr.Ebr)
@@ -151,20 +149,10 @@ let factory structure scheme mem ~procs ~seed ~size =
         ~procs ~seed ~size
   | _, other -> invalid_arg ("Fig7.factory: unknown scheme " ^ other)
 
-let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
-    ~structure ~scheme ~threads ~horizon ~seed ~size ~update_pct () =
+let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
+    ?(profile = false) ~structure ~scheme ~threads ~horizon ~seed ~size
+    ~update_pct () =
   let profiler = Fig6.cell_profiler ~profile scheme in
-  let base = Simcore.Config.with_alloc (Simcore.Config.with_vm bench_config) in
-  let config =
-    match sanitize with
-    | None -> base
-    | Some m -> { base with Simcore.Config.sanitize = m }
-  in
-  let config =
-    match race with
-    | None -> config
-    | Some m -> { config with Simcore.Config.race = m }
-  in
   let mem = M.create config in
   let inst = factory structure scheme mem ~procs:threads ~seed ~size in
   let key_range = 2 * size in
@@ -189,15 +177,14 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
   inst.i_flush ();
   pt
 
-let run ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
-    ?(threads = Measure.default_threads) ?(horizon = 150_000) ?(seed = 42)
-    ~structure ~size ~update_pct ~title () =
+let run ?(arm = Measure.unarmed) ?(threads = Measure.default_threads)
+    ?(horizon = 150_000) ?(seed = 42) ~structure ~size ~update_pct ~title () =
   let results =
-    Pool.map_grid pool ~rows:threads ~cols:scheme_names
+    Pool.map_grid arm.Measure.pool ~rows:threads ~cols:scheme_names
       ~label:(fun th scheme -> Printf.sprintf "%s [%s, P=%d]" title scheme th)
       (fun th scheme ->
-        point ?tracer ?sanitize ?race ?profile ~structure ~scheme ~threads:th
-          ~horizon ~seed ~size ~update_pct ())
+        point ?tracer:arm.tracer ~config:arm.config ~profile:arm.profile
+          ~structure ~scheme ~threads:th ~horizon ~seed ~size ~update_pct ())
   in
   Tables.print_series ~title ~unit_label:"throughput: operations per megatick"
     ~columns:scheme_names

@@ -13,8 +13,7 @@ val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
   ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?config:Simcore.Config.t ->
   ?profile:bool ->
   structure:structure ->
   scheme:string ->
@@ -28,14 +27,10 @@ val point :
 (** One structure/scheme/thread-count point. Exposed for the fastpath
     determinism regression tests ([fastpath] must not change the point,
     bit-identical) and the race-freedom audit, which runs it under
-    [Chaos]. *)
+    [Chaos]. [config] defaults to {!Simcore.Config.default}. *)
 
 val run :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?threads:int list ->
   ?horizon:int ->
   ?seed:int ->

@@ -152,28 +152,20 @@ let fault_spec fault ~pinned ~threads ~horizon ~seed =
 
 (* One (scheme, fault) cell. Returns the point plus the sampled
    unreclaimed-memory series [(sample index, extra nodes)]. *)
-let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
-    ?(vm = true) ~scheme ~fault ~threads ~horizon ~seed ~size ~update_pct () =
+let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
+    ?(profile = false) ~scheme ~fault ~threads ~horizon ~seed ~size
+    ~update_pct () =
   let profiler = Fig6.cell_profiler ~profile scheme in
-  let base = Simcore.Config.with_alloc Simcore.Config.default in
-  let base = if vm then Simcore.Config.with_vm base else base in
   (* The protection auditor doubles as the adversary's pin oracle
      ([only_pinned] stalls trigger on {!San.pid_shielded}), so protocol
      mode is always on here — it is zero-perturbation (tables are
      byte-identical with it off) and audits the new scheme for free. *)
   let config =
     {
-      base with
+      config with
       Simcore.Config.sanitize =
-        (match sanitize with
-        | Some m -> { m with San.protocol = true }
-        | None -> { San.off with San.protocol = true });
+        { config.Simcore.Config.sanitize with San.protocol = true };
     }
-  in
-  let config =
-    match race with
-    | None -> config
-    | Some m -> { config with Simcore.Config.race = m }
   in
   let mem = M.create config in
   let adv =
@@ -230,16 +222,15 @@ let point ?policy ?fastpath ?tracer ?sanitize ?race ?(profile = false)
 let counter pt name =
   match List.assoc_opt name pt.Measure.counters with Some v -> v | None -> 0
 
-let run ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
-    ?(threads = 8) ?(horizon = 60_000) ?(seed = 42) ?(size = 16)
-    ?(update_pct = 50) ~title () =
+let run ?(arm = Measure.unarmed) ?(threads = 8) ?(horizon = 60_000)
+    ?(seed = 42) ?(size = 16) ?(update_pct = 50) ~title () =
   let results =
-    Pool.map_grid pool ~rows:faults ~cols:scheme_names
+    Pool.map_grid arm.Measure.pool ~rows:faults ~cols:scheme_names
       ~label:(fun f scheme ->
         Printf.sprintf "%s [%s, %s]" title scheme (fault_name f))
       (fun f scheme ->
-        point ?tracer ?sanitize ?race ?profile ~scheme ~fault:f ~threads
-          ~horizon ~seed ~size ~update_pct ())
+        point ?tracer:arm.tracer ~config:arm.config ~profile:arm.profile
+          ~scheme ~fault:f ~threads ~horizon ~seed ~size ~update_pct ())
   in
   let fault_idx = List.mapi (fun i (f, cells) -> (i, f, cells)) results in
   Tables.print_kv ~title:(title ^ " — fault legend")

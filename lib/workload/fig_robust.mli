@@ -24,10 +24,8 @@ val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
   ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
+  ?config:Simcore.Config.t ->
   ?profile:bool ->
-  ?vm:bool ->
   scheme:string ->
   fault:fault ->
   threads:int ->
@@ -40,10 +38,12 @@ val point :
 (** One (scheme, fault) cell: the measured point plus the pid-0 sampled
     unreclaimed-memory series [(sample index, extra nodes)]. Exposed for
     the faulted determinism regressions, the divergence test and the
-    race-freedom audit. [vm] (default true) selects the compiled driver
-    loop; points are bit-identical either way, faulted or not — the
-    regression suite pins all four [vm] × [fastpath] combinations. The cell always runs with the sanitizer's
-    protocol auditor on — it is the adversary's pin oracle and is
+    race-freedom audit. [config] (default {!Simcore.Config.default})
+    picks the driver: [config.vm] selects the compiled driver loop,
+    and points are bit-identical either way, faulted or not — the
+    regression suite pins all four [vm] × [fastpath] combinations.
+    The cell always runs with the sanitizer's protocol auditor on, on
+    top of [config.sanitize]: it is the adversary's pin oracle and is
     zero-perturbation. DEBRA+ cells register the
     {!Simcore.Proc.on_signal} handler and catch
     {!Simcore.Proc.Interrupted} around each operation, as that scheme
@@ -54,11 +54,7 @@ val counter : Measure.point -> string -> int
     (a scheme without that probe). *)
 
 val run :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?threads:int ->
   ?horizon:int ->
   ?seed:int ->

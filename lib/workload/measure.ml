@@ -5,6 +5,21 @@ module Telemetry = Simcore.Telemetry
 module Trace = Simcore.Trace
 module Vm = Simcore.Vm
 
+type arm = {
+  pool : Simcore.Domain_pool.t;
+  config : Simcore.Config.t;
+  profile : bool;
+  tracer : Trace.t option;
+}
+
+let unarmed =
+  {
+    pool = Simcore.Domain_pool.sequential;
+    config = Simcore.Config.default;
+    profile = false;
+    tracer = None;
+  }
+
 type point = {
   threads : int;
   ops : int;

@@ -8,6 +8,21 @@
     paper's Mop/s plots even though absolute values are not (DESIGN.md
     §1). *)
 
+type arm = {
+  pool : Simcore.Domain_pool.t;  (** where a sweep's cells run *)
+  config : Simcore.Config.t;
+      (** every cell's base config: [vm], [alloc], [sanitize], [race] *)
+  profile : bool;  (** one {!Simcore.Profiler} per cell, by scheme *)
+  tracer : Simcore.Trace.t option;
+      (** passed to every point; the CLI only traces with [--jobs 1] *)
+}
+(** What every cell of a sweep runs under: the one record the sweep
+    runners ({!Fig6}, {!Fig7}, {!Fig_robust}, {!Serve}, {!Audits}) take
+    in place of separate options. *)
+
+val unarmed : arm
+(** Sequential pool, {!Simcore.Config.default}, no profiler, no tracer. *)
+
 type point = {
   threads : int;
   ops : int;  (** operations completed *)
@@ -67,7 +82,7 @@ val run_point :
     labelled by scheme, so sweeps profile per-scheme.
 
     [tracer] is passed to {!Simcore.Sim.run}. It is an explicit per-point
-    argument (plumbed from [Registry.ctx] by the figure runners) rather
+    argument (the figure runners pass their {!arm}'s) rather
     than ambient state: points may execute on different
     {!Simcore.Domain_pool} worker domains, and a shared mutable tracer
     slot would be a data race. The CLI only enables tracing with

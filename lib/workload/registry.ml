@@ -3,12 +3,8 @@ type ctx = {
   quick : bool;
   seed : int;
   stats : bool;
-  profile : bool;
   profile_out : string option;
-  pool : Simcore.Domain_pool.t;
-  tracer : Simcore.Trace.t option;
-  sanitize : Simcore.Sanitizer.mode option;
-  race : Simcore.Racecheck.mode option;
+  arm : Measure.arm;
 }
 
 let default_ctx =
@@ -17,12 +13,8 @@ let default_ctx =
     quick = false;
     seed = 42;
     stats = false;
-    profile = false;
     profile_out = None;
-    pool = Simcore.Domain_pool.sequential;
-    tracer = None;
-    sanitize = None;
-    race = None;
+    arm = Measure.unarmed;
   }
 
 type exp = { id : string; title : string; run : ctx -> unit }
@@ -43,7 +35,7 @@ let all =
       title = "Fig 6a: load/store microbenchmark, N=10, 10% stores";
       run =
         (fun ctx ->
-          Fig6.loadstore ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
+          Fig6.loadstore ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
             ~seed:ctx.seed ~n_locs:10 ~p_store:0.1
             ~title:"Figure 6a: load/store, N=10, 10% stores (+ Fig 6d memory)"
             ~with_memory:true ());
@@ -53,7 +45,7 @@ let all =
       title = "Fig 6b: load/store microbenchmark, N=10, 50% stores";
       run =
         (fun ctx ->
-          Fig6.loadstore ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
+          Fig6.loadstore ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
             ~seed:ctx.seed ~n_locs:10 ~p_store:0.5
             ~title:"Figure 6b: load/store, N=10, 50% stores" ~with_memory:false
             ());
@@ -64,7 +56,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 20_000 else 100_000 in
-          Fig6.loadstore ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
+          Fig6.loadstore ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 150_000)
             ~seed:ctx.seed ~n_locs:n ~p_store:0.1
             ~title:
               (Printf.sprintf
@@ -76,7 +68,7 @@ let all =
       title = "Fig 6e: stacks, 1% pushes/pops";
       run =
         (fun ctx ->
-          Fig6.stack ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
+          Fig6.stack ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
             ~seed:ctx.seed ~n_stacks:10 ~init_size:20 ~p_update:0.01
             ~title:"Figure 6e: stacks, N=10, 1% pushes/pops" ());
     };
@@ -85,7 +77,7 @@ let all =
       title = "Fig 6f: stacks, 10% pushes/pops";
       run =
         (fun ctx ->
-          Fig6.stack ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
+          Fig6.stack ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
             ~seed:ctx.seed ~n_stacks:10 ~init_size:20 ~p_update:0.1
             ~title:"Figure 6f: stacks, N=10, 10% pushes/pops" ());
     };
@@ -94,7 +86,7 @@ let all =
       title = "Fig 6g: stacks, 50% pushes/pops";
       run =
         (fun ctx ->
-          Fig6.stack ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
+          Fig6.stack ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 200_000)
             ~seed:ctx.seed ~n_stacks:10 ~init_size:20 ~p_update:0.5
             ~title:"Figure 6g: stacks, N=10, 50% pushes/pops" ());
     };
@@ -104,7 +96,7 @@ let all =
       run =
         (fun ctx ->
           let sizes = if ctx.quick then [ 16; 256; 4096 ] else [ 16; 64; 256; 1024; 4096 ] in
-          Fig6.stack_memory ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~sizes
+          Fig6.stack_memory ~arm:ctx.arm ~sizes
             ~threads:(if ctx.quick then 48 else 128)
             ~horizon:(horizon ctx 120_000) ~seed:ctx.seed ());
     };
@@ -114,7 +106,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 64 else 128 in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
+          Fig7.run ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
             ~seed:ctx.seed ~structure:Fig7.List_set ~size:n ~update_pct:10
             ~title:
               (Printf.sprintf "Figure 7a: list, N=%d (paper: 1000), 10%% updates" n)
@@ -126,7 +118,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 2048 else 8192 in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
+          Fig7.run ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
             ~seed:ctx.seed ~structure:Fig7.Hash_set ~size:n ~update_pct:10
             ~title:
               (Printf.sprintf
@@ -139,7 +131,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 4096 else 16384 in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
+          Fig7.run ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
             ~seed:ctx.seed ~structure:Fig7.Bst_set ~size:n ~update_pct:10
             ~title:
               (Printf.sprintf "Figure 7c: BST, N=%d (paper: 100K), 10%% updates" n)
@@ -156,7 +148,7 @@ let all =
             | Some l -> l
             | None -> if ctx.quick then [ 48; 144 ] else [ 1; 48; 144; 192 ]
           in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads ~horizon:(horizon ctx 120_000) ~seed:ctx.seed
+          Fig7.run ~arm:ctx.arm ~threads ~horizon:(horizon ctx 120_000) ~seed:ctx.seed
             ~structure:Fig7.Bst_set ~size:n ~update_pct:10
             ~title:
               (Printf.sprintf "Figure 7d: BST, N=%d (paper: 100M), 10%% updates" n)
@@ -168,7 +160,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 4096 else 16384 in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
+          Fig7.run ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
             ~seed:ctx.seed ~structure:Fig7.Bst_set ~size:n ~update_pct:1
             ~title:
               (Printf.sprintf "Figure 7e: BST, N=%d (paper: 100K), 1%% updates" n)
@@ -180,7 +172,7 @@ let all =
       run =
         (fun ctx ->
           let n = if ctx.quick then 4096 else 16384 in
-          Fig7.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
+          Fig7.run ~arm:ctx.arm ~threads:(sweep ctx) ~horizon:(horizon ctx 120_000)
             ~seed:ctx.seed ~structure:Fig7.Bst_set ~size:n ~update_pct:50
             ~title:
               (Printf.sprintf "Figure 7f: BST, N=%d (paper: 100K), 50%% updates" n)
@@ -191,8 +183,7 @@ let all =
       title = "Fig S: KV serving benchmark, tail latency vs offered load";
       run =
         (fun ctx ->
-          Serve.run ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race
-            ~profile:ctx.profile ~seed:ctx.seed
+          Serve.run ~arm:ctx.arm ~seed:ctx.seed
             (Serve.default ~quick:ctx.quick));
     };
     {
@@ -200,7 +191,7 @@ let all =
       title = "Theorem 1/2 audit: deferred decrements vs O(P^2)";
       run =
         (fun ctx ->
-          Audits.bounds ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race
+          Audits.bounds ~arm:ctx.arm
             ~threads:(if ctx.quick then [ 4; 48 ] else [ 4; 16; 48; 96; 144 ])
             ~seed:ctx.seed ());
     };
@@ -209,7 +200,7 @@ let all =
       title = "Theorem 1 audit: constant per-operation overhead";
       run =
         (fun ctx ->
-          Audits.cost ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race
+          Audits.cost ~arm:ctx.arm
             ~threads:(if ctx.quick then [ 1; 48 ] else [ 1; 4; 16; 48; 96; 144 ])
             ~seed:ctx.seed ());
     };
@@ -218,26 +209,26 @@ let all =
       title = "Audit: per-operation tail latency across schemes";
       run =
         (fun ctx ->
-          Audits.latency ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~threads:(if ctx.quick then 32 else 96) ~seed:ctx.seed ());
+          Audits.latency ~arm:ctx.arm ~threads:(if ctx.quick then 32 else 96) ~seed:ctx.seed ());
     };
     {
       id = "ablation-eject";
       title = "Ablation: eject deamortization constant";
-      run = (fun ctx -> Audits.eject_work ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~seed:ctx.seed ());
+      run = (fun ctx -> Audits.eject_work ~arm:ctx.arm ~seed:ctx.seed ());
     };
     {
       id = "ablation-skew";
       title = "Ablation: Zipfian read skew (hash table lookups)";
       run =
         (fun ctx ->
-          Audits.skew ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race ~threads:(if ctx.quick then 32 else 96) ~seed:ctx.seed ());
+          Audits.skew ~arm:ctx.arm ~threads:(if ctx.quick then 32 else 96) ~seed:ctx.seed ());
     };
     {
       id = "ablation-acquire";
       title = "Ablation: lock-free vs wait-free acquire";
       run =
         (fun ctx ->
-          Audits.acquire_mode ~pool:ctx.pool ?tracer:ctx.tracer ?sanitize:ctx.sanitize ?race:ctx.race
+          Audits.acquire_mode ~arm:ctx.arm
             ~threads:(if ctx.quick then [ 1; 48 ] else [ 1; 16; 48; 96; 144 ])
             ~seed:ctx.seed ());
     };
@@ -247,9 +238,7 @@ let all =
       run =
         (fun ctx ->
           let threads = match ctx.threads with Some (t :: _) -> t | _ -> 8 in
-          Fig_robust.run ~pool:ctx.pool ?tracer:ctx.tracer
-            ?sanitize:ctx.sanitize ?race:ctx.race ~profile:ctx.profile
-            ~threads
+          Fig_robust.run ~arm:ctx.arm ~threads
             ~horizon:(horizon ctx 60_000)
             ~seed:ctx.seed
             ~size:16
@@ -265,21 +254,55 @@ let all =
       title = "Audit: race-freedom certification (FastTrack analyzer, Chaos)";
       run =
         (fun ctx ->
-          Audits.races ~pool:ctx.pool ~seed:ctx.seed ~quick:ctx.quick ());
+          Audits.races ~arm:ctx.arm ~seed:ctx.seed ~quick:ctx.quick ());
     };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-(* An experiment creates one heap (hence one telemetry registry) per
-   benchmark point; [mark]/[merged_recent] aggregate across all of them
-   so the printout describes the whole experiment. *)
-let print_stats () =
-  let merged = Simcore.Telemetry.merged_recent () in
-  if merged = [] then print_string "  (no telemetry recorded)\n"
-  else
-    List.iter (fun (k, v) -> Printf.printf "  %-32s %d\n" k v) merged;
-  print_newline ()
+(* Run [f] under the instruments [ctx] arms, then print their
+   strippable blocks for experiment [id]: racecheck, telemetry,
+   profile. Each block is self-contained (no blank separator lines
+   inside its markers), so tools/identity.sh can cut exactly the
+   marker-to-marker range and recover the unarmed output. *)
+let report ctx ~id f =
+  let raced = not (Simcore.Racecheck.is_off ctx.arm.config.race) in
+  if ctx.stats then Simcore.Telemetry.mark ();
+  if ctx.arm.profile then Simcore.Profiler.mark ();
+  if raced then Simcore.Racecheck.mark ();
+  f ();
+  if raced then begin
+    (* Reports are in cell completion order, so only a sequential pool
+       is deterministic; the count always is. *)
+    let reports, total = Simcore.Racecheck.recent_reports () in
+    Printf.printf "--- racecheck (%s; %d reports) ---\n" id total;
+    List.iter (fun r -> Printf.printf "%s\n" r) reports;
+    if total > List.length reports then
+      Printf.printf "  ... %d more (retention cap)\n"
+        (total - List.length reports);
+    Printf.printf "--- end racecheck ---\n"
+  end;
+  if ctx.stats then begin
+    (* One heap, hence one telemetry registry, per benchmark point;
+       [mark]/[merged_recent] aggregate them into the whole experiment. *)
+    Printf.printf
+      "\n--- telemetry (%s; summed across points, peaks maxed) ---\n" id;
+    (match Simcore.Telemetry.merged_recent () with
+    | [] -> print_string "  (no telemetry recorded)\n"
+    | merged ->
+        List.iter (fun (k, v) -> Printf.printf "  %-32s %d\n" k v) merged);
+    print_newline ()
+  end;
+  if not ctx.arm.profile then ""
+  else begin
+    let profilers = Simcore.Profiler.recent () in
+    Printf.printf
+      "--- profile (%s; ticks by phase, cells merged by scheme) ---\n\
+       %s--- end profile ---\n"
+      id
+      (Simcore.Profiler.report_string profilers);
+    Simcore.Profiler.collapsed_string profilers
+  end
 
 let run_ids ctx ids =
   let ids =
@@ -293,48 +316,7 @@ let run_ids ctx ids =
       match find id with
       | Some e ->
           Printf.printf "\n##### %s #####\n%!" e.title;
-          if ctx.stats then Simcore.Telemetry.mark ();
-          if ctx.profile then Simcore.Profiler.mark ();
-          if ctx.race <> None then Simcore.Racecheck.mark ();
-          e.run ctx;
-          (if ctx.race <> None then begin
-             (* Same strippable-marker contract as the profile block: the
-                raced run's stdout minus marker-to-marker ranges must be
-                byte-identical to a plain run (the CI diff). Reports are
-                in cell completion order, so only a sequential pool is
-                deterministic — the count always is. *)
-             let reports, total = Simcore.Racecheck.recent_reports () in
-             Printf.printf "--- racecheck (%s; %d reports) ---\n" e.id total;
-             List.iter
-               (fun r -> Printf.printf "%s\n" r)
-               reports;
-             if total > List.length reports then
-               Printf.printf "  ... %d more (retention cap)\n"
-                 (total - List.length reports);
-             Printf.printf "--- end racecheck ---\n"
-           end);
-          if ctx.stats then begin
-            Printf.printf "\n--- telemetry (%s; summed across points, peaks \
-                           maxed) ---\n"
-              e.id;
-            print_stats ()
-          end;
-          if ctx.profile then begin
-            let profilers = Simcore.Profiler.recent () in
-            (* The block is self-contained (no blank separator lines)
-               so the CI byte-diff can strip exactly the marker-to-marker
-               range and recover the unprofiled output. *)
-            Printf.printf
-              "--- profile (%s; ticks by phase, cells merged by scheme) \
-               ---\n%s--- end profile ---\n"
-              e.id
-              (Simcore.Profiler.report_string profilers);
-            match ctx.profile_out with
-            | Some _ ->
-                Buffer.add_string collapsed
-                  (Simcore.Profiler.collapsed_string profilers)
-            | None -> ()
-          end
+          Buffer.add_string collapsed (report ctx ~id (fun () -> e.run ctx))
       | None ->
           failwith
             (Printf.sprintf "unknown experiment %S; known: %s" id
@@ -346,7 +328,7 @@ let run_ids ctx ids =
       Buffer.output_buffer oc collapsed;
       close_out oc;
       (* stderr: stdout must stay byte-identical to an unprofiled run
-         once the profile blocks are stripped (the CI diff). *)
+         once the profile blocks are stripped. *)
       Printf.eprintf "wrote collapsed stacks to %s (flamegraph.pl input)\n"
         file
   | None -> ()

@@ -8,41 +8,21 @@ type ctx = {
   seed : int;
   stats : bool;
       (** print a merged telemetry summary after each experiment *)
-  profile : bool;
-      (** give every Fig6/Fig7/Figure S benchmark cell a
-          {!Simcore.Profiler} (labelled by scheme, conservation asserted
-          per cell) and print a per-scheme phase-breakdown block after
-          each experiment. Zero perturbation: the tables themselves are
-          byte-identical with it on or off. *)
   profile_out : string option;
-      (** with [profile], also write every cell's collapsed phase
+      (** with [arm.profile], also write every cell's collapsed phase
           stacks (flamegraph.pl folded format) to this file,
           accumulated across the requested experiments *)
-  pool : Simcore.Domain_pool.t;
-      (** worker-domain pool the sweeps' cells are mapped through; the
-          CLI builds it from [--jobs]/[REPRO_JOBS]. Results are
-          bit-identical at every parallelism level — the pool changes
-          wall-clock time only. *)
-  tracer : Simcore.Trace.t option;
-      (** event tracer passed to every benchmark point ([--trace-out]);
-          only meaningful with a sequential pool, which the CLI
-          enforces *)
-  sanitize : Simcore.Sanitizer.mode option;
-      (** sanitizer mode applied to every benchmark point's heap
-          ([--sanitize]/[REPRO_SANITIZE]); [None] leaves each point's
-          config untouched. With the non-quarantine modes the printed
-          tables are byte-identical to an unsanitized run. *)
-  race : Simcore.Racecheck.mode option;
-      (** race-checker mode applied to every benchmark point's heap
-          ([--race]/[REPRO_RACE]); [None] leaves each point's config
-          untouched. The checker pays no ticks, so the tables are
-          byte-identical to an unraced run; [run_ids] additionally
-          prints a strippable [--- racecheck ---] report block after
-          each experiment. *)
+  arm : Measure.arm;
+      (** what every benchmark cell runs under: the pool its cells map
+          through ([--jobs]), its config ([--no-vm], [--alloc],
+          [--sanitize], [--race]), per-cell profilers ([--profile]) and
+          the tracer ([--trace-out]). The CLI builds it with
+          {!Simcore.Config.resolve}. No field changes the tables: each
+          armed instrument adds only a strippable block after them. *)
 }
 
 val default_ctx : ctx
-(** Sequential pool ({!Simcore.Domain_pool.sequential}), no tracer. *)
+(** Full sweeps, seed 42, {!Measure.unarmed}. *)
 
 type exp = {
   id : string;  (** e.g. "6a", "7c", "audit-bounds" *)
@@ -54,10 +34,13 @@ val all : exp list
 
 val find : string -> exp option
 
-val print_stats : unit -> unit
-(** Print the merged telemetry recorded since the last
-    {!Simcore.Telemetry.mark} — shared by [run_ids] and the [serve]
-    subcommand's [--stats]. *)
+val report : ctx -> id:string -> (unit -> unit) -> string
+(** [report ctx ~id f] runs [f], then prints the blocks of what [ctx]
+    arms, labelled [id]: the [--- racecheck] reports when
+    [arm.config.race] is on, the merged telemetry when [stats], and the
+    [--- profile] breakdown when [arm.profile]. Returns the collapsed
+    phase stacks of the profiled cells ([""] unprofiled). [run_ids] and
+    the [serve] subcommand both print through it. *)
 
 val run_ids : ctx -> string list -> unit
 (** Run the given experiment ids ("all" = everything).

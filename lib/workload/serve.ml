@@ -40,10 +40,10 @@ let default ~quick =
     slo = 5000;
   }
 
-let cell ?tracer ?sanitize ?race ?(profile = false) ~seed p rate scheme =
-  let profiler = Fig6.cell_profiler ~profile scheme in
+let cell (arm : Measure.arm) ~seed p rate scheme =
+  let profiler = Fig6.cell_profiler ~profile:arm.profile scheme in
   let r =
-    Service.Bench.run ?tracer ?sanitize ?race ?profiler ~seed
+    Service.Bench.run ?tracer:arm.tracer ~config:arm.config ?profiler ~seed
       {
         Service.Bench.scheme;
         rate;
@@ -63,11 +63,10 @@ let cell ?tracer ?sanitize ?race ?(profile = false) ~seed p rate scheme =
   Fig6.assert_conservation scheme profiler;
   r
 
-let grid ?(pool = Pool.sequential) ?tracer ?sanitize ?race ?profile
-    ?(seed = 42) p =
-  Pool.map_grid pool ~rows:p.rates ~cols:p.schemes
+let grid ?(arm = Measure.unarmed) ?(seed = 42) p =
+  Pool.map_grid arm.pool ~rows:p.rates ~cols:p.schemes
     ~label:(fun rate scheme -> Printf.sprintf "Fig S [%s, rate=%d]" scheme rate)
-    (fun rate scheme -> cell ?tracer ?sanitize ?race ?profile ~seed p rate scheme)
+    (fun rate scheme -> cell arm ~seed p rate scheme)
 
 let write_json file results =
   let oc = open_out file in
@@ -86,8 +85,8 @@ let write_json file results =
      [--json-out] (the CI profiled-vs-plain diff). *)
   Printf.eprintf "wrote %d cell reports to %s\n" !n file
 
-let run ?pool ?tracer ?sanitize ?race ?profile ?json_out ?seed p =
-  let results = grid ?pool ?tracer ?sanitize ?race ?profile ?seed p in
+let run ?arm ?json_out ?seed p =
+  let results = grid ?arm ?seed p in
   let series f = List.map (fun (rate, cells) -> (rate, List.map f cells)) results in
   let subtitle =
     Format.asprintf "%a arrivals, %d workers, %d clients, cap %d"

@@ -29,35 +29,28 @@ val default : quick:bool -> params
     dimension for CI. *)
 
 val grid :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?seed:int ->
   params ->
   (int * Service.Slo.report list) list
 (** The raw sweep: one report per (rate × scheme) cell, rows in [rates]
-    order, each row's reports in [schemes] order. [profile] gives each
-    cell its own {!Simcore.Profiler} labelled by scheme (conservation
+    order, each row's reports in [schemes] order. Every cell runs under
+    [arm] (default {!Measure.unarmed}). Its [profile] gives each cell
+    its own {!Simcore.Profiler} labelled by scheme (conservation
     asserted per cell) and populates the reports' critical-path
     breakdowns; the simulated results are bit-identical either way. *)
 
 val run :
-  ?pool:Simcore.Domain_pool.t ->
-  ?tracer:Simcore.Trace.t ->
-  ?sanitize:Simcore.Sanitizer.mode ->
-  ?race:Simcore.Racecheck.mode ->
-  ?profile:bool ->
+  ?arm:Measure.arm ->
   ?json_out:string ->
   ?seed:int ->
   params ->
   unit
 (** Run the grid and print the Figure S tables: p99.9, p99.99 and
     median latency, throughput, goodput, shed rate, per-cell SLO
-    verdicts, and — when [profile] is on — the per-request critical-path
-    component tables (queue wait / service / retry stall / reclamation
-    stall) plus any SLO-breach flight-recorder timelines (only if
-    {!Simcore.Recorder.auto_dump_enabled}). [json_out] additionally
+    verdicts, and — when [arm.profile] is on — the per-request
+    critical-path component tables (queue wait / service / retry stall
+    / reclamation stall) plus any SLO-breach flight-recorder timelines
+    (only if {!Simcore.Recorder.auto_dump_enabled}). [json_out] additionally
     writes every cell's {!Service.Slo.to_json} line to the given file,
     one JSON object per line, for downstream plotting. *)

@@ -94,7 +94,8 @@ let test_fig7_point_identical () =
    point the adversary needed to see. *)
 let test_faulted_point_identical () =
   let run ~fastpath ~vm =
-    Workload.Fig_robust.point ~fastpath ~vm ~scheme:"DEBRA+"
+    Workload.Fig_robust.point ~fastpath ~config:{ Config.default with vm }
+      ~scheme:"DEBRA+"
       ~fault:Workload.Fig_robust.Stall_one ~threads:4 ~horizon:6_000 ~seed:42
       ~size:16 ~update_pct:50 ()
   in

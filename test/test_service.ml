@@ -276,12 +276,10 @@ let test_pool_identity () =
 
 let test_sanitized_cell_clean () =
   (* Default sanitizer modes must neither report nor perturb. *)
-  match Sanitizer.mode_of_string "default" with
-  | Error e -> Alcotest.fail e
-  | Ok mode ->
-      let p = small_params () in
-      Alcotest.(check bool) "sanitized = plain" true
-        (B.run ~sanitize:mode ~seed:5 p = B.run ~seed:5 p)
+  let p = small_params () in
+  let config = { Config.default with sanitize = Sanitizer.default_on } in
+  Alcotest.(check bool) "sanitized = plain" true
+    (B.run ~config ~seed:5 p = B.run ~seed:5 p)
 
 let test_registry_has_serve () =
   Alcotest.(check bool) "registry has serve" true

@@ -55,6 +55,11 @@
 #      Int code uses Int.min/Int.max or an explicit test, and sort sites
 #      pass a typed comparator. Comments and string literals are
 #      ignored.
+#   9. No environment reads under lib/: Sys.getenv and Sys.getenv_opt
+#      belong to the executables. The CLI turns its flags and REPRO_*
+#      variables into one Config.t (Config.resolve, which takes a
+#      getenv function), so a library default can never depend on the
+#      process environment behind a caller's back.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -244,6 +249,15 @@ for name in memory memcore vm sim proc racecheck sanitizer profiler telemetry al
   fi
 done
 
+# --- Rule 9: no environment reads under lib/ --------------------------------
+if [ -d "$root/lib" ]; then
+  hits=$(grep -rnE '(^|[^.A-Za-z0-9_])Sys\.getenv' "$root/lib" --include='*.ml' 2>/dev/null)
+  if [ -n "$hits" ]; then
+    fail "lint: Sys.getenv under lib/ (resolve the environment in the executable and pass a Config.t, or pass a getenv function):"
+    printf '%s\n' "$hits" >&2
+  fi
+fi
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -400,6 +414,14 @@ let s l = List.sort Int.compare l
 RC
   echo 'let m a b = max a b' > "$tmp/lib/workload/ok.ml"
   check_passes "typed comparisons and polymorphic ones elsewhere"
+
+  # Rule 9: an environment read seeded into a copy of fig6.ml.
+  mkdir -p "$tmp/lib/workload"
+  if [ -f "$root/lib/workload/fig6.ml" ]; then
+    cp "$root/lib/workload/fig6.ml" "$tmp/lib/workload/fig6.ml"
+  fi
+  echo 'let vm () = Sys.getenv_opt "REPRO_VM" <> Some "0"' >> "$tmp/lib/workload/fig6.ml"
+  check_catches "Sys.getenv_opt in lib/workload/fig6.ml"
 
   echo "lint --self-test: ok"
   exit 0
