@@ -153,8 +153,10 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* Enough for the tail of a quick run; the ring keeps the newest events. *)
-let trace_capacity = 262_144
+(* Events kept per simulated process: enough for the tail of a quick
+   run (the 144-process cells keep about 258k in all); each ring keeps
+   its newest events. *)
+let trace_capacity = 1792
 
 (* The one way a command arms its cells: the flags, else the REPRO_*
    variables, resolved into a config and a job count, or the first
@@ -184,7 +186,7 @@ let run_cells ~jobs ~trace_out f =
     let tracer =
       match trace_out with
       | None -> None
-      | Some _ -> Some (Simcore.Trace.create ~capacity:trace_capacity)
+      | Some _ -> Some (Simcore.Recorder.create ~capacity:trace_capacity ())
     in
     let res =
       Simcore.Domain_pool.with_pool ~jobs (fun pool ->
@@ -200,7 +202,7 @@ let run_cells ~jobs ~trace_out f =
     (match (trace_out, tracer) with
     | Some file, Some tr ->
         let oc = open_out file in
-        output_string oc (Simcore.Trace.chrome_json tr);
+        Simcore.Recorder.chrome_json oc tr;
         close_out oc;
         Printf.printf "\nwrote Chrome trace to %s\n" file
     | _ -> ());

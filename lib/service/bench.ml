@@ -2,7 +2,6 @@ module M = Simcore.Memory
 module Sim = Simcore.Sim
 module Proc = Simcore.Proc
 module Tele = Simcore.Telemetry
-module Trace = Simcore.Trace
 module Prof = Simcore.Profiler
 module Recorder = Simcore.Recorder
 
@@ -50,10 +49,10 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
   let done_c = Tele.counter tele "svc.done" in
   let ok_c = Tele.counter tele "svc.ok" in
   let span_begin () =
-    match tracer with Some tr -> Trace.span_begin tr "svc.req" | None -> ()
+    match tracer with Some tr -> Recorder.span_begin tr "svc.req" | None -> ()
   in
   let span_end () =
-    match tracer with Some tr -> Trace.span_end tr "svc.req" | None -> ()
+    match tracer with Some tr -> Recorder.span_end tr "svc.req" | None -> ()
   in
   (* Per-request critical-path totals (see {!Slo.breakdown}). All
      workers run on the scheduler's one domain, so plain refs suffice.

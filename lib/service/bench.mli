@@ -36,7 +36,7 @@ val request_overhead : int
 
 val run :
   ?fastpath:bool ->
-  ?tracer:Simcore.Trace.t ->
+  ?tracer:Simcore.Recorder.t ->
   ?config:Simcore.Config.t ->
   ?profiler:Simcore.Profiler.t ->
   ?seed:int ->

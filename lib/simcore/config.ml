@@ -1,4 +1,4 @@
-type cost = {
+type cost = Memcore.cost = {
   c_l1 : int;
   c_hit : int;
   c_read_miss : int;

@@ -7,7 +7,7 @@
     contended read-modify-writes must dwarf owned ones, which is the
     phenomenon behind Figures 6-7. *)
 
-type cost = {
+type cost = Memcore.cost = {
   c_l1 : int;  (** re-read of the process's last-touched, unmodified line *)
   c_hit : int;  (** read of a line not exclusively held elsewhere *)
   c_read_miss : int;  (** read of a line another core holds exclusively *)

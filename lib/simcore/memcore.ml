@@ -18,6 +18,21 @@
    validation — and the coherence line/L1 state rides in the same
    record so one load reaches everything an access needs. *)
 
+(* The instruction cost model, re-exported and documented as
+   {!Config.cost}. It lives here so that the instruments, whose modes
+   [Config] names, can read the heap without a module cycle. *)
+type cost = {
+  c_l1 : int;
+  c_hit : int;
+  c_read_miss : int;
+  c_rmw_owned : int;
+  c_rmw_transfer : int;
+  c_dwcas_extra : int;
+  c_alloc : int;
+  c_free : int;
+  c_local : int;
+}
+
 type t = {
   (* Heap words. *)
   mutable words : int array;
@@ -76,7 +91,7 @@ let grow_array a ~needed ~fill =
   Array.blit a 0 b 0 n;
   b
 
-let create cost =
+let create (cost : cost) =
   {
     words = Array.make (1 lsl 12) 0;
     block_id = Array.make (1 lsl 12) 0;
@@ -93,14 +108,14 @@ let create cost =
     vers = Array.make 1024 0;
     l1_line = Array.make (2 * max_pids) (-1);
     l1_ver = Array.make (2 * max_pids) (-1);
-    c_l1 = cost.Config.c_l1;
-    c_hit = cost.Config.c_hit;
-    c_read_miss = cost.Config.c_read_miss;
-    c_rmw_owned = cost.Config.c_rmw_owned;
-    c_rmw_transfer = cost.Config.c_rmw_transfer;
-    c_dwcas_extra = cost.Config.c_dwcas_extra;
-    c_alloc = cost.Config.c_alloc;
-    c_free = cost.Config.c_free;
+    c_l1 = cost.c_l1;
+    c_hit = cost.c_hit;
+    c_read_miss = cost.c_read_miss;
+    c_rmw_owned = cost.c_rmw_owned;
+    c_rmw_transfer = cost.c_rmw_transfer;
+    c_dwcas_extra = cost.c_dwcas_extra;
+    c_alloc = cost.c_alloc;
+    c_free = cost.c_free;
     san_on = false;
   }
 
@@ -139,7 +154,7 @@ let ensure_line t line =
 let create_like t =
   create
     {
-      Config.c_l1 = t.c_l1;
+      c_l1 = t.c_l1;
       c_hit = t.c_hit;
       c_read_miss = t.c_read_miss;
       c_rmw_owned = t.c_rmw_owned;
@@ -162,6 +177,8 @@ let reset_lines t ~base ~size =
     t.lines.(line) <- 0;
     t.vers.(line) <- t.vers.(line) + 1
   done
+
+let block_of t a = if a > 0 && a < t.top then t.block_id.(a) else 0
 
 let pid_slot pid = if pid < 0 || pid >= max_pids then max_pids - 1 else pid
 

@@ -9,6 +9,21 @@
     and workload code should use {!Memory}. The record is exposed
     transparently for exactly those two clients. *)
 
+type cost = {
+  c_l1 : int;
+  c_hit : int;
+  c_read_miss : int;
+  c_rmw_owned : int;
+  c_rmw_transfer : int;
+  c_dwcas_extra : int;
+  c_alloc : int;
+  c_free : int;
+  c_local : int;
+}
+(** The instruction cost model, documented where it is re-exported:
+    {!Config.cost}. It lives here so that the instruments, whose modes
+    {!Config} names, can read the heap without a module cycle. *)
+
 type t = {
   mutable words : int array;
   mutable block_id : int array;
@@ -51,7 +66,7 @@ val grow_array : 'a array -> needed:int -> fill:'a -> 'a array
     the one array-doubling dance shared by every growable array in the
     heap. *)
 
-val create : Config.cost -> t
+val create : cost -> t
 
 val create_like : t -> t
 (** A fresh, empty coherence domain sharing [t]'s cost scalars — the
@@ -72,6 +87,10 @@ val ensure_block : t -> int -> unit
 val line_of_addr : int -> int
 
 val ensure_line : t -> int -> unit
+
+val block_of : t -> int -> int
+(** The id of the block containing address [a] (live or freed), or [0]
+    when [a] lies in none. *)
 
 val pid_slot : int -> int
 

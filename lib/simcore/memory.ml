@@ -67,14 +67,10 @@ type t = {
   c_alloc_reuse : Telemetry.counter;
   c_free : Telemetry.counter;
   tag_probes : (string, Telemetry.counter * Telemetry.counter) Hashtbl.t;
-  (* Sanitizer: always present (no-op entry points when the mode is
-     off); [shadows] parallels the block ids and is only
-     maintained/indexed when [san_on]. [quarantine] holds
-     freed-but-not-yet-reusable block ids in FIFO order. *)
+  (* Sanitizer: always present, owning its per-block state; called
+     only when [san_on]. *)
   san : Sanitizer.t;
   san_on : bool;
-  mutable shadows : Sanitizer.shadow array;
-  quarantine : int Queue.t;
   (* Race checker: always present (no-op when off). Pays no ticks and
      allocates nothing simulated, so arming it perturbs no schedule;
      the VM's memory opcodes call the same {!instrument} observer after
@@ -83,22 +79,18 @@ type t = {
   race : Racecheck.t;
   race_on : bool;
   (* Flight recorder: always-on bounded ring of recent events (allocs,
-     frees, retires, faults) per process, dumped as a merged timeline
-     when this heap faults or the sanitizer reports. *)
+     frees, retires, faults, reports) per process, dumped as a merged
+     timeline when this heap faults or an instrument reports. *)
   recorder : Recorder.t;
 }
 
-(* Sentinel filling quarantined blocks; any surviving non-poison word at
-   release time indicates the heap's own access checks were bypassed. *)
-let poison_word = 0xDEAD_F00D
-
 let create config =
   let tele = Telemetry.create () in
-  let san = Sanitizer.create config.Config.sanitize tele in
-  let san_on = not (Sanitizer.is_off config.Config.sanitize) in
-  let race = Racecheck.create config.Config.race tele in
-  let race_on = not (Racecheck.is_off config.Config.race) in
   let h = Memcore.create config.Config.cost in
+  let san = Sanitizer.create config.Config.sanitize tele h in
+  let san_on = not (Sanitizer.is_off config.Config.sanitize) in
+  let race = Racecheck.create config.Config.race tele h in
+  let race_on = not (Racecheck.is_off config.Config.race) in
   h.Memcore.san_on <- san_on || race_on;
   {
     config;
@@ -121,11 +113,9 @@ let create config =
     tag_probes = Hashtbl.create 16;
     san;
     san_on;
-    shadows = (if san_on then Array.make 256 (Sanitizer.fresh_shadow ()) else [||]);
-    quarantine = Queue.create ();
     race;
     race_on;
-    recorder = Recorder.create ~procs:config.Config.cores ();
+    recorder = Recorder.create ();
   }
 
 let telemetry t = t.tele
@@ -157,39 +147,25 @@ let tag_cell t tag =
       Hashtbl.add t.tag_live tag r;
       r
 
-(* Raise a [Fault], first recording an ASan-style sanitizer report
-   (header + block provenance + any caller-supplied detail lines) when
-   the sanitizer is on. *)
+(* File a report to the flight recorder: note it under [label] at
+   [addr] and, when auto-dump is on, print the merged timeline. *)
+let file t label addr ~header =
+  Recorder.count t.recorder label addr;
+  if Recorder.auto_dump_enabled () then
+    prerr_string
+      (Recorder.dump_string ~header:("flight recorder: " ^ header) t.recorder)
+
+(* Raise a [Fault], first filing the sanitizer's report of it (header,
+   block provenance, any caller-supplied detail lines) when armed. *)
 let mem_fault : type a. t -> fault_kind -> addr:int -> ?tag:string ->
     ?extra:string list -> unit -> a =
  fun t kind ~addr ?tag ?(extra = []) () ->
   let pid = Proc.self () in
-  if t.san_on then begin
-    let h = t.h in
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "==sanitizer== %s: addr=%d pid=%d tag=%s"
-         (fault_kind_to_string kind) addr pid
-         (match tag with Some s -> s | None -> "-"));
-    if
-      (Sanitizer.mode t.san).Sanitizer.shadow
-      && addr > 0 && addr < h.Memcore.top
-      && h.Memcore.block_id.(addr) <> 0
-    then
-      List.iter
-        (fun l -> Buffer.add_string buf ("\n  " ^ l))
-        (Sanitizer.provenance t.san t.shadows.(h.Memcore.block_id.(addr)));
-    List.iter (fun l -> Buffer.add_string buf ("\n  " ^ l)) extra;
-    Buffer.add_string buf
-      (Printf.sprintf "\n  faulting access by pid %d at t=%d" pid
-         (Proc.global_now ()));
-    Sanitizer.report t.san (Buffer.contents buf)
-  end;
-  Recorder.count t.recorder (fault_kind_to_string kind) addr;
-  if Recorder.auto_dump_enabled () then
-    Recorder.dump_stderr
-      ~header:("flight recorder: " ^ fault_kind_to_string kind)
-      t.recorder;
+  let what = fault_kind_to_string kind in
+  if t.san_on then
+    Sanitizer.report_fault t.san ~what ~addr ~pid ~tag ~extra
+      ~time:(Proc.global_now ());
+  file t what addr ~header:what;
   raise (Fault { kind; addr; pid; tag })
 
 (* Address validation for a data access at [a]; returns the block id. *)
@@ -224,60 +200,22 @@ let env_pid = function Some e -> e.Proc.pid | None -> -1
 
 let env_time = function Some e -> e.Proc.gclock () | None -> 0
 
-(* Sanitizer hooks for a validated access to [a]: the protection-window
-   audit on SMR-tracked blocks, and the recent-ops provenance ring. *)
+(* The sanitizer's audit of a validated access to [a]. *)
 let san_access t ~write ~pid ~time a =
-  let bid = t.h.Memcore.block_id.(a) in
-  let sh = t.shadows.(bid) in
-  let m = Sanitizer.mode t.san in
-  (* Audit only in-simulation dereferences of SMR-tracked blocks that
-     were allocated in-simulation. Setup-allocated blocks (structure
-     roots, prefill) are immortal or handed over with the structure;
-     the allocating pid may touch its own block bare until it is
-     published and retired (it owns it outright before publication). *)
-  if
-    m.Sanitizer.protocol && Sanitizer.tracked sh && pid >= 0
-    && Sanitizer.alloc_pid sh >= 0
-    && not (pid = Sanitizer.alloc_pid sh && not (Sanitizer.retired sh))
-    && not (Sanitizer.pid_shielded t.san ~pid)
-  then
-    mem_fault t Protection_violation ~addr:a ~tag:t.h.Memcore.b_tag.(bid)
-      ~extra:[ "SMR-tracked block dereferenced outside any protection window" ]
-      ();
-  if m.Sanitizer.shadow then Sanitizer.note_access t.san sh ~write ~pid ~time
-
-(* Decorate a conflict from {!Racecheck} with block provenance and
-   record it the way sanitizer reports are recorded: an ASan-style
-   text (retained, counted, recorder-noted, auto-dumped). Races never
-   raise — the run completes and the audit reads the report list. *)
-let race_note t (r : Racecheck.race) =
   let h = t.h in
-  let addr = r.Racecheck.r_addr in
-  let bid =
-    if addr > 0 && addr < h.Memcore.top then h.Memcore.block_id.(addr) else 0
-  in
-  let side (s : Racecheck.side) =
-    Printf.sprintf "%s by pid %d at t=%d" s.Racecheck.s_what s.Racecheck.s_pid
-      s.Racecheck.s_time
-  in
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "==racecheck== data race: addr=%d tag=%s" addr
-       (if bid <> 0 then h.Memcore.b_tag.(bid) else "-"));
-  Buffer.add_string buf ("\n  " ^ side r.Racecheck.r_cur);
-  Buffer.add_string buf ("\n  conflicts with earlier " ^ side r.Racecheck.r_prev);
-  (match if bid <> 0 then Racecheck.alloc_site t.race ~bid else None with
-  | Some (apid, atime) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\n  block allocated by pid %d at t=%d (tag %s)" apid
-           atime h.Memcore.b_tag.(bid))
-  | None -> ());
-  Racecheck.report t.race (Buffer.contents buf);
-  Recorder.count t.recorder "data-race" addr;
-  if Recorder.auto_dump_enabled () then
-    Recorder.dump_stderr ~header:"flight recorder: racecheck report" t.recorder
+  let bid = h.Memcore.block_id.(a) in
+  if Sanitizer.on_access t.san ~bid ~write ~pid ~time then
+    mem_fault t Protection_violation ~addr:a ~tag:h.Memcore.b_tag.(bid)
+      ~extra:[ "SMR-tracked block dereferenced outside any protection window" ]
+      ()
 
-let race_noted t = function Some r -> race_note t r | None -> ()
+(* Races never raise: the run completes and the audit reads the
+   report list. *)
+let race_noted t = function
+  | Some r ->
+      Racecheck.report_race t.race r;
+      file t "data-race" r.Racecheck.r_addr ~header:"racecheck report"
+  | None -> ()
 
 (* Both instruments on one validated access to [a]; [race] is the
    checker's hook for the access kind. *)
@@ -319,13 +257,6 @@ let new_block_slot t =
    independent of the allocator policy (see {!Memcore.reset_lines}). *)
 let round_up_align a =
   (a + Memcore.alloc_align - 1) / Memcore.alloc_align * Memcore.alloc_align
-
-(* Ensure [t.shadows] covers block [id] with a fresh record. *)
-let shadow_slot t id =
-  if id >= Array.length t.shadows then
-    t.shadows <-
-      Memcore.grow_array t.shadows ~needed:(id + 1) ~fill:t.shadows.(0);
-  t.shadows.(id) <- Sanitizer.fresh_shadow ()
 
 let alloc t ~tag ~size =
   assert (size > 0);
@@ -377,12 +308,11 @@ let alloc t ~tag ~size =
         h.Memcore.b_tag.(id) <- tag;
         h.Memcore.b_live.(id) <- 1;
         Array.fill h.Memcore.block_id base size id;
-        if t.san_on then shadow_slot t id;
         (id, base)
   in
   if h.Memcore.san_on then begin
     let time = Proc.global_now () in
-    if t.san_on then Sanitizer.shadow_alloc t.san t.shadows.(id) ~pid ~time;
+    if t.san_on then Sanitizer.on_alloc t.san ~bid:id ~pid ~time;
     if t.race_on then
       Racecheck.on_alloc t.race ~bid:id ~base ~size:h.Memcore.b_size.(id) ~pid
         ~time
@@ -399,31 +329,6 @@ let alloc t ~tag ~size =
   Recorder.count t.recorder tag base;
   base
 
-(* Release the oldest quarantined block back to the freelist, verifying
-   its poison first (a damaged sentinel means the heap's own access
-   checks were bypassed — an internal invariant violation). *)
-let quarantine_release_oldest t =
-  let h = t.h in
-  let old = Queue.pop t.quarantine in
-  let base = h.Memcore.b_base.(old) and size = h.Memcore.b_size.(old) in
-  let intact = ref true in
-  for i = base to base + size - 1 do
-    if h.Memcore.words.(i) <> poison_word then intact := false
-  done;
-  if not !intact then begin
-    Sanitizer.report t.san
-      (Printf.sprintf
-         "==sanitizer== quarantine poison damaged: addr=%d tag=%s" base
-         h.Memcore.b_tag.(old));
-    if Recorder.auto_dump_enabled () then
-      Recorder.dump_stderr ~header:"flight recorder: sanitizer report"
-        t.recorder
-  end;
-  Array.fill h.Memcore.words base size 0;
-  Sanitizer.set_quarantined t.shadows.(old) false;
-  if t.config.Config.reuse then
-    Alloc.release t.al ~pid:(Proc.self ()) ~bid:old
-
 let free t a =
   let h = t.h in
   let pid = Proc.self () in
@@ -433,13 +338,9 @@ let free t a =
   let release_cost =
     if not t.config.Config.alloc_contention then 0
     else begin
-      let bid =
-        if a > 0 && a < h.Memcore.top then h.Memcore.block_id.(a) else 0
-      in
+      let bid = Memcore.block_of h a in
       if bid <> 0 && h.Memcore.b_base.(bid) = a && h.Memcore.b_live.(bid) = 1
-      then
-        Alloc.plan_release t.al ~pid
-          ~size:h.Memcore.b_size.(bid)
+      then Alloc.plan_release t.al ~pid ~size:h.Memcore.b_size.(bid)
       else 0
     end
   in
@@ -447,23 +348,20 @@ let free t a =
   Proc.pay (h.Memcore.c_free + release_cost);
   Profiler.exit ();
   Recorder.count t.recorder "free" a;
-  if a <= 0 || a >= h.Memcore.top then mem_fault t Not_a_block ~addr:a ();
-  let bid = h.Memcore.block_id.(a) in
+  let bid = Memcore.block_of h a in
   if bid = 0 then mem_fault t Not_a_block ~addr:a ();
   let tag = h.Memcore.b_tag.(bid) in
   if h.Memcore.b_base.(bid) <> a then mem_fault t Not_a_block ~addr:a ~tag ();
   if h.Memcore.b_live.(bid) = 0 then mem_fault t Double_free ~addr:a ~tag ();
-  if t.san_on && (Sanitizer.mode t.san).Sanitizer.protocol then begin
-    let n = Sanitizer.protected_count t.san a in
-    if n > 0 then
-      mem_fault t Protection_violation ~addr:a ~tag
-        ~extra:
-          (List.map
-             (fun (p, how) ->
-               Printf.sprintf "still protected by pid %d (%s)" p how)
-             (Sanitizer.protectors t.san a))
-        ()
-  end;
+  let freed =
+    if t.san_on then
+      Sanitizer.on_free t.san ~bid ~pid ~time:(Proc.global_now ())
+    else Sanitizer.Take_back
+  in
+  (match freed with
+  | Sanitizer.Violation extra ->
+      mem_fault t Protection_violation ~addr:a ~tag ~extra ()
+  | _ -> ());
   h.Memcore.b_live.(bid) <- 0;
   h.Memcore.b_freed_by.(bid) <- pid;
   if t.race_on then Racecheck.on_free t.race ~bid ~pid;
@@ -475,24 +373,17 @@ let free t a =
   Telemetry.incr (snd (tag_probe t tag));
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
-  if t.san_on then begin
-    Sanitizer.shadow_free t.san t.shadows.(bid) ~pid ~time:(Proc.global_now ());
-    let q = (Sanitizer.mode t.san).Sanitizer.quarantine in
-    if q > 0 then begin
-      (* Poison and hold the block out of the freelist for the next [q]
-         frees; stale pointers keep faulting instead of silently reading
-         the reused block. *)
-      Array.fill h.Memcore.words h.Memcore.b_base.(bid) h.Memcore.b_size.(bid)
-        poison_word;
-      Sanitizer.set_quarantined t.shadows.(bid) true;
-      Queue.push bid t.quarantine;
-      if Queue.length t.quarantine > q then quarantine_release_oldest t;
-      Sanitizer.set_quarantine_level t.san (Queue.length t.quarantine)
-    end
-    else if t.config.Config.reuse then
-      Alloc.release t.al ~pid ~bid
-  end
-  else if t.config.Config.reuse then Alloc.release t.al ~pid ~bid
+  let back =
+    match freed with
+    | Sanitizer.Take_back -> bid
+    | Sanitizer.Evict old -> old
+    | Sanitizer.Evict_damaged old ->
+        file t "quarantine-poison" h.Memcore.b_base.(old)
+          ~header:"sanitizer report";
+        old
+    | Sanitizer.Hold | Sanitizer.Violation _ -> 0
+  in
+  if back <> 0 && t.config.Config.reuse then Alloc.release t.al ~pid ~bid:back
 
 (* {1 Atomic word operations}
 
@@ -586,19 +477,17 @@ let peek t a =
   t.h.Memcore.words.(a)
 
 let block_is_live t a =
-  let h = t.h in
-  a > 0 && a < h.Memcore.top
-  && h.Memcore.block_id.(a) <> 0
-  && h.Memcore.b_live.(h.Memcore.block_id.(a)) = 1
+  let bid = Memcore.block_of t.h a in
+  bid <> 0 && t.h.Memcore.b_live.(bid) = 1
 
 let block_base t a =
   let bid = validate t a in
   t.h.Memcore.b_base.(bid)
 
 let block_tag t a =
-  let h = t.h in
-  if a <= 0 || a >= h.Memcore.top || h.Memcore.block_id.(a) = 0 then None
-  else Some h.Memcore.b_tag.(h.Memcore.block_id.(a))
+  match Memcore.block_of t.h a with
+  | 0 -> None
+  | bid -> Some t.h.Memcore.b_tag.(bid)
 
 (* {1 Accounting} *)
 
@@ -625,54 +514,28 @@ let iter_live t f =
 (* {1 Sanitizer annotations} *)
 
 let mark_smr t a =
-  let h = t.h in
-  if t.san_on && a > 0 && a < h.Memcore.top && h.Memcore.block_id.(a) <> 0 then
-    Sanitizer.set_tracked t.shadows.(h.Memcore.block_id.(a))
+  let bid = Memcore.block_of t.h a in
+  if t.san_on && bid <> 0 then Sanitizer.mark_smr t.san ~bid
 
 let retire_note t a =
-  let h = t.h in
   Recorder.count t.recorder "retire" a;
-  if t.race_on && a > 0 && a < h.Memcore.top && h.Memcore.block_id.(a) <> 0 then
-    Racecheck.on_retire t.race ~bid:h.Memcore.block_id.(a) ~pid:(Proc.self ());
-  if t.san_on && a > 0 && a < h.Memcore.top && h.Memcore.block_id.(a) <> 0
-  then begin
-    let bid = h.Memcore.block_id.(a) in
+  let bid = Memcore.block_of t.h a in
+  if bid <> 0 then begin
+    let pid = Proc.self () in
+    if t.race_on then Racecheck.on_retire t.race ~bid ~pid;
     if
-      Sanitizer.note_retire t.san t.shadows.(bid) ~pid:(Proc.self ())
-        ~time:(Proc.global_now ())
-      && h.Memcore.b_live.(bid) = 1
+      t.san_on
+      && Sanitizer.on_retire t.san ~bid ~pid ~time:(Proc.global_now ())
     then
-      mem_fault t Double_free ~addr:a ~tag:h.Memcore.b_tag.(bid)
+      mem_fault t Double_free ~addr:a ~tag:t.h.Memcore.b_tag.(bid)
         ~extra:[ "second retire of the same block (double retire)" ] ()
   end
 
-let leaks_by_site t =
-  if not (t.san_on && (Sanitizer.mode t.san).Sanitizer.leaks) then []
-  else begin
-    let h = t.h in
-    let tbl = Hashtbl.create 16 in
-    for id = 1 to h.Memcore.n_blocks - 1 do
-      if h.Memcore.b_live.(id) = 1 then begin
-        let key = (h.Memcore.b_tag.(id), Sanitizer.alloc_pid t.shadows.(id)) in
-        let c, w =
-          match Hashtbl.find_opt tbl key with Some cw -> cw | None -> (0, 0)
-        in
-        Hashtbl.replace tbl key (c + 1, w + h.Memcore.b_size.(id))
-      end
-    done;
-    Hashtbl.fold (fun (tag, pid) (c, w) acc -> (tag, pid, c, w) :: acc) tbl []
-    |> List.sort (fun (t1, p1, c1, _) (t2, p2, c2, _) ->
-           match Int.compare c2 c1 with
-           | 0 -> (
-               match String.compare t1 t2 with 0 -> Int.compare p1 p2 | n -> n)
-           | n -> n)
-  end
+let leaks_by_site t = Sanitizer.leaks_by_site t.san
 
 let sanitizer_reports t = Sanitizer.reports t.san
 
 (* {1 Race-checker annotations} *)
-
-let racecheck t = t.race
 
 let mark_race_sync t a =
   if t.race_on && a > 0 then Racecheck.mark_sync t.race ~addr:a

@@ -135,9 +135,12 @@ val iter_live : t -> (base:int -> size:int -> tag:string -> unit) -> unit
 (** {1 Sanitizer}
 
     The heap owns one {!Sanitizer} instance (configured by
-    [Config.sanitize]; a no-op when the mode is off). The heap itself
-    drives the shadow-provenance records, the quarantine, and the
-    free/dereference checks; the reclamation layers annotate their
+    [Config.sanitize]; a no-op when the mode is off). When armed, the
+    heap reports each allocation, validated access, free and retire to
+    it by block id; the sanitizer owns the per-block shadow records and
+    the quarantine, and answers with verdicts the heap acts on (a
+    protection violation or double retire to fault, the block the
+    allocator may take back). The reclamation layers annotate their
     protocol through the functions below and the auditor state on
     {!sanitizer}. *)
 
@@ -168,18 +171,16 @@ val sanitizer_reports : t -> string list
 (** {1 Race checker}
 
     The heap owns one {!Racecheck} instance (configured by
-    [Config.race]; a no-op when the mode is off). The heap drives the
-    per-access hooks and the allocation-custody transfers itself and
-    formats each conflict as an ASan-style report (recorded like
-    sanitizer reports — retained, counted as [race.reports], noted in
-    the flight recorder, auto-dumped). Races never raise: the run
-    completes and the audit reads the report list. Arming the checker
-    pays no ticks, so schedules are unperturbed; the {!Vm}'s memory
-    opcodes call the same per-access observer as this module's entry
-    points, so both execution engines produce identical verdicts. *)
-
-val racecheck : t -> Racecheck.t
-(** Always present; every entry point is a cheap no-op when off. *)
+    [Config.race]; a no-op when the mode is off). The heap reports each
+    access and each block's allocation, free and retire to it, files
+    each conflict it finds ({!Racecheck.report_race}: an ASan-style
+    text, retained and counted as [race.reports]) and notes it in the
+    flight recorder, auto-dumped like sanitizer reports. Races never
+    raise: the run completes and the audit reads the report list.
+    Arming the checker pays no ticks, so schedules are unperturbed; the
+    {!Vm}'s memory opcodes call the same per-access observer as this
+    module's entry points, so both execution engines produce identical
+    verdicts. *)
 
 val mark_race_sync : t -> int -> unit
 (** Annotate the word at this address as an atomic location: plain

@@ -81,7 +81,7 @@ let mode_of_string s =
    info for reports packs (pid + 2, virtual time) the same way the
    sanitizer's provenance ring does. *)
 
-let max_pids = 1024 (* = Memcore.max_pids; kept local to avoid a module cycle *)
+let max_pids = Memcore.max_pids
 
 let n_slots = max_pids + 2
 
@@ -209,7 +209,7 @@ let f_wide = 4 (* sync word: the acquired set may have members >= acq_bits *)
 type t = {
   m : mode;
   tele : Telemetry.t;
-  mutable c_reports : Telemetry.counter option;
+  h : Memcore.t; (* the heap, for report provenance *)
   (* clocks *)
   vcs : int array array; (* slot -> clock vector; [||] = unborn *)
   mutable max_slot : int;
@@ -236,11 +236,11 @@ type t = {
   mutable n_reports : int;
 }
 
-let create m tele =
+let create m tele h =
   {
     m;
     tele;
-    c_reports = None;
+    h;
     vcs = Array.make n_slots [||];
     max_slot = 0;
     seen_token = -1;
@@ -258,15 +258,7 @@ let create m tele =
     n_reports = 0;
   }
 
-let mode t = t.m
-
-let grow arr ~needed ~fill =
-  let n = Int.max needed (2 * Array.length arr) in
-  let a = Array.make n fill in
-  Array.blit arr 0 a 0 (Array.length arr);
-  a
-
-let grow_int_array arr ~needed = grow arr ~needed ~fill:0
+let grow_int_array arr ~needed = Memcore.grow_array arr ~needed ~fill:0
 
 let ensure_words t n =
   if n > Array.length t.wep then begin
@@ -274,8 +266,8 @@ let ensure_words t n =
     t.winfo <- grow_int_array t.winfo ~needed:n;
     t.rep <- grow_int_array t.rep ~needed:n;
     t.rinfo <- grow_int_array t.rinfo ~needed:n;
-    t.lvcs <- grow t.lvcs ~needed:n ~fill:[||];
-    t.rvcs <- grow t.rvcs ~needed:n ~fill:[||];
+    t.lvcs <- Memcore.grow_array t.lvcs ~needed:n ~fill:[||];
+    t.rvcs <- Memcore.grow_array t.rvcs ~needed:n ~fill:[||];
     let b = Bytes.make (Array.length t.wep) '\000' in
     Bytes.blit t.flags 0 b 0 (Bytes.length t.flags);
     t.flags <- b
@@ -284,7 +276,7 @@ let ensure_words t n =
 let ensure_blocks t n =
   if n > Array.length t.b_alloc then begin
     t.b_alloc <- grow_int_array t.b_alloc ~needed:n;
-    t.custody <- grow t.custody ~needed:n ~fill:[||]
+    t.custody <- Memcore.grow_array t.custody ~needed:n ~fill:[||]
   end
 
 let flag_test t a f = Char.code (Bytes.get t.flags a) land f <> 0
@@ -402,15 +394,7 @@ let report t text =
   if !global_count <= global_cap then
     global_reports := text :: !global_reports;
   Mutex.unlock global_mutex;
-  let c =
-    match t.c_reports with
-    | Some c -> c
-    | None ->
-        let c = Telemetry.counter t.tele "race.reports" in
-        t.c_reports <- Some c;
-        c
-  in
-  Telemetry.incr c;
+  Telemetry.incr (Telemetry.counter t.tele "race.reports");
   t.n_reports <- t.n_reports + 1;
   if t.n_reports <= max_reports then t.rev_reports <- text :: t.rev_reports
 
@@ -693,7 +677,25 @@ let on_alloc t ~bid ~base ~size ~pid ~time =
   done;
   t.b_alloc.(bid) <- info
 
-let alloc_site t ~bid =
-  if bid < Array.length t.b_alloc && t.b_alloc.(bid) <> 0 then
-    Some (info_pid t.b_alloc.(bid), info_time t.b_alloc.(bid))
-  else None
+(* {1 Report text}
+
+   A conflict decorated with its block's tag and allocation site, in the
+   ASan style of the sanitizer's reports. *)
+
+let report_race t r =
+  let bid = Memcore.block_of t.h r.r_addr in
+  let tag = if bid <> 0 then t.h.Memcore.b_tag.(bid) else "-" in
+  let side s =
+    Printf.sprintf "%s by pid %d at t=%d" s.s_what s.s_pid s.s_time
+  in
+  let site =
+    if bid <> 0 && bid < Array.length t.b_alloc && t.b_alloc.(bid) <> 0 then
+      let i = t.b_alloc.(bid) in
+      Printf.sprintf "\n  block allocated by pid %d at t=%d (tag %s)"
+        (info_pid i) (info_time i) tag
+    else ""
+  in
+  report t
+    (Printf.sprintf
+       "==racecheck== data race: addr=%d tag=%s\n  %s\n  conflicts with earlier %s%s"
+       r.r_addr tag (side r.r_cur) (side r.r_prev) site)

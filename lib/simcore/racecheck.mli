@@ -11,9 +11,10 @@
     through free/retire and either {!Alloc} policy, so benign reuse is
     never flagged while publication-before-initialization is.
 
-    Everything here is driven by {!Memory} (which formats and records
-    the reports); nothing pays ticks or allocates simulated memory, so
-    arming the checker never perturbs schedules. See DESIGN.md §4k for
+    Everything here is driven by {!Memory}, which reports each access
+    and each block's custody events and files the races found with
+    {!report_race}; nothing pays ticks or allocates simulated memory,
+    so arming the checker never perturbs schedules. See DESIGN.md §4k for
     the representation and the soundness/completeness caveats. *)
 
 (** {1 Mode} *)
@@ -40,16 +41,14 @@ val mode_of_string : string -> (mode, string) result
 
 type t
 
-val create : mode -> Telemetry.t -> t
-(** One instance per heap; registers a lazy [race.reports] counter in
-    the heap's telemetry on first report. *)
-
-val mode : t -> mode
+val create : mode -> Telemetry.t -> Memcore.t -> t
+(** [create mode tele heap]: one instance per heap, which it reads for
+    report provenance; registers a lazy [race.reports] counter in the
+    heap's telemetry on first report. *)
 
 (** {1 Race records}
 
-    Returned by the access hooks for {!Memory} to decorate with block
-    provenance and record. *)
+    Returned by the access hooks; {!report_race} files one. *)
 
 type side = { s_pid : int; s_time : int; s_what : string }
 
@@ -73,7 +72,7 @@ val pack_info : int -> int -> int
     [pid] is {!Proc.self} ([-1] = the outside-sim orchestrator, which
     lazily joins all in-sim clocks), [time] is {!Proc.global_now}.
     A returned race has already been recorded against the word (one
-    report per word); the caller formats and collects it. *)
+    report per word); the caller files it with {!report_race}. *)
 
 val on_read : t -> addr:int -> pid:int -> time:int -> race option
 
@@ -105,14 +104,12 @@ val on_retire : t -> bid:int -> pid:int -> unit
 (** Release the calling process's clock into the block's hand-off
     clock (joined over free and retire, so either order works). *)
 
-val alloc_site : t -> bid:int -> (int * int) option
-(** [(pid, time)] of the block's current lifetime, for reports. *)
-
 (** {1 Reports} *)
 
-val report : t -> string -> unit
-(** Collect a formatted report (capped retention, counted in full via
-    the [race.reports] telemetry counter). *)
+val report_race : t -> race -> unit
+(** File a race: an ASan-style text naming both sides and the block's
+    tag and allocation site, retained (capped) and counted in full via
+    the [race.reports] telemetry counter. *)
 
 val reports : t -> string list
 (** Retained report texts, oldest first. *)

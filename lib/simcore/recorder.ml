@@ -1,21 +1,29 @@
-(* Fault flight recorder: an always-on, bounded, per-process ring of
-   recent typed trace events, kept cheap enough to leave enabled in
-   every run and dumped as one merged timeline when something goes
-   wrong (a {!Memory.Fault}, a sanitizer report, an SLO breach).
+(* The event ring: an always-on, bounded, per-process ring of recent
+   typed events. One kind of instance is the heap's flight recorder,
+   kept cheap enough to leave enabled in every run and dumped as one
+   merged timeline when something goes wrong (a {!Memory.Fault}, a
+   sanitizer or race report, an SLO breach); another is the
+   [--trace-out] tracer {!Sim.run} records context switches into,
+   exported as Chrome trace-event JSON.
 
-   Hot-path discipline: [record] is a handful of int/ref stores into
+   Hot-path discipline: [record] is a handful of int stores into
    parallel arrays — no allocation, no formatting, no branching on
    event content. Labels are stored by reference (callers pass
-   constant or long-lived strings: block tags, "free", "fault").
-   Events are materialized into {!Trace.event} records and sorted only
-   at dump time, which only runs on the failure path.
+   constant or long-lived strings: block tags, "free", "switch").
+   Events are materialized into {!event} records only when read.
 
    Per-process rings are allocated lazily on the first event from that
    pid, so an idle recorder costs one small outer array. *)
 
+type kind = Instant | Span_begin | Span_end | Count of int
+
+type event = { step : int; pid : int; run : int; label : string; kind : kind }
+
 type ring = {
   steps : int array;
-  kinds : int array;  (* 0 instant, 1 span begin, 2 span end, else count *)
+  kinds : int array;
+      (* [code lor (run lsl 2)]: code 0 instant, 1 span begin, 2 span
+         end, 3 count *)
   values : int array;  (* count payload *)
   labels : string array;
   mutable next : int;  (* total recorded; slot = next mod capacity *)
@@ -24,6 +32,7 @@ type ring = {
 type t = {
   capacity : int;
   mutable rings : ring option array;  (* index pid + 1 *)
+  mutable run : int;  (* bumped by {!Sim.run} on a tracer *)
 }
 
 (* Dumping on failure is reporting, not measurement; it writes to
@@ -38,9 +47,9 @@ let auto_dump_enabled () = Atomic.get auto_dump (* lint: allow-atomic *)
 
 let default_capacity = 32
 
-let create ?(capacity = default_capacity) ~procs () =
+let create ?(capacity = default_capacity) () =
   assert (capacity > 0);
-  { capacity; rings = Array.make (procs + 2) None }
+  { capacity; rings = Array.make 16 None; run = 0 }
 
 let fresh t =
   {
@@ -52,19 +61,14 @@ let fresh t =
   }
 
 let ring_for t pid =
-  let i = pid + 1 in
-  let i =
-    if i >= 0 && i < Array.length t.rings then i
-    else begin
-      (* A pid beyond the preallocated range (setup oracles): grow once. *)
-      if i >= Array.length t.rings then begin
-        let a = Array.make (max (i + 1) (2 * Array.length t.rings)) None in
-        Array.blit t.rings 0 a 0 (Array.length t.rings);
-        t.rings <- a
-      end;
-      max 0 i
-    end
-  in
+  (* Pids below -1 do not occur; clamp to the orchestrator's ring. *)
+  let i = if pid < -1 then 0 else pid + 1 in
+  if i >= Array.length t.rings then begin
+    (* The table grows by doubling, so it spans the pids seen so far. *)
+    let a = Array.make (Int.max (i + 1) (2 * Array.length t.rings)) None in
+    Array.blit t.rings 0 a 0 (Array.length t.rings);
+    t.rings <- a
+  end;
   match t.rings.(i) with
   | Some r -> r
   | None ->
@@ -72,57 +76,76 @@ let ring_for t pid =
       t.rings.(i) <- Some r;
       r
 
-let record ?(value = 0) t ~kind label =
-  let pid = Proc.self () in
-  let r = ring_for t pid in
-  let s = r.next mod Array.length r.steps in
+let record t code value label =
+  let r = ring_for t (Proc.self ()) in
+  let s = r.next mod t.capacity in
   r.steps.(s) <- Proc.global_now ();
-  r.kinds.(s) <- kind;
+  r.kinds.(s) <- code lor (t.run lsl 2);
   r.values.(s) <- value;
   r.labels.(s) <- label;
   r.next <- r.next + 1
 
-let instant t label = record t ~kind:0 label
+let instant t label = record t 0 0 label
 
-let count t label v = record t ~kind:3 ~value:v label
+let span_begin t label = record t 1 0 label
 
-let clear t = Array.fill t.rings 0 (Array.length t.rings) None
+let span_end t label = record t 2 0 label
 
-(* {1 Dumping} *)
+let count t label v = record t 3 v label
 
-let kind_of_code k v =
-  match k with
-  | 0 -> Trace.Instant
-  | 1 -> Trace.Span_begin
-  | 2 -> Trace.Span_end
-  | _ -> Trace.Count v
+let new_run t = t.run <- t.run + 1
 
-(* All retained events of all processes, merged oldest-first by global
-   step (ties in pid order, then ring order — deterministic). *)
+let clear t =
+  Array.fill t.rings 0 (Array.length t.rings) None;
+  t.run <- 0
+
+(* {1 Reading} *)
+
+(* Visit one ring's retained slots, oldest first: [f slot seq] with the
+   event's sequence number within the ring. *)
+let iter_ring t r f =
+  for j = r.next - Int.min r.next t.capacity to r.next - 1 do
+    f (j mod t.capacity) j
+  done
+
+let event_at r ~pid s =
+  let k = r.kinds.(s) in
+  {
+    step = r.steps.(s);
+    pid;
+    run = k lsr 2;
+    label = r.labels.(s);
+    kind =
+      (match k land 3 with
+      | 0 -> Instant
+      | 1 -> Span_begin
+      | 2 -> Span_end
+      | _ -> Count r.values.(s));
+  }
+
+(* All retained events of all processes, merged oldest-first by run and
+   global step (ties in pid order, then ring order — deterministic). *)
 let events t =
   let acc = ref [] in
   Array.iteri
-    (fun i r ->
-      match r with
+    (fun i -> function
       | None -> ()
       | Some r ->
-          let cap = Array.length r.steps in
-          let first = r.next - min r.next cap in
-          for j = first to r.next - 1 do
-            let s = j mod cap in
-            acc :=
-              ( (r.steps.(s), i, j),
-                {
-                  Trace.step = r.steps.(s);
-                  pid = i - 1;
-                  run = 0;
-                  label = r.labels.(s);
-                  kind = kind_of_code r.kinds.(s) r.values.(s);
-                } )
-              :: !acc
-          done)
+          iter_ring t r (fun s j ->
+              let e = event_at r ~pid:(i - 1) s in
+              acc := ((e.run, e.step, i, j), e) :: !acc))
     t.rings;
   List.sort (fun (ka, _) (kb, _) -> compare ka kb) !acc |> List.map snd
+
+let pp_event ppf e =
+  let text =
+    match e.kind with
+    | Instant -> e.label
+    | Span_begin -> e.label ^ " {"
+    | Span_end -> "} " ^ e.label
+    | Count v -> Printf.sprintf "%s = %d" e.label v
+  in
+  Format.fprintf ppf "[%d] p%d: %s@." e.step e.pid text
 
 let dump_string ?(header = "flight recorder") t =
   let evs = events t in
@@ -130,9 +153,50 @@ let dump_string ?(header = "flight recorder") t =
   let ppf = Format.formatter_of_buffer b in
   Format.fprintf ppf "--- %s (%d events, newest last)@." header
     (List.length evs);
-  List.iter (fun e -> Trace.pp_event ppf e) evs;
+  List.iter (fun e -> pp_event ppf e) evs;
   Format.fprintf ppf "--- end %s@." header;
   Format.pp_print_flush ppf ();
   Buffer.contents b
 
-let dump_stderr ?header t = prerr_string (dump_string ?header t)
+(* {1 Chrome trace-event export}
+
+   One JSON object per retained event, in the "JSON Object Format"
+   ({"traceEvents": [...]}) that chrome://tracing and Perfetto load.
+   Chrome's [pid] axis carries the simulation run (every [Sim.run]
+   against this recorder gets its own process group), [tid] carries
+   the simulated process, and [ts] is the virtual global step. Each
+   ring is written oldest first, straight off its arrays to the channel,
+   so [ts] is monotone per (run, process) track and neither an event
+   list nor the text is held in memory. *)
+
+let output_escaped oc s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> output_string oc "\\\""
+      | '\\' -> output_string oc "\\\\"
+      | c when Char.code c < 32 -> Printf.fprintf oc "\\u%04x" (Char.code c)
+      | c -> output_char oc c)
+    s
+
+let chrome_json oc t =
+  output_string oc "{\"traceEvents\":[";
+  let first = ref true in
+  Array.iteri
+    (fun i -> function
+      | None -> ()
+      | Some r ->
+          iter_ring t r (fun s _ ->
+              let k = r.kinds.(s) in
+              if not !first then output_char oc ',';
+              first := false;
+              output_string oc "{\"name\":\"";
+              output_escaped oc r.labels.(s);
+              Printf.fprintf oc "\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%d"
+                "iBEC".[k land 3] (k lsr 2) (i - 1) r.steps.(s);
+              match k land 3 with
+              | 0 -> output_string oc ",\"s\":\"t\"}"
+              | 3 -> Printf.fprintf oc ",\"args\":{\"value\":%d}}" r.values.(s)
+              | _ -> output_char oc '}'))
+    t.rings;
+  output_string oc "],\"displayTimeUnit\":\"ms\"}"

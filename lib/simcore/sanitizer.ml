@@ -1,8 +1,9 @@
-(* Shadow-heap sanitizer: provenance, quarantine bookkeeping, SMR
-   protocol auditing, leak attribution. Pure bookkeeping driven by
+(* Shadow-heap sanitizer: provenance, quarantine, SMR protocol
+   auditing, leak attribution, over the blocks of one heap. Driven by
    virtual time and simulation pids — no ticks, no addresses of its
-   own — so every checker is deterministic and bit-identical across
-   fastpath on/off and [--jobs] values. See sanitizer.mli. *)
+   own; it writes heap words only to poison quarantined blocks — so
+   every checker is deterministic and bit-identical across fastpath
+   on/off and [--jobs] values. See sanitizer.mli. *)
 
 (* {1 Mode} *)
 
@@ -66,7 +67,7 @@ let mode_of_string s =
 
 (* {1 Shadow block records}
 
-   One record per heap block slot, reused across lifetimes. The
+   One record per heap block id, reused across lifetimes. The
    recent-op ring packs (event, pid, time) into one int each:
    bits 60..62 event, 48..59 pid+2 (clamped), 0..47 time. *)
 
@@ -124,16 +125,13 @@ let fresh_shadow () =
     s_ring_n = 0;
   }
 
+(* Fills the shadow table's unallocated slots; {!on_alloc} gives each
+   new block id its own record. *)
+let no_shadow = fresh_shadow ()
+
 let push_ev sh ev pid time =
   sh.s_ring.(sh.s_ring_n mod ring_len) <- pack ev pid time;
   sh.s_ring_n <- sh.s_ring_n + 1
-
-let alloc_pid sh = sh.s_alloc_pid
-let tracked sh = sh.s_tracked
-let set_tracked sh = sh.s_tracked <- true
-let retired sh = sh.s_retired
-let quarantined sh = sh.s_quarantined
-let set_quarantined sh q = sh.s_quarantined <- q
 
 (* {1 Protocol state}
 
@@ -154,7 +152,9 @@ type pstate = {
 type t = {
   m : mode;
   tele : Telemetry.t;
-  mutable c_reports : Telemetry.counter option;
+  h : Memcore.t;  (* the heap whose blocks this instance shadows *)
+  mutable shadows : shadow array;  (* block id -> record *)
+  quarantine : int Queue.t;  (* freed, poisoned, held block ids; FIFO *)
   mutable g_quar : Telemetry.gauge option;
   mutable next_key : int;
   mutable slot_pid : int array;  (* slot key -> owning pid *)
@@ -167,11 +167,13 @@ type t = {
 
 let fresh_pstate _ = { p_depth = 0; p_slots = 0; p_wset = [||]; p_wlen = 0 }
 
-let create m tele =
+let create m tele h =
   {
     m;
     tele;
-    c_reports = None;
+    h;
+    shadows = [||];
+    quarantine = Queue.create ();
     g_quar = None;
     next_key = 0;
     slot_pid = Array.make 64 0;
@@ -184,34 +186,9 @@ let create m tele =
 
 let mode t = t.m
 
-(* {1 Shadow updates} *)
+(* {1 Provenance} *)
 
-let shadow_alloc t sh ~pid ~time =
-  sh.s_gen <- sh.s_gen + 1;
-  sh.s_alloc_pid <- pid;
-  sh.s_alloc_time <- time;
-  sh.s_free_pid <- -2;
-  sh.s_free_time <- 0;
-  sh.s_tracked <- false;
-  sh.s_retired <- false;
-  if t.m.shadow then push_ev sh ev_alloc pid time
-
-let shadow_free t sh ~pid ~time =
-  sh.s_free_pid <- pid;
-  sh.s_free_time <- time;
-  sh.s_retired <- false;
-  if t.m.shadow then push_ev sh ev_free pid time
-
-let note_access t sh ~write ~pid ~time =
-  if t.m.shadow then push_ev sh (if write then ev_write else ev_read) pid time
-
-let note_retire t sh ~pid ~time =
-  let dbl = sh.s_retired in
-  sh.s_retired <- true;
-  if t.m.shadow then push_ev sh ev_retire pid time;
-  dbl
-
-let provenance _t sh =
+let provenance sh =
   let site what pid time =
     Printf.sprintf "%s by pid %d at t=%d" what pid time
   in
@@ -246,11 +223,6 @@ let provenance _t sh =
 
 (* {1 Protocol auditor} *)
 
-let grown a ~needed ~fill =
-  let b = Array.make (Int.max needed (2 * Array.length a)) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let pstate t pid =
   let i = pid + 1 in
   if i >= Array.length t.pids then begin
@@ -262,14 +234,15 @@ let pstate t pid =
   t.pids.(i)
 
 let prot_incr t addr n =
-  if addr >= Array.length t.prot then t.prot <- grown t.prot ~needed:(addr + 1) ~fill:0;
+  if addr >= Array.length t.prot then
+    t.prot <- Memcore.grow_array t.prot ~needed:(addr + 1) ~fill:0;
   let c = t.prot.(addr) + n in
   t.prot.(addr) <- (if c < 0 then 0 else c)
 
 let ensure_slots t n =
   if n > Array.length t.slot_addr then begin
-    t.slot_pid <- grown t.slot_pid ~needed:n ~fill:0;
-    t.slot_addr <- grown t.slot_addr ~needed:n ~fill:0
+    t.slot_pid <- Memcore.grow_array t.slot_pid ~needed:n ~fill:0;
+    t.slot_addr <- Memcore.grow_array t.slot_addr ~needed:n ~fill:0
   end
 
 let register_slots t ~n =
@@ -320,7 +293,7 @@ let window_protect t ~pid addr =
     let p = pstate t pid in
     if p.p_depth > 0 then begin
       if p.p_wlen = Array.length p.p_wset then
-        p.p_wset <- grown p.p_wset ~needed:8 ~fill:0;
+        p.p_wset <- Memcore.grow_array p.p_wset ~needed:8 ~fill:0;
       p.p_wset.(p.p_wlen) <- addr;
       p.p_wlen <- p.p_wlen + 1;
       prot_incr t addr 1
@@ -372,15 +345,7 @@ let reset_protocol t =
 let max_reports = 128
 
 let report t text =
-  let c =
-    match t.c_reports with
-    | Some c -> c
-    | None ->
-        let c = Telemetry.counter t.tele "san.reports" in
-        t.c_reports <- Some c;
-        c
-  in
-  Telemetry.incr c;
+  Telemetry.incr (Telemetry.counter t.tele "san.reports");
   t.n_reports <- t.n_reports + 1;
   if t.n_reports <= max_reports then t.rev_reports <- text :: t.rev_reports
 
@@ -388,7 +353,7 @@ let reports t = List.rev t.rev_reports
 
 let report_count t = t.n_reports
 
-let set_quarantine_level t n =
+let quarantine_level t n =
   let g =
     match t.g_quar with
     | Some g -> g
@@ -398,3 +363,145 @@ let set_quarantine_level t n =
         g
   in
   Telemetry.set_gauge g n
+
+(* {1 Heap events}
+
+   {!Memory} calls these by block id, once per event, only while this
+   instance is armed, after validating the address. The heap keeps the
+   fault order: each check returns a verdict for it to act on, and no
+   check raises. *)
+
+(* Sentinel filling quarantined blocks; any surviving non-poison word at
+   release time indicates the heap's own access checks were bypassed. *)
+let poison_word = 0xDEAD_F00D
+
+let on_alloc t ~bid ~pid ~time =
+  if bid >= Array.length t.shadows then
+    t.shadows <-
+      Memcore.grow_array t.shadows ~needed:(bid + 1) ~fill:no_shadow;
+  if t.shadows.(bid) == no_shadow then t.shadows.(bid) <- fresh_shadow ();
+  let sh = t.shadows.(bid) in
+  sh.s_gen <- sh.s_gen + 1;
+  sh.s_alloc_pid <- pid;
+  sh.s_alloc_time <- time;
+  sh.s_free_pid <- -2;
+  sh.s_free_time <- 0;
+  sh.s_tracked <- false;
+  sh.s_retired <- false;
+  if t.m.shadow then push_ev sh ev_alloc pid time
+
+(* Audit only in-simulation dereferences of SMR-tracked blocks that were
+   allocated in-simulation. Setup-allocated blocks (structure roots,
+   prefill) are immortal or handed over with the structure; the
+   allocating pid may touch its own block bare until it is published
+   and retired (it owns it outright before publication). *)
+let on_access t ~bid ~write ~pid ~time =
+  let sh = t.shadows.(bid) in
+  if
+    t.m.protocol && sh.s_tracked && pid >= 0 && sh.s_alloc_pid >= 0
+    && not (pid = sh.s_alloc_pid && not sh.s_retired)
+    && not (pid_shielded t ~pid)
+  then true
+  else begin
+    if t.m.shadow then
+      push_ev sh (if write then ev_write else ev_read) pid time;
+    false
+  end
+
+type freed =
+  | Violation of string list
+  | Take_back
+  | Hold
+  | Evict of int
+  | Evict_damaged of int
+
+(* Release the oldest quarantined block, verifying its poison first (a
+   damaged sentinel means the heap's own access checks were bypassed —
+   an internal invariant violation). *)
+let leave_quarantine t =
+  let h = t.h in
+  let old = Queue.pop t.quarantine in
+  let base = h.Memcore.b_base.(old) and size = h.Memcore.b_size.(old) in
+  let intact = ref true in
+  for i = base to base + size - 1 do
+    if h.Memcore.words.(i) <> poison_word then intact := false
+  done;
+  if not !intact then
+    report t
+      (Printf.sprintf "==sanitizer== quarantine poison damaged: addr=%d tag=%s"
+         base h.Memcore.b_tag.(old));
+  Array.fill h.Memcore.words base size 0;
+  t.shadows.(old).s_quarantined <- false;
+  if !intact then Evict old else Evict_damaged old
+
+let on_free t ~bid ~pid ~time =
+  let h = t.h in
+  let base = h.Memcore.b_base.(bid) in
+  if t.m.protocol && protected_count t base > 0 then
+    Violation
+      (List.map
+         (fun (p, how) -> Printf.sprintf "still protected by pid %d (%s)" p how)
+         (protectors t base))
+  else begin
+    let sh = t.shadows.(bid) in
+    sh.s_free_pid <- pid;
+    sh.s_free_time <- time;
+    sh.s_retired <- false;
+    if t.m.shadow then push_ev sh ev_free pid time;
+    let q = t.m.quarantine in
+    if q = 0 then Take_back
+    else begin
+      (* Poison and hold the block out of the freelist for the next [q]
+         frees; stale pointers keep faulting instead of silently reading
+         the reused block. *)
+      Array.fill h.Memcore.words base h.Memcore.b_size.(bid) poison_word;
+      sh.s_quarantined <- true;
+      Queue.push bid t.quarantine;
+      let v =
+        if Queue.length t.quarantine > q then leave_quarantine t else Hold
+      in
+      quarantine_level t (Queue.length t.quarantine);
+      v
+    end
+  end
+
+let on_retire t ~bid ~pid ~time =
+  let sh = t.shadows.(bid) in
+  let dbl = sh.s_retired in
+  sh.s_retired <- true;
+  if t.m.shadow then push_ev sh ev_retire pid time;
+  dbl && t.h.Memcore.b_live.(bid) = 1
+
+let mark_smr t ~bid = t.shadows.(bid).s_tracked <- true
+
+let report_fault t ~what ~addr ~pid ~tag ~extra ~time =
+  let bid = Memcore.block_of t.h addr in
+  report t
+    (String.concat "\n  "
+       ((Printf.sprintf "==sanitizer== %s: addr=%d pid=%d tag=%s" what addr pid
+           (Option.value tag ~default:"-")
+        :: (if t.m.shadow && bid <> 0 then provenance t.shadows.(bid) else []))
+       @ extra
+       @ [ Printf.sprintf "faulting access by pid %d at t=%d" pid time ]))
+
+let leaks_by_site t =
+  if not t.m.leaks then []
+  else begin
+    let h = t.h in
+    let tbl = Hashtbl.create 16 in
+    for id = 1 to h.Memcore.n_blocks - 1 do
+      if h.Memcore.b_live.(id) = 1 then begin
+        let key = (h.Memcore.b_tag.(id), t.shadows.(id).s_alloc_pid) in
+        let c, w =
+          match Hashtbl.find_opt tbl key with Some cw -> cw | None -> (0, 0)
+        in
+        Hashtbl.replace tbl key (c + 1, w + h.Memcore.b_size.(id))
+      end
+    done;
+    Hashtbl.fold (fun (tag, pid) (c, w) acc -> (tag, pid, c, w) :: acc) tbl []
+    |> List.sort (fun (t1, p1, c1, _) (t2, p2, c2, _) ->
+           match Int.compare c2 c1 with
+           | 0 -> (
+               match String.compare t1 t2 with 0 -> Int.compare p1 p2 | n -> n)
+           | n -> n)
+  end

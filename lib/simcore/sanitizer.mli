@@ -39,14 +39,14 @@
     ticks, so a clean run under [shadow,protocol,leaks] produces
     byte-identical tables to an unsanitized run.
 
-    This module is pure bookkeeping: it owns no addresses and charges no
-    ticks. {!Memory} owns the address-to-block mapping and calls in on
-    alloc/free/access; the reclamation layers call the protocol
-    annotations with the addresses they protect. Probes
-    ([san.quarantined] gauge, [san.reports] counter) are registered
-    {e lazily} in the heap's {!Telemetry} registry on first use, so a
-    clean sanitized run's telemetry snapshot is identical to an
-    unsanitized one. *)
+    This module owns the per-block state and charges no ticks. It
+    shadows one heap ({!Memory} hands it the {!Memcore.t} at creation
+    and reports each heap event by block id; see {!on_alloc}); the
+    reclamation layers call the protocol annotations with the
+    addresses they protect. Probes ([san.quarantined] gauge,
+    [san.reports] counter) are registered {e lazily} in the heap's
+    {!Telemetry} registry on first use, so a clean sanitized run's
+    telemetry snapshot is identical to an unsanitized one. *)
 
 (** {1 Mode selection} *)
 
@@ -93,57 +93,79 @@ val mode_to_string : mode -> string
 
 type t
 
-val create : mode -> Telemetry.t -> t
+val create : mode -> Telemetry.t -> Memcore.t -> t
+(** [create mode tele heap]: an instance shadowing [heap]'s blocks. *)
 
 val mode : t -> mode
-
-(** {1 Shadow block records}
-
-    One record per heap block, owned and indexed by [Memory] (parallel
-    to its block table); reused across the block's lifetimes with a
-    generation counter. *)
-
-type shadow
-
-val fresh_shadow : unit -> shadow
-
-val shadow_alloc : t -> shadow -> pid:int -> time:int -> unit
-(** Start a new lifetime: bump the generation, record the allocation
-    site, clear tracked/retired. *)
-
-val shadow_free : t -> shadow -> pid:int -> time:int -> unit
-(** Record the free site; consumes any pending retire note. *)
-
-val note_access : t -> shadow -> write:bool -> pid:int -> time:int -> unit
-(** Push a read/write event on the block's ring (shadow mode only). *)
-
-val note_retire : t -> shadow -> pid:int -> time:int -> bool
-(** Record a retire note; [true] if the block was already retired in
-    this lifetime (a double retire — the caller faults). *)
-
-val alloc_pid : shadow -> int
-(** Allocating pid of the current lifetime; [-1] outside a simulation,
-    [-2] if never allocated. *)
-
-val tracked : shadow -> bool
-(** Block is SMR-managed ([Memory.mark_smr]): dereferences are subject
-    to the protection-window audit. *)
-
-val set_tracked : shadow -> unit
-
-val retired : shadow -> bool
-
-val quarantined : shadow -> bool
-
-val set_quarantined : shadow -> bool -> unit
 
 val pack : int -> int -> int -> int
 (** [pack ev pid time]: one recent-op ring entry, the pid clamped to
     [-2, 4093]. Exposed for tests. *)
 
-val provenance : t -> shadow -> string list
-(** Human-readable provenance lines (allocation/free sites, quarantine
-    state, recent-op ring) for fault reports. *)
+(** {1 Heap events}
+
+    One shadow record per heap block id, owned here and reused across
+    the block's lifetimes with a generation counter: its allocation and
+    free sites, whether it is SMR-tracked, retired or quarantined, and
+    a ring of its recent operations. {!Memory} reports each event once,
+    by block id, after validating the address and only while the
+    sanitizer is armed. Where the heap must act, the event returns a
+    verdict: nothing here raises. *)
+
+val on_alloc : t -> bid:int -> pid:int -> time:int -> unit
+(** Start a new lifetime: bump the generation, record the allocation
+    site, clear tracked/retired. [pid] is [-1] outside a simulation. *)
+
+val on_access : t -> bid:int -> write:bool -> pid:int -> time:int -> bool
+(** A validated read or write of the block. [true]: the protection
+    auditor's verdict that an SMR-tracked block was dereferenced
+    outside any protection window (the heap faults). Otherwise the
+    access is pushed on the block's recent-op ring. *)
+
+type freed =
+  | Violation of string list
+      (** the block is still protected (protocol mode); nothing was
+          recorded. The lines name the protectors, for the fault
+          report. *)
+  | Take_back  (** the allocator may take the freed block back now *)
+  | Hold  (** the block was poisoned and is held in quarantine *)
+  | Evict of int
+      (** as [Hold], and the oldest quarantined block, whose poison is
+          intact, left the quarantine: the allocator may take it back *)
+  | Evict_damaged of int
+      (** as [Evict], but the evicted block's poison was found damaged
+          and a report has been filed *)
+
+val on_free : t -> bid:int -> pid:int -> time:int -> freed
+(** Record the free site (consuming any pending retire note). With a
+    quarantine of depth [N], poison the block's words and hold it until
+    [N] later frees have been held. *)
+
+val on_retire : t -> bid:int -> pid:int -> time:int -> bool
+(** Record a retire note. [true]: the live block was already retired in
+    this lifetime — a double retire (the heap faults). *)
+
+val mark_smr : t -> bid:int -> unit
+(** The block is SMR-managed: its dereferences are subject to the
+    protection-window audit. *)
+
+val report_fault :
+  t ->
+  what:string ->
+  addr:int ->
+  pid:int ->
+  tag:string option ->
+  extra:string list ->
+  time:int ->
+  unit
+(** File the ASan-style report of a heap fault [what] at [addr]: a
+    header line, the provenance of the block containing [addr] (shadow
+    mode), the [extra] detail lines, and the faulting access. *)
+
+val leaks_by_site : t -> (string * int * int * int) list
+(** End-of-run leak attribution of the heap's live blocks: [(tag,
+    allocating pid, blocks, words)], most blocks first (ties by tag
+    then pid). Empty unless the [leaks] mode is on. *)
 
 (** {1 Protection auditor}
 
@@ -196,19 +218,12 @@ val reset_protocol : t -> unit
 (** Drop all protocol state; called by scheme [flush] (quiescent
     teardown). *)
 
-(** {1 Reports and probes} *)
+(** {1 Reports}
 
-val report : t -> string -> unit
-(** Record a sanitizer report (also bumps the lazily-registered
-    [san.reports] counter). At most {!max_reports} texts are retained;
-    the count keeps going. *)
+    Each report bumps the lazily-registered [san.reports] counter; at
+    most 128 texts are retained, the count keeps going. *)
 
 val reports : t -> string list
 (** Retained report texts, oldest first. *)
 
 val report_count : t -> int
-
-val max_reports : int
-
-val set_quarantine_level : t -> int -> unit
-(** Update the lazily-registered [san.quarantined] gauge. *)

@@ -48,7 +48,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     match adversary with Some a -> Adversary.active a | None -> false
   in
   Racecheck.note_run_start ();
-  (match tracer with Some tr -> Trace.new_run tr | None -> ());
+  (match tracer with Some tr -> Recorder.new_run tr | None -> ());
   let root_rng = Rng.create ~seed in
   let quantum = Int.max 1 config.Config.quantum in
   let n_cores = Int.max 1 (Int.min config.Config.cores procs) in
@@ -231,7 +231,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
   let on_exn e =
     let p = !cur_pid in
     (match tracer with
-    | Some tr -> Trace.emit tr ("fault: " ^ Printexc.to_string e)
+    | Some tr -> Recorder.instant tr ("fault: " ^ Printexc.to_string e)
     | None -> ());
     faults := { pid = p; exn = e } :: !faults;
     on_done ()
@@ -268,7 +268,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     (match tracer with
     | Some tr when p <> !last_resumed ->
         last_resumed := p;
-        Trace.emit tr "switch"
+        Recorder.instant tr "switch"
     | Some _ | None -> ());
     match Array.unsafe_get states p with
     | Not_started -> (

@@ -47,7 +47,7 @@ val run :
   ?policy:policy ->
   ?seed:int ->
   ?fastpath:bool ->
-  ?tracer:Trace.t ->
+  ?tracer:Recorder.t ->
   ?profiler:Profiler.t ->
   ?coroutine:(int -> (unit -> int) option) ->
   ?adversary:Adversary.t ->

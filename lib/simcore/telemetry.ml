@@ -15,21 +15,27 @@ type t = {
 let initial_shards = 208
 
 (* Registries are created from whichever domain runs the benchmark cell
-   (one per [Memory.create]), so the collection list is the one piece of
+   (one per [Memory.create]), so the collection is the one piece of
    cross-domain shared state here; a mutex keeps it consistent. Under a
    parallel sweep the list order is completion order, not submission
-   order — [merged_recent] is insensitive to it (sums and maxes only). *)
+   order — [merged_recent] is insensitive to it (sums and maxes only).
+   Outside a collection nothing is kept, so a run that never reads its
+   telemetry does not hold every heap's registry until it exits. *)
 let registries_mutex = Mutex.create ()
 
 let registries : t list ref = ref []
 
+let collecting = ref false
+
 let mark () =
   Mutex.lock registries_mutex;
   registries := [];
+  collecting := true;
   Mutex.unlock registries_mutex
 
 let recent () =
   Mutex.lock registries_mutex;
+  collecting := false;
   let r = List.rev !registries in
   Mutex.unlock registries_mutex;
   r
@@ -43,7 +49,7 @@ let create () =
     }
   in
   Mutex.lock registries_mutex;
-  registries := t :: !registries;
+  if !collecting then registries := t :: !registries;
   Mutex.unlock registries_mutex;
   t
 

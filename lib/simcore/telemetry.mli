@@ -30,8 +30,8 @@ type gauge
 type hist
 
 val create : unit -> t
-(** Create a registry and append it to the global collection list (see
-    {!mark}/{!recent}). {!Memory.create} makes one per simulated heap;
+(** Create a registry, collected (see {!mark}/{!recent}) while a
+    collection is open. {!Memory.create} makes one per simulated heap;
     subsystems sharing that heap register their probes there. *)
 
 (** {1 Probe registration (idempotent)} *)
@@ -96,21 +96,26 @@ val reset : t -> unit
 (** {1 Global collection}
 
     [repro --stats] wants "everything measured during this experiment"
-    without threading a registry through every figure runner, so
-    [create] records each registry in a global list. *)
+    without threading a registry through every figure runner, so while
+    a collection is open [create] records each registry in a global
+    list. A collection opens at {!mark} and closes at the next read
+    ({!recent} or {!merged_recent}); registries created outside one are
+    not kept, so the list holds one experiment's heaps at most. *)
 
 val mark : unit -> unit
-(** Forget all previously created registries. *)
+(** Forget all previously collected registries and open a collection. *)
 
 val recent : unit -> t list
-(** Registries created since the last {!mark}, oldest first. Creation
+(** Registries created since the last {!mark}, oldest first; closes the
+    collection (reading again returns the same list). Creation
     is mutex-protected, so registries made from {!Domain_pool} worker
     domains are collected too — but then "oldest" means completion
     order, which a parallel sweep does not fix; prefer
     {!merged_recent}, whose sums and maxes are order-insensitive. *)
 
 val merged_recent : unit -> (string * int) list
-(** Aggregate {!snapshot}s of all {!recent} registries: keys ending in
+(** Aggregate {!snapshot}s of all {!recent} registries (a read, so it
+    closes the collection): keys ending in
     ["/peak"], ["/max"], ["/p50"] or ["/p99"] combine with [max] (sums
     of high-water marks or quantiles are meaningless), everything else
     sums. *)

@@ -358,31 +358,28 @@ let races ?(arm = Measure.unarmed) ?(seed = 42) ?(quick = false) () =
      the process-global ring, so one mark-then-sweep certifies them all
      at once, at any pool parallelism. *)
   Simcore.Racecheck.mark ();
-  let fig6_cells =
-    List.map
-      (fun (name, m) ->
-        ( "loadstore/" ^ name,
-          fun () ->
-            ignore
-              (Fig6.loadstore_point ~policy:chaos ~config m ~threads ~horizon
-                 ~seed ~n_locs:10 ~p_store:0.5) ))
-      Fig6.schemes
+  let loadstore_cell config (name, m) =
+    ( "loadstore/" ^ name,
+      fun () ->
+        ignore
+          (Fig6.loadstore_point ~policy:chaos ~config m ~threads ~horizon ~seed
+             ~n_locs:10 ~p_store:0.5) )
   in
+  let set_cell config (sname, structure, size) scheme =
+    ( sname ^ "/" ^ scheme,
+      fun () ->
+        ignore
+          (Fig7.point ~policy:chaos ~config ~structure ~scheme ~threads
+             ~horizon ~seed ~size ~update_pct:30 ()) )
+  in
+  let fig6_cells = List.map (loadstore_cell config) Fig6.schemes in
   let structures =
     [ ("list", Fig7.List_set, 48); ("hash", Fig7.Hash_set, 64);
       ("bst", Fig7.Bst_set, 64) ]
   in
   let fig7_cells =
     List.concat_map
-      (fun (sname, structure, size) ->
-        List.map
-          (fun scheme ->
-            ( sname ^ "/" ^ scheme,
-              fun () ->
-                ignore
-                  (Fig7.point ~policy:chaos ~config ~structure ~scheme ~threads
-                     ~horizon ~seed ~size ~update_pct:30 ()) ))
-          Fig7.scheme_names)
+      (fun s -> List.map (set_cell config s) Fig7.scheme_names)
       structures
   in
   let swcopy_cell =
@@ -411,7 +408,18 @@ let races ?(arm = Measure.unarmed) ?(seed = 42) ?(quick = false) () =
                  ~update_pct:50 ()) ))
       [ "DEBRA"; "DEBRA+" ]
   in
-  let cells = fig6_cells @ fig7_cells @ robust_cells @ [ swcopy_cell ] in
+  (* The pooled allocator hands blocks between processes through its
+     pools and stealing; custody must order those hand-offs too. *)
+  let pooled = { config with alloc = Simcore.Config.Pooled } in
+  let pooled_cells =
+    List.map
+      (fun (name, f) -> ("pooled/" ^ name, f))
+      [ loadstore_cell pooled ("DRC", List.assoc "DRC" Fig6.schemes);
+        set_cell pooled ("hash", Fig7.Hash_set, 64) "DRC" ]
+  in
+  let cells =
+    fig6_cells @ fig7_cells @ robust_cells @ [ swcopy_cell ] @ pooled_cells
+  in
   let _ =
     Pool.map_ordered arm.Measure.pool
       ~label:(fun (name, _) -> "audit-races [" ^ name ^ "]")

@@ -28,7 +28,7 @@ val assert_conservation : string -> Simcore.Profiler.t option -> unit
 val loadstore_point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
-  ?tracer:Simcore.Trace.t ->
+  ?tracer:Simcore.Recorder.t ->
   ?sanitize:Simcore.Sanitizer.mode ->
   ?race:Simcore.Racecheck.mode ->
   ?config:Simcore.Config.t ->

@@ -12,7 +12,7 @@ val scheme_names : string list
 val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
-  ?tracer:Simcore.Trace.t ->
+  ?tracer:Simcore.Recorder.t ->
   ?config:Simcore.Config.t ->
   ?profile:bool ->
   structure:structure ->

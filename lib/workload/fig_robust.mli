@@ -23,7 +23,7 @@ val fault_name : fault -> string
 val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
-  ?tracer:Simcore.Trace.t ->
+  ?tracer:Simcore.Recorder.t ->
   ?config:Simcore.Config.t ->
   ?profile:bool ->
   scheme:string ->

@@ -2,14 +2,13 @@ module Proc = Simcore.Proc
 module Rng = Simcore.Rng
 module Sim = Simcore.Sim
 module Telemetry = Simcore.Telemetry
-module Trace = Simcore.Trace
 module Vm = Simcore.Vm
 
 type arm = {
   pool : Simcore.Domain_pool.t;
   config : Simcore.Config.t;
   profile : bool;
-  tracer : Trace.t option;
+  tracer : Simcore.Recorder.t option;
 }
 
 let unarmed =

@@ -13,7 +13,7 @@ type arm = {
   config : Simcore.Config.t;
       (** every cell's base config: [vm], [alloc], [sanitize], [race] *)
   profile : bool;  (** one {!Simcore.Profiler} per cell, by scheme *)
-  tracer : Simcore.Trace.t option;
+  tracer : Simcore.Recorder.t option;
       (** passed to every point; the CLI only traces with [--jobs 1] *)
 }
 (** What every cell of a sweep runs under: the one record the sweep
@@ -39,7 +39,7 @@ val run_point :
   ?policy:Simcore.Sim.policy ->
   ?seed:int ->
   ?fastpath:bool ->
-  ?tracer:Simcore.Trace.t ->
+  ?tracer:Simcore.Recorder.t ->
   ?profiler:Simcore.Profiler.t ->
   ?telemetry:Simcore.Telemetry.t ->
   ?adversary:Simcore.Adversary.t ->

@@ -142,50 +142,6 @@ let test_overflow_depth () =
     [ ("deep", 2); (deep_path, 5) ]
     (Prof.collapsed prof)
 
-(* --- flight recorder: ring wrap, merged ordering, markers, clear --- *)
-
-let test_recorder_wrap () =
-  let labels = Array.init 10 (fun i -> Printf.sprintf "ev%d" i) in
-  let r = Recorder.create ~capacity:4 ~procs:2 () in
-  let _ =
-    Sim.run ~config:Config.small ~procs:2 (fun pid ->
-        Array.iteri
-          (fun i l ->
-            Recorder.count r l ((100 * pid) + i);
-            Proc.pay 1)
-          labels)
-  in
-  let evs = Recorder.events r in
-  Alcotest.(check int) "ring keeps capacity events per pid" 8
-    (List.length evs);
-  List.iter
-    (fun (e : Trace.event) ->
-      let i =
-        int_of_string (String.sub e.label 2 (String.length e.label - 2))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "only the newest survive the wrap (%s)" e.label)
-        true (i >= 6))
-    evs;
-  let rec ordered = function
-    | (a : Trace.event) :: (b :: _ as rest) ->
-        (a.step < b.step || (a.step = b.step && a.pid <= b.pid))
-        && ordered rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "merged timeline oldest-first, pid tie-break" true
-    (ordered evs);
-  let dump = Recorder.dump_string ~header:"flight" r in
-  Alcotest.(check bool) "dump opens with its marker line" true
-    (String.length dump > 10 && String.sub dump 0 10 = "--- flight");
-  Alcotest.(check bool) "dump closes with its end marker" true
-    (let suffix = "--- end flight\n" in
-     let ls = String.length suffix and l = String.length dump in
-     l >= ls && String.sub dump (l - ls) ls = suffix);
-  Recorder.clear r;
-  Alcotest.(check int) "clear empties every ring" 0
-    (List.length (Recorder.events r))
-
 (* --- zero perturbation: profiling only observes ----------------------- *)
 
 let policies =
@@ -248,8 +204,6 @@ let suite =
     Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
     Alcotest.test_case "phase-stack overflow conserves" `Quick
       test_overflow_depth;
-    Alcotest.test_case "flight-recorder ring wrap + ordering" `Quick
-      test_recorder_wrap;
     Alcotest.test_case "profiled = unprofiled (policies x fastpath x vm)"
       `Quick test_zero_perturbation;
     Alcotest.test_case "collapsed stacks: vm on = off (every scheme)" `Quick

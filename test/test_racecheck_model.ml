@@ -332,8 +332,11 @@ let pp_verdict = function
   | Some (a, (p, t, w), (p', t', w')) ->
       Printf.sprintf "word %d: %s p%d@%d vs %s p%d@%d" a w p t w' p' t'
 
+let checker ?(mode = Racecheck.default_on) () =
+  Racecheck.create mode (Telemetry.create ()) (Memcore.create Config.default_cost)
+
 let agrees (pids, custody, ops) =
-  let rc = Racecheck.create { Racecheck.hb = true; custody } (Telemetry.create ()) in
+  let rc = checker ~mode:{ Racecheck.hb = true; custody } () in
   let m = model ~hb:true ~custody ~pids in
   List.iteri
     (fun i op ->
@@ -388,7 +391,7 @@ let test_reescalation_starts_clean () =
     ]
   in
   Alcotest.(check bool) "checker = model" true (agrees ([ 0; 1; 2 ], true, trace));
-  let rc = Racecheck.create Racecheck.default_on (Telemetry.create ()) in
+  let rc = checker () in
   List.iteri (fun i op -> ignore (check_step rc ~time:(i + 1) op)) trace;
   Alcotest.(check int) "no race" 0 (Racecheck.report_count rc)
 
@@ -414,7 +417,7 @@ let test_join_release_trap () =
       let name = Printf.sprintf "p%d after p%d" p0 p1 in
       Alcotest.(check bool) (name ^ ": checker = model") true
         (agrees ([ p0; p1 ], true, trace));
-      let rc = Racecheck.create Racecheck.default_on (Telemetry.create ()) in
+      let rc = checker () in
       List.iteri (fun i op -> ignore (check_step rc ~time:(i + 1) op)) trace;
       Alcotest.(check int) (name ^ ": no race") 0 (Racecheck.report_count rc))
     [ (0, 1); (200, 61); (61, 200); (123, 126) ]

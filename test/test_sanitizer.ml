@@ -148,6 +148,27 @@ let test_quarantine_fifo () =
   Alcotest.(check int) "oldest quarantined block released first" a e;
   Alcotest.(check int) "released block zeroed" 0 (Memory.peek m e)
 
+(* A quarantined block whose poison was damaged behind the heap's back
+   (here: straight through the hot record) is reported when it leaves
+   the quarantine, noted in the flight recorder, and still reused. *)
+let test_quarantine_poison_damaged () =
+  let quarantine = { Sanitizer.off with quarantine = 1 } in
+  let m = Memory.create { small with sanitize = quarantine } in
+  let a = Memory.alloc m ~tag:"q" ~size:1 in
+  let b = Memory.alloc m ~tag:"q" ~size:1 in
+  Memory.free m a; (* lint: allow-free *)
+  (Memory.hot m).Memcore.words.(a) <- 7;
+  Memory.free m b; (* lint: allow-free *)
+  Alcotest.(check (list string)) "damage reported"
+    [ Printf.sprintf "==sanitizer== quarantine poison damaged: addr=%d tag=q" a ]
+    (Memory.sanitizer_reports m);
+  Alcotest.(check bool) "noted in the flight recorder" true
+    (List.exists
+       (fun (e : Recorder.event) ->
+         e.label = "quarantine-poison" && e.kind = Recorder.Count a)
+       (Recorder.events (Memory.recorder m)));
+  Alcotest.(check int) "evicted block reused" a (Memory.alloc m ~tag:"q" ~size:1)
+
 (* {1 Shadow provenance on a double free} *)
 
 let test_double_free_provenance () =
@@ -310,7 +331,8 @@ let test_sanitize_bit_identity () =
    ints here, so the array-backed state is exercised at its growth
    boundaries and across a reset. *)
 
-let auditor () = Sanitizer.create Sanitizer.default_on (Telemetry.create ())
+let auditor ?(mode = Sanitizer.default_on) () =
+  Sanitizer.create mode (Telemetry.create ()) (Memcore.create Config.default_cost)
 
 let who = Alcotest.(list (pair int string))
 
@@ -415,7 +437,7 @@ let test_protectors_sorted () =
   Alcotest.(check int) "every protection counted" 7 (Sanitizer.protected_count s 40)
 
 let test_protocol_off_is_inert () =
-  let s = Sanitizer.create { Sanitizer.default_on with protocol = false } (Telemetry.create ()) in
+  let s = auditor ~mode:{ Sanitizer.default_on with protocol = false } () in
   let k = Sanitizer.register_slots s ~n:1 in
   Sanitizer.protect s ~key:k ~pid:0 16;
   Sanitizer.window_enter s ~pid:0;
@@ -431,6 +453,8 @@ let suite =
     Alcotest.test_case "ABA caught by quarantine" `Quick
       test_aba_caught_by_quarantine;
     Alcotest.test_case "quarantine FIFO" `Quick test_quarantine_fifo;
+    Alcotest.test_case "quarantine poison damage reported" `Quick
+      test_quarantine_poison_damaged;
     Alcotest.test_case "double-free provenance" `Quick
       test_double_free_provenance;
     Alcotest.test_case "free under acquire caught" `Quick

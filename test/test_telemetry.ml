@@ -123,6 +123,22 @@ let test_merged_recent () =
   Alcotest.(check (list (pair string int))) "mark forgets" []
     (Tele.merged_recent ())
 
+(* Registries are collected only between [mark] and the read that
+   closes the collection: a heap made outside one is not kept. *)
+let test_collection_window () =
+  let kept mem =
+    List.exists (fun r -> r == Memory.telemetry mem) (Tele.recent ())
+  in
+  ignore (Tele.recent ());
+  let outside = Memory.create Config.small in
+  Alcotest.(check bool) "heap outside a collection not kept" false
+    (kept outside);
+  Tele.mark ();
+  let inside = Memory.create Config.small in
+  Alcotest.(check bool) "heap inside a collection kept" true (kept inside);
+  let after = Memory.create Config.small in
+  Alcotest.(check bool) "the read closed the collection" false (kept after)
+
 (* The heap's built-in probes: one allocate/free round trip shows up in
    the counters, the per-tag probes, and the live gauges. *)
 let test_memory_probes () =
@@ -152,5 +168,7 @@ let suite =
     Alcotest.test_case "snapshot key naming" `Quick test_snapshot_keys;
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "mark/recent/merged_recent" `Quick test_merged_recent;
+    Alcotest.test_case "no registry kept outside a collection" `Quick
+      test_collection_window;
     Alcotest.test_case "memory heap probes" `Quick test_memory_probes;
   ]

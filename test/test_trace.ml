@@ -1,48 +1,72 @@
-(* The trace ring: bounded retention, ordering, and scheduler wiring. *)
+(* The event ring ({!Recorder}) as a tracer and as the heap's flight
+   recorder: bounded retention per process, typed kinds, ordering,
+   scheduler wiring, the dump and the Chrome JSON export. *)
 
 open Simcore
 
-let test_emit_order () =
-  let tr = Trace.create ~capacity:16 in
-  let _ =
-    Sim.run ~config:Config.small ~procs:1 (fun _ ->
-        Trace.emit tr "a";
-        Proc.pay 1;
-        Trace.emit tr "b")
-  in
-  let labels = List.map (fun e -> e.Trace.label) (Trace.to_list tr) in
-  Alcotest.(check (list string)) "in order" [ "a"; "b" ] labels;
-  let steps = List.map (fun e -> e.Trace.step) (Trace.to_list tr) in
-  Alcotest.(check bool) "steps nondecreasing" true
-    (List.sort compare steps = steps)
+let labels r = List.map (fun (e : Recorder.event) -> e.label) (Recorder.events r)
 
-let test_ring_bounded () =
-  let tr = Trace.create ~capacity:4 in
+let kinds r = List.map (fun (e : Recorder.event) -> e.kind) (Recorder.events r)
+
+let test_emit_order () =
+  let tr = Recorder.create ~capacity:16 () in
   let _ =
     Sim.run ~config:Config.small ~procs:1 (fun _ ->
-        for i = 1 to 10 do
-          Trace.emit tr (string_of_int i);
-          Proc.pay 1
-        done)
+        Recorder.instant tr "a";
+        Proc.pay 1;
+        Recorder.instant tr "b")
   in
-  let labels = List.map (fun e -> e.Trace.label) (Trace.to_list tr) in
-  Alcotest.(check (list string)) "keeps the latest" [ "7"; "8"; "9"; "10" ] labels
+  Alcotest.(check (list string)) "in order" [ "a"; "b" ] (labels tr);
+  let steps = List.map (fun (e : Recorder.event) -> e.step) (Recorder.events tr) in
+  Alcotest.(check bool) "steps nondecreasing" true
+    (List.sort Int.compare steps = steps)
+
+(* Each process keeps its own newest [capacity] events; the merged
+   timeline is oldest-first with a pid tie-break. *)
+let test_ring_bounded () =
+  let r = Recorder.create ~capacity:4 () in
+  let names = Array.init 10 (fun i -> Printf.sprintf "ev%d" i) in
+  let _ =
+    Sim.run ~config:Config.small ~procs:2 (fun pid ->
+        Array.iteri
+          (fun i l ->
+            Recorder.count r l ((100 * pid) + i);
+            Proc.pay 1)
+          names)
+  in
+  let evs = Recorder.events r in
+  Alcotest.(check int) "capacity events per pid" 8 (List.length evs);
+  List.iter
+    (fun pid ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "pid %d keeps its latest" pid)
+        [ "ev6"; "ev7"; "ev8"; "ev9" ]
+        (List.filter_map
+           (fun (e : Recorder.event) -> if e.pid = pid then Some e.label else None)
+           evs))
+    [ 0; 1 ];
+  let rec ordered = function
+    | (a : Recorder.event) :: (b :: _ as rest) ->
+        (a.step < b.step || (a.step = b.step && a.pid <= b.pid))
+        && ordered rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "merged timeline oldest-first, pid tie-break" true
+    (ordered evs)
 
 let test_scheduler_events () =
-  let tr = Trace.create ~capacity:64 in
+  let tr = Recorder.create ~capacity:64 () in
   let _ =
     Sim.run ~tracer:tr ~config:Config.small ~procs:3 (fun _ ->
         for _ = 1 to 5 do
           Proc.pay 2
         done)
   in
-  let switches =
-    List.filter (fun e -> e.Trace.label = "switch") (Trace.to_list tr)
-  in
+  let switches = List.filter (String.equal "switch") (labels tr) in
   Alcotest.(check bool) "switches recorded" true (List.length switches >= 3)
 
 let test_fault_recorded () =
-  let tr = Trace.create ~capacity:8 in
+  let tr = Recorder.create ~capacity:8 () in
   let mem = Memory.create Config.small in
   let _ =
     Sim.run ~tracer:tr ~config:Config.small ~procs:1 (fun _ ->
@@ -50,54 +74,56 @@ let test_fault_recorded () =
   in
   Alcotest.(check bool) "fault event present" true
     (List.exists
-       (fun e -> String.length e.Trace.label >= 5 && String.sub e.Trace.label 0 5 = "fault")
-       (Trace.to_list tr))
+       (fun l -> String.length l >= 5 && String.sub l 0 5 = "fault")
+       (labels tr))
 
 let test_clear_and_dump () =
-  let tr = Trace.create ~capacity:8 in
-  let _ = Sim.run ~config:Config.small ~procs:1 (fun _ -> Trace.emit tr "x") in
-  Alcotest.(check int) "one event" 1 (List.length (Trace.to_list tr));
-  let s = Format.asprintf "%a" (Trace.dump ?limit:None) tr in
-  Alcotest.(check bool) "dump mentions label" true
-    (String.length s > 0);
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.to_list tr))
+  let r = Recorder.create ~capacity:8 () in
+  let _ = Sim.run ~config:Config.small ~procs:1 (fun _ -> Recorder.instant r "x") in
+  Alcotest.(check int) "one event" 1 (List.length (Recorder.events r));
+  let dump = Recorder.dump_string ~header:"flight" r in
+  Alcotest.(check string) "dump: markers around one line"
+    "--- flight (1 events, newest last)\n[1] p0: x\n--- end flight\n" dump;
+  Recorder.new_run r;
+  Recorder.clear r;
+  Alcotest.(check int) "clear empties every ring" 0
+    (List.length (Recorder.events r));
+  Recorder.instant r "y";
+  Alcotest.(check (list int)) "clear restarts the run count" [ 0 ]
+    (List.map (fun (e : Recorder.event) -> e.run) (Recorder.events r))
 
 let test_typed_kinds () =
-  let tr = Trace.create ~capacity:16 in
+  let tr = Recorder.create ~capacity:16 () in
   let _ =
     Sim.run ~config:Config.small ~procs:1 (fun _ ->
-        Trace.span_begin tr "work";
+        Recorder.span_begin tr "work";
         Proc.pay 3;
-        Trace.count tr "level" 7;
+        Recorder.count tr "level" 7;
         Proc.pay 1;
-        Trace.span_end tr "work";
-        Trace.emit tr "done")
+        Recorder.span_end tr "work";
+        Recorder.instant tr "done")
   in
-  let evs = Trace.to_list tr in
   Alcotest.(check bool) "kinds in order" true
-    (List.map (fun e -> e.Trace.kind) evs
-    = [ Trace.Span_begin; Trace.Count 7; Trace.Span_end; Trace.Instant ]);
-  match evs with
+    (kinds tr
+    = [ Recorder.Span_begin; Recorder.Count 7; Recorder.Span_end; Recorder.Instant ]);
+  match Recorder.events tr with
   | b :: _ :: e :: _ ->
-      Alcotest.(check bool) "span has duration" true (e.Trace.step > b.Trace.step)
+      Alcotest.(check bool) "span has duration" true (e.step > b.step)
   | _ -> Alcotest.fail "expected four events"
 
 let test_ring_wrap_typed () =
-  let tr = Trace.create ~capacity:3 in
+  let tr = Recorder.create ~capacity:3 () in
   let _ =
     Sim.run ~config:Config.small ~procs:1 (fun _ ->
         for i = 1 to 7 do
-          Trace.count tr "lvl" i;
+          Recorder.count tr "lvl" i;
           Proc.pay 1
         done;
-        Trace.span_end tr "tail")
+        Recorder.span_end tr "tail")
   in
-  let evs = Trace.to_list tr in
-  Alcotest.(check int) "keeps capacity" 3 (List.length evs);
+  Alcotest.(check int) "keeps capacity" 3 (List.length (Recorder.events tr));
   Alcotest.(check bool) "latest typed events survive" true
-    (List.map (fun e -> e.Trace.kind) evs
-    = [ Trace.Count 6; Trace.Count 7; Trace.Span_end ])
+    (kinds tr = [ Recorder.Count 6; Recorder.Count 7; Recorder.Span_end ])
 
 (* {1 Chrome trace-event JSON}
 
@@ -113,134 +139,113 @@ type json =
 
 let parse_json s =
   let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then s.[!pos] else '\000' in
-  let next () =
-    let c = peek () in
-    incr pos;
-    c
+  let peek () = if !pos < String.length s then s.[!pos] else '\000' in
+  let rec ws () =
+    if String.contains " \n\t\r" (peek ()) then begin
+      incr pos;
+      ws ()
+    end
   in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\n' | '\t' | '\r' ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
+  let eat c =
+    ws ();
+    if peek () <> c then failwith (Printf.sprintf "expected %C at %d" c !pos);
+    incr pos
   in
-  let expect c =
-    skip_ws ();
-    if next () <> c then failwith (Printf.sprintf "expected %C at %d" c !pos)
-  in
-  let parse_string () =
-    expect '"';
+  let str () =
+    eat '"';
     let b = Buffer.create 16 in
     let rec go () =
-      match next () with
+      let c = peek () in
+      incr pos;
+      match c with
       | '"' -> Buffer.contents b
-      | '\\' ->
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'u' ->
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              Buffer.add_char b (Char.chr (code land 0xff))
-          | c -> Buffer.add_char b c);
-          go ()
       | '\000' -> failwith "unterminated string"
+      | '\\' ->
+          let e = peek () in
+          incr pos;
+          if e = 'u' then begin
+            let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+            Buffer.add_char b (Char.chr (code land 0xff));
+            pos := !pos + 4
+          end
+          else Buffer.add_char b e;
+          go ()
       | c ->
           Buffer.add_char b c;
           go ()
     in
     go ()
   in
+  (* Comma-separated [item]s up to [close]; the opener is consumed. *)
+  let seq close item =
+    ws ();
+    if peek () = close then begin
+      incr pos;
+      []
+    end
+    else
+      let rec go acc =
+        let acc = item () :: acc in
+        ws ();
+        if peek () = ',' then begin
+          incr pos;
+          go acc
+        end
+        else begin
+          eat close;
+          List.rev acc
+        end
+      in
+      go []
+  in
   let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> Str (parse_string ())
-    | '-' | '0' .. '9' -> number ()
-    | c -> failwith (Printf.sprintf "unexpected %C at %d" c !pos)
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then begin
-      incr pos;
-      Obj []
-    end
-    else begin
-      let rec fields acc =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        if peek () = ',' then begin
-          incr pos;
-          fields ((k, v) :: acc)
-        end
-        else begin
-          expect '}';
-          Obj (List.rev ((k, v) :: acc))
-        end
-      in
-      fields []
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then begin
-      incr pos;
-      Arr []
-    end
-    else begin
-      let rec elems acc =
-        let v = value () in
-        skip_ws ();
-        if peek () = ',' then begin
-          incr pos;
-          elems (v :: acc)
-        end
-        else begin
-          expect ']';
-          Arr (List.rev (v :: acc))
-        end
-      in
-      elems []
-    end
-  and number () =
+    ws ();
     let start = !pos in
-    if peek () = '-' then incr pos;
-    while match peek () with '0' .. '9' -> true | _ -> false do
-      incr pos
-    done;
-    Num (int_of_string (String.sub s start (!pos - start)))
+    incr pos;
+    match s.[start] with
+    | '{' ->
+        Obj
+          (seq '}' (fun () ->
+               let k = str () in
+               eat ':';
+               (k, value ())))
+    | '[' -> Arr (seq ']' value)
+    | '"' ->
+        decr pos;
+        Str (str ())
+    | '-' | '0' .. '9' ->
+        while match peek () with '0' .. '9' -> true | _ -> false do
+          incr pos
+        done;
+        Num (int_of_string (String.sub s start (!pos - start)))
+    | c -> failwith (Printf.sprintf "unexpected %C at %d" c start)
   in
   let v = value () in
-  skip_ws ();
-  if !pos <> len then failwith "trailing garbage after JSON value";
+  ws ();
+  if !pos <> String.length s then failwith "trailing garbage after JSON value";
   v
 
-(* Golden shape test for the exporter: two runs against one tracer,
+(* Golden shape test for the exporter: two runs against one recorder,
    spans, counts and escaped labels; parse the JSON back and check the
    trace-event contract (valid phases, per-(pid, tid) ts monotonicity,
    one Chrome pid group per run). *)
 let test_chrome_json_valid () =
-  let tr = Trace.create ~capacity:256 in
+  let tr = Recorder.create ~capacity:256 () in
   for _run = 1 to 2 do
-    let _ =
-      Sim.run ~tracer:tr ~config:Config.small ~procs:3 (fun pid ->
-          Trace.span_begin tr "op \"quoted\\\"";
-          for i = 1 to 10 do
-            Proc.pay ((pid + i) mod 3);
-            if i mod 4 = 0 then Trace.count tr "level" i
-          done;
-          Trace.span_end tr "op \"quoted\\\"")
-    in
-    ()
+    ignore
+      (Sim.run ~tracer:tr ~config:Config.small ~procs:3 (fun pid ->
+           Recorder.span_begin tr "op \"quoted\\\"";
+           for i = 1 to 10 do
+             Proc.pay ((pid + i) mod 3);
+             if i mod 4 = 0 then Recorder.count tr "level" i
+           done;
+           Recorder.span_end tr "op \"quoted\\\""))
   done;
-  match parse_json (Trace.chrome_json tr) with
+  let file = Filename.temp_file "trace" ".json" in
+  Out_channel.with_open_bin file (fun oc -> Recorder.chrome_json oc tr);
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  match parse_json text with
   | Obj top ->
       Alcotest.(check bool) "has displayTimeUnit" true
         (List.mem_assoc "displayTimeUnit" top);
@@ -249,7 +254,7 @@ let test_chrome_json_valid () =
           Alcotest.(check bool) "events nonempty" true (evs <> []);
           let last_ts : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
           let run_groups = Hashtbl.create 4 in
-          let saw_escaped = ref false in
+          let saw_escaped = ref false and saw_switch = ref false in
           List.iter
             (function
               | Obj f ->
@@ -267,6 +272,7 @@ let test_chrome_json_valid () =
                   Alcotest.(check bool) "phase valid" true
                     (List.mem ph [ "i"; "B"; "E"; "C" ]);
                   if str "name" = "op \"quoted\\\"" then saw_escaped := true;
+                  if str "name" = "switch" && ph = "i" then saw_switch := true;
                   let pid = num "pid" and tid = num "tid" and ts = num "ts" in
                   Hashtbl.replace run_groups pid ();
                   (match Hashtbl.find_opt last_ts (pid, tid) with
@@ -290,9 +296,52 @@ let test_chrome_json_valid () =
             evs;
           Alcotest.(check int) "one pid group per run" 2
             (Hashtbl.length run_groups);
-          Alcotest.(check bool) "escaped label round-trips" true !saw_escaped
+          Alcotest.(check bool) "escaped label round-trips" true !saw_escaped;
+          Alcotest.(check bool) "scheduler switch instants" true !saw_switch
       | _ -> Alcotest.fail "traceEvents missing or not an array")
   | _ -> Alcotest.fail "top level is not an object"
+
+(* Golden text of the heap's flight-recorder dump after the seeded
+   "unfenced publication" race of [repro run audit-races]: the setup
+   and in-run allocations by tag, then one [data-race] note per
+   reported word, in the merged timeline order. *)
+let unfenced_publication_dump =
+  "--- flight recorder: racecheck report (5 events, newest last)\n\
+   [0] p-1: slot = 16\n\
+   [3] p0: payload = 32\n\
+   [8] p0: data-race = 16\n\
+   [10] p1: data-race = 32\n\
+   [11] p1: data-race = 33\n\
+   --- end flight recorder: racecheck report\n"
+
+let test_unfenced_publication_dump () =
+  let config = { Config.default with Config.race = Racecheck.default_on } in
+  let chaos = Sim.Chaos { pause_prob = 0.02; pause_steps = 200 } in
+  let mem = Memory.create config in
+  let slot = Memory.alloc mem ~tag:"slot" ~size:1 in
+  ignore
+    (Sim.run ~policy:chaos ~seed:42 ~config ~procs:2 (fun pid ->
+         if pid = 0 then begin
+           let b = Memory.alloc mem ~tag:"payload" ~size:2 in
+           Memory.write mem b 41;
+           Memory.write mem (b + 1) 42;
+           Memory.write mem slot b
+         end
+         else begin
+           let rec wait () =
+             let p = Memory.read mem slot in
+             if p = 0 then wait ()
+             else begin
+               ignore (Memory.read mem p);
+               ignore (Memory.read mem (p + 1))
+             end
+           in
+           wait ()
+         end));
+  Alcotest.(check int) "three words race" 3 (Memory.race_report_count mem);
+  Alcotest.(check string) "dump text" unfenced_publication_dump
+    (Recorder.dump_string ~header:"flight recorder: racecheck report"
+       (Memory.recorder mem))
 
 let suite =
   [
@@ -304,4 +353,6 @@ let suite =
     Alcotest.test_case "typed event kinds" `Quick test_typed_kinds;
     Alcotest.test_case "ring wraparound (typed)" `Quick test_ring_wrap_typed;
     Alcotest.test_case "chrome trace JSON valid" `Quick test_chrome_json_valid;
+    Alcotest.test_case "flight-recorder dump golden (unfenced publication)"
+      `Quick test_unfenced_publication_dump;
   ]

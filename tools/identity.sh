@@ -14,7 +14,9 @@
 #     dumps are the only places the allocator policy may show.
 # Besides the diff, a --race cell must print a racecheck block, and every
 # such block must report 0 races; a --profile cell must print a profile
-# block; the plain Figure R run must show adversary stalls and
+# block; an --alloc cell must show that the flag reached its cells: every
+# mem.pool.handoffs line is nonzero under --alloc pooled and zero under
+# --alloc legacy; the plain Figure R run must show adversary stalls and
 # neutralization signals.
 #
 # Adding a mode or an experiment is one line in the lists below.
@@ -28,6 +30,7 @@ set -u
 
 experiments='run 6a
 run 7a
+run audit-cost
 serve
 run robust'
 
@@ -108,6 +111,16 @@ check() {
         return 1
       fi ;;
   esac
+  case $1 in
+    *'--alloc pooled'*) bad='$2 == 0' ;;
+    *'--alloc legacy'*) bad='$2 != 0' ;;
+    *) bad='' ;;
+  esac
+  if [ -n "$bad" ] && ! awk "/^ *mem[.]pool[.]handoffs / { n++; if ($bad) b++ }
+      END { exit !(n && !b) }" "$3"; then
+    echo "      mem.pool.handoffs missing or wrong under $1: the flag did not reach the cells"
+    return 1
+  fi
   case $1 in
     *--profile*)
       if ! grep -q '^--- profile ' "$3"; then
