@@ -43,12 +43,6 @@ type snap = { s_word : int; s_slot : int }
 
 let op_slot = 0
 
-(* Debug instrumentation: receives (site, address) for every count
-   event. Used by tests to audit balance; defaults to a no-op. *)
-let trace : (string -> int -> unit) ref = ref (fun _ _ -> ())
-
-let set_trace f = trace := f
-
 let create ?(mode = `Lockfree) ?(snapshots = true) ?(snapshot_slots = 7)
     ?(eject_work = 4) memory ~procs =
   let slots_per_proc = 1 + if snapshots then snapshot_slots else 0 in
@@ -99,14 +93,12 @@ let count_addr obj = Word.to_addr obj
 (* {1 Counting primitives} *)
 
 let increment h w =
-  !trace "inc" (count_addr w);
   ignore (M.faa h.t.memory (count_addr w) 1)
 
 (* Deletion: recursively discard reference fields, then free. Field
    discards are themselves deferred (retire), so destruction cascades
    without deep recursion. *)
 let rec decrement h w =
-  !trace "dec" (count_addr w);
   let old = M.faa h.t.memory (count_addr w) (-1) in
   assert (old >= 1);
   if old = 1 then delete h w
@@ -152,7 +144,6 @@ and weak_decrement h w =
   if old = 1 then M.free h.t.memory (Word.to_addr w)
 
 and retire_and_eject h w =
-  !trace "retire" (count_addr w);
   Ar.retire h.arh w;
   Tele.set_gauge h.t.g_deferred (Ar.delayed h.t.artbl);
   (* Executing an ejected handle's deferred decrement (and any delete

@@ -202,10 +202,6 @@ val flush : t -> unit
 
 (**/**)
 
-val set_trace : (string -> int -> unit) -> unit
-(** Debug instrumentation: called with a site label and the object's
-    count address on every increment, decrement and retire. *)
-
 val vm_emit_load : t -> Simcore.Vm.Asm.t -> pid:int -> src:int -> int
 (** Emit the compiled form of {!load} (lock-free acquire mode only),
     sanitizer slot-protection notes included when the auditor is on.

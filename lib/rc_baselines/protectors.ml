@@ -2,6 +2,7 @@ module M = Simcore.Memory
 module Proc = Simcore.Proc
 module Word = Simcore.Word
 module Prof = Simcore.Profiler
+module Int_set = Simcore.Int_set
 
 let header = 2
 
@@ -15,6 +16,11 @@ type t = {
   n_slots : int;
   guards : int array;  (* per-process base of [n_slots] words *)
   reg : Rc_obj.registry;
+  (* Each process's guarded set, reused by its sweeps (slot [procs]
+     serves the quiescent flush, pid -1). Per process because a sweep's
+     pays can suspend it while others sweep; taken out while in use, so
+     a sweep nested in a deletion cascade builds its own. *)
+  sets : Int_set.t option array;
 }
 
 let create mem ~procs ~slots ~reg =
@@ -29,7 +35,8 @@ let create mem ~procs ~slots ~reg =
         done;
         base)
   in
-  { mem; procs; n_slots = slots; guards; reg }
+  { mem; procs; n_slots = slots; guards; reg;
+    sets = Array.make (procs + 1) None }
 
 let slots t = t.n_slots
 
@@ -58,22 +65,31 @@ let on_zero t ~pending w =
   end
   else false
 
-let guarded_addrs t =
-  let set = Hashtbl.create 32 in
+(* The O(P) guard sweep, one span per process's guard block. *)
+let guarded_addrs t set =
+  Int_set.clear set;
+  let add w =
+    let a = Word.to_addr w in
+    if a <> 0 then Int_set.add set a
+  in
   for p = 0 to t.procs - 1 do
-    for s = 0 to t.n_slots - 1 do
-      let w = M.read t.mem (t.guards.(p) + s) in
-      if not (Word.is_null w) then Hashtbl.replace set (Word.to_addr w) ()
-    done
-  done;
-  set
+    M.read_span t.mem t.guards.(p) t.n_slots add
+  done
 
 let scan_pending t ~pending ~dec =
   (* The guard sweep, the pending-list pass and the deletions it
      liberates are reclamation time for every protector-based scheme
      (herlihy, orcgc): charge them to the smr-scan phase. *)
   Prof.with_phase Prof.Smr_scan @@ fun () ->
-  let guarded = guarded_addrs t in
+  let i = match Proc.self () with -1 -> t.procs | p -> p in
+  let guarded =
+    match t.sets.(i) with
+    | Some s ->
+        t.sets.(i) <- None;
+        s
+    | None -> Int_set.create ()
+  in
+  guarded_addrs t guarded;
   (* Deletions can cascade into [dec], which may append new entries to
      [pending]; snapshot-and-drain keeps those appends and keeps a
      nested scan disjoint from this one. *)
@@ -85,7 +101,7 @@ let scan_pending t ~pending ~dec =
     (fun w ->
       Proc.pay 1;
       let c = M.read t.mem (Rc_obj.count_addr w) in
-      if c > 0 || Hashtbl.mem guarded (Word.to_addr w) then
+      if c > 0 || Int_set.mem guarded (Word.to_addr w) then
         (* Resurrected or still guarded: this entry keeps watching; the
            liberation flag stays claimed so no second entry can appear. *)
         keep := w :: !keep
@@ -96,6 +112,7 @@ let scan_pending t ~pending ~dec =
       end)
     snapshot;
   pending := List.rev_append !keep !pending;
+  t.sets.(i) <- Some guarded;
   !freed
 
 let clear_all_guards t =

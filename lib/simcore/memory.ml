@@ -427,6 +427,86 @@ let read t a =
   access t ~write:false Racecheck.on_read a;
   t.h.Memcore.words.(a)
 
+(* {1 Span reads}
+
+   [read_span] charges each word exactly as [read] would, and does the
+   host work once per cache line. A read leaves its line in the
+   reader's L1 way at the line's current version, so while this process
+   keeps running inside its run-ahead grant (every pay elided: nobody
+   else runs) each further word on that line is an L1 hit, [c_l1] with
+   no state change. A line's words from [a] thus cost [cost_read] of
+   [a] plus [c_l1] per further word, and when that total fits the
+   budget every one of those pays would be elided (pay costs are
+   positive, so each running sum fits too): the line is charged at
+   once, and the ticks reach the clocks through one [bulk_pay], as the
+   VM's memory opcodes do. Otherwise the word takes [read]'s own path
+   after flushing: a pay outside the grant, or one that would deliver a
+   pending signal, an armed instrument (it reads the clocks), a
+   zero-tick pay (which counts no step), or an address that fails
+   validation. *)
+
+(* [validate]'s verdict without the fault: [a] lies in a live block. *)
+let[@inline] live_word h a =
+  a > 0 && a < h.Memcore.top
+  &&
+  let bid = h.Memcore.block_id.(a) in
+  bid <> 0 && h.Memcore.b_live.(bid) = 1
+
+(* The first address in [a, stop) that fails validation, or [stop]. *)
+let rec live_upto h a stop =
+  if a < stop && live_word h a then live_upto h (a + 1) stop else a
+
+(* The span loop over [a, stop), one line at a time: [acc] ticks over
+   [k] elided pays are not on the clocks yet. Top level, so a span
+   allocates no closure. *)
+let rec span t env e f a stop acc k =
+  if a >= stop then begin
+    if k > 0 then e.Proc.bulk_pay acc k
+  end
+  else begin
+    let h = t.h in
+    let l1 = h.Memcore.c_l1 in
+    let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:a in
+    let line_end = (Memcore.line_of_addr a + 1) * Memcore.line_words in
+    let v = live_upto h a (Int.min stop line_end) - a in
+    let total = c + ((v - 1) * l1) in
+    if
+      v > 0 && c > 0 && l1 > 0 && e.Proc.fast && total < e.Proc.budget
+      && (not e.Proc.intr) && not h.Memcore.san_on
+    then begin
+      (match e.Proc.prof with
+      | Some p ->
+          let pen = Int.max 0 (c - l1) in
+          let pc = p.Proc.pcounts in
+          pc.(p.Proc.pcur) <- pc.(p.Proc.pcur) + total - pen;
+          if pen > 0 then pc.(p.Proc.pcoh) <- pc.(p.Proc.pcoh) + pen
+      | None -> ());
+      e.Proc.budget <- e.Proc.budget - total;
+      for i = a to a + v - 1 do
+        f h.Memcore.words.(i)
+      done;
+      span t env e f (a + v) stop (acc + total) (k + v)
+    end
+    else begin
+      if k > 0 then e.Proc.bulk_pay acc k;
+      Proc.pay_env e c;
+      Profiler.demote e (c - l1);
+      validate_addr t a;
+      if h.Memcore.san_on then
+        instrument t env ~write:false Racecheck.on_read a;
+      f h.Memcore.words.(a);
+      span t env e f (a + 1) stop 0 0
+    end
+  end
+
+let read_span t base n f =
+  match Proc.get_env () with
+  | Some e as env -> span t env e f base (base + n) 0 0
+  | None ->
+      for a = base to base + n - 1 do
+        f (read t a)
+      done
+
 let write t a v =
   access t ~write:true Racecheck.on_write a;
   t.h.Memcore.words.(a) <- v

@@ -82,6 +82,14 @@ val allocator : t -> Alloc.t
 
 val read : t -> int -> int
 
+val read_span : t -> int -> int -> (int -> unit) -> unit
+(** [read_span t base n f] reads the [n] words from [base] in address
+    order and hands each to [f]: ticks, steps, coherence transitions,
+    validation, instrument calls and faults are exactly those of [n]
+    calls to {!read}, but the host work is done once per cache line.
+    Elided pays are held back until the span ends or a word needs the
+    clocks, so [f] must not pay, access the heap or raise. *)
+
 val write : t -> int -> int -> unit
 
 val cas : t -> int -> expected:int -> desired:int -> bool

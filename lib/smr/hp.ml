@@ -4,6 +4,7 @@ module Word = Simcore.Word
 module Tele = Simcore.Telemetry
 module San = Simcore.Sanitizer
 module Prof = Simcore.Profiler
+module Int_set = Simcore.Int_set
 
 type t = {
   mem : M.t;
@@ -25,6 +26,7 @@ and h = {
   pid : int;
   mutable rlist : int list;  (* retired block bases *)
   mutable rlen : int;
+  guarded : Int_set.t;  (* this process's scan set, reused *)
 }
 
 let create mem ~procs ~params =
@@ -54,7 +56,9 @@ let create mem ~procs ~params =
       g_retired = Tele.gauge tele "hp.retired";
     }
   in
-  t.handles <- Array.init procs (fun pid -> { t; pid; rlist = []; rlen = 0 });
+  t.handles <-
+    Array.init procs (fun pid ->
+        { t; pid; rlist = []; rlen = 0; guarded = Int_set.create () });
   t
 
 let handle t pid = t.handles.(pid)
@@ -115,18 +119,20 @@ let scan h =
      frees all charge to the smr-scan phase. *)
   Prof.with_phase Prof.Smr_scan @@ fun () ->
   Tele.incr h.t.c_scans;
-  let protected_ = Hashtbl.create 64 in
+  let protected_ = h.guarded in
+  Int_set.clear protected_;
+  let add v =
+    let a = Word.to_addr v in
+    if a <> 0 then Int_set.add protected_ a
+  in
   for p = 0 to h.t.procs - 1 do
-    for s = 0 to h.t.params.Smr_intf.slots - 1 do
-      let v = M.read h.t.mem (h.t.ann.(p) + s) in
-      if not (Word.is_null v) then Hashtbl.replace protected_ (Word.to_addr v) ()
-    done
+    M.read_span h.t.mem h.t.ann.(p) h.t.params.Smr_intf.slots add
   done;
   let keep = ref [] and kept = ref 0 in
   List.iter
     (fun addr ->
       Proc.pay 1;
-      if Hashtbl.mem protected_ addr then begin
+      if Int_set.mem protected_ addr then begin
         keep := addr :: !keep;
         incr kept
       end

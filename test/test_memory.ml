@@ -1,5 +1,6 @@
 (* The simulated heap: allocation, atomic operations, fault detection,
-   address reuse, and accounting — all sequential (no scheduler). *)
+   address reuse, and accounting — all sequential (no scheduler), except
+   the span-read property, which needs a second process. *)
 
 open Simcore
 
@@ -208,6 +209,108 @@ let prop_atomic_ops_model =
               ok = should && Memory.peek m a = model.(i))
         script)
 
+(* [read_span] must be [n] calls to [read] in every observable: a
+   sweeper (pid 0) reads spans of a three-line block, one way or the
+   other, while a writer (pid 1) writes words of the same lines between
+   the sweeper's suspensions and may free the block mid-run. Everything
+   either run leaves behind is compared: the words read, the clocks
+   after each span, steps, per-core clocks, faults, line states and
+   versions, every L1 way, profiler stacks, flight recorder, sanitizer
+   and race reports. A span may run up to two words past the block: an
+   out-of-bounds fault mid-span. *)
+let span_run ~span (lookahead, seed, (armed, spans, writes, free_at)) =
+  let sanitize, race, profile = armed in
+  let config =
+    {
+      Config.small with
+      Config.cores = 2;
+      lookahead;
+      sanitize = (if sanitize then Sanitizer.default_on else Sanitizer.off);
+      race = (if race then Racecheck.default_on else Racecheck.off);
+    }
+  in
+  let mem = Memory.create config in
+  let size = 24 in
+  let blk = Memory.alloc mem ~tag:"swept" ~size in
+  for a = blk to blk + 7 do
+    Memory.mark_race_sync mem a
+  done;
+  let profiler = if profile then Some (Profiler.create ()) else None in
+  let seen = ref [] in
+  let res =
+    Sim.run ~seed ?profiler ~config ~procs:2 (fun pid ->
+        if pid = 0 then
+          List.iter
+            (fun (off, n) ->
+              let n = Int.min n (size + 2 - off) in
+              Profiler.with_phase Profiler.Smr_scan (fun () ->
+                  if span then
+                    Memory.read_span mem (blk + off) n (fun w ->
+                        seen := w :: !seen)
+                  else
+                    for a = blk + off to blk + off + n - 1 do
+                      seen := Memory.read mem a :: !seen
+                    done);
+              seen := -Proc.now () :: - Proc.global_now () :: !seen;
+              Proc.pay 1)
+            spans
+        else
+          List.iteri
+            (fun i (off, gap) ->
+              if i = free_at then Memory.free mem blk (* lint: allow-free *)
+              else if i < free_at then Memory.write mem (blk + off) (i + 1);
+              Proc.pay gap)
+            writes)
+  in
+  let h = Memory.hot mem in
+  let lines = Memcore.line_of_addr (blk + size) + 1 in
+  ( !seen,
+    (res.Sim.steps, res.Sim.makespan, res.Sim.clocks),
+    List.map
+      (fun f -> (f.Sim.pid, Memory.fault_to_string f.Sim.exn))
+      res.Sim.faults,
+    (Array.sub h.Memcore.lines 0 lines, Array.sub h.Memcore.vers 0 lines),
+    (Array.sub h.Memcore.l1_line 0 4, Array.sub h.Memcore.l1_ver 0 4),
+    (Option.map Profiler.collapsed profiler,
+     Recorder.dump_string ~header:"" (Memory.recorder mem)),
+    (Memory.sanitizer_reports mem, Memory.race_reports mem) )
+
+let prop_read_span =
+  let open QCheck in
+  let ops =
+    quad
+      (triple bool bool bool)
+      (list_of_size Gen.(1 -- 8) (pair (int_range 0 23) (int_range 1 10)))
+      (list_of_size Gen.(0 -- 30) (pair (int_range 0 23) (int_range 0 12)))
+      (int_range 0 40)
+  in
+  Test.make ~count:300 ~name:"read_span = n reads"
+    (triple (int_range 0 64) (int_range 1 10_000) ops)
+    (fun arg -> span_run ~span:true arg = span_run ~span:false arg)
+
+(* The sweeps' guarded set against a Hashtbl model: adds (enough to
+   grow the table several times), clears, and lookups of present and
+   absent keys. *)
+let prop_int_set_model =
+  QCheck.Test.make ~count:200 ~name:"Int_set = Hashtbl model"
+    QCheck.(list (pair (int_range 0 9) (int_range 1 300)))
+    (fun ops ->
+      let s = Int_set.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, k) ->
+          let k = if op < 3 then 16 * k else k in
+          (match op with
+          | 9 ->
+              Int_set.clear s;
+              Hashtbl.reset model
+          | 0 | 1 | 2 | 3 | 4 | 5 ->
+              Int_set.add s k;
+              Hashtbl.replace model k ()
+          | _ -> ());
+          Int_set.mem s k = Hashtbl.mem model k
+          && Int_set.mem s (k + 1) = Hashtbl.mem model (k + 1))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "alloc/read/write" `Quick test_alloc_read_write;
@@ -227,4 +330,6 @@ let suite =
     Alcotest.test_case "block_base" `Quick test_block_base;
     QCheck_alcotest.to_alcotest prop_alloc_model;
     QCheck_alcotest.to_alcotest prop_atomic_ops_model;
+    QCheck_alcotest.to_alcotest prop_read_span;
+    QCheck_alcotest.to_alcotest prop_int_set_model;
   ]

@@ -48,13 +48,16 @@
 #      path that can drift from the inline one.
 #   8. No hidden runtime calls in the simulator core:
 #      lib/simcore/{memory,memcore,vm,sim,proc,racecheck,sanitizer,
-#      profiler,telemetry,alloc}.ml may not use the bare polymorphic
-#      min, max or compare, nor Domain.self. On ints the polymorphic
-#      ones call the runtime's generic comparison, and Domain.self is a
-#      C call that switches stacks; both once ran per simulated access.
-#      Int code uses Int.min/Int.max or an explicit test, and sort sites
-#      pass a typed comparator. Comments and string literals are
-#      ignored.
+#      profiler,telemetry,alloc,int_set}.ml and the protection sweeps
+#      (lib/rc_baselines/protectors.ml, lib/smr/hp.ml) may not use the
+#      bare polymorphic min, max or compare, nor Domain.self. On ints
+#      the polymorphic ones call the runtime's generic comparison, and
+#      Domain.self is a C call that switches stacks; both once ran per
+#      simulated access. Int code uses Int.min/Int.max or an explicit
+#      test, and sort sites pass a typed comparator. The two sweep files
+#      may not use Hashtbl either: a sweep once built a fresh hash table
+#      (and hashed every guard) per retire; its guarded set is a reused
+#      Int_set. Comments and string literals are ignored.
 #   9. No environment reads under lib/: Sys.getenv and Sys.getenv_opt
 #      belong to the executables. The CLI turns its flags and REPRO_*
 #      variables into one Config.t (Config.resolve, which takes a
@@ -238,13 +241,26 @@ strip_comments_strings() {
   }' "$1"
 }
 
-for name in memory memcore vm sim proc racecheck sanitizer profiler telemetry alloc; do
-  f=$root/lib/simcore/$name.ml
+sweeps="rc_baselines/protectors smr/hp"
+for name in simcore/memory simcore/memcore simcore/vm simcore/sim simcore/proc \
+  simcore/racecheck simcore/sanitizer simcore/profiler simcore/telemetry \
+  simcore/alloc simcore/int_set $sweeps; do
+  f=$root/lib/$name.ml
   [ -f "$f" ] || continue
   hits=$(strip_comments_strings "$f" \
     | grep -nE "(^|[^.A-Za-z0-9_'])(min|max|compare)([^A-Za-z0-9_']|\$)|Domain\.self")
   if [ -n "$hits" ]; then
     fail "lint: polymorphic min/max/compare or Domain.self in $f (use Int.min/Int.max, an explicit test or a typed comparator):"
+    printf '%s\n' "$hits" >&2
+  fi
+done
+
+for name in $sweeps; do
+  f=$root/lib/$name.ml
+  [ -f "$f" ] || continue
+  hits=$(strip_comments_strings "$f" | grep -nE "(^|[^.A-Za-z0-9_'])Hashtbl\.")
+  if [ -n "$hits" ]; then
+    fail "lint: Hashtbl in the protection sweep $f (collect guarded addresses into a reused Int_set):"
     printf '%s\n' "$hits" >&2
   fi
 done
@@ -404,6 +420,18 @@ VM
   echo 'let s l = List.sort compare l' > "$tmp/lib/simcore/profiler.ml"
   check_catches "List.sort compare in lib/simcore/profiler.ml"
 
+  # A fresh hash table per sweep, seeded into a copy of hp.ml.
+  mkdir -p "$tmp/lib/smr"
+  if [ -f "$root/lib/smr/hp.ml" ]; then
+    cp "$root/lib/smr/hp.ml" "$tmp/lib/smr/hp.ml"
+  fi
+  echo 'let guarded () = Hashtbl.create 64' >> "$tmp/lib/smr/hp.ml"
+  check_catches "Hashtbl.create in lib/smr/hp.ml"
+
+  mkdir -p "$tmp/lib/rc_baselines"
+  echo 'let bound n = max n 8' > "$tmp/lib/rc_baselines/protectors.ml"
+  check_catches "max n 8 in lib/rc_baselines/protectors.ml"
+
   # Typed forms, comments, strings and files outside the list pass.
   mkdir -p "$tmp/lib/simcore" "$tmp/lib/workload"
   cat > "$tmp/lib/simcore/racecheck.ml" <<'RC'
@@ -413,6 +441,9 @@ let k = "/max" and max_int' = max_int and q = '"' and r = String.compare
 let s l = List.sort Int.compare l
 RC
   echo 'let m a b = max a b' > "$tmp/lib/workload/ok.ml"
+  mkdir -p "$tmp/lib/smr"
+  echo '(* no Hashtbl here *) let s = "Hashtbl." and t = Simcore.Int_set.create ()' > "$tmp/lib/smr/hp.ml"
+  echo 'let h = Hashtbl.create 8' > "$tmp/lib/smr/ebr.ml"
   check_passes "typed comparisons and polymorphic ones elsewhere"
 
   # Rule 9: an environment read seeded into a copy of fig6.ml.
