@@ -9,14 +9,32 @@ type mode = [ `Lockfree | `Waitfree ]
 
 (* One in-progress ejectAll pass (deamortized, §6): phase 0 reads
    announcement slots into [plist], phase 1 diffs the snapshotted retired
-   list against it. *)
+   list against it. Each [eject] call's share of the pass runs in three
+   parts. [plan] lays out its steps — which slots to read, how many
+   handles to diff, whether the pass ends — and pays nothing: that
+   control flow depends only on the slot cursor and the snapshot's
+   length. Then the accesses run (slot reads, one-tick diff pays), as
+   closure code or as compiled VM instructions. [finish] applies the
+   words read and the diffs in step order and pays nothing either. *)
 type pass = {
   mutable active : bool;
   mutable phase : int;
   mutable slot_cursor : int;
   plist : (int, int ref) Hashtbl.t;  (* announced addr -> multiplicity *)
   mutable scanning : int list;  (* snapshot of the retired list *)
+  mutable unplanned : int;  (* handles of [scanning] no plan diffs yet *)
   mutable ejected : int;  (* handles moved to flist by this pass *)
+  (* The current plan: [n_reads] reads of consecutive slots from index
+     [read_from], then [n_diffs] diffs, [n_steps] steps in all; [ends]
+     when its last step ends the pass. The words read are staged here,
+     in the handle: between a compiled plan and its finish the process
+     may be descheduled, and other processes plan on their own. *)
+  mutable read_from : int;
+  mutable n_reads : int;
+  mutable n_diffs : int;
+  mutable n_steps : int;
+  mutable ends : bool;
+  staged : int array;  (* [eject_work] words *)
 }
 
 type t = {
@@ -27,7 +45,7 @@ type t = {
   eject_work : int;
   ar_mode : mode;
   fast_retries : int;
-  ann : Swcopy.dst array array;  (* [procs][slots] *)
+  ann : Swcopy.dst array;  (* slot [s] of [pid] at [pid * slots + s] *)
   (* Sanitizer protocol auditing: one slot-protection key per
      announcement slot. Only *validated* announcements are registered
      (at the point the acquire loop confirms the source still holds the
@@ -59,8 +77,10 @@ let create ?(mode = `Lockfree) memory ~procs ~slots_per_proc ~eject_work =
   (* One cache line of slots per process (Fig. 4: "the eight total
      announcement slots of a process fit on a single cache line"). *)
   let ann =
-    Array.init procs (fun _ ->
-        Swcopy.make_packed swc ~n:slots_per_proc ~init:Word.null)
+    Array.concat
+      (Array.to_list
+         (Array.init procs (fun _ ->
+              Swcopy.make_packed swc ~n:slots_per_proc ~init:Word.null)))
   in
   let tele = M.telemetry memory in
   let san = M.sanitizer memory in
@@ -99,7 +119,14 @@ let create ?(mode = `Lockfree) memory ~procs ~slots_per_proc ~eject_work =
           slot_cursor = 0;
           plist = Hashtbl.create 64;
           scanning = [];
+          unplanned = 0;
           ejected = 0;
+          read_from = 0;
+          n_reads = 0;
+          n_diffs = 0;
+          n_steps = 0;
+          ends = false;
+          staged = Array.make t.eject_work Word.null;
         };
     }
   in
@@ -125,7 +152,7 @@ let is_setup h = h.pid >= h.t.procs
 let slot_dst h slot =
   assert (h.pid < h.t.procs);
   assert (slot >= 0 && slot < h.t.slots);
-  h.t.ann.(h.pid).(slot)
+  h.t.ann.((h.pid * h.t.slots) + slot)
 
 (* Sanitizer slot-protection key of (pid, slot). *)
 let san_key h slot = h.t.san_base + (h.pid * h.t.slots) + slot
@@ -196,7 +223,7 @@ let release h ~slot =
    constant, so the announcement is a plain store of the Swcopy value
    encoding ([v lsl 1]; null encodes to 0). With the sanitizer's
    protection auditor on at emit time, the slot-protection notes are
-   [HOST] calls at the closure's points — [san_begin] before the first
+   leaf host calls at the closure's points — [san_begin] before the first
    source read and before the null announce, [san_validated] on the
    confirmed word — so the auditor's protected set evolves as under the
    closure acquire; with it off the stream carries none. *)
@@ -211,7 +238,7 @@ let vm_emit_acquire h a ~slot ~src =
   let r_dst = A.reg a and r_v = A.reg a and r_v' = A.reg a in
   let r_enc = A.reg a in
   A.movi a r_dst (Swcopy.addr (slot_dst h slot));
-  if notes then A.host a (fun _ -> san_begin h slot);
+  if notes then A.host_leaf a (fun _ -> san_begin h slot);
   A.read a r_v src;
   let retry = A.label a and got = A.label a in
   A.place a retry;
@@ -223,11 +250,11 @@ let vm_emit_acquire h a ~slot ~src =
   A.jmp a retry;
   A.place a got;
   if notes then
-    A.host a (fun fr -> san_validated h slot fr.Simcore.Vm.regs.(r_v));
+    A.host_leaf a (fun fr -> san_validated h slot fr.Simcore.Vm.regs.(r_v));
   (r_v, r_dst)
 
 let vm_emit_release h a ~slot ~slot_reg =
-  if san_notes h then A.host a (fun _ -> san_begin h slot);
+  if san_notes h then A.host_leaf a (fun _ -> san_begin h slot);
   let r_zero = A.reg a in
   A.movi a r_zero 0;
   A.write a slot_reg r_zero
@@ -262,37 +289,79 @@ let start_pass h =
   p.ejected <- 0;
   Hashtbl.reset p.plist;
   p.scanning <- h.rlist;
+  p.unplanned <- h.rlen;
   h.rlist <- [];
   h.rlen <- 0
 
-(* One unit of scan work: read one announcement slot, or diff one
-   retired handle. *)
-let pass_step h =
+(* Lay out up to [eject_work] steps of the active pass, each one unit
+   of scan work: read one announcement slot, switch phase, diff one
+   retired handle, or end the pass. Pays nothing. *)
+let plan_steps h =
   let t = h.t in
   let p = h.pass in
-  Tele.incr t.c_scan_steps;
-  if p.phase = 0 then begin
-    let total = t.procs * t.slots in
-    if p.slot_cursor >= total then p.phase <- 1
-    else begin
-      let pid = p.slot_cursor / t.slots and s = p.slot_cursor mod t.slots in
-      p.slot_cursor <- p.slot_cursor + 1;
-      let w = Swcopy.read_raw t.swc t.ann.(pid).(s) in
-      if not (Word.is_null w) then begin
-        let key = Word.to_addr w in
-        match Hashtbl.find_opt p.plist key with
-        | Some r -> incr r
-        | None -> Hashtbl.add p.plist key (ref 1)
+  let total = t.procs * t.slots in
+  p.read_from <- p.slot_cursor;
+  p.n_reads <- 0;
+  p.n_diffs <- 0;
+  p.ends <- false;
+  let n = ref 0 in
+  while p.active && !n < t.eject_work do
+    if p.phase = 0 then begin
+      if p.slot_cursor >= total then p.phase <- 1
+      else begin
+        p.slot_cursor <- p.slot_cursor + 1;
+        p.n_reads <- p.n_reads + 1
       end
     end
-  end
-  else begin
+    else if p.unplanned = 0 then begin
+      p.active <- false;
+      p.ends <- true
+    end
+    else begin
+      p.unplanned <- p.unplanned - 1;
+      p.n_diffs <- p.n_diffs + 1
+    end;
+    incr n
+  done;
+  if !n > 0 then Tele.add t.c_scan_steps !n;
+  p.n_steps <- !n
+
+(* An [eject]'s plan: start a pass when one is due, then lay out this
+   call's steps ([n_steps = 0]: no pass, nothing to do). *)
+let plan h =
+  if (not h.pass.active) && h.rlen > 0 then start_pass h;
+  plan_steps h
+
+(* The planned accesses as closure code: the slot reads, then one tick
+   per diff. *)
+let accesses h =
+  let p = h.pass in
+  for i = 0 to p.n_reads - 1 do
+    p.staged.(i) <- Swcopy.read_raw h.t.swc h.t.ann.(p.read_from + i)
+  done;
+  for _ = 1 to p.n_diffs do
+    Proc.pay 1
+  done
+
+(* Apply the planned steps: the staged words join the announced
+   multiset, then each diffed handle is kept (one per announcement) or
+   ejected. *)
+let apply h =
+  let t = h.t in
+  let p = h.pass in
+  for i = 0 to p.n_reads - 1 do
+    let w = p.staged.(i) in
+    if not (Word.is_null w) then begin
+      let key = Word.to_addr w in
+      match Hashtbl.find_opt p.plist key with
+      | Some r -> incr r
+      | None -> Hashtbl.add p.plist key (ref 1)
+    end
+  done;
+  for _ = 1 to p.n_diffs do
     match p.scanning with
-    | [] ->
-        p.active <- false;
-        Tele.observe t.h_eject_batch p.ejected
+    | [] -> assert false
     | w :: rest -> (
-        Proc.pay 1;
         p.scanning <- rest;
         let key = Word.to_addr w in
         match Hashtbl.find_opt p.plist key with
@@ -304,23 +373,10 @@ let pass_step h =
         | Some _ | None ->
             p.ejected <- p.ejected + 1;
             h.flist <- w :: h.flist)
-  end
+  done;
+  if p.ends then Tele.observe t.h_eject_batch p.ejected
 
-let eject h =
-  if (not h.pass.active) && h.rlen > 0 then start_pass h;
-  if h.pass.active then begin
-    (* The amortized scan work a deferred-RC operation carries along —
-       announcement reads and retire-list diffing — is deferral
-       overhead, not operation time. *)
-    Prof.with_phase Prof.Drc_defer @@ fun () ->
-    Swcopy.enter h.t.swc;
-    let n = ref h.t.eject_work in
-    while h.pass.active && !n > 0 do
-      pass_step h;
-      decr n
-    done;
-    Swcopy.exit h.t.swc
-  end;
+let pop h =
   match h.flist with
   | [] -> None
   | w :: rest ->
@@ -328,6 +384,23 @@ let eject h =
       h.t.n_delayed <- h.t.n_delayed - 1;
       Tele.set_gauge h.t.g_delayed h.t.n_delayed;
       Some w
+
+let finish h =
+  apply h;
+  pop h
+
+let eject h =
+  plan h;
+  if h.pass.n_steps > 0 then begin
+    (* The amortized scan work a deferred-RC operation carries along —
+       announcement reads and retire-list diffing — is deferral
+       overhead, not operation time. *)
+    Prof.with_phase Prof.Drc_defer @@ fun () ->
+    Swcopy.enter h.t.swc;
+    accesses h;
+    Swcopy.exit h.t.swc
+  end;
+  finish h
 
 let delayed t = t.n_delayed
 
@@ -337,12 +410,9 @@ let eject_all h =
   let drain () =
     let n = ref 0 in
     let rec go () =
-      match h.flist with
-      | [] -> ()
-      | w :: rest ->
-          h.flist <- rest;
-          h.t.n_delayed <- h.t.n_delayed - 1;
-          Tele.set_gauge h.t.g_delayed h.t.n_delayed;
+      match pop h with
+      | None -> ()
+      | Some w ->
           out := w :: !out;
           incr n;
           go ()
@@ -354,16 +424,74 @@ let eject_all h =
      may conservatively keep handles that are free by now. Complete it,
      then keep running passes with fresh snapshots until one ejects
      nothing — only a fresh pass can conclude "genuinely announced". *)
-  while h.pass.active do
-    pass_step h
-  done;
+  let complete () =
+    while h.pass.active do
+      plan_steps h;
+      accesses h;
+      apply h
+    done
+  in
+  complete ();
   ignore (drain ());
   let progress = ref true in
   while !progress && h.rlen > 0 do
     start_pass h;
-    while h.pass.active do
-      pass_step h
-    done;
+    complete ();
     progress := drain () > 0
   done;
   !out
+
+(* [retire] then [eject], compiled: one leaf retires and plans, the
+   pass's Swcopy/EBR window and the planned reads and pays are VM
+   instructions, and a second leaf finishes. The plan leaf loads the
+   read count, the diff count and the slot addresses into registers;
+   the stream holds [eject_work] guarded reads and [eject_work] guarded
+   one-tick pays, so a plan of any shape runs without a branch back.
+   The finish leaf stages the words read in the handle, applies the
+   plan and loads the ejected handle (0: none) into the register it
+   returns. Lock-free mode only: there, no destination ever holds a
+   copy descriptor, so a slot word decodes without help. *)
+let vm_emit_retire_eject h a ~word ~on_retire =
+  assert (h.t.ar_mode = `Lockfree && not (is_setup h));
+  let t = h.t in
+  let p = h.pass in
+  let r_steps = A.reg a and r_reads = A.reg a and r_diffs = A.reg a in
+  let r_addr = Array.init t.eject_work (fun _ -> A.reg a) in
+  let r_word = Array.init t.eject_work (fun _ -> A.reg a) in
+  let r_ejected = A.reg a in
+  A.host_leaf a (fun fr ->
+      let regs = fr.Simcore.Vm.regs in
+      retire h regs.(word);
+      on_retire ();
+      plan h;
+      regs.(r_steps) <- p.n_steps;
+      regs.(r_reads) <- p.n_reads;
+      regs.(r_diffs) <- p.n_diffs;
+      for i = 0 to p.n_reads - 1 do
+        regs.(r_addr.(i)) <- Swcopy.addr t.ann.(p.read_from + i)
+      done);
+  let fin = A.label a and diffs = A.label a and steps_done = A.label a in
+  A.beqi a r_steps 0 fin;
+  let profiled = Prof.active () in
+  if profiled then A.host_leaf a (fun _ -> Prof.enter Prof.Drc_defer);
+  let window = Swcopy.vm_emit_enter t.swc a ~pid:h.pid in
+  for i = 0 to t.eject_work - 1 do
+    A.blti a r_reads (i + 1) diffs;
+    A.read a r_word.(i) r_addr.(i)
+  done;
+  A.place a diffs;
+  for i = 0 to t.eject_work - 1 do
+    A.blti a r_diffs (i + 1) steps_done;
+    A.payi a 1
+  done;
+  A.place a steps_done;
+  Swcopy.vm_emit_exit t.swc a ~pid:h.pid ~window;
+  if profiled then A.host_leaf a (fun _ -> Prof.exit ());
+  A.place a fin;
+  A.host_leaf a (fun fr ->
+      let regs = fr.Simcore.Vm.regs in
+      for i = 0 to p.n_reads - 1 do
+        p.staged.(i) <- Swcopy.plain_value regs.(r_word.(i))
+      done;
+      regs.(r_ejected) <- (match finish h with Some w -> w | None -> Word.null));
+  r_ejected

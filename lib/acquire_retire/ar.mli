@@ -63,8 +63,9 @@ val vm_emit_acquire :
     [(r_v, r_slot)]: the register holding the protected word and the
     one holding the slot's address (for {!vm_emit_release}). With the
     sanitizer's [protocol] auditor on at emit time, the slot-protection
-    notes are emitted as [HOST] calls at the closure's points. Lock-free
-    mode only; not valid on the setup handle. *)
+    notes are emitted as leaf host calls ({!Simcore.Vm.Asm.host_leaf})
+    at the closure's points. Lock-free mode only; not valid on the
+    setup handle. *)
 
 val vm_emit_release : h -> Simcore.Vm.Asm.t -> slot:int -> slot_reg:int -> unit
 (** Emit [release h ~slot], given the [r_slot] register returned by the
@@ -82,6 +83,18 @@ val retire : h -> int -> unit
 
 val eject : h -> int option
 (** Advance the scan; return an ejected handle if one is available. *)
+
+val vm_emit_retire_eject :
+  h -> Simcore.Vm.Asm.t -> word:int -> on_retire:(unit -> unit) -> int
+(** [vm_emit_retire_eject h a ~word ~on_retire] emits [retire h w]
+    followed by [eject h] for the handle in register [word], tick- and
+    heap-identical to the closure forms, profiler frames included.
+    [on_retire] runs right after the retire (it must not pay). Returns
+    the register that holds the ejected handle afterwards, or
+    {!Simcore.Word.null} when none was ready. The retire, the scan's
+    planning and its bookkeeping are leaf host calls; the Swcopy window
+    and the scan's slot reads and pays are VM instructions. Lock-free
+    mode only; not valid on the setup handle. *)
 
 val delayed : t -> int
 (** Retires not yet ejected — the Theorem 2 bound. *)

@@ -341,12 +341,35 @@ let flush t =
 
    The Fig. 3 fast paths emitted into a {!Simcore.Vm} stream; tick-,
    RNG- and heap-identical to [load]/[store]/[destruct]. The acquire and
-   release come from {!Ar}, sanitizer slot-protection notes included.
-   Retire/eject and delete cascades stay host calls. Only meaningful
-   for the lock-free acquire mode; the wait-free swcopy slow path is
-   not compiled. *)
+   release come from {!Ar}, sanitizer slot-protection notes included,
+   and so does the retire-and-eject; the ejected handle's deferred
+   decrement is an [FAAI]. Only a delete cascade stays a (paying) host
+   call. Only meaningful for the lock-free acquire mode; the wait-free
+   swcopy slow path is not compiled. *)
 
 module A = Simcore.Vm.Asm
+
+(* [retire_and_eject h (Word.clean w)] for the word in register [ptr],
+   which must not be null. The gauge updates and the [Drc_defer] frame
+   around the decrement are leaf host calls at the closure's points. *)
+let vm_emit_retire_eject h a ~ptr =
+  let gauge () = Tele.set_gauge h.t.g_deferred (Ar.delayed h.t.artbl) in
+  let r_w = A.reg a in
+  A.andi a r_w ptr (Word.clean (-1));
+  let r_e = Ar.vm_emit_retire_eject h.arh a ~word:r_w ~on_retire:gauge in
+  let none = A.label a and kept = A.label a in
+  A.beqi a r_e Word.null none;
+  let profiled = Prof.active () in
+  if profiled then A.host_leaf a (fun _ -> Prof.enter Prof.Drc_defer);
+  let r_ea = A.reg a and r_old = A.reg a in
+  A.shri a r_ea r_e 2;
+  A.faai a r_old r_ea (-1);
+  A.bnei a r_old 1 kept;
+  A.host a (fun fr -> delete h fr.Simcore.Vm.regs.(r_e));
+  A.place a kept;
+  if profiled then A.host_leaf a (fun _ -> Prof.exit ());
+  A.place a none;
+  A.host_leaf a (fun _ -> gauge ())
 
 let vm_emit_load t a ~pid ~src =
   let h = handle t pid in
@@ -367,8 +390,7 @@ let vm_emit_store_fresh t a ~pid ~dst ~value =
   A.fas a r_old dst value;
   A.shri a r_oa r_old 2;
   A.beqi a r_oa 0 skip;
-  A.host a (fun fr ->
-      retire_and_eject h (Word.clean fr.Simcore.Vm.regs.(r_old)));
+  vm_emit_retire_eject h a ~ptr:r_old;
   A.place a skip
 
 let vm_emit_destruct t a ~pid ~ptr =
@@ -377,8 +399,7 @@ let vm_emit_destruct t a ~pid ~ptr =
   let skip = A.label a in
   A.shri a r_a ptr 2;
   A.beqi a r_a 0 skip;
-  if t.snapshots then
-    A.host a (fun fr -> retire_and_eject h (Word.clean fr.Simcore.Vm.regs.(ptr)))
+  if t.snapshots then vm_emit_retire_eject h a ~ptr
   else begin
     let c_eager = A.counter_cell a t.c_eager in
     let r_old = A.reg a in

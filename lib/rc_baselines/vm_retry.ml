@@ -16,7 +16,7 @@ let start a =
 let retry a = function
   | None -> ()
   | Some r ->
-      A.host a (fun fr ->
+      A.host_leaf a (fun fr ->
           Prof.enter Prof.Cas_retry;
           fr.Simcore.Vm.regs.(r) <- fr.Simcore.Vm.regs.(r) + 1)
 
@@ -25,7 +25,7 @@ let exit a = function
   | Some r ->
       let skip = A.label a in
       A.beqi a r 0 skip;
-      A.host a (fun fr ->
+      A.host_leaf a (fun fr ->
           for _ = 1 to fr.Simcore.Vm.regs.(r) do
             Prof.exit ()
           done);

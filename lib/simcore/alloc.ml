@@ -62,7 +62,9 @@ type t = {
   h : Memcore.t;
   pol : Config.alloc_policy;
   contended : bool;
-  coh : Memcore.t;  (* private coherence domain for allocator metadata *)
+  coh : Memcore.t option;
+      (* private coherence domain for allocator metadata; built only
+         when [contended], the one mode that reads it *)
   (* Legacy freelists (also the oversized fallback under Pooled). *)
   free_heads : int array;  (* size -> head block id; 0 = empty *)
   large_free : (int, int) Hashtbl.t;  (* oversized size -> head id *)
@@ -93,7 +95,7 @@ let create ~policy ~contended h tele =
     h;
     pol = policy;
     contended;
-    coh = Memcore.create_like h;
+    coh = (if contended then Some (Memcore.create_like h) else None);
     free_heads = Array.make num_size_classes 0;
     large_free = Hashtbl.create 8;
     class_of = Array.make num_size_classes 0;
@@ -174,11 +176,16 @@ let mask_line d = (d * region) + stride + exchange_slots
 let legacy_line size =
   if size < num_size_classes then size else num_size_classes + (size mod 97)
 
+let coh t =
+  match t.coh with
+  | Some c -> c
+  | None -> invalid_arg "Alloc: metadata coherence without contention"
+
 let coh_write t ~pid line =
-  Memcore.cost_write t.coh ~pid ~addr:(line * Memcore.line_words)
+  Memcore.cost_write (coh t) ~pid ~addr:(line * Memcore.line_words)
 
 let coh_read t ~pid line =
-  Memcore.cost_read t.coh ~pid ~addr:(line * Memcore.line_words)
+  Memcore.cost_read (coh t) ~pid ~addr:(line * Memcore.line_words)
 
 (* {1 Legacy freelists (and the shared oversized fallback)} *)
 

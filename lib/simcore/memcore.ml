@@ -138,14 +138,17 @@ let ensure_block t id =
 
 (* {1 Coherence} *)
 
-let line_of_addr addr = addr / line_words
+let[@inline] line_of_addr addr = addr / line_words
 
-let ensure_line t line =
-  if line >= Array.length t.lines then begin
-    let needed = line + 1 in
-    t.lines <- grow_array t.lines ~needed ~fill:0;
-    t.vers <- grow_array t.vers ~needed ~fill:0
-  end
+(* Growth is cold and kept out of line, so the bounds test of
+   [ensure_line] inlines into every cost function. *)
+let[@inline never] grow_lines t line =
+  let needed = line + 1 in
+  t.lines <- grow_array t.lines ~needed ~fill:0;
+  t.vers <- grow_array t.vers ~needed ~fill:0
+
+let[@inline] ensure_line t line =
+  if line >= Array.length t.lines then grow_lines t line
 
 (* A second coherence domain with the same cost model but its own
    line/L1 state: the pooled allocator models contention on its *own*
@@ -180,13 +183,13 @@ let reset_lines t ~base ~size =
 
 let block_of t a = if a > 0 && a < t.top then t.block_id.(a) else 0
 
-let pid_slot pid = if pid < 0 || pid >= max_pids then max_pids - 1 else pid
+let[@inline] pid_slot pid = if pid < 0 || pid >= max_pids then max_pids - 1 else pid
 
 (* Direct-mapped on the line's parity bit: adjacent hot lines (node vs
    announcement slots) land in different ways often enough. *)
-let way pid line = (2 * pid_slot pid) + (line land 1)
+let[@inline] way pid line = (2 * pid_slot pid) + (line land 1)
 
-let remember t pid line =
+let[@inline] remember t pid line =
   let w = way pid line in
   t.l1_line.(w) <- line;
   t.l1_ver.(w) <- t.vers.(line)

@@ -204,17 +204,17 @@ module Core_ring = struct
 
   let is_empty t = length t = 0
 
-  let set_bit t b =
+  let[@inline] set_bit t b =
     let w = b lsr 5 in
     Array.unsafe_set t.bits w
       (Array.unsafe_get t.bits w lor (1 lsl (b land 31)))
 
-  let clear_bit t b =
+  let[@inline] clear_bit t b =
     let w = b lsr 5 in
     Array.unsafe_set t.bits w
       (Array.unsafe_get t.bits w land lnot (1 lsl (b land 31)))
 
-  let test_bit t b =
+  let[@inline] test_bit t b =
     Array.unsafe_get t.bits (b lsr 5) land (1 lsl (b land 31)) <> 0
 
   (* Count-trailing-zeros of a nonzero 32-bit word (de Bruijn). *)
@@ -224,7 +224,7 @@ module Core_ring = struct
       23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
     |]
 
-  let ctz w =
+  let[@inline] ctz w =
     Array.unsafe_get ctz_table ((((w land -w) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
   (* First nonempty bucket at or after [b0] in wrapped bucket order; -1
@@ -246,7 +246,7 @@ module Core_ring = struct
       !found
     end
 
-  let ring_insert t ~key v =
+  let[@inline] ring_insert t ~key v =
     let b = key land ring_mask in
     (match Array.unsafe_get t.slots ((2 * b) + 1) with
     | -1 ->
@@ -278,7 +278,7 @@ module Core_ring = struct
   (* The minimum key, or [max_int] when empty. Advances [base] to it
      (draining newly in-window overflow); the fast path — the minimum
      still sits at [base] — is one bit test. *)
-  let find_min t =
+  let[@inline] find_min t =
     if t.ring_count = 0 then
       if t.ovf_count = 0 then max_int
       else begin
@@ -328,7 +328,7 @@ module Core_ring = struct
       end
     end
 
-  let pop_root t =
+  let[@inline] pop_root t =
     let b = t.base land ring_mask in
     let v = Array.unsafe_get t.slots (2 * b) in
     let n = Array.unsafe_get t.next v in

@@ -8,7 +8,8 @@
    touches only unboxed ints: registers, the shared {!Memcore} arrays,
    and a local tick accumulator. Everything that is rare or cold — an
    allocation, a reclamation scan, a sampling callback — stays an
-   ordinary OCaml closure invoked by the [HOST] opcode.
+   ordinary OCaml closure invoked by the [HOST] opcode, or — when it
+   never pays — by the cheaper [LEAF] opcode.
 
    Two invariants make the compiled path bit-identical to the closure
    path (which remains as the differential oracle, see [test_vm]):
@@ -169,13 +170,15 @@ let op_cellinc = 34 (* #c i *)
 
 let op_ori = 35 (* rd rs i *)
 
-let n_opcodes = 36
+let op_leaf = 36 (* #h *)
+
+let n_opcodes = 37
 
 (* Operand count per opcode (instruction size minus one). *)
 let arity =
   [|
     0; 1; 3; 3; 3; 3; 3; 3; 3; 3; 2; 2; 3; 3; 3; 3; 3; 3; 2; 2; 4; 3; 3; 3;
-    6; 1; 1; 1; 2; 2; 1; 3; 2; 2; 2; 3;
+    6; 1; 1; 1; 2; 2; 1; 3; 2; 2; 2; 3; 1;
   |]
 
 let () = assert (Array.length arity = n_opcodes)
@@ -218,6 +221,7 @@ type instr =
   | Rngi of int * int
   | Rngb of int * int
   | Host of int
+  | Leaf of int
   | Tab of int * int * int
   | Cellld of int * int
   | Cellst of int * int
@@ -262,6 +266,7 @@ let encode instrs =
         | Rngi (rd, i) -> [ op_rngi; rd; i ]
         | Rngb (rd, f) -> [ op_rngb; rd; f ]
         | Host h -> [ op_host; h ]
+        | Leaf h -> [ op_leaf; h ]
         | Tab (rd, t, ri) -> [ op_tab; rd; t; ri ]
         | Cellld (rd, c) -> [ op_cellld; rd; c ]
         | Cellst (c, rs) -> [ op_cellst; c; rs ]
@@ -311,6 +316,7 @@ let decode code =
           else if op = op_rngi then Rngi (a 1, a 2)
           else if op = op_rngb then Rngb (a 1, a 2)
           else if op = op_host then Host (a 1)
+          else if op = op_leaf then Leaf (a 1)
           else if op = op_tab then Tab (a 1, a 2, a 3)
           else if op = op_cellld then Cellld (a 1, a 2)
           else if op = op_cellst then Cellst (a 1, a 2)
@@ -402,12 +408,16 @@ module Asm = struct
     a.patches <- (a.len, l) :: a.patches;
     push a 0
 
-  let host a f =
+  let hosted a op f =
     let i = a.n_hosts in
     a.hosts_rev <- f :: a.hosts_rev;
     a.n_hosts <- i + 1;
-    push a op_host;
+    push a op;
     push a i
+
+  let host a f = hosted a op_host f
+
+  let host_leaf a f = hosted a op_leaf f
 
   let table a arr =
     let i = a.n_tables in
@@ -575,7 +585,12 @@ end
    switched. The scheduler charges the pay, picks, and re-enters the
    coroutine by plain call. Host calls are the one place a fiber still
    exists: each runs under [host_handler] in its own one-shot fiber so
-   that a pay from arbitrary OCaml code can suspend just that call. *)
+   that a pay from arbitrary OCaml code can suspend just that call.
+   A leaf host call ([LEAF]) is the exception: its contract is that it
+   never pays, so it is a plain OCaml call after the flush. Every pay
+   moves the step counter (an elided one through [fast_pay], any other
+   through the scheduler loop), so the loop checks the contract by
+   comparing [gclock] across the call and fails the run on a change. *)
 
 exception Halted
 
@@ -675,6 +690,21 @@ let vfail e fr a =
   flush e fr;
   Memory.validate_addr fr.mem a;
   assert false
+
+exception Leaf_paid of int
+
+let () =
+  Printexc.register_printer (function
+    | Leaf_paid pc ->
+        Some (Printf.sprintf "Vm: the leaf host call at code index %d paid" pc)
+    | _ -> None)
+
+(* A leaf: flush, then a plain call; a moved step counter means it paid. *)
+let[@inline never] leaf e fr h base =
+  flush e fr;
+  let steps = e.Proc.gclock () in
+  h fr;
+  if e.Proc.gclock () <> steps then raise (Leaf_paid base)
 
 let coroutine p fr =
   let e =
@@ -962,6 +992,11 @@ let coroutine p fr =
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               lor Array.unsafe_get code (base + 3));
             fr.pc <- base + 4
+        | 36 (* LEAF #h *) ->
+            fr.pc <- base + 2;
+            leaf e fr
+              (Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)))
+              base
         | _ -> assert false
       done;
       assert false

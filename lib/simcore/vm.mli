@@ -27,7 +27,10 @@
     - [RNGI]/[RNGB] draw from the same per-process {!Rng} stream in the
       same order as the closure body;
     - anything rare or cold (allocation, reclamation scans, sampling)
-      stays an OCaml closure called via [HOST], after a flush.
+      stays an OCaml closure called via [HOST], after a flush; a
+      closure that never pays is called via [LEAF] instead, a plain
+      call with no fiber, checked by the step counter (see
+      {!Asm.host_leaf}).
 
     Faults raised by hosts or by inline validation (re-raised through
     {!Memory.validate_addr} for an identical {!Memory.Fault}) propagate
@@ -83,6 +86,9 @@ val coroutine : program -> frame -> unit -> int
     inside a simulated process ([Invalid_argument] otherwise); create at
     most one coroutine per frame. *)
 
+exception Leaf_paid of int
+(** A [LEAF] call (at this code index) paid: a broken leaf contract. *)
+
 val exec : program -> frame -> unit
 (** Run from code index 0 until [HALT]. Must be called from inside a
     simulated process ([Invalid_argument] otherwise). May perform the
@@ -124,7 +130,17 @@ module Asm : sig
   (** Current code offset (next instruction's index). *)
 
   val host : t -> (frame -> unit) -> unit
-  (** Register the closure and emit a [HOST] call to it. *)
+  (** Register the closure and emit a [HOST] call to it: it runs in a
+      one-shot fiber of its own, so it may pay (and suspend). *)
+
+  val host_leaf : t -> (frame -> unit) -> unit
+  (** Register the closure and emit a [LEAF] call to it: after the
+      flush, a plain OCaml call with no fiber and no effect handler.
+      The closure must never pay — no {!Proc.pay}, no {!Memory} access.
+      A pay always moves the step counter, so the loop compares
+      [Proc.env.gclock] across the call and raises {!Leaf_paid} (a
+      process fault) when it moved; under a flat {!coroutine}, a pay
+      that would suspend has no handler and fails even earlier. *)
 
   val table : t -> int array -> int
   (** Register a lookup table for {!tab}; returns its index. *)
@@ -263,6 +279,7 @@ type instr =
   | Rngi of int * int
   | Rngb of int * int
   | Host of int
+  | Leaf of int
   | Tab of int * int * int
   | Cellld of int * int
   | Cellst of int * int

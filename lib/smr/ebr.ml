@@ -78,6 +78,32 @@ let end_op h =
   San.window_exit (M.sanitizer h.t.mem) ~pid:h.pid;
   M.write h.t.mem h.t.res.(h.pid) 0
 
+(* [begin_op]/[end_op] emitted into a {!Simcore.Vm} stream for [h]'s
+   process: the same epoch read and reservation stores, and — when the
+   sanitizer's protection auditor is on at emit time — the window notes
+   as leaf host calls at the same points. *)
+module A = Simcore.Vm.Asm
+
+let window_notes h = (San.mode (M.sanitizer h.t.mem)).San.protocol
+
+let vm_emit_begin_op h a =
+  let r_ep = A.reg a and r_e = A.reg a and r_res = A.reg a in
+  A.movi a r_ep h.t.epoch;
+  A.read a r_e r_ep;
+  A.addi a r_e r_e 1;
+  A.movi a r_res h.t.res.(h.pid);
+  A.write a r_res r_e;
+  if window_notes h then
+    A.host_leaf a (fun _ -> San.window_enter (M.sanitizer h.t.mem) ~pid:h.pid);
+  r_res
+
+let vm_emit_end_op h a ~res_reg =
+  if window_notes h then
+    A.host_leaf a (fun _ -> San.window_exit (M.sanitizer h.t.mem) ~pid:h.pid);
+  let r_z = A.reg a in
+  A.movi a r_z 0;
+  A.write a res_reg r_z
+
 let alloc h ~tag ~size =
   let addr = M.alloc h.t.mem ~tag ~size in
   M.mark_smr h.t.mem addr;

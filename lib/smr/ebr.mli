@@ -9,3 +9,11 @@
     spikes). *)
 
 include Smr_intf.S
+
+val vm_emit_begin_op : h -> Simcore.Vm.Asm.t -> int
+(** Emit [begin_op h] into a {!Simcore.Vm} stream for [h]'s process,
+    tick- and heap-identical to the closure form; returns the register
+    holding the reservation word's address (for {!vm_emit_end_op}). *)
+
+val vm_emit_end_op : h -> Simcore.Vm.Asm.t -> res_reg:int -> unit
+(** Emit [end_op h], given the register {!vm_emit_begin_op} returned. *)

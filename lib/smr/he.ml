@@ -36,6 +36,7 @@ and h = {
   mutable bag : int list;
   mutable bag_len : int;
   mutable retires : int;
+  mutable eras : int array;  (* this process's scan snapshot, reused *)
 }
 
 let create mem ~procs ~params =
@@ -71,7 +72,8 @@ let create mem ~procs ~params =
     }
   in
   t.handles <-
-    Array.init procs (fun pid -> { t; pid; bag = []; bag_len = 0; retires = 0 });
+    Array.init procs (fun pid ->
+        { t; pid; bag = []; bag_len = 0; retires = 0; eras = [||] });
   t
 
 let handle t pid = t.handles.(pid)
@@ -131,22 +133,63 @@ let announce h ~slot v =
   M.write h.t.mem (slot_addr h slot) (e + 1);
   San.protect h.t.san ~key:(san_key h slot) ~pid:h.pid (Word.to_addr v)
 
+(* In-place heapsort of [a.(0) .. a.(n - 1)]. *)
+let sort_prefix (a : int array) n =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c len
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
 let scan h =
   (* Reclamation time: the era sweep, the bag pass and the frees all
      charge to the smr-scan phase. *)
   Prof.with_phase Prof.Smr_scan @@ fun () ->
   let t = h.t in
   Tele.incr t.c_scans;
-  let eras = ref [] in
+  (* Snapshot the announced eras, one span read per process (a line at
+     a time), into the reused array: sorted, so coverage of a retired
+     block's lifetime is one binary search. *)
+  let slots = t.params.Smr_intf.slots in
+  if Array.length h.eras = 0 then h.eras <- Array.make (t.procs * slots) 0;
+  let eras = h.eras in
+  let n = ref 0 in
+  let add v =
+    if v <> 0 then begin
+      eras.(!n) <- v - 1;
+      incr n
+    end
+  in
   for p = 0 to t.procs - 1 do
-    for s = 0 to t.params.Smr_intf.slots - 1 do
-      let v = M.read t.mem (t.ann.(p) + s) in
-      if v <> 0 then eras := (v - 1) :: !eras
-    done
+    M.read_span t.mem t.ann.(p) slots add
   done;
-  let eras = !eras in
+  let n = !n in
+  sort_prefix eras n;
+  (* Some announced era lies in [birth, retired]: the first era at or
+     above [birth] is at most [retired]. *)
   let covered birth retired =
-    List.exists (fun e -> birth <= e && e <= retired) eras
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if eras.(mid) < birth then lo := mid + 1 else hi := mid
+    done;
+    !lo < n && eras.(!lo) <= retired
   in
   let keep = ref [] and kept = ref 0 in
   List.iter

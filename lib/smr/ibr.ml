@@ -31,6 +31,8 @@ and h = {
   mutable bag_len : int;
   mutable allocs : int;
   mutable hi_cache : int;  (* last era published to res_hi *)
+  mutable lo : int array;  (* this process's scan snapshot, reused *)
+  mutable hi : int array;
 }
 
 let create mem ~procs ~params =
@@ -64,7 +66,7 @@ let create mem ~procs ~params =
   in
   t.handles <-
     Array.init procs (fun pid ->
-        { t; pid; bag = []; bag_len = 0; allocs = 0; hi_cache = 0 });
+        { t; pid; bag = []; bag_len = 0; allocs = 0; hi_cache = 0; lo = [||]; hi = [||] });
   t
 
 let handle t pid = t.handles.(pid)
@@ -131,8 +133,12 @@ let scan h =
   Prof.with_phase Prof.Smr_scan @@ fun () ->
   let t = h.t in
   Tele.incr t.c_scans;
-  (* Snapshot all reserved intervals. *)
-  let lo = Array.make t.procs 0 and hi = Array.make t.procs 0 in
+  (* Snapshot all reserved intervals into the reused arrays. *)
+  if Array.length h.lo = 0 then begin
+    h.lo <- Array.make t.procs 0;
+    h.hi <- Array.make t.procs 0
+  end;
+  let lo = h.lo and hi = h.hi in
   for p = 0 to t.procs - 1 do
     lo.(p) <- M.read t.mem t.res_lo.(p);
     hi.(p) <- M.read t.mem t.res_hi.(p)

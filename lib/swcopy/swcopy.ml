@@ -47,6 +47,16 @@ let enter ctx =
 let exit ctx =
   match my_handle ctx with Some h -> Smr.Ebr.end_op h | None -> ()
 
+let vm_emit_enter ctx a ~pid =
+  Smr.Ebr.vm_emit_begin_op (Smr.Ebr.handle ctx.ebr pid) a
+
+let vm_emit_exit ctx a ~pid ~window =
+  Smr.Ebr.vm_emit_end_op (Smr.Ebr.handle ctx.ebr pid) a ~res_reg:window
+
+let plain_value w =
+  if w land 1 <> 0 then invalid_arg "Swcopy.plain_value: copy in flight";
+  w lsr 1
+
 (* Resolve a descriptor: agree on the copied value by racing a CAS into
    the result word; the winner's read of the source is the copy's
    linearization point. *)

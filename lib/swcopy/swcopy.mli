@@ -57,5 +57,16 @@ val read_raw : ctx -> dst -> int
 
 val exit : ctx -> unit
 
+val vm_emit_enter : ctx -> Simcore.Vm.Asm.t -> pid:int -> int
+(** Emit [enter] for process [pid] into a {!Simcore.Vm} stream;
+    returns a register to hand to {!vm_emit_exit}. *)
+
+val vm_emit_exit : ctx -> Simcore.Vm.Asm.t -> pid:int -> window:int -> unit
+
+val plain_value : int -> int
+(** The value of a raw destination word read with no copy in flight (a
+    destination only ever [write]n, never [swcopy]'d into).
+    @raise Invalid_argument on a descriptor. *)
+
 val addr : dst -> int
 (** Address of the destination's word (for cost accounting in tests). *)

@@ -93,7 +93,7 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
               Vm.Asm.now a r_n;
               Vm.Asm.cellld a r_ns sample_cell;
               Vm.Asm.blt a r_n r_ns skip;
-              Vm.Asm.host a (fun fr ->
+              Vm.Asm.host_leaf a (fun fr ->
                   fr.Vm.cells.(sample_cell) <- Proc.now () + sample_every;
                   samples_sum := !samples_sum +. float_of_int (f ());
                   incr samples_n);
@@ -101,21 +101,17 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
           | Some _ | None -> ());
           Vm.Asm.jmp a loop;
           Vm.Asm.place a halt;
+          (* The process's epilogue, in its final resume. *)
+          Vm.Asm.host_leaf a (fun _ -> epilogues.(pid) ());
           Vm.Asm.halt a;
           let prog = Vm.Asm.assemble a in
           let cells = Array.make prog.Vm.n_cells 0 in
           let fr = Vm.frame prog ~mem ~rng:(Proc.rng ()) ~cells in
-          let co = Vm.coroutine prog fr in
           epilogues.(pid) <-
             (fun () ->
               Vm.flush_counters prog fr;
               ops.(pid) <- cells.(ops_cell));
-          Some
-            (fun () ->
-              let r = co () in
-              (* The process's epilogue, in its final resume. *)
-              if r < 0 then epilogues.(pid) ();
-              r)
+          Some (Vm.coroutine prog fr)
         in
         Sim.run ~policy ~seed ?fastpath ?tracer ?profiler ?adversary ~config
           ~procs:threads ~coroutine (fun _ -> assert false)

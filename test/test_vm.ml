@@ -18,47 +18,66 @@ let vm_on = { Config.default with Config.vm = true }
 
 let vm_off = { Config.default with Config.vm = false }
 
-let point ~config ?fastpath ?on_heap policy m =
-  Workload.Fig6.loadstore_point ~policy ?fastpath ~config ?on_heap m
+let point ~config ?fastpath ?on_heap ?profile policy m =
+  Workload.Fig6.loadstore_point ~policy ?fastpath ~config ?on_heap ?profile m
     ~threads:8 ~horizon:2_500 ~seed:7 ~n_locs:8 ~p_store:0.3
 
-(* Every scheme, every policy, plain and with the sanitizer's default
-   modes and the race checker armed: compiled = closure, field for
-   field (ops, steps, makespan, throughput, memory series, full
-   telemetry snapshot), and the heap's sanitizer and race report texts
+(* Every scheme, every policy, plain, with the sanitizer's default
+   modes and the race checker armed, and with the profiler armed:
+   compiled = closure, field for field (ops, steps, makespan,
+   throughput, memory series, full telemetry snapshot), and the heap's
+   sanitizer and race report texts and the collapsed profile stacks
    agree. Schemes without compiled ops still exercise the compiled
    driver loop around a host call; armed, DRC's compiled acquire also
-   emits its slot-protection notes. *)
+   emits its slot-protection notes, and profiled, its compiled eject
+   enters and leaves the same [drc-defer] frames as the closure one. *)
 let test_oracle_identity () =
   let armed c =
     { c with Config.sanitize = Sanitizer.default_on; race = Racecheck.default_on }
   in
-  let run config policy m =
+  let run config ~profile policy m =
     let reports = ref ([], []) in
     let on_heap mem =
       reports := (Memory.sanitizer_reports mem, Memory.race_reports mem)
     in
-    let pt = point ~config ~on_heap policy m in
-    (pt, !reports)
+    Profiler.mark ();
+    let pt = point ~config ~on_heap ~profile policy m in
+    let stacks = List.concat_map Profiler.collapsed (Profiler.recent ()) in
+    (pt, !reports, stacks)
   in
   List.iter
-    (fun (mode, instrument) ->
+    (fun (mode, instrument, profile) ->
       List.iter
         (fun (sname, m) ->
           List.iter
             (fun (pname, policy) ->
-              let on, (san_on, race_on) = run (instrument vm_on) policy m in
-              let off, (san_off, race_off) = run (instrument vm_off) policy m in
+              let on, (san_on, race_on), st_on =
+                run (instrument vm_on) ~profile policy m
+              in
+              let off, (san_off, race_off), st_off =
+                run (instrument vm_off) ~profile policy m
+              in
               let name what = Printf.sprintf "%s/%s%s: %s" sname pname mode what in
               Alcotest.(check bool) (name "vm on = off") true (on = off);
               Alcotest.(check bool) (name "non-trivial") true
                 (on.Workload.Measure.ops > 0);
               Alcotest.(check (list string)) (name "sanitizer reports") san_off
                 san_on;
-              Alcotest.(check (list string)) (name "race reports") race_off race_on)
+              Alcotest.(check (list string)) (name "race reports") race_off race_on;
+              Alcotest.(check (list (pair string int)))
+                (name "collapsed stacks") st_off st_on;
+              if profile && String.starts_with ~prefix:"DRC" sname then
+                Alcotest.(check bool) (name "drc-defer frames") true
+                  (List.exists
+                     (fun (path, _) -> String.ends_with ~suffix:"drc-defer" path)
+                     st_on))
             policies)
         Workload.Fig6.schemes)
-    [ ("", Fun.id); (" (sanitize + race)", armed) ]
+    [
+      ("", Fun.id, false);
+      (" (sanitize + race)", armed, false);
+      (" (profiled)", Fun.id, true);
+    ]
 
 (* The two elision layers compose: all four combinations of [Config.vm]
    and [fastpath] give the same point. *)
@@ -123,6 +142,7 @@ let test_decode_rejects () =
         Payi 7;
         Rngb (1, 0);
         Host 3;
+        Leaf 4;
         Halt;
       ]
   in
@@ -218,6 +238,72 @@ let test_fault_routing () =
         (render vm))
     [ ("sanitized (shadow) path", false); ("sanitized CAS2 past a block", true) ]
 
+(* {1 Leaf host calls}
+
+   A leaf must never pay. [leaf_run] runs a program whose leaf pays
+   (or not) between two pays of its own, as a flat coroutine or under
+   [Vm.exec] inside an ordinary process, with and without the run-ahead
+   fast path, and returns the run's faults and how often the leaf ran. *)
+let leaf_run ~pays ~compiled ~fastpath =
+  let config = { Config.small with Config.vm = true } in
+  let calls = ref 0 in
+  let mem = Memory.create config in
+  let program () =
+    let module A = Vm.Asm in
+    let a = A.create () in
+    A.payi a 3;
+    A.host_leaf a (fun _ ->
+        incr calls;
+        if pays then Proc.pay 1);
+    A.payi a 3;
+    A.halt a;
+    let prog = A.assemble a in
+    (prog, Vm.frame prog ~mem ~rng:(Proc.rng ()) ~cells:[||])
+  in
+  let coroutine _pid =
+    let prog, fr = program () in
+    Some (Vm.coroutine prog fr)
+  in
+  let body _pid =
+    let prog, fr = program () in
+    Vm.exec prog fr
+  in
+  let res =
+    if compiled then
+      Sim.run ~policy:Sim.Fair ~fastpath ~seed:1 ~config ~procs:2 ~coroutine
+        (fun _ -> assert false)
+    else Sim.run ~policy:Sim.Fair ~fastpath ~seed:1 ~config ~procs:2 body
+  in
+  (res.Sim.faults, !calls)
+
+let test_leaf_contract () =
+  List.iter
+    (fun (engine, compiled) ->
+      List.iter
+        (fun fastpath ->
+          let name what =
+            Printf.sprintf "%s, fastpath=%b: %s" engine fastpath what
+          in
+          let faults, calls = leaf_run ~pays:false ~compiled ~fastpath in
+          Alcotest.(check int) (name "a silent leaf runs") 2 calls;
+          Alcotest.(check int) (name "a silent leaf is no fault") 0
+            (List.length faults);
+          let faults, _ = leaf_run ~pays:true ~compiled ~fastpath in
+          Alcotest.(check int) (name "a paying leaf faults its process") 2
+            (List.length faults);
+          List.iter
+            (fun { Sim.exn; _ } ->
+              match exn with
+              | Vm.Leaf_paid _ -> ()
+              (* A flat coroutine has no handler for a pay that must
+                 suspend: it fails before the check can. *)
+              | Effect.Unhandled _ when compiled -> ()
+              | e ->
+                  Alcotest.failf "%s" (name ("unexpected " ^ Printexc.to_string e)))
+            faults)
+        [ true; false ])
+    [ ("flat coroutine", true); ("Vm.exec", false) ]
+
 let suite =
   [
     Alcotest.test_case "oracle identity (schemes x policies)" `Quick
@@ -228,4 +314,6 @@ let suite =
     Alcotest.test_case "decode rejects malformed" `Quick test_decode_rejects;
     Alcotest.test_case "fault routing (inline + sanitized)" `Quick
       test_fault_routing;
+    Alcotest.test_case "a paying leaf fails loudly (flat + exec)" `Quick
+      test_leaf_contract;
   ]

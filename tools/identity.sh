@@ -17,7 +17,10 @@
 # block; an --alloc cell must show that the flag reached its cells: every
 # mem.pool.handoffs line is nonzero under --alloc pooled and zero under
 # --alloc legacy; the plain Figure R run must show adversary stalls and
-# neutralization signals.
+# neutralization signals. The last mode arms all three observers at
+# once: the sanitizer's slot and window notes, the profiler's frames and
+# the race checker's hooks then share one stream of leaf host calls,
+# which is where instruments can interact.
 #
 # Adding a mode or an experiment is one line in the lists below.
 #
@@ -42,7 +45,8 @@ modes='--jobs 2
 --sanitize --no-vm
 --race
 --sanitize --race
---profile'
+--profile
+--sanitize --race --profile'
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$root" || exit 1

@@ -48,14 +48,15 @@
 #      path that can drift from the inline one.
 #   8. No hidden runtime calls in the simulator core:
 #      lib/simcore/{memory,memcore,vm,sim,proc,racecheck,sanitizer,
-#      profiler,telemetry,alloc,int_set}.ml and the protection sweeps
-#      (lib/rc_baselines/protectors.ml, lib/smr/hp.ml) may not use the
-#      bare polymorphic min, max or compare, nor Domain.self. On ints
+#      profiler,telemetry,alloc,int_set}.ml, the protection sweeps
+#      (lib/rc_baselines/protectors.ml, lib/smr/hp.ml) and the era
+#      sweeps (lib/smr/he.ml, lib/smr/ibr.ml) may not use the bare
+#      polymorphic min, max or compare, nor Domain.self. On ints
 #      the polymorphic ones call the runtime's generic comparison, and
 #      Domain.self is a C call that switches stacks; both once ran per
 #      simulated access. Int code uses Int.min/Int.max or an explicit
-#      test, and sort sites pass a typed comparator. The two sweep files
-#      may not use Hashtbl either: a sweep once built a fresh hash table
+#      test, and sort sites pass a typed comparator. The two protection
+#      sweep files may not use Hashtbl either: a sweep once built a fresh hash table
 #      (and hashed every guard) per retire; its guarded set is a reused
 #      Int_set. Comments and string literals are ignored.
 #   9. No environment reads under lib/: Sys.getenv and Sys.getenv_opt
@@ -244,7 +245,7 @@ strip_comments_strings() {
 sweeps="rc_baselines/protectors smr/hp"
 for name in simcore/memory simcore/memcore simcore/vm simcore/sim simcore/proc \
   simcore/racecheck simcore/sanitizer simcore/profiler simcore/telemetry \
-  simcore/alloc simcore/int_set $sweeps; do
+  simcore/alloc simcore/int_set $sweeps smr/he smr/ibr; do
   f=$root/lib/$name.ml
   [ -f "$f" ] || continue
   hits=$(strip_comments_strings "$f" \
@@ -431,6 +432,18 @@ VM
   mkdir -p "$tmp/lib/rc_baselines"
   echo 'let bound n = max n 8' > "$tmp/lib/rc_baselines/protectors.ml"
   check_catches "max n 8 in lib/rc_baselines/protectors.ml"
+
+  # A polymorphic sort of the era snapshot, seeded into a copy of he.ml.
+  mkdir -p "$tmp/lib/smr"
+  if [ -f "$root/lib/smr/he.ml" ]; then
+    cp "$root/lib/smr/he.ml" "$tmp/lib/smr/he.ml"
+  fi
+  echo 'let sort_eras a = Array.sort compare a' >> "$tmp/lib/smr/he.ml"
+  check_catches "Array.sort compare in lib/smr/he.ml"
+
+  mkdir -p "$tmp/lib/smr"
+  echo 'let lag e lo = max 0 (e - lo)' > "$tmp/lib/smr/ibr.ml"
+  check_catches "max 0 in lib/smr/ibr.ml"
 
   # Typed forms, comments, strings and files outside the list pass.
   mkdir -p "$tmp/lib/simcore" "$tmp/lib/workload"
