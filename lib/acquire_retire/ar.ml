@@ -4,8 +4,33 @@ module Word = Simcore.Word
 module Tele = Simcore.Telemetry
 module San = Simcore.Sanitizer
 module Prof = Simcore.Profiler
+module Mset = Simcore.Int_set.Multi
 
 type mode = [ `Lockfree | `Waitfree ]
+
+(* An int stack: a retire pushes without consing, and a pop returns the
+   most recent push, as the head of a list would. Grown by half its
+   length, so it stays close to the most it has held (the stacks of
+   every handle live as long as the heap). *)
+module Istack = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let push s w =
+    if s.n = Array.length s.a then begin
+      let a = Array.make (Int.max 8 (s.n + (s.n / 2))) 0 in
+      Array.blit s.a 0 a 0 s.n;
+      s.a <- a
+    end;
+    Array.unsafe_set s.a s.n w;
+    s.n <- s.n + 1
+
+  let pop s =
+    assert (s.n > 0);
+    s.n <- s.n - 1;
+    Array.unsafe_get s.a s.n
+end
 
 (* One in-progress ejectAll pass (deamortized, §6): phase 0 reads
    announcement slots into [plist], phase 1 diffs the snapshotted retired
@@ -20,20 +45,22 @@ type pass = {
   mutable active : bool;
   mutable phase : int;
   mutable slot_cursor : int;
-  plist : (int, int ref) Hashtbl.t;  (* announced addr -> multiplicity *)
-  mutable scanning : int list;  (* snapshot of the retired list *)
+  plist : Mset.t;  (* announced addrs, with multiplicity *)
+  scanning : Istack.t;  (* snapshot of the retired stack, top first *)
   mutable unplanned : int;  (* handles of [scanning] no plan diffs yet *)
-  mutable ejected : int;  (* handles moved to flist by this pass *)
+  mutable n_ejected : int;  (* handles moved to [ejected] by this pass *)
   (* The current plan: [n_reads] reads of consecutive slots from index
      [read_from], then [n_diffs] diffs, [n_steps] steps in all; [ends]
-     when its last step ends the pass. The words read are staged here,
-     in the handle: between a compiled plan and its finish the process
-     may be descheduled, and other processes plan on their own. *)
+     when its last step ends the pass; [pending] from the plan until
+     its [apply]. The words read are staged here, in the handle:
+     between a compiled plan and its finish the process may be
+     descheduled, and other processes plan on their own. *)
   mutable read_from : int;
   mutable n_reads : int;
   mutable n_diffs : int;
   mutable n_steps : int;
   mutable ends : bool;
+  mutable pending : bool;
   staged : int array;  (* [eject_work] words *)
 }
 
@@ -52,6 +79,10 @@ type t = {
      announced word), so a reported violation is always genuine. *)
   san : San.t;
   san_base : int;
+  (* Within {!quiescent}, [q_words.(i)] is slot [i]'s word as first read
+     there, or -1 before that read: at quiescence no announcement
+     changes, so every later pass reuses it. Empty outside. *)
+  mutable q_words : int array;
   mutable handles : h array;
   mutable n_delayed : int;
   (* Telemetry: [ar.delayed]'s high-water mark is Theorem 2's
@@ -66,9 +97,8 @@ type t = {
 and h = {
   t : t;
   pid : int;  (* procs = setup handle *)
-  mutable rlist : int list;  (* retired words awaiting a scan *)
-  mutable rlen : int;
-  mutable flist : int list;  (* ejected words ready to return *)
+  retired : Istack.t;  (* retired words awaiting a scan *)
+  ejected : Istack.t;  (* ejected words ready to return *)
   pass : pass;
 }
 
@@ -92,10 +122,11 @@ let create ?(mode = `Lockfree) memory ~procs ~slots_per_proc ~eject_work =
       slots = slots_per_proc;
       san;
       san_base = San.register_slots san ~n:(procs * slots_per_proc);
-      eject_work = max 1 eject_work;
+      eject_work = Int.max 1 eject_work;
       ar_mode = mode;
       fast_retries = 3;
       ann;
+      q_words = [||];
       handles = [||];
       n_delayed = 0;
       g_delayed = Tele.gauge tele "ar.delayed";
@@ -109,23 +140,23 @@ let create ?(mode = `Lockfree) memory ~procs ~slots_per_proc ~eject_work =
     {
       t;
       pid;
-      rlist = [];
-      rlen = 0;
-      flist = [];
+      retired = Istack.create ();
+      ejected = Istack.create ();
       pass =
         {
           active = false;
           phase = 0;
           slot_cursor = 0;
-          plist = Hashtbl.create 64;
-          scanning = [];
+          plist = Mset.create ();
+          scanning = Istack.create ();
           unplanned = 0;
-          ejected = 0;
+          n_ejected = 0;
           read_from = 0;
           n_reads = 0;
           n_diffs = 0;
           n_steps = 0;
           ends = false;
+          pending = false;
           staged = Array.make t.eject_work Word.null;
         };
     }
@@ -274,24 +305,29 @@ let announce_raw h ~slot w =
   end
 
 let retire h w =
-  h.rlist <- w :: h.rlist;
-  h.rlen <- h.rlen + 1;
+  Istack.push h.retired w;
   h.t.n_delayed <- h.t.n_delayed + 1;
   Tele.set_gauge h.t.g_delayed h.t.n_delayed
 
+(* The retired stack becomes the pass's snapshot (their arrays swap:
+   the snapshot of the previous pass is empty by now). *)
 let start_pass h =
   let p = h.pass in
+  let r = h.retired and s = p.scanning in
+  assert (s.Istack.n = 0);
   Tele.incr h.t.c_passes;
-  Tele.observe h.t.h_pass_size h.rlen;
+  Tele.observe h.t.h_pass_size r.Istack.n;
   p.active <- true;
   p.phase <- 0;
   p.slot_cursor <- 0;
-  p.ejected <- 0;
-  Hashtbl.reset p.plist;
-  p.scanning <- h.rlist;
-  p.unplanned <- h.rlen;
-  h.rlist <- [];
-  h.rlen <- 0
+  p.n_ejected <- 0;
+  Mset.clear p.plist;
+  let a = s.Istack.a in
+  s.Istack.a <- r.Istack.a;
+  s.Istack.n <- r.Istack.n;
+  p.unplanned <- r.Istack.n;
+  r.Istack.a <- a;
+  r.Istack.n <- 0
 
 (* Lay out up to [eject_work] steps of the active pass, each one unit
    of scan work: read one announcement slot, switch phase, diff one
@@ -324,20 +360,43 @@ let plan_steps h =
     incr n
   done;
   if !n > 0 then Tele.add t.c_scan_steps !n;
-  p.n_steps <- !n
+  p.n_steps <- !n;
+  p.pending <- !n > 0
 
 (* An [eject]'s plan: start a pass when one is due, then lay out this
    call's steps ([n_steps = 0]: no pass, nothing to do). *)
 let plan h =
-  if (not h.pass.active) && h.rlen > 0 then start_pass h;
+  if (not h.pass.active) && h.retired.Istack.n > 0 then start_pass h;
   plan_steps h
+
+(* Run [f] with announcement reads served once per slot. Only outside a
+   simulation: there no process runs, so no announcement changes while
+   [f] runs, and a slot's first read stands for every later one. *)
+let quiescent t f =
+  if Proc.self () >= 0 then f ()
+  else begin
+    t.q_words <- Array.make (t.procs * t.slots) (-1);
+    Fun.protect ~finally:(fun () -> t.q_words <- [||]) f
+  end
+
+(* Slot [i]'s word: read through [Memory], or within {!quiescent} its
+   first read in the scope. *)
+let slot_word t i =
+  let q = t.q_words in
+  if Array.length q = 0 then Swcopy.read_raw t.swc t.ann.(i)
+  else if q.(i) >= 0 then q.(i)
+  else begin
+    let w = Swcopy.read_raw t.swc t.ann.(i) in
+    q.(i) <- w;
+    w
+  end
 
 (* The planned accesses as closure code: the slot reads, then one tick
    per diff. *)
 let accesses h =
   let p = h.pass in
   for i = 0 to p.n_reads - 1 do
-    p.staged.(i) <- Swcopy.read_raw h.t.swc h.t.ann.(p.read_from + i)
+    p.staged.(i) <- slot_word h.t (p.read_from + i)
   done;
   for _ = 1 to p.n_diffs do
     Proc.pay 1
@@ -349,41 +408,31 @@ let accesses h =
 let apply h =
   let t = h.t in
   let p = h.pass in
+  p.pending <- false;
   for i = 0 to p.n_reads - 1 do
     let w = p.staged.(i) in
-    if not (Word.is_null w) then begin
-      let key = Word.to_addr w in
-      match Hashtbl.find_opt p.plist key with
-      | Some r -> incr r
-      | None -> Hashtbl.add p.plist key (ref 1)
-    end
+    if not (Word.is_null w) then Mset.add p.plist (Word.to_addr w)
   done;
   for _ = 1 to p.n_diffs do
-    match p.scanning with
-    | [] -> assert false
-    | w :: rest -> (
-        p.scanning <- rest;
-        let key = Word.to_addr w in
-        match Hashtbl.find_opt p.plist key with
-        | Some r when !r > 0 ->
-            (* Announced: keep for the next pass (one per announcement). *)
-            decr r;
-            h.rlist <- w :: h.rlist;
-            h.rlen <- h.rlen + 1
-        | Some _ | None ->
-            p.ejected <- p.ejected + 1;
-            h.flist <- w :: h.flist)
+    let w = Istack.pop p.scanning in
+    if Mset.take p.plist (Word.to_addr w) then
+      (* Announced: keep for the next pass (one per announcement). *)
+      Istack.push h.retired w
+    else begin
+      p.n_ejected <- p.n_ejected + 1;
+      Istack.push h.ejected w
+    end
   done;
-  if p.ends then Tele.observe t.h_eject_batch p.ejected
+  if p.ends then Tele.observe t.h_eject_batch p.n_ejected
 
+(* The next ejected handle, or [Word.null]. *)
 let pop h =
-  match h.flist with
-  | [] -> None
-  | w :: rest ->
-      h.flist <- rest;
-      h.t.n_delayed <- h.t.n_delayed - 1;
-      Tele.set_gauge h.t.g_delayed h.t.n_delayed;
-      Some w
+  if h.ejected.Istack.n = 0 then Word.null
+  else begin
+    h.t.n_delayed <- h.t.n_delayed - 1;
+    Tele.set_gauge h.t.g_delayed h.t.n_delayed;
+    Istack.pop h.ejected
+  end
 
 let finish h =
   apply h;
@@ -400,7 +449,8 @@ let eject h =
     accesses h;
     Swcopy.exit h.t.swc
   end;
-  finish h
+  let w = finish h in
+  if Word.is_null w then None else Some w
 
 let delayed t = t.n_delayed
 
@@ -409,17 +459,19 @@ let eject_all h =
   let out = ref [] in
   let drain () =
     let n = ref 0 in
-    let rec go () =
-      match pop h with
-      | None -> ()
-      | Some w ->
-          out := w :: !out;
-          incr n;
-          go ()
-    in
-    go ();
+    while h.ejected.Istack.n > 0 do
+      out := pop h :: !out;
+      incr n
+    done;
     !n
   in
+  (* A process stopped between an eject's plan and its finish (parked
+     for good by a stall) left steps that were laid out but never
+     applied: run them first, or their reads and diffs are lost. *)
+  if h.pass.pending then begin
+    accesses h;
+    apply h
+  end;
   (* A pass interrupted mid-run holds a stale announcement snapshot; it
      may conservatively keep handles that are free by now. Complete it,
      then keep running passes with fresh snapshots until one ejects
@@ -434,7 +486,7 @@ let eject_all h =
   complete ();
   ignore (drain ());
   let progress = ref true in
-  while !progress && h.rlen > 0 do
+  while !progress && h.retired.Istack.n > 0 do
     start_pass h;
     complete ();
     progress := drain () > 0
@@ -493,5 +545,5 @@ let vm_emit_retire_eject h a ~word ~on_retire =
       for i = 0 to p.n_reads - 1 do
         p.staged.(i) <- Swcopy.plain_value regs.(r_word.(i))
       done;
-      regs.(r_ejected) <- (match finish h with Some w -> w | None -> Word.null));
+      regs.(r_ejected) <- finish h);
   r_ejected

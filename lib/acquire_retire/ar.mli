@@ -102,4 +102,13 @@ val delayed : t -> int
 val eject_all : h -> int list
 (** Run complete scan passes (still honoring current announcements) until
     no further handle can be ejected; returns everything ejected. Used at
-    quiescence and by tests. *)
+    quiescence and by tests. Steps an [eject] planned but never applied
+    (its process stopped for good in between) are applied first. *)
+
+val quiescent : t -> (unit -> 'a) -> 'a
+(** [quiescent t f] runs [f]; outside a simulation ([Simcore.Proc.self
+    () = -1]) every announcement slot is read through the heap at most
+    once while [f] runs, at the first scan step that needs it, and later
+    passes of every handle reuse that word. Inside a simulation it is
+    just [f ()]. The steps, telemetry and ejections are those of the
+    uncached scans: at quiescence no announcement changes. *)

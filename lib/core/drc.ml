@@ -325,6 +325,7 @@ let deferred_decrements t = Ar.delayed t.artbl
 
 let flush t =
   Prof.with_phase Prof.Drc_defer @@ fun () ->
+  Ar.quiescent t.artbl @@ fun () ->
   let progress = ref true in
   while !progress do
     progress := false;

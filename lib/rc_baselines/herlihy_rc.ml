@@ -186,7 +186,7 @@ module Make (Opt : OPT) : Rc_intf.S = struct
     Array.fold_left (fun acc h -> acc + List.length !(h.pending)) 0 t.handles
 
   let flush t =
-    Protectors.clear_all_guards (prot t);
+    Protectors.quiesce (prot t) @@ fun () ->
     let progress = ref true in
     while !progress do
       progress := false;

@@ -21,6 +21,10 @@ type t = {
      pays can suspend it while others sweep; taken out while in use, so
      a sweep nested in a deletion cascade builds its own. *)
   sets : Int_set.t option array;
+  (* Set by {!quiesce} while its rounds run outside a simulation: every
+     guard is zero, so a sweep's guarded set is empty without reading
+     them. *)
+  mutable cleared : bool;
 }
 
 let create mem ~procs ~slots ~reg =
@@ -36,7 +40,7 @@ let create mem ~procs ~slots ~reg =
         base)
   in
   { mem; procs; n_slots = slots; guards; reg;
-    sets = Array.make (procs + 1) None }
+    sets = Array.make (procs + 1) None; cleared = false }
 
 let slots t = t.n_slots
 
@@ -89,7 +93,7 @@ let scan_pending t ~pending ~dec =
         s
     | None -> Int_set.create ()
   in
-  guarded_addrs t guarded;
+  if t.cleared then Int_set.clear guarded else guarded_addrs t guarded;
   (* Deletions can cascade into [dec], which may append new entries to
      [pending]; snapshot-and-drain keeps those appends and keeps a
      nested scan disjoint from this one. *)
@@ -115,9 +119,14 @@ let scan_pending t ~pending ~dec =
   t.sets.(i) <- Some guarded;
   !freed
 
-let clear_all_guards t =
+let quiesce t f =
   for p = 0 to t.procs - 1 do
     for s = 0 to t.n_slots - 1 do
       M.write t.mem (t.guards.(p) + s) 0
     done
-  done
+  done;
+  if Proc.self () >= 0 then f ()
+  else begin
+    t.cleared <- true;
+    Fun.protect ~finally:(fun () -> t.cleared <- false) f
+  end

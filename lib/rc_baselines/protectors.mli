@@ -43,5 +43,9 @@ val scan_pending : t -> pending:int list ref -> dec:(int -> unit) -> int
     freed. [dec] is the scheme's decrement, applied to reference fields
     of deleted objects. *)
 
-val clear_all_guards : t -> unit
-(** Test-time quiescence helper. *)
+val quiesce : t -> (unit -> unit) -> unit
+(** [quiesce t f]: zero every guard, then run [f], the scheme's
+    quiescent reclamation rounds. Outside a simulation the sweeps inside
+    [f] (nested ones included) take the guarded set as empty instead of
+    reading the zeroed guards; nothing may write a guard while [f]
+    runs. *)

@@ -16,3 +16,22 @@ val add : t -> int -> unit
 (** [add s k] adds [k > 0]. *)
 
 val mem : t -> int -> bool
+
+(** A reusable multiset of positive ints on the same table: the
+    announced multiset of an acquire-retire scan pass. Keys and their
+    multiplicities; the table is allocated on the first [add], doubles
+    when half full, and [clear] empties it in place. *)
+module Multi : sig
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+
+  val add : t -> int -> unit
+  (** [add s k]: one more occurrence of [k > 0]. *)
+
+  val take : t -> int -> bool
+  (** [take s k] removes one occurrence of [k]; [false] when none is
+      left. *)
+end

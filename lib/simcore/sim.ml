@@ -28,7 +28,7 @@ type pstate =
 type core = {
   mutable clock : int;
   runq : int Queue.t;
-  mutable cur : int option;  (* process currently owning the core *)
+  mutable cur : int;  (* process currently owning the core; -1 = none *)
   mutable slice : int;  (* ticks left before involuntary switch *)
 }
 
@@ -55,7 +55,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
   let lookahead = Int.max 0 config.Config.lookahead in
   let cores =
     Array.init n_cores (fun _ ->
-        { clock = 0; runq = Queue.create (); cur = None; slice = quantum })
+        { clock = 0; runq = Queue.create (); cur = -1; slice = quantum })
   in
   let core_of = Array.init procs (fun p -> p mod n_cores) in
   let states = Array.make procs Not_started in
@@ -132,7 +132,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
   let core_queued = Array.make n_cores false in
   let requeue_core c =
     let core = cores.(c) in
-    if (not core_queued.(c)) && (core.cur <> None || not (Queue.is_empty core.runq))
+    if (not core_queued.(c)) && (core.cur >= 0 || not (Queue.is_empty core.runq))
     then begin
       core_queued.(c) <- true;
       Pqueue.Core_ring.add core_pq ~key:core.clock c
@@ -211,7 +211,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
         if core.slice <= 0 && not (Queue.is_empty core.runq) then begin
           (* Involuntary context switch: rotate to the back. *)
           Queue.push p core.runq;
-          core.cur <- None
+          core.cur <- -1
         end
     | Uniform | Chaos _ -> pclocks.(p) <- pclocks.(p) + n
   in
@@ -225,7 +225,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     states.(p) <- Finished;
     decr remaining;
     match policy with
-    | Fair -> (cores.(core_of.(p))).cur <- None
+    | Fair -> (cores.(core_of.(p))).cur <- -1
     | Uniform | Chaos _ -> ()
   in
   let on_exn e =
@@ -307,39 +307,29 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     in
     (Array.unsafe_get envs p).Proc.budget <- b
   in
-  (* Pick the next process to run, or None when everyone is done. The
+  (* Pick the next process to run, or -1 when everyone is done. The
      due core is peeked, not popped: it stays at the heap root for the
      whole grant and is re-keyed in place afterwards
      ({!Pqueue.Core_ring.reprioritize_min}), saving a full pop/push round
-     trip per scheduling window. *)
-  let pick_fair () =
-    let rec go () =
-      match Pqueue.Core_ring.peek core_pq with
-      | -1 -> None
-      | c ->
-          let core = Array.unsafe_get cores c in
-          let p =
-            match core.cur with
-            | Some p -> Some p
-            | None ->
-                if Queue.is_empty core.runq then None
-                else begin
-                  let p = Queue.pop core.runq in
-                  core.cur <- Some p;
-                  core.slice <- quantum;
-                  Some p
-                end
-          in
-          (match p with
-          | Some p ->
-              grant core p;
-              Some p
-          | None ->
-              ignore (Pqueue.Core_ring.pop_min core_pq);
-              core_queued.(c) <- false;
-              go ())
-    in
-    go ()
+     trip per scheduling window. Allocates nothing. *)
+  let rec pick_fair () =
+    match Pqueue.Core_ring.peek core_pq with
+    | -1 -> -1
+    | c ->
+        let core = Array.unsafe_get cores c in
+        if core.cur < 0 && not (Queue.is_empty core.runq) then begin
+          core.cur <- Queue.pop core.runq;
+          core.slice <- quantum
+        end;
+        if core.cur >= 0 then begin
+          grant core core.cur;
+          core.cur
+        end
+        else begin
+          ignore (Pqueue.Core_ring.pop_min core_pq);
+          core_queued.(c) <- false;
+          pick_fair ()
+        end
   in
   (* Adversary hooks (see {!Adversary.step}), invoked only from genuine
      decision points of the main loop ([running] = -1), whose global
@@ -348,7 +338,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
      from their core (the core drains and drops out of the ring if
      nothing else runs there), under [Uniform]/[Chaos] the picker skips
      them. A run with processes still parked at the end terminates
-     normally once everyone else finishes — the pickers return [None]. *)
+     normally once everyone else finishes — the pickers return -1. *)
   let adv_parked =
     match adversary with
     | Some a when adv_on -> fun p -> Adversary.is_parked a p
@@ -359,13 +349,13 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
       match policy with
       | Fair ->
           let core = cores.(core_of.(p)) in
-          (match core.cur with
-          | Some q when q = p -> core.cur <- None
-          | Some _ | None ->
-              (* Drop [p] from its core's queue, order preserved. *)
-              let tmp = Queue.create () in
-              Queue.transfer core.runq tmp;
-              Queue.iter (fun q -> if q <> p then Queue.push q core.runq) tmp)
+          if core.cur = p then core.cur <- -1
+          else begin
+            (* Drop [p] from its core's queue, order preserved. *)
+            let tmp = Queue.create () in
+            Queue.transfer core.runq tmp;
+            Queue.iter (fun q -> if q <> p then Queue.push q core.runq) tmp
+          end
       | Uniform | Chaos _ -> ()
   in
   (* Ticks [adv_revive] added to idle cores' clocks. *)
@@ -430,8 +420,8 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
           end
     done;
     if !n_run = 0 then
-      if !n_sleep = 0 then None
-      else Some scratch_sleep.(!n_sleep - 1 - Rng.int sched_rng !n_sleep)
+      if !n_sleep = 0 then -1
+      else scratch_sleep.(!n_sleep - 1 - Rng.int sched_rng !n_sleep)
     else begin
       let p = scratch_run.(!n_run - 1 - Rng.int sched_rng !n_run) in
       (match policy with
@@ -439,7 +429,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
           if Rng.below sched_rng pause_prob then
             sleep_until.(p) <- !steps + 1 + Rng.int sched_rng pause_steps
       | Fair | Uniform -> ());
-      Some p
+      p
     end
   in
   let finish () =
@@ -479,14 +469,14 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
           ~charge:adv_charge
     | Some _ | None -> ());
     let next =
-      if !running >= 0 then Some !running
+      if !running >= 0 then !running
       else match policy with
         | Fair -> pick_fair ()
         | Uniform | Chaos _ -> pick_random ()
     in
     match next with
-    | None -> continue_loop := false
-    | Some p ->
+    | -1 -> continue_loop := false
+    | p ->
         resume p;
         (match policy with
         | Fair ->
@@ -502,7 +492,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
               && (match Array.unsafe_get states p with
                  | Suspended _ | Flat _ -> true
                  | Not_started | Finished -> false)
-              && (match core.cur with Some q -> q = p | None -> false)
+              && core.cur = p
             then running := p
             else begin
               running := -1;
@@ -510,7 +500,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
                  only peeked). Re-key it under its advanced clock when
                  still eligible, mirroring the former pop-plus-requeue's
                  fresh insertion sequence; otherwise drop it. *)
-              if core.cur <> None || not (Queue.is_empty core.runq) then
+              if core.cur >= 0 || not (Queue.is_empty core.runq) then
                 Pqueue.Core_ring.reprioritize_min core_pq ~key:core.clock
               else begin
                 ignore (Pqueue.Core_ring.pop_min core_pq);

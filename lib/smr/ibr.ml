@@ -127,29 +127,73 @@ let clear h ~slot =
   ignore h;
   ignore slot
 
+(* In-place heapsort of [lo.(0) .. lo.(n - 1)], carrying [hi] along:
+   [He.scan]'s sort of its eras, over pairs. *)
+let sort_intervals (lo : int array) (hi : int array) n =
+  let swap i j =
+    let x = lo.(i) in
+    lo.(i) <- lo.(j);
+    lo.(j) <- x;
+    let y = hi.(i) in
+    hi.(i) <- hi.(j);
+    hi.(j) <- y
+  in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && lo.(l + 1) > lo.(l) then l + 1 else l in
+      if lo.(c) > lo.(i) then begin
+        swap c i;
+        sift c len
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    swap 0 last;
+    sift 0 last
+  done
+
 let scan h =
   (* Reclamation time: the interval snapshot, the bag pass and the
      frees all charge to the smr-scan phase. *)
   Prof.with_phase Prof.Smr_scan @@ fun () ->
   let t = h.t in
   Tele.incr t.c_scans;
-  (* Snapshot all reserved intervals into the reused arrays. *)
+  (* Snapshot the reserved intervals into the reused arrays, keeping
+     the active ones ([lo] word non-zero) decoded: [lo.(i), hi.(i)]. *)
   if Array.length h.lo = 0 then begin
     h.lo <- Array.make t.procs 0;
     h.hi <- Array.make t.procs 0
   end;
   let lo = h.lo and hi = h.hi in
+  let n = ref 0 in
   for p = 0 to t.procs - 1 do
-    lo.(p) <- M.read t.mem t.res_lo.(p);
-    hi.(p) <- M.read t.mem t.res_hi.(p)
+    let l = M.read t.mem t.res_lo.(p) in
+    let u = M.read t.mem t.res_hi.(p) in
+    if l <> 0 then begin
+      lo.(!n) <- l - 1;
+      hi.(!n) <- u - 1;
+      incr n
+    end
+  done;
+  let n = !n in
+  (* Sorted by [lo], with [hi] replaced by its running maximum: the
+     intervals starting at or before [retired] are a prefix, and one of
+     them reaches [birth] iff the prefix's largest [hi] does. *)
+  sort_intervals lo hi n;
+  for i = 1 to n - 1 do
+    if hi.(i - 1) > hi.(i) then hi.(i) <- hi.(i - 1)
   done;
   let overlaps birth retired =
-    let rec go p =
-      if p >= t.procs then false
-      else if lo.(p) <> 0 && birth <= hi.(p) - 1 && retired >= lo.(p) - 1 then true
-      else go (p + 1)
-    in
-    go 0
+    let a = ref 0 and b = ref n in
+    while !a < !b do
+      let mid = (!a + !b) lsr 1 in
+      if lo.(mid) <= retired then a := mid + 1 else b := mid
+    done;
+    !a > 0 && hi.(!a - 1) >= birth
   in
   let keep = ref [] and kept = ref 0 in
   List.iter

@@ -230,6 +230,52 @@ let test_stale_pass_drained () =
   Alcotest.(check (list int)) "drained despite stale pass" [ target ] ejected;
   Alcotest.(check int) "nothing delayed" 0 (Ar.delayed ar)
 
+(* Regression: a process parked for good between an eject's plan and
+   its finish leaves laid-out steps that were never applied. The
+   quiescent [eject_all] must run them, or their slot reads never reach
+   the announced multiset, their diffs are never popped, and those
+   retired handles are neither kept nor ejected. At every stall point of
+   a short retire-and-eject run, each retire must come back once. *)
+let test_parked_mid_eject () =
+  let n_words = 40 in
+  let words = Array.init n_words (fun i -> Word.of_addr (8 * (i + 1))) in
+  let bad = ref [] in
+  for at = 1 to 400 do
+    let mem = Memory.create small in
+    let ar = Ar.create mem ~procs:2 ~slots_per_proc:4 ~eject_work:2 in
+    (* Per word: retires minus ejects. *)
+    let owed = Array.make n_words 0 in
+    let note d w =
+      let i = (Word.to_addr w / 8) - 1 in
+      owed.(i) <- owed.(i) + d
+    in
+    let adversary =
+      Adversary.create ~procs:2
+        { Adversary.spec_none with stalls = [ Adversary.stall ~victim:1 ~at () ] }
+    in
+    let r =
+      Sim.run ~adversary ~config:small ~procs:2 (fun pid ->
+          if pid = 0 then
+            for _ = 1 to 400 do
+              Proc.pay 1
+            done
+          else begin
+            let h = Ar.handle ar 1 in
+            Array.iter
+              (fun w ->
+                Ar.retire h w;
+                note 1 w;
+                match Ar.eject h with Some e -> note (-1) e | None -> ())
+              words
+          end)
+    in
+    Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
+    List.iter (note (-1)) (Ar.eject_all (Ar.handle ar 1));
+    if Ar.delayed ar <> 0 || Array.exists (fun c -> c <> 0) owed then
+      bad := at :: !bad
+  done;
+  Alcotest.(check (list int)) "stall points losing a handle" [] (List.rev !bad)
+
 let suite =
   [
     Alcotest.test_case "retire then eject_all" `Quick test_retire_then_eject_all;
@@ -239,6 +285,8 @@ let suite =
     Alcotest.test_case "delayed bound (Thm 2)" `Quick test_delayed_bound;
     Alcotest.test_case "stale pass drained (regression)" `Quick
       test_stale_pass_drained;
+    Alcotest.test_case "parked mid-eject (regression)" `Quick
+      test_parked_mid_eject;
     Alcotest.test_case "wait-free acquire" `Quick test_waitfree_acquire;
     QCheck_alcotest.to_alcotest prop_multiset;
   ]

@@ -553,6 +553,100 @@ let test_compiled_protection_parity () =
     (shield_trace ~compiled:true);
   Alcotest.(check bool) "pid 0 observed shielded" true (List.mem true closure)
 
+(* {1 Quiescent flush}
+
+   [flush] reads each announcement once ({!Acquire_retire.Ar.quiescent})
+   and serves every later pass from that read. The steps, telemetry and
+   frees must be those of uncached passes: the pinned values below are
+   what re-reading every slot in every pass produces. *)
+
+let ar_probes mem =
+  List.filter
+    (fun (k, _) -> String.length k > 3 && String.sub k 0 3 = "ar.")
+    (Telemetry.snapshot (Memory.telemetry mem))
+
+(* Four processes churn their own cell (every store retires and runs
+   part of a pass), and pid 0 ends holding a snapshot of an object its
+   last store retired: several handles stop mid-pass, one announcement
+   is still held. Returns the heap, the object held, and the snapshot. *)
+let partial_pass_heap () =
+  let mem, drc = setup ~procs:4 () in
+  let cls = Drc.register_class drc ~tag:"box" ~fields:1 ~ref_fields:[] in
+  let cells = Drc.alloc_cells drc ~tag:"c" ~n:4 in
+  let held = ref None in
+  let r =
+    Sim.run ~config:small ~procs:4 (fun pid ->
+        let h = Drc.handle drc pid in
+        let cell = cells + pid in
+        for i = 1 to 3 + (5 * pid) do
+          Drc.store h cell (Drc.make h cls [| (10 * pid) + i |])
+        done;
+        if pid = 0 then begin
+          let s = Drc.get_snapshot h cell in
+          Drc.store h cell (Drc.make h cls [| 99 |]);
+          held := Some s
+        end)
+  in
+  Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
+  let s = Option.get !held in
+  (mem, drc, cells, s)
+
+let test_quiescent_flush () =
+  let mem, drc, _, s = partial_pass_heap () in
+  Alcotest.(check bool) "decrements still deferred" true
+    (Drc.deferred_decrements drc > 0);
+  Drc.flush drc;
+  let x = Drc.snap_word s in
+  Alcotest.(check bool) "held object survives" true
+    (Memory.block_is_live mem (Word.to_addr x));
+  Alcotest.(check int) "live boxes: 4 cells + the held one" 5
+    (Memory.live_with_tag mem "box");
+  Alcotest.(check int) "one decrement still deferred" 1
+    (Drc.deferred_decrements drc);
+  Alcotest.(check (list (pair string int))) "ar.* telemetry"
+    [
+      ("ar.delayed/cur", 1); ("ar.delayed/peak", 37);
+      ("ar.eject_batch/max", 9); ("ar.eject_batch/n", 12);
+      ("ar.eject_batch/p50", 1); ("ar.eject_batch/p99", 16);
+      ("ar.pass_size/max", 9); ("ar.pass_size/n", 12);
+      ("ar.pass_size/p50", 1); ("ar.pass_size/p99", 16);
+      ("ar.scan_passes", 12); ("ar.scan_steps", 449);
+    ]
+    (ar_probes mem)
+
+(* A flush's read cache lives for that flush only: an announcement
+   withdrawn between two flushes must be seen by the second. *)
+let test_flush_sees_new_announcements () =
+  let mem, drc, cells, s = partial_pass_heap () in
+  Drc.flush drc;
+  let x = Drc.snap_word s in
+  let r =
+    Sim.run ~config:small ~procs:4 (fun pid ->
+        if pid = 0 then Drc.release_snapshot (Drc.handle drc 0) s)
+  in
+  Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
+  Drc.flush drc;
+  Alcotest.(check bool) "released object reclaimed" false
+    (Memory.block_is_live mem (Word.to_addr x));
+  Alcotest.(check int) "live boxes: the 4 cells" 4 (Memory.live_with_tag mem "box");
+  let h = Drc.handle drc (-1) in
+  for i = 0 to 3 do
+    Drc.store h (cells + i) Word.null
+  done;
+  Drc.flush drc;
+  Alcotest.(check int) "all reclaimed" 0 (Memory.live_with_tag mem "box");
+  Alcotest.(check int) "nothing deferred" 0 (Drc.deferred_decrements drc);
+  Alcotest.(check (list (pair string int))) "ar.* telemetry"
+    [
+      ("ar.delayed/cur", 0); ("ar.delayed/peak", 37);
+      ("ar.eject_batch/max", 9); ("ar.eject_batch/n", 15);
+      ("ar.eject_batch/p50", 1); ("ar.eject_batch/p99", 16);
+      ("ar.pass_size/max", 9); ("ar.pass_size/n", 15);
+      ("ar.pass_size/p50", 1); ("ar.pass_size/p99", 16);
+      ("ar.scan_passes", 15); ("ar.scan_steps", 556);
+    ]
+    (ar_probes mem)
+
 let suite =
   [
     Alcotest.test_case "make/destruct" `Quick test_make_destruct;
@@ -579,4 +673,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_snapshot_release_orders;
     Alcotest.test_case "compiled load: protection-state parity" `Quick
       test_compiled_protection_parity;
+    Alcotest.test_case "quiescent flush: partial passes, held slot" `Quick
+      test_quiescent_flush;
+    Alcotest.test_case "quiescent flush: cache scoped to one flush" `Quick
+      test_flush_sees_new_announcements;
   ]

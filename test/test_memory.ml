@@ -311,6 +311,33 @@ let prop_int_set_model =
           && Int_set.mem s (k + 1) = Hashtbl.mem model (k + 1))
         ops)
 
+(* The scan pass's announced multiset against a counting model: adds
+   of repeated keys (growing the table with counts in it), takes of
+   present, exhausted and absent keys, and clears. *)
+let prop_int_multiset_model =
+  QCheck.Test.make ~count:200 ~name:"Int_set.Multi = counting model"
+    QCheck.(list (pair (int_range 0 9) (int_range 1 100)))
+    (fun ops ->
+      let s = Int_set.Multi.create () and model = Hashtbl.create 16 in
+      let count k = Option.value ~default:0 (Hashtbl.find_opt model k) in
+      List.for_all
+        (fun (op, k) ->
+          let k = 16 * k in
+          match op with
+          | 9 ->
+              Int_set.Multi.clear s;
+              Hashtbl.reset model;
+              true
+          | 0 | 1 | 2 | 3 | 4 ->
+              Int_set.Multi.add s k;
+              Hashtbl.replace model k (count k + 1);
+              true
+          | _ ->
+              let c = count k in
+              if c > 0 then Hashtbl.replace model k (c - 1);
+              Int_set.Multi.take s k = (c > 0))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "alloc/read/write" `Quick test_alloc_read_write;
@@ -332,4 +359,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_atomic_ops_model;
     QCheck_alcotest.to_alcotest prop_read_span;
     QCheck_alcotest.to_alcotest prop_int_set_model;
+    QCheck_alcotest.to_alcotest prop_int_multiset_model;
   ]

@@ -184,6 +184,35 @@ let prop_script (module R : Rc_baselines.Rc_intf.S) name =
       (R.flush t;
        Memory.live_with_tag mem "obj" = 0))
 
+(* A flush is quiescent only while it runs: a snapshot taken after it
+   must still protect its object when the setup handle drops the last
+   counted reference (OrcGC scans right there, outside any simulation),
+   and the object goes at the next flush once released. *)
+let snapshot_after_flush (module R : Rc_baselines.Rc_intf.S) () =
+  let mem = Memory.create small in
+  let t = R.create mem ~procs:2 in
+  let cls = R.register_class t ~tag:"obj" ~fields:1 ~ref_fields:[] in
+  let cell = Memory.alloc mem ~tag:"cell" ~size:1 in
+  let h = R.handle t (-1) in
+  R.store h cell (R.make h cls [| 7 |]);
+  R.flush t;
+  let snap = ref None in
+  let run f =
+    let r = Sim.run ~config:small ~procs:2 (fun pid -> if pid = 0 then f (R.handle t 0)) in
+    Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults)
+  in
+  run (fun h0 -> snap := Some (R.get_snapshot h0 cell));
+  let s = Option.get !snap in
+  R.store h cell Word.null;
+  Alcotest.(check bool) "snapshot still protects" true
+    (Memory.block_is_live mem (Word.to_addr (R.snap_word s)));
+  Alcotest.(check int) "field intact" 7
+    (Memory.read mem (R.field_addr (R.snap_word s) 0));
+  run (fun h0 -> R.release_snapshot h0 s);
+  R.flush t;
+  Alcotest.(check int) "reclaimed once released" 0
+    (Memory.live_with_tag mem "obj")
+
 let suite =
   List.concat_map
     (fun (name, m) ->
@@ -194,6 +223,8 @@ let suite =
           (fun () -> sequential_model m 202);
         Alcotest.test_case (name ^ ": stack chaos") `Quick (fun () ->
             stack_chaos m 31);
+        Alcotest.test_case (name ^ ": snapshot held after a flush") `Quick
+          (snapshot_after_flush m);
         QCheck_alcotest.to_alcotest (prop_script m name);
       ])
     schemes

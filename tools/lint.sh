@@ -49,16 +49,19 @@
 #   8. No hidden runtime calls in the simulator core:
 #      lib/simcore/{memory,memcore,vm,sim,proc,racecheck,sanitizer,
 #      profiler,telemetry,alloc,int_set}.ml, the protection sweeps
-#      (lib/rc_baselines/protectors.ml, lib/smr/hp.ml) and the era
+#      (lib/rc_baselines/protectors.ml, lib/smr/hp.ml), the
+#      acquire-retire scan (lib/acquire_retire/ar.ml) and the era
 #      sweeps (lib/smr/he.ml, lib/smr/ibr.ml) may not use the bare
 #      polymorphic min, max or compare, nor Domain.self. On ints
 #      the polymorphic ones call the runtime's generic comparison, and
 #      Domain.self is a C call that switches stacks; both once ran per
 #      simulated access. Int code uses Int.min/Int.max or an explicit
 #      test, and sort sites pass a typed comparator. The two protection
-#      sweep files may not use Hashtbl either: a sweep once built a fresh hash table
-#      (and hashed every guard) per retire; its guarded set is a reused
-#      Int_set. Comments and string literals are ignored.
+#      sweep files and ar.ml may not use Hashtbl either: a sweep once
+#      built a fresh hash table (and hashed every guard) per retire; its
+#      guarded set is a reused Int_set, and ar.ml's announced multiset
+#      is an open-addressed int table cleared in place. Comments and
+#      string literals are ignored.
 #   9. No environment reads under lib/: Sys.getenv and Sys.getenv_opt
 #      belong to the executables. The CLI turns its flags and REPRO_*
 #      variables into one Config.t (Config.resolve, which takes a
@@ -242,7 +245,7 @@ strip_comments_strings() {
   }' "$1"
 }
 
-sweeps="rc_baselines/protectors smr/hp"
+sweeps="rc_baselines/protectors smr/hp acquire_retire/ar"
 for name in simcore/memory simcore/memcore simcore/vm simcore/sim simcore/proc \
   simcore/racecheck simcore/sanitizer simcore/profiler simcore/telemetry \
   simcore/alloc simcore/int_set $sweeps smr/he smr/ibr; do
@@ -261,7 +264,7 @@ for name in $sweeps; do
   [ -f "$f" ] || continue
   hits=$(strip_comments_strings "$f" | grep -nE "(^|[^.A-Za-z0-9_'])Hashtbl\.")
   if [ -n "$hits" ]; then
-    fail "lint: Hashtbl in the protection sweep $f (collect guarded addresses into a reused Int_set):"
+    fail "lint: Hashtbl in the sweep $f (collect guarded or announced addresses into a reused open-addressed int table):"
     printf '%s\n' "$hits" >&2
   fi
 done
@@ -428,6 +431,18 @@ VM
   fi
   echo 'let guarded () = Hashtbl.create 64' >> "$tmp/lib/smr/hp.ml"
   check_catches "Hashtbl.create in lib/smr/hp.ml"
+
+  # The announced multiset of a pass, seeded into a copy of ar.ml.
+  mkdir -p "$tmp/lib/acquire_retire"
+  if [ -f "$root/lib/acquire_retire/ar.ml" ]; then
+    cp "$root/lib/acquire_retire/ar.ml" "$tmp/lib/acquire_retire/ar.ml"
+  fi
+  echo 'let plist () = Hashtbl.create 64' >> "$tmp/lib/acquire_retire/ar.ml"
+  check_catches "Hashtbl.create in lib/acquire_retire/ar.ml"
+
+  mkdir -p "$tmp/lib/acquire_retire"
+  echo 'let work w = max 1 w' > "$tmp/lib/acquire_retire/ar.ml"
+  check_catches "max 1 w in lib/acquire_retire/ar.ml"
 
   mkdir -p "$tmp/lib/rc_baselines"
   echo 'let bound n = max n 8' > "$tmp/lib/rc_baselines/protectors.ml"
