@@ -82,8 +82,6 @@ let register_class ?(weak = false) ?(weak_fields = []) t ~tag ~fields
   Hashtbl.add t.classes tag c;
   c
 
-let cls_tag c = c.tag
-
 let find_class t ~tag = Hashtbl.find_opt t.classes tag
 
 let field_addr obj i = Word.to_addr obj + 1 + i

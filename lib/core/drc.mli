@@ -80,8 +80,6 @@ val register_class :
     Fields listed in [weak_fields] hold weak references, dropped (not
     destructed) when the object dies. *)
 
-val cls_tag : cls -> string
-
 val find_class : t -> tag:string -> cls option
 
 val make : h -> cls -> int array -> rc

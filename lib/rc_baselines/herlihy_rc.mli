@@ -5,12 +5,6 @@
     no reader can hold it — the design the paper contrasts with
     protecting the {e count} (§3). *)
 
-module type OPT = sig
-  val optimized : bool
-end
-
-module Make (_ : OPT) : Rc_intf.S
-
 module Plain : Rc_intf.S
 (** The original: sticky-counter CAS loops ("Herlihy" in Figure 6). *)
 

@@ -12,10 +12,6 @@ val create_registry : unit -> registry
 val register :
   registry -> tag:string -> fields:int -> ref_fields:int list -> cls
 
-val find_cls : registry -> Simcore.Memory.t -> base:int -> cls
-(** Class of the live or freed block at [base].
-    @raise Invalid_argument when the tag is unregistered. *)
-
 val field_addr : header:int -> int -> int -> int
 (** [field_addr ~header obj i] for a (possibly marked) pointer word
     [obj]. *)

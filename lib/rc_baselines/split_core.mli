@@ -7,14 +7,6 @@
 
 val ext_bits : int
 
-val bias : int
-(** The cell's internal-count claim; dwarfs any reachable external
-    count. *)
-
-val ptr_of : int -> int
-
-val ext_of : int -> int
-
 val init_word : int -> int
 (** Cell word for a freshly installed pointer (external count 0). *)
 

@@ -31,9 +31,6 @@ type params = {
   slo : int;  (** latency budget in ticks (for goodput / pass-fail) *)
 }
 
-val request_overhead : int
-(** Ticks charged per request on top of the backend operation. *)
-
 val run :
   ?fastpath:bool ->
   ?tracer:Simcore.Recorder.t ->

@@ -17,8 +17,6 @@ type arrival =
   | Bursty of { on : int; off : int }
   | Closed of { think : int }
 
-let is_open = function Closed _ -> false | _ -> true
-
 let pp_arrival ppf = function
   | Fixed -> Format.fprintf ppf "fixed"
   | Poisson -> Format.fprintf ppf "poisson"

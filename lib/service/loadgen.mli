@@ -33,16 +33,9 @@ type arrival =
           identically zero, which is exactly the contrast with the
           open-loop modes. *)
 
-val is_open : arrival -> bool
-
 val pp_arrival : Format.formatter -> arrival -> unit
 
 type req = { arr : int; client : int; op : Kv.op }
-
-val arrival_times :
-  arrival:arrival -> rate:int -> duration:int -> Simcore.Rng.t -> int array
-(** Ascending arrival instants in [\[0, duration)] at [rate] requests
-    per kilotick. @raise Invalid_argument for [Closed]. *)
 
 val generate :
   seed:int ->

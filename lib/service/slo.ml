@@ -61,28 +61,6 @@ let quantile_points =
     (0.9999, "p99.99");
   ]
 
-let pp_quantiles ppf r =
-  Format.fprintf ppf "latency ticks:";
-  List.iter
-    (fun (q, name) ->
-      Format.fprintf ppf " %s=%.0f" name (H.quantile r.latency q))
-    quantile_points
-
-(* Mean critical-path split per completed request, in ticks. The
-   residual [service - retry - reclaim] is the request's own work
-   (traversal, allocation, the fixed handling overhead) plus time the
-   worker spent descheduled. *)
-let pp_breakdown ppf r =
-  match r.breakdown with
-  | None -> ()
-  | Some b ->
-      let per v = float_of_int v /. float_of_int (max 1 b.requests) in
-      Format.fprintf ppf
-        "critical path (mean ticks/req): queue-wait %.1f  service %.1f  of \
-         which retry-stall %.1f, reclamation-stall %.1f"
-        (per b.queue_wait) (per b.service) (per b.retry_stall)
-        (per b.reclaim_stall)
-
 let to_json r =
   let quantiles =
     List.map

@@ -61,13 +61,6 @@ val pass : slo:int -> report -> bool
 val verdict : slo:int -> report -> string
 (** One-line pass/FAIL rendering with the p99.9 and shed rate. *)
 
-val pp_quantiles : Format.formatter -> report -> unit
-(** One line of latency quantiles: p50, p90, p99, p99.9, p99.99. *)
-
-val pp_breakdown : Format.formatter -> report -> unit
-(** One line of the mean per-request critical-path split; prints
-    nothing when the cell was not profiled. *)
-
 val to_json : report -> string
 (** The report as one flat JSON object (no newline): counts, makespan,
     derived rates, the five latency quantiles, and the critical-path

@@ -60,7 +60,6 @@ type t = {
   fired : bool array;  (* per stall: already applied *)
   parked : bool array;  (* per pid *)
   revive_at : int array;  (* per pid; meaningful while parked *)
-  pinned : bool array;  (* per pid, via {!pin}/{!unpin} *)
   mutable pinned_probe : (int -> bool) option;
   c_stalls : Telemetry.counter option;
   c_signals : Telemetry.counter option;
@@ -83,7 +82,6 @@ let create ?telemetry ~procs (spec : spec) =
     fired = Array.make (max 1 (List.length spec.stalls)) false;
     parked = Array.make procs false;
     revive_at = Array.make procs max_int;
-    pinned = Array.make procs false;
     pinned_probe = None;
     c_stalls =
       (match telemetry with
@@ -101,13 +99,8 @@ let is_parked t pid = t.parked.(pid)
 
 let set_pinned_probe t f = t.pinned_probe <- Some f
 
-let pin t ~pid = t.pinned.(pid) <- true
-
-let unpin t ~pid = t.pinned.(pid) <- false
-
 let pinned t ~pid =
-  t.pinned.(pid)
-  || (match t.pinned_probe with Some f -> f pid | None -> false)
+  match t.pinned_probe with Some f -> f pid | None -> false
 
 let bump = function Some c -> Telemetry.incr c | None -> ()
 

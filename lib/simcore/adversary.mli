@@ -83,17 +83,10 @@ val is_parked : t -> int -> bool
 (** {1 Pin tracking}
 
     [only_pinned] stalls need to know whether the victim currently
-    holds a protection. Workloads either annotate explicitly
-    ({!pin}/{!unpin}) or install a probe — typically
+    holds a protection. The workload installs a probe that answers it —
     {!Sanitizer.pid_shielded} of the cell's heap, which every shipped
-    scheme already feeds through its protocol annotations. *)
-
-val pin : t -> pid:int -> unit
-
-val unpin : t -> pid:int -> unit
-
-val pinned : t -> pid:int -> bool
-(** Explicit pin, or the probe says so. *)
+    scheme already feeds through its protocol annotations. Without a
+    probe no process counts as pinned. *)
 
 val set_pinned_probe : t -> (int -> bool) -> unit
 

@@ -28,8 +28,10 @@
 
    Contention modeling: with [Config.alloc_contention] on, each plan_*
    call performs coherence transitions for the metadata pieces the
-   operation touches — in a private {!Memcore.create_like} domain, one
-   line per pool head / exchange slot / mask / legacy class head — and
+   operation touches — in a private coherence domain (a second
+   {!Memcore.t} over the same cost table, leaving the heap's line states
+   untouched), one line per pool head / exchange slot / mask / legacy
+   class head — and
    returns their tick price, which {!Memory} folds into the alloc/free
    pay. The legacy freelist's single head line ping-pongs ownership
    across every churning process (c_rmw_transfer per op); the pooled
@@ -95,7 +97,8 @@ let create ~policy ~contended h tele =
     h;
     pol = policy;
     contended;
-    coh = (if contended then Some (Memcore.create_like h) else None);
+    coh =
+      (if contended then Some (Memcore.create Config.default_cost) else None);
     free_heads = Array.make num_size_classes 0;
     large_free = Hashtbl.create 8;
     class_of = Array.make num_size_classes 0;

@@ -9,12 +9,12 @@
     - {b pooled} ([Config.Pooled]): the Blelloch–Wei-style constant-time
       scheme from the paper's companion ("Concurrent Fixed-Size
       Allocation and Free in Constant Time"). Each process keeps, per
-      size class, a private pool of at most [2 * batch_size] blocks; a
-      pool that overflows hands a full batch (exactly [batch_size]
-      blocks, chained in place through [Memcore.b_next]) to a shared
-      exchange array, and a pool that runs dry steals one full batch
-      back. An occupancy bitmask makes slot selection O(1), so no
-      operation ever touches more than a constant number of batches —
+      size class, a private pool of at most two batches; a pool that
+      overflows hands a full batch (exactly 16 blocks, chained in place
+      through [Memcore.b_next]) to a shared exchange array, and a pool
+      that runs dry steals one full batch back. An occupancy bitmask
+      makes slot selection O(1), so no operation ever touches more than
+      a constant number of batches —
       see {!max_touch} and DESIGN.md §4j for the O(1) argument.
 
     The allocator holds {e block ids}, never addresses, and stores
@@ -26,7 +26,7 @@
     [Config.alloc_contention] is on, the modeled metadata-contention
     ticks.
 
-    Oversized classes ([size >= num_size_classes]) go through the shared
+    Oversized classes ([size >= 512]) go through the shared
     legacy table under both policies; they are allocation sites (scheme
     announcement arrays, hash tables), not churn. *)
 
@@ -42,11 +42,6 @@ type source = Local | Steal | Fresh
 type plan = { source : source; cost : int }
 (** [cost] is the modeled metadata-contention surcharge in ticks; [0]
     unless the config has [alloc_contention] on. *)
-
-val num_size_classes : int
-(** Exact-size classes ([512]); larger sizes use the oversized table. *)
-
-val batch_size : int
 
 val exchange_slots : int
 
@@ -93,6 +88,6 @@ val custody : t -> int
 val max_touch : t -> int
 (** High-water mark of metadata pieces touched by any single pooled
     operation: exchange-slot probes plus batches walked (a batch walk is
-    [batch_size] links). Bounded by [exchange_slots + 2] by
+    16 links). Bounded by [exchange_slots + 2] by
     construction — the constant-time property test pins this across
     adversarial schedules. [0] for legacy (one head per op). *)

@@ -7,7 +7,7 @@
 
 (** {1 Writing} *)
 
-val escape : string -> string
+val escape : string -> string (* lint: api *)
 (** JSON string-body escaping (quotes, backslash, control chars). *)
 
 val str : string -> string -> string
@@ -37,7 +37,7 @@ type value = String of string | Number of float
 
 exception Malformed of string
 
-val parse_line : string -> (string * value) list
+val parse_line : string -> (string * value) list (* lint: api *)
 (** Parse one line in the shape [row] writes.
     @raise Malformed otherwise. *)
 

@@ -7,7 +7,6 @@ type cost = Memcore.cost = {
   c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
-  c_local : int;
 }
 
 (* Which allocator implementation backs the heap's alloc/free.
@@ -37,7 +36,6 @@ type t = {
   lookahead : int;
   sanitize : Sanitizer.mode;
   race : Racecheck.mode;
-  cost : cost;
   vm : bool;
   alloc : alloc_policy;
   alloc_contention : bool;
@@ -53,7 +51,6 @@ let default_cost =
     c_dwcas_extra = 15;
     c_alloc = 14;
     c_free = 10;
-    c_local = 1;
   }
 
 let default =
@@ -65,7 +62,6 @@ let default =
     lookahead = 64;
     sanitize = Sanitizer.off;
     race = Racecheck.off;
-    cost = default_cost;
     vm = true;
     alloc = Legacy;
     alloc_contention = false;

@@ -13,10 +13,10 @@ type cost = Memcore.cost = {
   c_read_miss : int;  (** read of a line another core holds exclusively *)
   c_rmw_owned : int;  (** CAS/FAA/FAS/store on a line this core owns *)
   c_rmw_transfer : int;  (** CAS/FAA/FAS/store needing ownership transfer *)
-  c_dwcas_extra : int;  (** surcharge for double-word CAS *)
+  c_dwcas_extra : int;
+      (** surcharge the just::thread model pays per double-word CAS *)
   c_alloc : int;  (** scalable-allocator malloc *)
   c_free : int;  (** scalable-allocator free *)
-  c_local : int;  (** one process-private step (hashing, list ops) *)
 }
 
 (** Allocator implementation behind the heap's alloc/free ([Memory]).
@@ -56,7 +56,6 @@ type t = {
           Pays no ticks and allocates nothing simulated, so arming it
           never perturbs schedules: tables stay byte-identical modulo
           the report blocks. *)
-  cost : cost;
   vm : bool;
       (** run workload inner loops as compiled {!Vm} instruction streams
           where a compiled form exists, instead of the closure
@@ -80,10 +79,12 @@ type t = {
 }
 
 val default_cost : cost
+(** The one cost table: every heap ({!Memory.create}) charges it, and
+    the just::thread model reads its [c_dwcas_extra]. *)
 
 val default : t
 (** 144 hardware threads (the paper's machine has 72 cores, 2-way SMT),
-    address reuse on, default costs, a 64-tick run-ahead window. *)
+    address reuse on, a 64-tick run-ahead window. *)
 
 val small : t
 (** A small deterministic machine for unit tests: 4 cores, tiny quantum,
@@ -97,15 +98,6 @@ val small : t
     count in {!resolve}, the only place either is read. A flag beats its
     variable; an unset or empty variable means the default. Nothing
     under [lib/] reads the environment: callers pass [getenv]. *)
-
-val vm_of_env : string option -> (bool, string) result
-(** [REPRO_VM]: ["1"] (the default) or ["0"]. *)
-
-val alloc_of_env : string option -> (alloc_policy, string) result
-(** [REPRO_ALLOC]: [legacy] (the default) or [pooled], as [--alloc]. *)
-
-val jobs_of_env : string option -> (int, string) result
-(** [REPRO_JOBS]: an integer [>= 1], as [--jobs]; the default is 1. *)
 
 val resolve :
   getenv:(string -> string option) ->

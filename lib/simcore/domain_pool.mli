@@ -64,12 +64,8 @@ val map_grid :
     row-major order (matching the sequential harness's loop nest) and
     regroups the flat results into one [(row, cells)] pair per row. *)
 
-val shutdown : t -> unit
-(** Terminate and join the worker domains. Idempotent. Calling
-    {!map_ordered} after [shutdown] raises [Invalid_argument]. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], run, and always [shutdown]. *)
+(** [create], run, and always terminate and join the worker domains. *)
 
 val sequential : t
 (** A shared [jobs = 1] pool (no domains, nothing to shut down) — the

@@ -30,7 +30,6 @@ type cost = {
   c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
-  c_local : int;
 }
 
 type t = {
@@ -59,7 +58,6 @@ type t = {
   c_read_miss : int;
   c_rmw_owned : int;
   c_rmw_transfer : int;
-  c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
   (* An instrument (sanitizer or race checker) is armed: compiled
@@ -113,7 +111,6 @@ let create (cost : cost) =
     c_read_miss = cost.c_read_miss;
     c_rmw_owned = cost.c_rmw_owned;
     c_rmw_transfer = cost.c_rmw_transfer;
-    c_dwcas_extra = cost.c_dwcas_extra;
     c_alloc = cost.c_alloc;
     c_free = cost.c_free;
     san_on = false;
@@ -149,24 +146,6 @@ let[@inline never] grow_lines t line =
 
 let[@inline] ensure_line t line =
   if line >= Array.length t.lines then grow_lines t line
-
-(* A second coherence domain with the same cost model but its own
-   line/L1 state: the pooled allocator models contention on its *own*
-   metadata (pool heads, exchange slots) without perturbing the
-   simulated heap's line states. *)
-let create_like t =
-  create
-    {
-      c_l1 = t.c_l1;
-      c_hit = t.c_hit;
-      c_read_miss = t.c_read_miss;
-      c_rmw_owned = t.c_rmw_owned;
-      c_rmw_transfer = t.c_rmw_transfer;
-      c_dwcas_extra = t.c_dwcas_extra;
-      c_alloc = t.c_alloc;
-      c_free = t.c_free;
-      c_local = 0;
-    }
 
 (* Canonicalize a block's lines to cold on (re)allocation: no owner, and
    a version bump so every stale L1 entry — in any process's way — misses

@@ -18,7 +18,6 @@ type cost = {
   c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
-  c_local : int;
 }
 (** The instruction cost model, documented where it is re-exported:
     {!Config.cost}. It lives here so that the instruments, whose modes
@@ -44,7 +43,6 @@ type t = {
   c_read_miss : int;
   c_rmw_owned : int;
   c_rmw_transfer : int;
-  c_dwcas_extra : int;
   c_alloc : int;
   c_free : int;
   mutable san_on : bool;
@@ -68,11 +66,6 @@ val grow_array : 'a array -> needed:int -> fill:'a -> 'a array
 
 val create : cost -> t
 
-val create_like : t -> t
-(** A fresh, empty coherence domain sharing [t]'s cost scalars — the
-    allocator models contention on its own metadata here, leaving the
-    heap's line states untouched. *)
-
 val reset_lines : t -> base:int -> size:int -> unit
 (** Canonicalize the block's lines to cold (no owner, version bumped so
     all cached copies miss). Called on block reuse so post-alloc access
@@ -86,13 +79,9 @@ val ensure_block : t -> int -> unit
 
 val line_of_addr : int -> int
 
-val ensure_line : t -> int -> unit
-
 val block_of : t -> int -> int
 (** The id of the block containing address [a] (live or freed), or [0]
     when [a] lies in none. *)
-
-val pid_slot : int -> int
 
 (** {1 Coherence cost model}
 

@@ -22,14 +22,12 @@ let fault_kind_to_string = function
   | Null_deref -> "null dereference"
   | Protection_violation -> "protection violation"
 
-let pp_fault ppf = function
+let fault_to_string = function
   | Fault { kind; addr; pid; tag } ->
-      Format.fprintf ppf "%s addr=%d pid=%d tag=%s"
-        (fault_kind_to_string kind) addr pid
+      Printf.sprintf "%s addr=%d pid=%d tag=%s" (fault_kind_to_string kind) addr
+        pid
         (match tag with Some s -> s | None -> "-")
-  | e -> Format.pp_print_string ppf (Printexc.to_string e)
-
-let fault_to_string e = Format.asprintf "%a" pp_fault e
+  | e -> Printexc.to_string e
 
 type usage = {
   allocated : int;
@@ -86,7 +84,7 @@ type t = {
 
 let create config =
   let tele = Telemetry.create () in
-  let h = Memcore.create config.Config.cost in
+  let h = Memcore.create Config.default_cost in
   let san = Sanitizer.create config.Config.sanitize tele h in
   let san_on = not (Sanitizer.is_off config.Config.sanitize) in
   let race = Racecheck.create config.Config.race tele h in
@@ -192,9 +190,9 @@ let validate_addr t a = ignore (validate t a)
    checker. The pay may suspend and resume this process, but it
    resumes under the same environment, so [e.pid] and [e.gclock ()]
    equal what [Proc.self]/[Proc.global_now] would return here. The
-   {!Vm}'s memory opcodes call {!instrument}/{!instrument_pair} at the
-   same point, after flushing their elided pays, so the virtual time
-   the instruments read does not depend on the engine. *)
+   {!Vm}'s memory opcodes call {!instrument} at the same point, after
+   flushing their elided pays, so the virtual time the instruments read
+   does not depend on the engine. *)
 
 let env_pid = function Some e -> e.Proc.pid | None -> -1
 
@@ -223,19 +221,6 @@ let instrument t env ~write race a =
   let pid = env_pid env and time = env_time env in
   if t.san_on then san_access t ~write ~pid ~time a;
   if t.race_on then race_noted t (race t.race ~addr:a ~pid ~time)
-
-(* A double-word RMW at [a, a+1], [a] already validated: audit [a],
-   validate and audit [a + 1], and only then race both — the fault
-   order of a sanitized [cas2]. *)
-let instrument_pair t env a =
-  let pid = env_pid env and time = env_time env in
-  if t.san_on then san_access t ~write:true ~pid ~time a;
-  validate_addr t (a + 1);
-  if t.san_on then san_access t ~write:true ~pid ~time (a + 1);
-  if t.race_on then begin
-    race_noted t (Racecheck.on_rmw t.race ~addr:a ~pid ~time);
-    race_noted t (Racecheck.on_rmw t.race ~addr:(a + 1) ~pid ~time)
-  end
 
 (* {1 Allocation} *)
 
@@ -397,9 +382,9 @@ let free t a =
    shared prelude below is inlined into each entry point, which thus
    makes the same calls as a hand-written body. *)
 
-(* Charge one access to [a] ([extra]: CAS2's surcharge, above the
-   floor) and return the environment for the instruments. *)
-let[@inline] pay_access h ~write ~extra a =
+(* Charge one access to [a] and return the environment for the
+   instruments. *)
+let[@inline] pay_access h ~write a =
   let env = Proc.get_env () in
   let pid = env_pid env in
   let c =
@@ -408,7 +393,7 @@ let[@inline] pay_access h ~write ~extra a =
   in
   (match env with
   | Some e ->
-      Proc.pay_env e (c + extra);
+      Proc.pay_env e c;
       Profiler.demote e
         (c - if write then h.Memcore.c_rmw_owned else h.Memcore.c_l1)
   | None -> ());
@@ -419,7 +404,7 @@ let[@inline] pay_access h ~write ~extra a =
    for the access kind). *)
 let[@inline] access t ~write hook a =
   let h = t.h in
-  let env = pay_access h ~write ~extra:0 a in
+  let env = pay_access h ~write a in
   validate_addr t a;
   if h.Memcore.san_on then instrument t env ~write hook a
 
@@ -533,20 +518,6 @@ let fas t a v =
   let old = w.(a) in
   w.(a) <- v;
   old
-
-let cas2 t a ~e0 ~e1 ~d0 ~d1 =
-  let h = t.h in
-  let env = pay_access h ~write:true ~extra:h.Memcore.c_dwcas_extra a in
-  validate_addr t a;
-  if h.Memcore.san_on then instrument_pair t env a
-  else validate_addr t (a + 1);
-  let w = h.Memcore.words in
-  if w.(a) = e0 && w.(a + 1) = e1 then begin
-    w.(a) <- d0;
-    w.(a + 1) <- d1;
-    true
-  end
-  else false
 
 (* {1 Debug access} *)
 

@@ -47,13 +47,10 @@ exception
 
 val fault_kind_to_string : fault_kind -> string
 
-val pp_fault : Format.formatter -> exn -> unit
+val fault_to_string : exn -> string
 (** Uniform fault rendering, ["kind addr=A pid=P tag=T"], used by every
     example and test; falls back to [Printexc.to_string] on non-{!Fault}
     exceptions. *)
-
-val fault_to_string : exn -> string
-(** [Format.asprintf "%a" pp_fault]. *)
 
 val create : Config.t -> t
 
@@ -100,10 +97,6 @@ val faa : t -> int -> int -> int
 
 val fas : t -> int -> int -> int
 (** [fas t a v] fetch-and-stores [v] at [a], returning the old value. *)
-
-val cas2 : t -> int -> e0:int -> e1:int -> d0:int -> d1:int -> bool
-(** Double-word CAS on [a, a+1]; exists only so that baselines relying
-    on it (just::thread) can be expressed. Charges a surcharge. *)
 
 (** {1 Zero-cost debug access}
 
@@ -196,7 +189,7 @@ val mark_race_sync : t -> int -> unit
     it is never itself reported. For single-writer protocol words the
     model spells as plain writes (HP announcement slots, EBR/HE/IBR
     reservations, swcopy destinations and descriptors). Words become
-    atomic automatically on their first CAS/FAA/FAS/CAS2. *)
+    atomic automatically on their first CAS/FAA/FAS. *)
 
 val race_reports : t -> string list
 (** Retained race report texts, oldest first. *)
@@ -255,8 +248,3 @@ val instrument :
    paying and validating, and only while [Memcore.san_on] is set. The
    VM flushes its elided pays first, so the pid and virtual time read
    from [env] are the closure path's. *)
-
-val instrument_pair : t -> Proc.env option -> int -> unit
-(* [instrument_pair t env a]: the observer for a double-word RMW at
-   [a, a+1] whose first word is validated. Audits [a], validates and
-   audits [a + 1], then races both: [cas2]'s fault order. *)

@@ -47,8 +47,6 @@ let set_env e = Domain.DLS.set current e (* lint: allow-atomic *)
 
 let get_env () = Domain.DLS.get current (* lint: allow-atomic *)
 
-let in_sim () = Domain.DLS.get current <> None (* lint: allow-atomic *)
-
 (* The scheduler grants [budget] ticks that this process may consume
    before any scheduling decision could differ; while the budget lasts, a
    pay is a pair of integer updates instead of an effect suspension plus

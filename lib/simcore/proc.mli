@@ -23,8 +23,6 @@ val pay : int -> unit
 val self : unit -> int
 (** Id of the running process, or [-1] outside a simulation. *)
 
-val in_sim : unit -> bool
-
 val now : unit -> int
 (** Virtual time of the current core's clock ([0] outside a simulation).
     Monotone for a given process; jumps while the process is descheduled,

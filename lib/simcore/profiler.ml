@@ -95,7 +95,7 @@ let phase_of_code = function
 let max_depth = 12
 
 type t = {
-  mutable label : string;
+  label : string;
   islots : (int, int) Hashtbl.t;  (* packed stack -> slot *)
   mutable packed_of : int array;  (* slot -> packed stack *)
   mutable n_slots : int;
@@ -153,8 +153,6 @@ let create ?(label = "") () =
   registry := t :: !registry;
   Mutex.unlock registry_mutex;
   t
-
-let set_label t label = t.label <- label
 
 let label t = t.label
 

@@ -46,8 +46,6 @@ val create : ?label:string -> unit -> t
 (** Create a profiler (one per benchmark cell; single-domain) and
     append it to the global collection list (see {!mark}/{!recent}). *)
 
-val set_label : t -> string -> unit
-
 val label : t -> string
 
 val pstate : t -> pid:int -> Proc.prof

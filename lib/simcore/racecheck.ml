@@ -23,7 +23,7 @@
      keeps an acquired set: the slots whose clock already covers [L_x]
      since [L_x] last changed, whose acquires are skipped and whose
      store-releases copy rather than join (see {!acquire}). A word
-     becomes sync on its first RMW (CAS/FAA/FAS/CAS2) or by explicit
+     becomes sync on its first RMW (CAS/FAA/FAS) or by explicit
      annotation ({!Memory.mark_race_sync}) for single-writer protocols
      whose stores are plain writes in the model (HP announcements, EBR
      reservations, swcopy destinations).

@@ -3,7 +3,7 @@
     An opt-in dynamic analysis over {!Memory}'s access stream: per-pid
     vector clocks, adaptive per-word last-read/last-write epochs, and
     a sync/data classification per word. RMW operations
-    (CAS/FAA/FAS/CAS2) and annotated single-writer words are
+    (CAS/FAA/FAS) and annotated single-writer words are
     release-acquire synchronization edges; plain reads and writes of
     data words are unordered and checked — any conflicting pair not
     ordered by happens-before is reported (once per word), naming both

@@ -127,11 +127,6 @@ module Histogram = struct
       go 0 0
     end
 
-  let pp_quantiles ppf h =
-    Format.fprintf ppf "p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%d"
-      (quantile h 0.5) (quantile h 0.9) (quantile h 0.99) (quantile h 0.999)
-      h.max_sample
-
   let pp ppf h =
     Format.fprintf ppf
       "n=%d mean=%.1f p50=%d p90=%d p99=%d p99.9=%d max=%d" h.n (mean h)

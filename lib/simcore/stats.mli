@@ -66,8 +66,5 @@ module Histogram : sig
       the bucket counts, so it is invariant under {!merge}
       regrouping. *)
 
-  val pp_quantiles : Format.formatter -> h -> unit
-  (** ["p50=… p90=… p99=… p99.9=… max=…"], from {!quantile}. *)
-
   val pp : Format.formatter -> h -> unit
 end

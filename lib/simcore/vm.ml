@@ -108,77 +108,67 @@ let op_bne = 3
 
 let op_blt = 4
 
-let op_bge = 5
+let op_beqi = 5 (* r i t *)
 
-let op_beqi = 6 (* r i t *)
+let op_bnei = 6
 
-let op_bnei = 7
+let op_blti = 7
 
-let op_blti = 8
+let op_bgei = 8
 
-let op_bgei = 9
+let op_movi = 9 (* rd i *)
 
-let op_movi = 10 (* rd i *)
+let op_mov = 10 (* rd rs *)
 
-let op_mov = 11 (* rd rs *)
+let op_add = 11 (* rd r1 r2 *)
 
-let op_add = 12 (* rd r1 r2 *)
+let op_addi = 12 (* rd rs i *)
 
-let op_addi = 13 (* rd rs i *)
+let op_shli = 13 (* rd rs i *)
 
-let op_sub = 14 (* rd r1 r2 *)
+let op_shri = 14 (* rd rs i; logical *)
 
-let op_shli = 15 (* rd rs i *)
+let op_andi = 15 (* rd rs i *)
 
-let op_shri = 16 (* rd rs i; logical *)
+let op_read = 16 (* rd ra *)
 
-let op_andi = 17 (* rd rs i *)
+let op_write = 17 (* ra rv *)
 
-let op_read = 18 (* rd ra *)
+let op_cas = 18 (* rd ra re rv; rd = 0/1 *)
 
-let op_write = 19 (* ra rv *)
+let op_faa = 19 (* rd ra rdelta *)
 
-let op_cas = 20 (* rd ra re rv; rd = 0/1 *)
+let op_faai = 20 (* rd ra i *)
 
-let op_faa = 21 (* rd ra rdelta *)
+let op_fas = 21 (* rd ra rv *)
 
-let op_faai = 22 (* rd ra i *)
+let op_payi = 22 (* i *)
 
-let op_fas = 23 (* rd ra rv *)
+let op_payr = 23 (* r *)
 
-let op_cas2 = 24 (* rd ra re0 re1 rd0 rd1 *)
+let op_now = 24 (* rd *)
 
-let op_payi = 25 (* i *)
+let op_rngi = 25 (* rd i: Rng.int *)
 
-let op_payr = 26 (* r *)
+let op_rngb = 26 (* rd #f: Rng.below, 0/1 *)
 
-let op_now = 27 (* rd *)
+let op_host = 27 (* #h *)
 
-let op_rngi = 28 (* rd i: Rng.int *)
+let op_tab = 28 (* rd #t ri *)
 
-let op_rngb = 29 (* rd #f: Rng.below, 0/1 *)
+let op_cellld = 29 (* rd #c *)
 
-let op_host = 30 (* #h *)
+let op_cellinc = 30 (* #c i *)
 
-let op_tab = 31 (* rd #t ri *)
+let op_leaf = 31 (* #h *)
 
-let op_cellld = 32 (* rd #c *)
-
-let op_cellst = 33 (* #c rs *)
-
-let op_cellinc = 34 (* #c i *)
-
-let op_ori = 35 (* rd rs i *)
-
-let op_leaf = 36 (* #h *)
-
-let n_opcodes = 37
+let n_opcodes = 32
 
 (* Operand count per opcode (instruction size minus one). *)
 let arity =
   [|
-    0; 1; 3; 3; 3; 3; 3; 3; 3; 3; 2; 2; 3; 3; 3; 3; 3; 3; 2; 2; 4; 3; 3; 3;
-    6; 1; 1; 1; 2; 2; 1; 3; 2; 2; 2; 3; 1;
+    0; 1; 3; 3; 3; 3; 3; 3; 3; 2; 2; 3; 3; 3; 3; 3; 2; 2; 4; 3; 3; 3; 1; 1;
+    1; 2; 2; 1; 3; 2; 2; 1;
   |]
 
 let () = assert (Array.length arity = n_opcodes)
@@ -194,7 +184,6 @@ type instr =
   | Beq of int * int * int
   | Bne of int * int * int
   | Blt of int * int * int
-  | Bge of int * int * int
   | Beqi of int * int * int
   | Bnei of int * int * int
   | Blti of int * int * int
@@ -203,18 +192,15 @@ type instr =
   | Mov of int * int
   | Add of int * int * int
   | Addi of int * int * int
-  | Sub of int * int * int
   | Shli of int * int * int
   | Shri of int * int * int
   | Andi of int * int * int
-  | Ori of int * int * int
   | Read of int * int
   | Write of int * int
   | Cas of int * int * int * int
   | Faa of int * int * int
   | Faai of int * int * int
   | Fas of int * int * int
-  | Cas2 of int * int * int * int * int * int
   | Payi of int
   | Payr of int
   | Now of int
@@ -224,7 +210,6 @@ type instr =
   | Leaf of int
   | Tab of int * int * int
   | Cellld of int * int
-  | Cellst of int * int
   | Cellinc of int * int
 
 let encode instrs =
@@ -239,7 +224,6 @@ let encode instrs =
         | Beq (a, b, t) -> [ op_beq; a; b; t ]
         | Bne (a, b, t) -> [ op_bne; a; b; t ]
         | Blt (a, b, t) -> [ op_blt; a; b; t ]
-        | Bge (a, b, t) -> [ op_bge; a; b; t ]
         | Beqi (r, i, t) -> [ op_beqi; r; i; t ]
         | Bnei (r, i, t) -> [ op_bnei; r; i; t ]
         | Blti (r, i, t) -> [ op_blti; r; i; t ]
@@ -248,18 +232,15 @@ let encode instrs =
         | Mov (rd, rs) -> [ op_mov; rd; rs ]
         | Add (rd, a, b) -> [ op_add; rd; a; b ]
         | Addi (rd, rs, i) -> [ op_addi; rd; rs; i ]
-        | Sub (rd, a, b) -> [ op_sub; rd; a; b ]
         | Shli (rd, rs, i) -> [ op_shli; rd; rs; i ]
         | Shri (rd, rs, i) -> [ op_shri; rd; rs; i ]
         | Andi (rd, rs, i) -> [ op_andi; rd; rs; i ]
-        | Ori (rd, rs, i) -> [ op_ori; rd; rs; i ]
         | Read (rd, ra) -> [ op_read; rd; ra ]
         | Write (ra, rv) -> [ op_write; ra; rv ]
         | Cas (rd, ra, re, rv) -> [ op_cas; rd; ra; re; rv ]
         | Faa (rd, ra, rdl) -> [ op_faa; rd; ra; rdl ]
         | Faai (rd, ra, i) -> [ op_faai; rd; ra; i ]
         | Fas (rd, ra, rv) -> [ op_fas; rd; ra; rv ]
-        | Cas2 (rd, ra, e0, e1, d0, d1) -> [ op_cas2; rd; ra; e0; e1; d0; d1 ]
         | Payi i -> [ op_payi; i ]
         | Payr r -> [ op_payr; r ]
         | Now rd -> [ op_now; rd ]
@@ -269,7 +250,6 @@ let encode instrs =
         | Leaf h -> [ op_leaf; h ]
         | Tab (rd, t, ri) -> [ op_tab; rd; t; ri ]
         | Cellld (rd, c) -> [ op_cellld; rd; c ]
-        | Cellst (c, rs) -> [ op_cellst; c; rs ]
         | Cellinc (c, i) -> [ op_cellinc; c; i ]))
     instrs;
   Array.of_list (List.rev !rev)
@@ -289,7 +269,6 @@ let decode code =
           else if op = op_beq then Beq (a 1, a 2, a 3)
           else if op = op_bne then Bne (a 1, a 2, a 3)
           else if op = op_blt then Blt (a 1, a 2, a 3)
-          else if op = op_bge then Bge (a 1, a 2, a 3)
           else if op = op_beqi then Beqi (a 1, a 2, a 3)
           else if op = op_bnei then Bnei (a 1, a 2, a 3)
           else if op = op_blti then Blti (a 1, a 2, a 3)
@@ -298,18 +277,15 @@ let decode code =
           else if op = op_mov then Mov (a 1, a 2)
           else if op = op_add then Add (a 1, a 2, a 3)
           else if op = op_addi then Addi (a 1, a 2, a 3)
-          else if op = op_sub then Sub (a 1, a 2, a 3)
           else if op = op_shli then Shli (a 1, a 2, a 3)
           else if op = op_shri then Shri (a 1, a 2, a 3)
           else if op = op_andi then Andi (a 1, a 2, a 3)
-          else if op = op_ori then Ori (a 1, a 2, a 3)
           else if op = op_read then Read (a 1, a 2)
           else if op = op_write then Write (a 1, a 2)
           else if op = op_cas then Cas (a 1, a 2, a 3, a 4)
           else if op = op_faa then Faa (a 1, a 2, a 3)
           else if op = op_faai then Faai (a 1, a 2, a 3)
           else if op = op_fas then Fas (a 1, a 2, a 3)
-          else if op = op_cas2 then Cas2 (a 1, a 2, a 3, a 4, a 5, a 6)
           else if op = op_payi then Payi (a 1)
           else if op = op_payr then Payr (a 1)
           else if op = op_now then Now (a 1)
@@ -319,7 +295,6 @@ let decode code =
           else if op = op_leaf then Leaf (a 1)
           else if op = op_tab then Tab (a 1, a 2, a 3)
           else if op = op_cellld then Cellld (a 1, a 2)
-          else if op = op_cellst then Cellst (a 1, a 2)
           else begin
             assert (op = op_cellinc);
             Cellinc (a 1, a 2)
@@ -396,8 +371,6 @@ module Asm = struct
     assert (a.label_pos.(l) = -1);
     a.label_pos.(l) <- a.len
 
-  let here a = a.len
-
   let push a x =
     if a.len >= Array.length a.code then
       a.code <- Memcore.grow_array a.code ~needed:(a.len + 1) ~fill:0;
@@ -449,8 +422,6 @@ module Asm = struct
 
   let blt a r1 r2 l = branch2 a op_blt r1 r2 l
 
-  let bge a r1 r2 l = branch2 a op_bge r1 r2 l
-
   let branchi a op r i l =
     push a op;
     push a r;
@@ -484,15 +455,11 @@ module Asm = struct
 
   let addi a rd rs i = emit3 a op_addi rd rs i
 
-  let sub a rd r1 r2 = emit3 a op_sub rd r1 r2
-
   let shli a rd rs i = emit3 a op_shli rd rs i
 
   let shri a rd rs i = emit3 a op_shri rd rs i
 
   let andi a rd rs i = emit3 a op_andi rd rs i
-
-  let ori a rd rs i = emit3 a op_ori rd rs i
 
   let read a rd ra = emit2 a op_read rd ra
 
@@ -510,15 +477,6 @@ module Asm = struct
   let faai a rd ra i = emit3 a op_faai rd ra i
 
   let fas a rd ra rv = emit3 a op_fas rd ra rv
-
-  let cas2 a rd ra ~e0 ~e1 ~d0 ~d1 =
-    push a op_cas2;
-    push a rd;
-    push a ra;
-    push a e0;
-    push a e1;
-    push a d0;
-    push a d1
 
   let payi a i =
     push a op_payi;
@@ -539,8 +497,6 @@ module Asm = struct
   let tab a rd t ri = emit3 a op_tab rd t ri
 
   let cellld a rd c = emit2 a op_cellld rd c
-
-  let cellst a c rs = emit2 a op_cellst c rs
 
   let cellinc a c i = emit2 a op_cellinc c i
 
@@ -662,13 +618,13 @@ let[@inline] pay e fr c pen mid =
   end
 
 (* A memory opcode's charge — coherence transition, then pay — as
-   {!Memory}'s prelude computes it ([extra] is CAS2's surcharge, above
-   the floor); skipped on the re-dispatch after its own yield. *)
-let[@inline] charge e fr hc ~write ~extra a =
+   {!Memory}'s prelude computes it; skipped on the re-dispatch after its
+   own yield. *)
+let[@inline] charge e fr hc ~write a =
   if fr.paid then fr.paid <- false
   else if write then begin
     let c = Memcore.cost_write hc ~pid:e.Proc.pid ~addr:a in
-    pay e fr (c + extra) (c - hc.Memcore.c_rmw_owned) true
+    pay e fr c (c - hc.Memcore.c_rmw_owned) true
   end
   else begin
     let c = Memcore.cost_read hc ~pid:e.Proc.pid ~addr:a in
@@ -769,107 +725,94 @@ let coroutine p fr =
                  < Array.unsafe_get regs (Array.unsafe_get code (base + 2))
                then Array.unsafe_get code (base + 3)
                else base + 4)
-        | 5 (* BGE *) ->
-            fr.pc <-
-              (if
-                 Array.unsafe_get regs (Array.unsafe_get code (base + 1))
-                 >= Array.unsafe_get regs (Array.unsafe_get code (base + 2))
-               then Array.unsafe_get code (base + 3)
-               else base + 4)
-        | 6 (* BEQI r i t *) ->
+        | 5 (* BEQI r i t *) ->
             fr.pc <-
               (if
                  Array.unsafe_get regs (Array.unsafe_get code (base + 1))
                  = Array.unsafe_get code (base + 2)
                then Array.unsafe_get code (base + 3)
                else base + 4)
-        | 7 (* BNEI *) ->
+        | 6 (* BNEI *) ->
             fr.pc <-
               (if
                  Array.unsafe_get regs (Array.unsafe_get code (base + 1))
                  <> Array.unsafe_get code (base + 2)
                then Array.unsafe_get code (base + 3)
                else base + 4)
-        | 8 (* BLTI *) ->
+        | 7 (* BLTI *) ->
             fr.pc <-
               (if
                  Array.unsafe_get regs (Array.unsafe_get code (base + 1))
                  < Array.unsafe_get code (base + 2)
                then Array.unsafe_get code (base + 3)
                else base + 4)
-        | 9 (* BGEI *) ->
+        | 8 (* BGEI *) ->
             fr.pc <-
               (if
                  Array.unsafe_get regs (Array.unsafe_get code (base + 1))
                  >= Array.unsafe_get code (base + 2)
                then Array.unsafe_get code (base + 3)
                else base + 4)
-        | 10 (* MOVI rd i *) ->
+        | 9 (* MOVI rd i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get code (base + 2));
             fr.pc <- base + 3
-        | 11 (* MOV rd rs *) ->
+        | 10 (* MOV rd rs *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 12 (* ADD rd r1 r2 *) ->
+        | 11 (* ADD rd r1 r2 *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               + Array.unsafe_get regs (Array.unsafe_get code (base + 3)));
             fr.pc <- base + 4
-        | 13 (* ADDI rd rs i *) ->
+        | 12 (* ADDI rd rs i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               + Array.unsafe_get code (base + 3));
             fr.pc <- base + 4
-        | 14 (* SUB rd r1 r2 *) ->
-            Array.unsafe_set regs
-              (Array.unsafe_get code (base + 1))
-              (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
-              - Array.unsafe_get regs (Array.unsafe_get code (base + 3)));
-            fr.pc <- base + 4
-        | 15 (* SHLI rd rs i *) ->
+        | 13 (* SHLI rd rs i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               lsl Array.unsafe_get code (base + 3));
             fr.pc <- base + 4
-        | 16 (* SHRI rd rs i *) ->
+        | 14 (* SHRI rd rs i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               lsr Array.unsafe_get code (base + 3));
             fr.pc <- base + 4
-        | 17 (* ANDI rd rs i *) ->
+        | 15 (* ANDI rd rs i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
               land Array.unsafe_get code (base + 3));
             fr.pc <- base + 4
-        | 18 (* READ rd ra *) ->
+        | 16 (* READ rd ra *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            charge e fr hc ~write:false ~extra:0 a;
+            charge e fr hc ~write:false a;
             if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe ~write:false Racecheck.on_read a;
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get hc.Memcore.words a);
             fr.pc <- base + 3
-        | 19 (* WRITE ra rv *) ->
+        | 17 (* WRITE ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
-            charge e fr hc ~write:true ~extra:0 a;
+            charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe ~write:true Racecheck.on_write a;
             Array.unsafe_set hc.Memcore.words a
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 20 (* CAS rd ra re rv *) ->
+        | 18 (* CAS rd ra re rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            charge e fr hc ~write:true ~extra:0 a;
+            charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
             if
@@ -882,20 +825,20 @@ let coroutine p fr =
             end
             else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
             fr.pc <- base + 5
-        | (21 | 22) as op (* FAA rd ra rdelta, FAAI rd ra i *) ->
+        | (19 | 20) as op (* FAA rd ra rdelta, FAAI rd ra i *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            charge e fr hc ~write:true ~extra:0 a;
+            charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
             let d = Array.unsafe_get code (base + 3) in
-            let d = if op = 21 then Array.unsafe_get regs d else d in
+            let d = if op = 19 then Array.unsafe_get regs d else d in
             let old = Array.unsafe_get hc.Memcore.words a in
             Array.unsafe_set hc.Memcore.words a (old + d);
             Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
             fr.pc <- base + 4
-        | 23 (* FAS rd ra rv *) ->
+        | 21 (* FAS rd ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            charge e fr hc ~write:true ~extra:0 a;
+            charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
             let old = Array.unsafe_get hc.Memcore.words a in
@@ -903,50 +846,27 @@ let coroutine p fr =
               (Array.unsafe_get regs (Array.unsafe_get code (base + 3)));
             Array.unsafe_set regs (Array.unsafe_get code (base + 1)) old;
             fr.pc <- base + 4
-        | 24 (* CAS2 rd ra re0 re1 rd0 rd1 *) ->
-            let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
-            charge e fr hc ~write:true ~extra:hc.Memcore.c_dwcas_extra a;
-            if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then begin
-              flush e fr;
-              Memory.instrument_pair mem env a
-            end
-            else if not (valid hc (a + 1)) then vfail e fr (a + 1);
-            if
-              Array.unsafe_get hc.Memcore.words a
-              = Array.unsafe_get regs (Array.unsafe_get code (base + 3))
-              && Array.unsafe_get hc.Memcore.words (a + 1)
-                 = Array.unsafe_get regs (Array.unsafe_get code (base + 4))
-            then begin
-              Array.unsafe_set hc.Memcore.words a
-                (Array.unsafe_get regs (Array.unsafe_get code (base + 5)));
-              Array.unsafe_set hc.Memcore.words (a + 1)
-                (Array.unsafe_get regs (Array.unsafe_get code (base + 6)));
-              Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 1
-            end
-            else Array.unsafe_set regs (Array.unsafe_get code (base + 1)) 0;
-            fr.pc <- base + 7
-        | 25 (* PAYI i *) ->
+        | 22 (* PAYI i *) ->
             (* Instruction-boundary pay: [fr.pc] is already on the next
                instruction, so a yield resumes right after it. *)
             fr.pc <- base + 2;
             let n = Array.unsafe_get code (base + 1) in
             if n > 0 then pay e fr n 0 false
-        | 26 (* PAYR r *) ->
+        | 23 (* PAYR r *) ->
             fr.pc <- base + 2;
             let n = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
             if n > 0 then pay e fr n 0 false
-        | 27 (* NOW rd *) ->
+        | 24 (* NOW rd *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (e.Proc.clock () + fr.acc);
             fr.pc <- base + 2
-        | 28 (* RNGI rd i *) ->
+        | 25 (* RNGI rd i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Rng.int rng (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 29 (* RNGB rd #f *) ->
+        | 26 (* RNGB rd #f *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (if
@@ -956,12 +876,12 @@ let coroutine p fr =
                then 1
                else 0);
             fr.pc <- base + 3
-        | 30 (* HOST #h *) ->
+        | 27 (* HOST #h *) ->
             fr.pc <- base + 2;
             flush e fr;
             let h = Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)) in
             park (Effect.Deep.match_with h fr host_handler)
-        | 31 (* TAB rd #t ri *) ->
+        | 28 (* TAB rd #t ri *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get p.tables (Array.unsafe_get code (base + 2))).(Array.unsafe_get
@@ -971,28 +891,17 @@ let coroutine p fr =
                                                                                    (base
                                                                                   + 3)));
             fr.pc <- base + 4
-        | 32 (* CELLLD rd #c *) ->
+        | 29 (* CELLLD rd #c *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get cells (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 33 (* CELLST #c rs *) ->
-            Array.unsafe_set cells
-              (Array.unsafe_get code (base + 1))
-              (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
-            fr.pc <- base + 3
-        | 34 (* CELLINC #c i *) ->
+        | 30 (* CELLINC #c i *) ->
             let c = Array.unsafe_get code (base + 1) in
             Array.unsafe_set cells c
               (Array.unsafe_get cells c + Array.unsafe_get code (base + 2));
             fr.pc <- base + 3
-        | 35 (* ORI rd rs i *) ->
-            Array.unsafe_set regs
-              (Array.unsafe_get code (base + 1))
-              (Array.unsafe_get regs (Array.unsafe_get code (base + 2))
-              lor Array.unsafe_get code (base + 3));
-            fr.pc <- base + 4
-        | 36 (* LEAF #h *) ->
+        | 31 (* LEAF #h *) ->
             fr.pc <- base + 2;
             leaf e fr
               (Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)))

@@ -126,9 +126,6 @@ module Asm : sig
 
   val place : t -> int -> unit
 
-  val here : t -> int
-  (** Current code offset (next instruction's index). *)
-
   val host : t -> (frame -> unit) -> unit
   (** Register the closure and emit a [HOST] call to it: it runs in a
       one-shot fiber of its own, so it may pay (and suspend). *)
@@ -155,13 +152,11 @@ module Asm : sig
 
   val beq : t -> int -> int -> int -> unit
   (** [beq a r1 r2 l]: branch to [l] when [regs.(r1) = regs.(r2)]; same
-      shape for [bne]/[blt]/[bge]. *)
+      shape for [bne]/[blt]. *)
 
   val bne : t -> int -> int -> int -> unit
 
   val blt : t -> int -> int -> int -> unit
-
-  val bge : t -> int -> int -> int -> unit
 
   val beqi : t -> int -> int -> int -> unit
   (** [beqi a r i l]: branch against an immediate; same shape for
@@ -181,16 +176,12 @@ module Asm : sig
 
   val addi : t -> int -> int -> int -> unit
 
-  val sub : t -> int -> int -> int -> unit
-
   val shli : t -> int -> int -> int -> unit
 
   val shri : t -> int -> int -> int -> unit
   (** Logical shift right ([lsr]). *)
 
   val andi : t -> int -> int -> int -> unit
-
-  val ori : t -> int -> int -> int -> unit
 
   val read : t -> int -> int -> unit
   (** [read a rd ra]: [rd <- heap word at address regs.(ra)], with
@@ -209,10 +200,6 @@ module Asm : sig
   (** [faai a rd ra delta] with an immediate delta. *)
 
   val fas : t -> int -> int -> int -> unit
-
-  val cas2 : t -> int -> int -> e0:int -> e1:int -> d0:int -> d1:int -> unit
-  (** Double-word CAS at [regs.(ra)], [regs.(ra)+1]; pays
-      [c_dwcas_extra] on top of the write cost like {!Memory.cas2}. *)
 
   val payi : t -> int -> unit
 
@@ -233,8 +220,6 @@ module Asm : sig
 
   val cellld : t -> int -> int -> unit
 
-  val cellst : t -> int -> int -> unit
-
   val cellinc : t -> int -> int -> unit
 
   val assemble : t -> program
@@ -252,7 +237,6 @@ type instr =
   | Beq of int * int * int
   | Bne of int * int * int
   | Blt of int * int * int
-  | Bge of int * int * int
   | Beqi of int * int * int
   | Bnei of int * int * int
   | Blti of int * int * int
@@ -261,18 +245,15 @@ type instr =
   | Mov of int * int
   | Add of int * int * int
   | Addi of int * int * int
-  | Sub of int * int * int
   | Shli of int * int * int
   | Shri of int * int * int
   | Andi of int * int * int
-  | Ori of int * int * int
   | Read of int * int
   | Write of int * int
   | Cas of int * int * int * int
   | Faa of int * int * int
   | Faai of int * int * int
   | Fas of int * int * int
-  | Cas2 of int * int * int * int * int * int
   | Payi of int
   | Payr of int
   | Now of int
@@ -282,7 +263,6 @@ type instr =
   | Leaf of int
   | Tab of int * int * int
   | Cellld of int * int
-  | Cellst of int * int
   | Cellinc of int * int
 
 val encode : instr list -> int array

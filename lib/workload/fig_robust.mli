@@ -18,8 +18,6 @@ type fault = No_fault | Stall_one | Stall_k | Crash_restart
 
 val faults : fault list
 
-val fault_name : fault -> string
-
 val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->

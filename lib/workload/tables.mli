@@ -6,18 +6,6 @@
     — a requirement once sweeps complete on {!Simcore.Domain_pool}
     workers in nondeterministic wall-clock order. *)
 
-val render_series :
-  ?row_header:string ->
-  title:string ->
-  unit_label:string ->
-  columns:string list ->
-  rows:(int * float list) list ->
-  unit ->
-  string
-(** [rows] pairs a row key — a thread count for the figures, an offered
-    load for the serving tables ([row_header], default ["threads"],
-    names the key column) — with one value per column. *)
-
 val print_series :
   ?row_header:string ->
   title:string ->
@@ -26,8 +14,9 @@ val print_series :
   rows:(int * float list) list ->
   unit ->
   unit
-(** [render_series] printed atomically to stdout. *)
-
-val render_kv : title:string -> (string * string) list -> string
+(** One table printed atomically to stdout. [rows] pairs a row key — a
+    thread count for the figures, an offered load for the serving
+    tables ([row_header], default ["threads"], names the key column) —
+    with one value per column. *)
 
 val print_kv : title:string -> (string * string) list -> unit

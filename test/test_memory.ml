@@ -44,18 +44,6 @@ let test_faa_fas () =
   Alcotest.(check int) "fas returns old" 3 (Memory.fas m a 100);
   Alcotest.(check int) "fas stored" 100 (Memory.read m a)
 
-let test_cas2 () =
-  let m = fresh () in
-  let a = Memory.alloc m ~tag:"t" ~size:2 in
-  Memory.write m a 1;
-  Memory.write m (a + 1) 2;
-  Alcotest.(check bool) "cas2 wrong pair" false
-    (Memory.cas2 m a ~e0:1 ~e1:3 ~d0:9 ~d1:9);
-  Alcotest.(check bool) "cas2 right pair" true
-    (Memory.cas2 m a ~e0:1 ~e1:2 ~d0:7 ~d1:8);
-  Alcotest.(check (pair int int)) "both written" (7, 8)
-    (Memory.read m a, Memory.read m (a + 1))
-
 let expect_fault kind f =
   match f () with
   | _ -> Alcotest.fail "expected a fault"
@@ -344,7 +332,6 @@ let suite =
     Alcotest.test_case "line alignment" `Quick test_line_alignment;
     Alcotest.test_case "cas" `Quick test_cas;
     Alcotest.test_case "faa/fas" `Quick test_faa_fas;
-    Alcotest.test_case "cas2" `Quick test_cas2;
     Alcotest.test_case "use-after-free" `Quick test_use_after_free;
     Alcotest.test_case "double-free" `Quick test_double_free;
     Alcotest.test_case "free non-base" `Quick test_free_non_base;

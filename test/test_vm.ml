@@ -138,7 +138,7 @@ let test_decode_rejects () =
       [
         Movi (0, 42);
         Read (1, 0);
-        Cas2 (2, 0, 3, 4, 5, 6);
+        Cas (2, 0, 3, 4);
         Payi 7;
         Rngb (1, 0);
         Host 3;
@@ -154,16 +154,14 @@ let test_decode_rejects () =
    inline validation of the flat dispatch loop re-raises through
    {!Memory.validate_addr}, with or without an instrument armed — both
    must surface the same {!Memory.Fault} (same culprit address and
-   process) out of [Sim.run], rendered by {!Memory.pp_fault}. The
-   program CASes a live word pair and pays, so the fault lands after
-   elided pays, then reads a freed block — or, with [tail], CASes a
-   pair whose second word lies past the live block. Its closure twin
-   charges the same ticks. Returns the expected fault address. *)
-let vm_fault ?(sanitize = Sanitizer.off) ?(race = Racecheck.off) ?(tail = false)
-    ~compiled () =
+   process) out of [Sim.run], rendered by {!Memory.fault_to_string}.
+   The program CASes a live word and pays, so the fault lands after
+   elided pays, then reads a freed block. Its closure twin charges the
+   same ticks. Returns the expected fault address. *)
+let vm_fault ?(sanitize = Sanitizer.off) ?(race = Racecheck.off) ~compiled () =
   let config = { Config.small with Config.sanitize; race; Config.vm = true } in
   let mem = Memory.create config in
-  let live = Memory.alloc mem ~tag:"live" ~size:2 in
+  let live = Memory.alloc mem ~tag:"live" ~size:1 in
   let a0 = Memory.alloc mem ~tag:"victim" ~size:1 in
   Memory.free mem a0 (* lint: allow-free *);
   let compiled_body _pid =
@@ -173,11 +171,10 @@ let vm_fault ?(sanitize = Sanitizer.off) ?(race = Racecheck.off) ?(tail = false)
     A.movi a r_a live;
     A.movi a r_d 1;
     A.movi a r_z 0;
-    A.cas2 a r_d r_a ~e0:r_z ~e1:r_z ~d0:r_d ~d1:r_d;
+    A.cas a r_d r_a ~expected:r_z ~desired:r_d;
     A.payi a 5;
-    A.movi a r_a (if tail then live + 1 else a0);
-    if tail then A.cas2 a r_d r_a ~e0:r_z ~e1:r_z ~d0:r_d ~d1:r_d
-    else A.read a r_d r_a;
+    A.movi a r_a a0;
+    A.read a r_d r_a;
     A.halt a;
     let prog = A.assemble a in
     let fr =
@@ -187,16 +184,14 @@ let vm_fault ?(sanitize = Sanitizer.off) ?(race = Racecheck.off) ?(tail = false)
     Some (Vm.coroutine prog fr)
   in
   let closure _pid =
-    ignore (Memory.cas2 mem live ~e0:0 ~e1:0 ~d0:1 ~d1:1);
+    ignore (Memory.cas mem live ~expected:0 ~desired:1);
     Proc.pay 5;
-    if tail then ignore (Memory.cas2 mem (live + 1) ~e0:0 ~e1:0 ~d0:1 ~d1:1)
-    else ignore (Memory.read mem a0)
+    ignore (Memory.read mem a0)
   in
   let coroutine = if compiled then Some compiled_body else None in
   let res = Sim.run ~policy:Sim.Fair ~seed:3 ~config ~procs:1 ?coroutine closure in
   match res.Sim.faults with
-  | [ { Sim.pid; exn } ] ->
-      ((if tail then live + 2 else a0), pid, exn, Memory.sanitizer_reports mem)
+  | [ { Sim.pid; exn } ] -> (a0, pid, exn, Memory.sanitizer_reports mem)
   | l -> Alcotest.failf "expected exactly one fault, got %d" (List.length l)
 
 let check_fault name (a0, pid, exn, _) =
@@ -213,30 +208,27 @@ let check_fault name (a0, pid, exn, _) =
   in
   let s = Memory.fault_to_string exn in
   Alcotest.(check bool)
-    (name ^ ": pp_fault names the address")
+    (name ^ ": fault_to_string names the address")
     true
     (contains s (Printf.sprintf "addr=%d" a0))
 
 (* Sanitized faults also match their closure twins in full: the
    rendered fault, and the sanitizer's report, whose provenance and
-   faulting-access lines carry pids and virtual times. The CAS2 tail
-   faults inside the observer, after auditing the first word. *)
+   faulting-access lines carry pids and virtual times. *)
 let test_fault_routing () =
   check_fault "inline validation" (vm_fault ~compiled:true ());
   check_fault "race armed alone"
     (vm_fault ~race:Racecheck.default_on ~compiled:true ());
   let sanitize = Sanitizer.default_on in
   let render (_, _, exn, reports) = Memory.fault_to_string exn :: reports in
-  List.iter
-    (fun (name, tail) ->
-      let ((_, _, _, reports) as vm) = vm_fault ~sanitize ~tail ~compiled:true () in
-      check_fault name vm;
-      Alcotest.(check bool) (name ^ ": reported") true (reports <> []);
-      Alcotest.(check (list string))
-        (name ^ ": compiled fault and report = closure's")
-        (render (vm_fault ~sanitize ~tail ~compiled:false ()))
-        (render vm))
-    [ ("sanitized (shadow) path", false); ("sanitized CAS2 past a block", true) ]
+  let name = "sanitized (shadow) path" in
+  let ((_, _, _, reports) as vm) = vm_fault ~sanitize ~compiled:true () in
+  check_fault name vm;
+  Alcotest.(check bool) (name ^ ": reported") true (reports <> []);
+  Alcotest.(check (list string))
+    (name ^ ": compiled fault and report = closure's")
+    (render (vm_fault ~sanitize ~compiled:false ()))
+    (render vm)
 
 (* {1 Leaf host calls}
 

@@ -43,7 +43,7 @@
 #      `(* lint: allow-atomic *)`.
 #   7. One access path per VM memory opcode: lib/simcore/vm.ml may name
 #      only Memory.t, hot, validate_addr, Fault and the per-access
-#      observer (instrument, instrument_pair). Calling Memory.read and
+#      observer (instrument). Calling Memory.read and
 #      the like from the dispatch loop would bring back a second access
 #      path that can drift from the inline one.
 #   8. No hidden runtime calls in the simulator core:
@@ -67,6 +67,12 @@
 #      variables into one Config.t (Config.resolve, which takes a
 #      getenv function), so a library default can never depend on the
 #      process environment behind a caller's back.
+#  10. No dead exports: every val of a lib/**/*.mli must be named, as an
+#      identifier outside comments and strings, in some .ml/.mli of lib,
+#      bin, bench, examples, perfbench, tools or test other than its own
+#      module's. A value only its own module uses stays off the
+#      interface; one nothing uses is deleted. A deliberate API export
+#      is marked on its val line with `(* lint: api *)`.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -214,9 +220,9 @@ done
 vm_ml=$root/lib/simcore/vm.ml
 if [ -f "$vm_ml" ]; then
   hits=$(grep -noE '(^|[^.A-Za-z0-9_])Memory\.(\(|[A-Za-z_][A-Za-z0-9_]*)' "$vm_ml" \
-    | grep -vE 'Memory\.(t|hot|validate_addr|Fault|instrument|instrument_pair)$')
+    | grep -vE 'Memory\.(t|hot|validate_addr|Fault|instrument)$')
   if [ -n "$hits" ]; then
-    fail "lint: lib/simcore/vm.ml reaches Memory beyond t/hot/validate_addr/Fault/instrument/instrument_pair (memory opcodes access the heap inline and call the observer):"
+    fail "lint: lib/simcore/vm.ml reaches Memory beyond t/hot/validate_addr/Fault/instrument (memory opcodes access the heap inline and call the observer):"
     printf '%s\n' "$hits" >&2
   fi
 fi
@@ -274,6 +280,38 @@ if [ -d "$root/lib" ]; then
   hits=$(grep -rnE '(^|[^.A-Za-z0-9_])Sys\.getenv' "$root/lib" --include='*.ml' 2>/dev/null)
   if [ -n "$hits" ]; then
     fail "lint: Sys.getenv under lib/ (resolve the environment in the executable and pass a Config.t, or pass a getenv function):"
+    printf '%s\n' "$hits" >&2
+  fi
+fi
+
+# --- Rule 10: no dead exports ----------------------------------------------
+# One index of "file identifier" pairs (comments and strings blanked),
+# then one awk pass: a val is live when some file other than its own
+# .ml/.mli names it.
+if [ -d "$root/lib" ]; then
+  idx=$(mktemp)
+  for dir in lib bin bench examples perfbench tools test; do
+    [ -d "$root/$dir" ] || continue
+    # shellcheck disable=SC2044
+    for f in $(find "$root/$dir" -name '*.ml' -o -name '*.mli'); do
+      strip_comments_strings "$f" | grep -oE "[A-Za-z_][A-Za-z0-9_']*" \
+        | sort -u | sed "s|^|$f |"
+    done
+  done > "$idx"
+  # shellcheck disable=SC2044
+  hits=$(for f in $(find "$root/lib" -name '*.mli'); do
+      grep -nE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" "$f" \
+        | grep -v 'lint: api' \
+        | sed -E "s|^([0-9]+):[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*).*|VAL $f \1 \2|"
+    done | awk -v idx="$idx" '
+      BEGIN { while ((getline l < idx) > 0) { split(l, p, " "); files[p[2]] = files[p[2]] " " p[1] " " } }
+      { mli = $2; ml = substr(mli, 1, length(mli) - 1); live = 0
+        n = split(files[$4], fs, " ")
+        for (i = 1; i <= n; i++) if (fs[i] != mli && fs[i] != ml) { live = 1; break }
+        if (!live) print mli ":" $3 ": val " $4 }')
+  rm -f "$idx"
+  if [ -n "$hits" ]; then
+    fail "lint: exported val named nowhere outside its own module (delete it, drop it from the .mli, or mark a deliberate API export with (* lint: api *)):"
     printf '%s\n' "$hits" >&2
   fi
 fi
@@ -402,11 +440,14 @@ type f = { mem : Memory.t }
 let hc fr = Memory.hot fr.mem
 let v fr a = Memory.validate_addr fr.mem a
 let obs fr env hook a = Memory.instrument fr.mem env ~write:false hook a
-let obs2 fr env a = Memory.instrument_pair fr.mem env a
 let is_fault = function Memory.Fault _ -> true | _ -> false
 VM
   echo 'let read mem a = Memory.read mem a' > "$tmp/lib/simcore/ok.ml"
   check_passes "an allowed Memory reference"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let obs2 fr env a = Memory.instrument_pair fr.mem env a' > "$tmp/lib/simcore/vm.ml"
+  check_catches "Memory.instrument_pair in lib/simcore/vm.ml"
 
   # Rule 8: a polymorphic clamp seeded into a copy of racecheck.ml.
   mkdir -p "$tmp/lib/simcore"
@@ -481,6 +522,36 @@ RC
   fi
   echo 'let vm () = Sys.getenv_opt "REPRO_VM" <> Some "0"' >> "$tmp/lib/workload/fig6.ml"
   check_catches "Sys.getenv_opt in lib/workload/fig6.ml"
+
+  # Rule 10: an export nothing outside its module names, planted in a
+  # copy of the whole tree; the api escape must clear it.
+  for dir in bin bench examples perfbench tools; do
+    if [ -d "$root/$dir" ]; then cp -R "$root/$dir" "$tmp/$dir"; fi
+  done
+  for escape in '' ' (* lint: api *)'; do
+    cp -R "$root/lib" "$root/test" "$tmp/"
+    echo 'let uncalled_export x = x + 1' >> "$tmp/lib/simcore/config.ml"
+    echo "val uncalled_export : int -> int$escape" >> "$tmp/lib/simcore/config.mli"
+    if [ -z "$escape" ]; then
+      check_catches "an uncalled export in lib/simcore/config.mli"
+    else
+      check_passes "an uncalled export marked lint: api"
+    fi
+  done
+  rm -rf "$tmp"/bin "$tmp"/bench "$tmp"/examples "$tmp"/perfbench "$tmp"/tools
+
+  # Named only in a comment and a string is not named; a test caller is.
+  mkdir -p "$tmp/lib/simcore"
+  echo 'val planted : int' > "$tmp/lib/simcore/planted.mli"
+  echo 'let planted = 1' > "$tmp/lib/simcore/planted.ml"
+  echo '(* planted *) let s = "planted"' > "$tmp/lib/simcore/other.ml"
+  check_catches "an export named only in a comment and a string"
+
+  mkdir -p "$tmp/lib/simcore" "$tmp/test"
+  echo 'val planted : int' > "$tmp/lib/simcore/planted.mli"
+  echo 'let planted = 1' > "$tmp/lib/simcore/planted.ml"
+  echo 'let y = Simcore.Planted.planted' > "$tmp/test/t.ml"
+  check_passes "an export a test calls"
 
   echo "lint --self-test: ok"
   exit 0
