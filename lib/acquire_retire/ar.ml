@@ -164,10 +164,6 @@ let create ?(mode = `Lockfree) memory ~procs ~slots_per_proc ~eject_work =
   t.handles <- Array.init (procs + 1) fresh_handle;
   t
 
-let mem t = t.memory
-
-let slots_per_proc t = t.slots
-
 let handle t pid =
   if pid = -1 then t.handles.(t.procs)
   else begin

@@ -42,10 +42,6 @@ val create :
 (** [eject_work] = scan steps performed per [eject] call; 2 or more makes
     the outstanding-retires bound O(K·P) (see DESIGN.md §4). *)
 
-val mem : t -> Simcore.Memory.t
-
-val slots_per_proc : t -> int
-
 val handle : t -> int -> h
 (** [handle t pid]. [pid = -1] designates the sequential setup handle
     (used outside simulations); it owns no announcement slots. *)

@@ -57,8 +57,6 @@ val create :
     decrements eagerly. Default: snapshots on, 7 snapshot slots,
     lock-free acquire. *)
 
-val memory : t -> Simcore.Memory.t
-
 val handle : t -> int -> h
 (** [handle t pid]; [pid = -1] is the sequential setup handle. *)
 

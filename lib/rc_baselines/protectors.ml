@@ -42,8 +42,6 @@ let create mem ~procs ~slots ~reg =
   { mem; procs; n_slots = slots; guards; reg;
     sets = Array.make (procs + 1) None; cleared = false }
 
-let slots t = t.n_slots
-
 let guard_addr t ~pid ~slot =
   assert (pid >= 0 && pid < t.procs);
   assert (slot >= 0 && slot < t.n_slots);

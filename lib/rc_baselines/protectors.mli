@@ -22,8 +22,6 @@ type t
 val create :
   Simcore.Memory.t -> procs:int -> slots:int -> reg:Rc_obj.registry -> t
 
-val slots : t -> int
-
 val guard_addr : t -> pid:int -> slot:int -> int
 
 val read_guard : t -> pid:int -> slot:int -> int

@@ -29,7 +29,7 @@
     the profiler's retry frames ({!Vm_retry}). Rare paths (reclamation,
     scans) stay host closures, so only the per-operation fast path is
     flattened. The closure operations remain the differential oracle
-    ([test_vm]). *)
+    (the invariance harness's vm-off modes, [test/test_invariance.ml]). *)
 type vm_ops = {
   vm_header : int;
       (** header words before user fields, so [field_addr] can be

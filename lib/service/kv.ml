@@ -4,11 +4,6 @@ module Smr_intf = Smr.Smr_intf
 
 type op = Get of int | Put of int | Remove of int
 
-let pp_op ppf = function
-  | Get k -> Format.fprintf ppf "get %d" k
-  | Put k -> Format.fprintf ppf "put %d" k
-  | Remove k -> Format.fprintf ppf "remove %d" k
-
 let schemes = [ "EBR"; "HP"; "IBR"; "HE"; "No MM"; "DRC"; "DRC (+snap)" ]
 
 (* Same configurations as the Figure 7 sweep, so service-level numbers
@@ -24,9 +19,7 @@ module H_he = Cds.Hash_smr.Make (Smr.He)
 module H_nomm = Cds.Hash_smr.Make (Smr.Nomm)
 
 type t = {
-  scheme : string;
   exec : int -> op -> bool;
-  extra : unit -> int;
   flush : unit -> unit;
   keys : unit -> int list;
 }
@@ -39,7 +32,7 @@ let prefill_keys ~seed ~keyspace ~prefill =
   Array.sub keys 0 prefill
 
 let wrap (type s) (module S : Cds.Set_intf.OPS with type t = s) (s : s)
-    ~scheme ~procs ~seed ~keyspace ~prefill =
+    ~procs ~seed ~keyspace ~prefill =
   let setup = S.handle s (-1) in
   Array.iter
     (fun k -> ignore (S.insert setup k))
@@ -53,9 +46,7 @@ let wrap (type s) (module S : Cds.Set_intf.OPS with type t = s) (s : s)
     | Remove k -> S.delete h k
   in
   {
-    scheme;
     exec;
-    extra = (fun () -> S.extra_nodes s);
     flush = (fun () -> S.flush s);
     keys = (fun () -> S.to_list s);
   }
@@ -72,13 +63,13 @@ let create ~scheme mem ~procs ~buckets ~keyspace ~prefill ~seed =
     wrap
       (module S : Cds.Set_intf.OPS with type t = s)
       (S.create mem ~procs ~params ~buckets)
-      ~scheme ~procs ~seed ~keyspace ~prefill
+      ~procs ~seed ~keyspace ~prefill
   in
   let w_rc (type s) (module S : Cds.Hash_rc.S with type t = s) =
     wrap
       (module S : Cds.Set_intf.OPS with type t = s)
       (S.create mem ~procs ~buckets)
-      ~scheme ~procs ~seed ~keyspace ~prefill
+      ~procs ~seed ~keyspace ~prefill
   in
   match scheme with
   | "EBR" -> w (module H_ebr) ~params:epoch_params
@@ -90,11 +81,7 @@ let create ~scheme mem ~procs ~buckets ~keyspace ~prefill ~seed =
   | "DRC (+snap)" -> w_rc (module Cds.Hash_rc.With_snapshots)
   | other -> invalid_arg ("Kv.create: unknown scheme " ^ other)
 
-let scheme t = t.scheme
-
 let exec t ~pid op = t.exec pid op
-
-let extra_nodes t = t.extra ()
 
 let flush t = t.flush ()
 

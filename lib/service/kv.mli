@@ -19,8 +19,6 @@
 
 type op = Get of int | Put of int | Remove of int
 
-val pp_op : Format.formatter -> op -> unit
-
 type t
 
 val schemes : string list
@@ -46,12 +44,6 @@ val create :
 val exec : t -> pid:int -> op -> bool
 (** Serve one request on worker [pid] ([-1] = the sequential setup
     handle, usable outside a simulation). *)
-
-val scheme : t -> string
-
-val extra_nodes : t -> int
-(** Nodes unlinked but not yet reclaimed (the backend's memory
-    overhead signal). *)
 
 val flush : t -> unit
 (** Quiescent reclamation of everything reclaimable. *)

@@ -65,8 +65,4 @@ let poll t ~now =
   else if t.next >= Array.length t.reqs then Done
   else Idle_until (t.arr_of t.reqs.(t.next))
 
-let depth t = Queue.length t.q
-
 let shed t = t.shed
-
-let remaining t = Array.length t.reqs - t.next + Queue.length t.q

@@ -39,11 +39,5 @@ val poll : 'a t -> now:int -> 'a event
 (** Admit every arrival with [arr <= now] (shedding on overflow), then
     dequeue the head if any. *)
 
-val depth : 'a t -> int
-(** Currently waiting (admitted, not yet served). *)
-
 val shed : 'a t -> int
 (** Requests rejected so far. *)
-
-val remaining : 'a t -> int
-(** Not yet served or shed (waiting + unadmitted). *)

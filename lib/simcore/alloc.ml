@@ -121,8 +121,6 @@ let create ~policy ~contended h tele =
     max_touch = 0;
   }
 
-let policy t = t.pol
-
 let custody t = t.in_custody
 
 let max_touch t = t.max_touch

@@ -58,8 +58,6 @@ val create :
     [mem.alloc.hit\[cN\]]/[mem.alloc.miss\[cN\]]) appear lazily as
     classes are used. *)
 
-val policy : t -> Config.alloc_policy
-
 val plan_acquire : t -> pid:int -> size:int -> plan
 (** Peek at the path an acquisition would take and, when contention is
     modeled, perform the metadata coherence transitions and return

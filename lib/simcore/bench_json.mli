@@ -45,8 +45,6 @@ val read_file : string -> (string * value) list list
 (** All parseable rows of a JSON-lines file, in file order; malformed
     lines are skipped, a missing file is []. *)
 
-val find : (string * value) list -> string -> value option
-
 val number : (string * value) list -> string -> float option
 
 val string : (string * value) list -> string -> string option

@@ -20,8 +20,6 @@ module Zipf = struct
     Array.iteri (fun i v -> cdf.(i) <- v /. total) cdf;
     { cdf }
 
-  let n z = Array.length z.cdf
-
   let draw z rng =
     let u = Rng.float rng in
     (* First index with cdf >= u. *)

@@ -19,9 +19,6 @@ module Zipf : sig
   (** A Zipfian distribution over [\[0, n)] with skew [theta] (0 =
       uniform; 0.99 = the YCSB default). Preprocessing is O(n). *)
 
-  val n : z -> int
-  (** The support size the distribution was built with. *)
-
   val draw : z -> Rng.t -> int
   (** O(log n) by binary search on the CDF. *)
 end

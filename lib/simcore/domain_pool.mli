@@ -37,9 +37,6 @@ val create : jobs:int -> t
     remaining worker: it drains the queue while waiting inside
     {!map_ordered}, so total parallelism is exactly [jobs]. *)
 
-val jobs : t -> int
-(** The parallelism level the pool was created with. *)
-
 val map_ordered : t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_ordered pool ~label f xs] applies [f] to every element of
     [xs], executing the applications concurrently on the pool, and

@@ -154,8 +154,6 @@ let create ?(label = "") () =
   Mutex.unlock registry_mutex;
   t
 
-let label t = t.label
-
 (* Recompute the two hot slots after any stack change, growing this
    process's counts array to cover them. *)
 let refresh (p : Proc.prof) =

@@ -46,8 +46,6 @@ val create : ?label:string -> unit -> t
 (** Create a profiler (one per benchmark cell; single-domain) and
     append it to the global collection list (see {!mark}/{!recent}). *)
 
-val label : t -> string
-
 val pstate : t -> pid:int -> Proc.prof
 (** The per-process counting state for [pid], created on first use and
     reused across runs. {!Sim.run} installs it in the process's env. *)

@@ -351,8 +351,6 @@ let report t text =
 
 let reports t = List.rev t.rev_reports
 
-let report_count t = t.n_reports
-
 let quarantine_level t n =
   let g =
     match t.g_quar with

@@ -225,5 +225,3 @@ val reset_protocol : t -> unit
 
 val reports : t -> string list
 (** Retained report texts, oldest first. *)
-
-val report_count : t -> int

@@ -141,6 +141,29 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
   for c = 0 to n_cores - 1 do
     requeue_core c
   done;
+  (* Run-ahead grant: how many ticks the chosen process may consume
+     before any scheduling decision could differ. Until its core clock
+     would reach the second-smallest queued core clock plus [lookahead],
+     no other core can be due; the slice bound keeps the quantum exact,
+     and the max_steps bound keeps the livelock valve exact. The grant
+     drives both modes: with [fastpath] the process elides suspensions
+     while the budget lasts, without it the scheduler re-resumes the
+     process (below) until the budget is spent — bit-identical runs. *)
+  let grant core p =
+    let b =
+      (* The chosen core stays at the heap root while its process runs
+         (see [pick_fair]), so the bound comes from the runner-up key. *)
+      let k = Pqueue.Core_ring.second_key core_pq in
+      if k = max_int then max_int else k + lookahead - core.clock
+    in
+    let b = if Queue.is_empty core.runq then b else Int.min b core.slice in
+    let b =
+      if config.Config.max_steps > 0 then
+        Int.min b (config.Config.max_steps + 1 - !steps)
+      else b
+    in
+    (Array.unsafe_get envs p).Proc.budget <- b
+  in
   (* Inline end-of-grant: when the pay that exhausts a budget provably
      leads the scheduler straight back to the same process, replay the
      suspension's accounting ([on_pay]) and the next main-loop iteration
@@ -174,19 +197,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
               core.slice <- slice';
               incr steps;
               Pqueue.Core_ring.reprioritize_min core_pq ~key:clock';
-              let b =
-                let k = Pqueue.Core_ring.second_key core_pq in
-                if k = max_int then max_int else k + lookahead - clock'
-              in
-              let b =
-                if Queue.is_empty core.runq then b else Int.min b core.slice
-              in
-              let b =
-                if config.Config.max_steps > 0 then
-                  Int.min b (config.Config.max_steps + 1 - !steps)
-                else b
-              in
-              e.Proc.budget <- b;
+              grant core p;
               true
             end))
       envs;
@@ -283,29 +294,6 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     | Flat co -> run_flat p co
     | Suspended k -> continue k ()
     | Finished -> assert false
-  in
-  (* Run-ahead grant: how many ticks the chosen process may consume
-     before any scheduling decision could differ. Until its core clock
-     would reach the second-smallest queued core clock plus [lookahead],
-     no other core can be due; the slice bound keeps the quantum exact,
-     and the max_steps bound keeps the livelock valve exact. The grant
-     drives both modes: with [fastpath] the process elides suspensions
-     while the budget lasts, without it the scheduler re-resumes the
-     process (below) until the budget is spent — bit-identical runs. *)
-  let grant core p =
-    let b =
-      (* The chosen core stays at the heap root while its process runs
-         (see [pick_fair]), so the bound comes from the runner-up key. *)
-      let k = Pqueue.Core_ring.second_key core_pq in
-      if k = max_int then max_int else k + lookahead - core.clock
-    in
-    let b = if Queue.is_empty core.runq then b else Int.min b core.slice in
-    let b =
-      if config.Config.max_steps > 0 then
-        Int.min b (config.Config.max_steps + 1 - !steps)
-      else b
-    in
-    (Array.unsafe_get envs p).Proc.budget <- b
   in
   (* Pick the next process to run, or -1 when everyone is done. The
      due core is peeked, not popped: it stays at the heap root for the

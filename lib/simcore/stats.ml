@@ -28,11 +28,6 @@ let to_list t =
 
 let clear = Hashtbl.clear
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %d@," k v) (to_list t);
-  Format.fprintf ppf "@]"
-
 module Histogram = struct
   (* Bucket i holds samples in [2^(i-1), 2^i); bucket 0 holds {0}. *)
   type h = {

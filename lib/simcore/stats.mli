@@ -19,8 +19,6 @@ val to_list : t -> (string * int) list
 
 val clear : t -> unit
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Histograms}
 
     Power-of-two-bucketed latency histograms, for per-operation tick

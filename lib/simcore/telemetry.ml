@@ -178,12 +178,6 @@ let snapshot t =
     t.hists;
   by_name !acc
 
-let pp ppf t =
-  let kvs = snapshot t in
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-44s %d@," k v) kvs;
-  Format.fprintf ppf "@]"
-
 let reset t =
   Hashtbl.iter (fun _ c -> Array.fill c.shards 0 (Array.length c.shards) 0)
     t.counters;

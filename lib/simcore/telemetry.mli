@@ -15,7 +15,8 @@
     the full telemetry snapshot is bit-identical across runs, and in
     particular across [Sim.run ~fastpath:true/false] (the fast path
     preserves the instruction interleaving; telemetry only observes
-    it). [test/test_fastpath.ml] pins this.
+    it). The invariance harness ([test/test_invariance.ml]) checks
+    this.
 
     Probe lookups by name ([counter]/[gauge]/[hist]) are idempotent and
     hash once; store the returned probe and update it directly on hot
@@ -78,10 +79,7 @@ val snapshot : t -> (string * int) list
     [name ^ "/cur"] and [name ^ "/peak"]; histograms as [name ^ "/n"],
     [name ^ "/max"], [name ^ "/p50"], [name ^ "/p99"]. This is the form
     carried on {!Workload.Measure.point} rows and compared bit-for-bit
-    by the fastpath regression tests. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable table: counters, gauges (cur/peak), histograms. *)
+    by the invariance harness. *)
 
 val probes : t -> (string * string * int) list
 (** Introspection for [repro probes]: every registered probe as

@@ -12,7 +12,8 @@
    never pays — by the cheaper [LEAF] opcode.
 
    Two invariants make the compiled path bit-identical to the closure
-   path (which remains as the differential oracle, see [test_vm]):
+   path (which remains as the differential oracle, see
+   test/test_invariance.ml):
 
    - {b Pays are exact, only batched.} [PAYI]/[PAYR] and the memory
      opcodes charge the same tick sequence as {!Proc.pay}: a pay inside

@@ -9,8 +9,9 @@
     [code : int array] and dispatched by a tight loop over unboxed ints.
 
     {b Identity.} A compiled loop is bit-identical to its closure
-    original (which stays in-tree as the differential oracle; see
-    [test/test_vm.ml] and DESIGN.md §4h):
+    original (which stays in-tree as the differential oracle; the
+    invariance harness, [test/test_invariance.ml], compares them, and
+    DESIGN.md §4h explains how):
 
     - memory opcodes replicate {!Memory}'s exact sequence — coherence
       cost, pay, address validation, array access — against the same
@@ -117,8 +118,6 @@ module Asm : sig
       protocol (they are not returned by {!cell}). *)
 
   val reg : t -> int
-
-  val cell : t -> int
 
   val counter_cell : t -> Telemetry.counter -> int
 

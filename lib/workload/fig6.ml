@@ -75,7 +75,8 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race
   (* The compiled op body: the same churn, emitted instruction by
      instruction around the scheme's {!Rc_intf.vm_ops} — identical RNG
      draws (location, store coin, payload) and tick sequence as [op]
-     above, which stays as the closure form (and oracle, [test_vm]).
+     above, which stays as the closure form (and oracle of the
+     invariance harness's vm-off modes).
      Allocation stays a host call. Schemes without compiled ops instead
      run [op] behind a host call in the compiled driver loop. Sanitized
      and raced runs compile too: the memory opcodes call the same

@@ -42,8 +42,8 @@ val loadstore_point :
   p_store:float ->
   Measure.point
 (** One scheme at one thread count of the load/store microbenchmark.
-    Exposed for the fastpath determinism regression tests and the perf
-    smoke; neither [fastpath] nor [Config.vm] may change the point
+    Exposed for the invariance harness ([test/test_invariance.ml]) and
+    the perf smoke; neither [fastpath] nor [Config.vm] may change the point
     (bit-identical), under every [policy] (default [Fair]).
     [config] (default {!Simcore.Config.default}) is the cell's whole
     configuration. [sanitize] and [race] override its modes and

@@ -24,10 +24,10 @@ val point :
   update_pct:int ->
   unit ->
   Measure.point
-(** One structure/scheme/thread-count point. Exposed for the fastpath
-    determinism regression tests ([fastpath] must not change the point,
-    bit-identical) and the race-freedom audit, which runs it under
-    [Chaos]. [config] defaults to {!Simcore.Config.default}. *)
+(** One structure/scheme/thread-count point. Exposed for the
+    invariance harness (no mode may change the point; see
+    [test/test_invariance.ml]) and the race-freedom audit, which runs
+    it under [Chaos]. [config] defaults to {!Simcore.Config.default}. *)
 
 val run :
   ?arm:Measure.arm ->

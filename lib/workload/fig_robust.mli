@@ -16,8 +16,6 @@ val scheme_names : string list
 
 type fault = No_fault | Stall_one | Stall_k | Crash_restart
 
-val faults : fault list
-
 val point :
   ?policy:Simcore.Sim.policy ->
   ?fastpath:bool ->
@@ -35,11 +33,11 @@ val point :
   Measure.point * (int * int) list
 (** One (scheme, fault) cell: the measured point plus the pid-0 sampled
     unreclaimed-memory series [(sample index, extra nodes)]. Exposed for
-    the faulted determinism regressions, the divergence test and the
+    the invariance harness, the divergence test and the
     race-freedom audit. [config] (default {!Simcore.Config.default})
     picks the driver: [config.vm] selects the compiled driver loop,
-    and points are bit-identical either way, faulted or not — the
-    regression suite pins all four [vm] × [fastpath] combinations.
+    and points are bit-identical either way, faulted or not, with the
+    fast path on or off ([test/test_invariance.ml] checks both).
     The cell always runs with the sanitizer's protocol auditor on, on
     top of [config.sanitize]: it is the adversary's pin oracle and is
     zero-perturbation. DEBRA+ cells register the

@@ -72,7 +72,7 @@ val run_point :
     component (when present) emitting the compiled op body in place of a
     host call to [op]. Results are bit-identical across all four
     combinations of [config.vm] and the emitter's presence — the closure
-    path is the oracle ([test_vm] pins this).
+    path is the oracle ([test/test_invariance.ml] checks this).
     [telemetry] (normally the heap's registry, {!Simcore.Memory.telemetry})
     is snapshotted into [counters] after the run.
 

@@ -32,8 +32,6 @@ type exp = {
 
 val all : exp list
 
-val find : string -> exp option
-
 val report : ctx -> id:string -> (unit -> unit) -> string
 (** [report ctx ~id f] runs [f], then prints the blocks of what [ctx]
     arms, labelled [id]: the [--- racecheck] reports when

@@ -1,8 +1,8 @@
 (* The pluggable allocator: differential equivalence of the pooled
-   scheme against the legacy freelist oracle, allocation-obliviousness
-   of the figure tables, the constant-time bound under adversarial
-   scheduling, the steal/hand-off paths, and the sanitizer modes over
-   the new reuse order. *)
+   scheme against the legacy freelist oracle, the constant-time bound
+   under adversarial scheduling, the steal/hand-off paths, and the
+   sanitizer modes over the new reuse order. Allocation-obliviousness
+   of figure points is the invariance harness's ([test_invariance]). *)
 
 open Simcore
 
@@ -69,47 +69,6 @@ let prop_pooled_matches_legacy =
       && ul.Memory.live = up.Memory.live
       && ul.Memory.live_words = up.Memory.live_words
       && books ml && books mp)
-
-(* {1 Allocation-obliviousness: a figure point is bit-identical}
-
-   The machine model keeps results independent of which block the
-   allocator returns (alignment to a whole line pair + deterministic
-   line reset on reuse + flat alloc/free charges), so the same Figure 6
-   cell under the two policies must agree on every simulated number. *)
-
-let test_fig6_point_bit_identity () =
-  let point alloc =
-    Workload.Fig6.loadstore_point
-      ~config:{ small with Config.cores = 4; alloc }
-      (module Rc_baselines.Drc_scheme.Plain)
-      ~threads:4 ~horizon:20_000 ~seed:7 ~n_locs:10 ~p_store:0.3
-  in
-  let allocator_key k =
-    String.starts_with ~prefix:"mem.alloc." k
-    || String.starts_with ~prefix:"mem.pool." k
-  in
-  (* The allocator's own probes are the one legitimate difference: the
-     policies count their fresh/reuse/steal traffic differently. Every
-     simulated number and every other counter must agree. *)
-  let scrub p =
-    {
-      p with
-      Workload.Measure.counters =
-        List.filter (fun (k, _) -> not (allocator_key k)) p.Workload.Measure.counters;
-    }
-  in
-  let pl = point Config.Legacy and pp = point Config.Pooled in
-  Alcotest.(check bool) "pooled point = legacy point (modulo mem.alloc/mem.pool)"
-    true
-    (scrub pp = scrub pl);
-  let served p =
-    let v k = match List.assoc_opt k p.Workload.Measure.counters with
-      | Some n -> n
-      | None -> 0
-    in
-    v "mem.alloc.fresh" + v "mem.alloc.reuse"
-  in
-  Alcotest.(check int) "same total allocations served" (served pl) (served pp)
 
 (* {1 Cross-process churn: the steal / hand-off pipeline}
 
@@ -317,8 +276,6 @@ let test_auditor_clean_pooled () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pooled_matches_legacy;
-    Alcotest.test_case "fig6 point bit-identity" `Quick
-      test_fig6_point_bit_identity;
     Alcotest.test_case "steals/hand-offs under chaos" `Quick
       test_steals_and_handoffs_under_chaos;
     Alcotest.test_case "constant-time bound" `Quick test_constant_time_bound;

@@ -1,6 +1,7 @@
 (* The parallel sweep runner: ordering, error attribution, the jobs=1
-   no-domain fast path, and — the headline invariant — bit-identical
-   benchmark results at any parallelism level. *)
+   no-domain fast path and grid regrouping. That cells on a pool of
+   domains give bit-identical results is the invariance harness's
+   ([test_invariance]). *)
 
 module Pool = Simcore.Domain_pool
 
@@ -86,33 +87,6 @@ let test_map_grid_shape () =
         [ (10, [ 11; 12; 13 ]); (20, [ 21; 22; 23 ]) ]
         grid)
 
-(* The tentpole invariant: a quick Figure 6a sweep produces identical
-   [Measure.point] lists — throughput, memory metric, and every
-   telemetry counter — whether the cells run sequentially or on four
-   domains. Parallelism must change wall-clock only. *)
-let test_sweep_determinism_jobs1_vs_jobs4 () =
-  let sweep pool =
-    Pool.map_grid pool ~rows:[ 1; 4 ] ~cols:Workload.Fig6.schemes
-      (fun th (_, m) ->
-        Workload.Fig6.loadstore_point m ~threads:th ~horizon:8_000 ~seed:42
-          ~n_locs:10 ~p_store:0.1)
-    |> List.concat_map snd
-  in
-  let seq = Pool.with_pool ~jobs:1 (fun pool -> sweep pool) in
-  let par = Pool.with_pool ~jobs:4 (fun pool -> sweep pool) in
-  Alcotest.(check int) "same cell count" (List.length seq) (List.length par);
-  List.iteri
-    (fun i ((a : Workload.Measure.point), (b : Workload.Measure.point)) ->
-      let name = Printf.sprintf "cell %d" i in
-      Alcotest.(check int) (name ^ " ops") a.ops b.ops;
-      Alcotest.(check int) (name ^ " steps") a.steps b.steps;
-      Alcotest.(check int) (name ^ " makespan") a.makespan b.makespan;
-      Alcotest.(check (float 0.0)) (name ^ " throughput") a.throughput b.throughput;
-      Alcotest.(check (float 0.0)) (name ^ " mem_metric") a.mem_metric b.mem_metric;
-      Alcotest.(check (list (pair string int)))
-        (name ^ " telemetry counters") a.counters b.counters)
-    (List.combine seq par)
-
 let suite =
   [
     Alcotest.test_case "ordering under adversarial durations" `Quick
@@ -125,6 +99,4 @@ let suite =
       test_jobs1_no_domain_fast_path;
     Alcotest.test_case "jobs must be positive" `Quick test_jobs_must_be_positive;
     Alcotest.test_case "map_grid regroups row-major" `Quick test_map_grid_shape;
-    Alcotest.test_case "sweep bit-identical at jobs=1 vs jobs=4" `Slow
-      test_sweep_determinism_jobs1_vs_jobs4;
   ]

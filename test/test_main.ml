@@ -3,6 +3,7 @@
 
 let () =
   Alcotest.run "cdrc"
+  @@ List.map (fun (name, cases) -> (name, cases @ Test_invariance.slices name))
     [
       ("rng", Test_rng.suite);
       ("dist", Test_dist.suite);
@@ -16,6 +17,7 @@ let () =
       ("coherence", Test_coherence.suite);
       ("sim", Test_sim.suite);
       ("domain-pool", Test_domain_pool.suite);
+      ("invariance", Test_invariance.suite);
       ("fastpath", Test_fastpath.suite);
       ("vm", Test_vm.suite);
       ("lincheck", Test_lincheck.suite);

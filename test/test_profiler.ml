@@ -1,8 +1,8 @@
 (* The virtual-time profiler: phase-conservation as a property over
    random annotated workloads, the collapsed-stack golden rendering,
-   the flight recorder's ring wrap and merged ordering, and the
-   zero-perturbation guarantee (profiled runs bit-identical to
-   unprofiled across scheduling policies, fastpath and VM modes). *)
+   and the phase-stack overflow. That profiling perturbs no point, and
+   that collapsed stacks do not depend on the engine, is the invariance
+   harness's ([test_invariance]). *)
 
 open Simcore
 module Prof = Profiler
@@ -142,70 +142,10 @@ let test_overflow_depth () =
     [ ("deep", 2); (deep_path, 5) ]
     (Prof.collapsed prof)
 
-(* --- zero perturbation: profiling only observes ----------------------- *)
-
-let policies =
-  [
-    ("fair", Sim.Fair);
-    ("uniform", Sim.Uniform);
-    ("chaos", Sim.Chaos { pause_prob = 0.03; pause_steps = 60 });
-  ]
-
-let loadstore ~policy ~fastpath ~vm ~profile =
-  let config = { Config.default with Config.vm } in
-  Workload.Fig6.loadstore_point ~policy ~fastpath ~config ~profile
-    (List.assoc "DRC (+snap)" Workload.Fig6.schemes)
-    ~threads:4 ~horizon:3_000 ~seed:42 ~n_locs:10 ~p_store:0.2
-
-let test_zero_perturbation () =
-  List.iter
-    (fun (pname, policy) ->
-      List.iter
-        (fun fastpath ->
-          List.iter
-            (fun vm ->
-              let on = loadstore ~policy ~fastpath ~vm ~profile:true in
-              let off = loadstore ~policy ~fastpath ~vm ~profile:false in
-              Alcotest.(check bool)
-                (Printf.sprintf
-                   "profiled = unprofiled (%s, fastpath=%b, vm=%b)" pname
-                   fastpath vm)
-                true (on = off))
-            [ true; false ])
-        [ true; false ])
-    policies
-
-(* Phase attribution does not depend on the engine: compiled retry
-   loops enter and leave the same nested [cas-retry] frames as their
-   closure forms, so every scheme's collapsed stacks agree with the VM
-   on and off. Eight processes on eight locations keep the lock spins
-   and CAS loops retrying. *)
-let test_vm_attribution () =
-  List.iter
-    (fun (sname, m) ->
-      let collapsed vm =
-        Prof.mark ();
-        ignore
-          (Workload.Fig6.loadstore_point ~config:{ Config.default with Config.vm }
-             ~profile:true m ~threads:8 ~horizon:4_000 ~seed:11 ~n_locs:8
-             ~p_store:0.3);
-        match Prof.recent () with
-        | [ p ] -> Prof.collapsed p
-        | l -> Alcotest.failf "%s: %d profilers" sname (List.length l)
-      in
-      Alcotest.(check (list (pair string int)))
-        (sname ^ ": collapsed stacks, vm on = off")
-        (collapsed false) (collapsed true))
-    Workload.Fig6.schemes
-
 let suite =
   [
     QCheck_alcotest.to_alcotest conservation_test;
     Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
     Alcotest.test_case "phase-stack overflow conserves" `Quick
       test_overflow_depth;
-    Alcotest.test_case "profiled = unprofiled (policies x fastpath x vm)"
-      `Quick test_zero_perturbation;
-    Alcotest.test_case "collapsed stacks: vm on = off (every scheme)" `Quick
-      test_vm_attribution;
   ]

@@ -1,7 +1,7 @@
 (* The heap sanitizer: mode parsing, shadow provenance, quarantine
-   (ABA-masked use-after-free), the SMR protection auditor, leak-site
-   attribution, and the zero-perturbation guarantee of the default
-   modes. *)
+   (ABA-masked use-after-free), the SMR protection auditor and
+   leak-site attribution. The default modes' zero perturbation is the
+   invariance harness's ([test_invariance]). *)
 
 open Simcore
 
@@ -305,26 +305,6 @@ let test_schemes_auditor_clean () =
   clean_list_workload "DRC" (module Cds.List_rc.Plain) (fun mem ->
       Cds.List_rc.Plain.create mem ~procs:4)
 
-(* {1 Zero perturbation}
-
-   The non-quarantine modes must not move a single tick: a sanitized
-   Figure 6 point is bit-identical to the unsanitized one, with the
-   fastpath on or off. *)
-
-let test_sanitize_bit_identity () =
-  let point ?fastpath ?sanitize () =
-    Workload.Fig6.loadstore_point ?fastpath ?sanitize
-      (module Rc_baselines.Drc_scheme.Plain)
-      ~threads:4 ~horizon:20_000 ~seed:7 ~n_locs:10 ~p_store:0.3
-  in
-  let base = point () in
-  Alcotest.(check bool) "sanitized = plain" true
-    (point ~sanitize:Sanitizer.default_on () = base);
-  Alcotest.(check bool) "plain, fastpath off = plain" true
-    (point ~fastpath:false () = base);
-  Alcotest.(check bool) "sanitized, fastpath off = plain" true
-    (point ~fastpath:false ~sanitize:Sanitizer.default_on () = base)
-
 (* {1 Protocol state edge cases}
 
    Driven on a bare auditor: slot keys, pids and addresses are plain
@@ -463,8 +443,6 @@ let suite =
     Alcotest.test_case "leaks off" `Quick test_leaks_off_is_empty;
     Alcotest.test_case "schemes auditor-clean" `Quick
       test_schemes_auditor_clean;
-    Alcotest.test_case "sanitize bit-identity" `Quick
-      test_sanitize_bit_identity;
     Alcotest.test_case "protocol: slot overwrite and clear" `Quick
       test_slot_overwrite_and_clear;
     Alcotest.test_case "protocol: pid -1 and high pids" `Quick test_pid_range;

@@ -1,6 +1,7 @@
 (* The serving stack: deterministic traffic generation, bounded-inbox
-   admission control, KV linearizability, and cell-level bit-identity
-   across fastpath modes and pool parallelism. *)
+   admission control, KV linearizability, and cell accounting and
+   determinism. Cells are bit-identical across execution modes and pool
+   parallelism in the invariance harness ([test_invariance]). *)
 
 open Simcore
 module L = Service.Loadgen
@@ -204,7 +205,7 @@ let test_kv_prefill () =
        false
      with Invalid_argument _ -> true)
 
-(* {1 Bench cells: determinism and identity across execution modes} *)
+(* {1 Bench cells: accounting and determinism} *)
 
 let small_params ?(scheme = "DRC (+snap)") ?(rate = 60)
     ?(arrival = L.Poisson) ?(queue_cap = 8) () =
@@ -240,11 +241,6 @@ let test_cell_determinism () =
   Alcotest.(check bool) "identical reruns" true
     (B.run ~seed:5 p = B.run ~seed:5 p)
 
-let test_cell_fastpath_identity () =
-  let p = small_params () in
-  Alcotest.(check bool) "fastpath on = off" true
-    (B.run ~fastpath:false ~seed:5 p = B.run ~fastpath:true ~seed:5 p)
-
 let test_cell_overload_sheds () =
   (* A tiny inbox under heavy load must shed, and shed_rate reflects
      it. *)
@@ -261,25 +257,6 @@ let test_closed_loop_no_queueing () =
   (* Closed-loop queueing delay is identically zero by construction. *)
   Alcotest.(check int) "no queueing delay" 0
     (Stats.Histogram.max_sample r.Service.Slo.queueing)
-
-let test_pool_identity () =
-  (* The acceptance bar: the whole (rate x scheme) grid, bit-identical
-     between a sequential pool and a 4-domain pool. *)
-  let grid pool =
-    Domain_pool.map_grid pool ~rows:[ 30; 120 ]
-      ~cols:[ "EBR"; "DRC"; "DRC (+snap)" ]
-      (fun rate scheme -> B.run ~seed:7 (small_params ~scheme ~rate ()))
-  in
-  let seq = Domain_pool.with_pool ~jobs:1 grid in
-  let par = Domain_pool.with_pool ~jobs:4 grid in
-  Alcotest.(check bool) "jobs=1 = jobs=4" true (seq = par)
-
-let test_sanitized_cell_clean () =
-  (* Default sanitizer modes must neither report nor perturb. *)
-  let p = small_params () in
-  let config = { Config.default with sanitize = Sanitizer.default_on } in
-  Alcotest.(check bool) "sanitized = plain" true
-    (B.run ~config ~seed:5 p = B.run ~seed:5 p)
 
 let test_registry_has_serve () =
   Alcotest.(check bool) "registry has serve" true
@@ -308,12 +285,8 @@ let suite =
     Alcotest.test_case "kv prefill" `Quick test_kv_prefill;
     Alcotest.test_case "cell accounting" `Quick test_cell_accounting;
     Alcotest.test_case "cell determinism" `Quick test_cell_determinism;
-    Alcotest.test_case "cell fastpath identity" `Quick
-      test_cell_fastpath_identity;
     Alcotest.test_case "cell overload sheds" `Quick test_cell_overload_sheds;
     Alcotest.test_case "closed loop no queueing" `Quick
       test_closed_loop_no_queueing;
-    Alcotest.test_case "pool identity" `Quick test_pool_identity;
-    Alcotest.test_case "sanitized cell clean" `Quick test_sanitized_cell_clean;
     Alcotest.test_case "registry has serve" `Quick test_registry_has_serve;
   ]

@@ -1,102 +1,10 @@
-(* The compiled workload VM must be invisible: the closure interpreter
-   is the oracle, and a compiled point — driver loop, scheme ops, RNG
-   draws, pays — must be bit-identical to it under every scheduling
-   policy, for every scheme, with and without the run-ahead fast path.
-   Plus the instruction stream codec and the fault-routing guarantees
-   the flat dispatch path makes. *)
+(* The compiled workload VM below the figure runners: the instruction
+   stream codec, the fault-routing guarantees the flat dispatch path
+   makes, and the leaf-call contract. That compiled points equal their
+   closure oracle, for every scheme and policy, with every instrument,
+   is the invariance harness's "vm off" modes ([test_invariance]). *)
 
 open Simcore
-
-let policies =
-  [
-    ("fair", Sim.Fair);
-    ("uniform", Sim.Uniform);
-    ("chaos", Sim.Chaos { pause_prob = 0.03; pause_steps = 60 });
-  ]
-
-let vm_on = { Config.default with Config.vm = true }
-
-let vm_off = { Config.default with Config.vm = false }
-
-let point ~config ?fastpath ?on_heap ?profile policy m =
-  Workload.Fig6.loadstore_point ~policy ?fastpath ~config ?on_heap ?profile m
-    ~threads:8 ~horizon:2_500 ~seed:7 ~n_locs:8 ~p_store:0.3
-
-(* Every scheme, every policy, plain, with the sanitizer's default
-   modes and the race checker armed, and with the profiler armed:
-   compiled = closure, field for field (ops, steps, makespan,
-   throughput, memory series, full telemetry snapshot), and the heap's
-   sanitizer and race report texts and the collapsed profile stacks
-   agree. Schemes without compiled ops still exercise the compiled
-   driver loop around a host call; armed, DRC's compiled acquire also
-   emits its slot-protection notes, and profiled, its compiled eject
-   enters and leaves the same [drc-defer] frames as the closure one. *)
-let test_oracle_identity () =
-  let armed c =
-    { c with Config.sanitize = Sanitizer.default_on; race = Racecheck.default_on }
-  in
-  let run config ~profile policy m =
-    let reports = ref ([], []) in
-    let on_heap mem =
-      reports := (Memory.sanitizer_reports mem, Memory.race_reports mem)
-    in
-    Profiler.mark ();
-    let pt = point ~config ~on_heap ~profile policy m in
-    let stacks = List.concat_map Profiler.collapsed (Profiler.recent ()) in
-    (pt, !reports, stacks)
-  in
-  List.iter
-    (fun (mode, instrument, profile) ->
-      List.iter
-        (fun (sname, m) ->
-          List.iter
-            (fun (pname, policy) ->
-              let on, (san_on, race_on), st_on =
-                run (instrument vm_on) ~profile policy m
-              in
-              let off, (san_off, race_off), st_off =
-                run (instrument vm_off) ~profile policy m
-              in
-              let name what = Printf.sprintf "%s/%s%s: %s" sname pname mode what in
-              Alcotest.(check bool) (name "vm on = off") true (on = off);
-              Alcotest.(check bool) (name "non-trivial") true
-                (on.Workload.Measure.ops > 0);
-              Alcotest.(check (list string)) (name "sanitizer reports") san_off
-                san_on;
-              Alcotest.(check (list string)) (name "race reports") race_off race_on;
-              Alcotest.(check (list (pair string int)))
-                (name "collapsed stacks") st_off st_on;
-              if profile && String.starts_with ~prefix:"DRC" sname then
-                Alcotest.(check bool) (name "drc-defer frames") true
-                  (List.exists
-                     (fun (path, _) -> String.ends_with ~suffix:"drc-defer" path)
-                     st_on))
-            policies)
-        Workload.Fig6.schemes)
-    [
-      ("", Fun.id, false);
-      (" (sanitize + race)", armed, false);
-      (" (profiled)", Fun.id, true);
-    ]
-
-(* The two elision layers compose: all four combinations of [Config.vm]
-   and [fastpath] give the same point. *)
-let test_vm_fastpath_cross () =
-  let drc = List.assoc "DRC" Workload.Fig6.schemes in
-  let runs =
-    List.map
-      (fun (config, fastpath) -> point ~config ~fastpath Sim.Fair drc)
-      [ (vm_on, true); (vm_on, false); (vm_off, true); (vm_off, false) ]
-  in
-  match runs with
-  | r0 :: rest ->
-      List.iteri
-        (fun i r ->
-          Alcotest.(check bool)
-            (Printf.sprintf "vm x fastpath combination %d" (i + 1))
-            true (r = r0))
-        rest
-  | [] -> assert false
 
 (* {1 Instruction stream codec} *)
 
@@ -298,10 +206,6 @@ let test_leaf_contract () =
 
 let suite =
   [
-    Alcotest.test_case "oracle identity (schemes x policies)" `Quick
-      test_oracle_identity;
-    Alcotest.test_case "vm x fastpath cross product" `Quick
-      test_vm_fastpath_cross;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "decode rejects malformed" `Quick test_decode_rejects;
     Alcotest.test_case "fault routing (inline + sanitized)" `Quick

@@ -1,10 +1,16 @@
 #!/bin/sh
 # Invariance matrix: the printed output of every experiment must not
-# depend on how the simulator executes it.
+# depend on how the simulator executes it. This is the CLI half of the
+# invariant; the in-process half is test/test_invariance.ml, one
+# property over random small cells.
 #
-# Each experiment below runs once plain and once per mode, all with
-# --quick --stats; every (experiment, mode) cell is byte-diffed against
-# the plain run after normalization:
+# Each experiment below (Figures 6a, 6e and 7a, the cost, bounds and
+# latency audits, the serving benchmark and Figure R) runs once plain
+# and once per mode (--jobs 2, --no-vm, either allocator, the
+# sanitizer on either engine, the race checker, the sanitizer with the
+# race checker, the profiler, and all three instruments), all with
+# --quick --stats: 80 cells. Every (experiment, mode) cell is
+# byte-diffed against the plain run after normalization:
 #   - every cell: the self-contained "--- profile" ... "--- end profile ---"
 #     and "--- racecheck" ... "--- end racecheck ---" blocks are stripped
 #     (both instruments only observe);
@@ -32,8 +38,11 @@
 set -u
 
 experiments='run 6a
+run 6e
 run 7a
 run audit-cost
+run audit-bounds
+run audit-latency
 serve
 run robust'
 

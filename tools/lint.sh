@@ -67,12 +67,18 @@
 #      variables into one Config.t (Config.resolve, which takes a
 #      getenv function), so a library default can never depend on the
 #      process environment behind a caller's back.
-#  10. No dead exports: every val of a lib/**/*.mli must be named, as an
-#      identifier outside comments and strings, in some .ml/.mli of lib,
-#      bin, bench, examples, perfbench, tools or test other than its own
-#      module's. A value only its own module uses stays off the
-#      interface; one nothing uses is deleted. A deliberate API export
-#      is marked on its val line with `(* lint: api *)`.
+#  10. No dead exports: every val of a lib/**/*.mli must be used, outside
+#      comments and strings, in some .ml/.mli of lib, bin, bench,
+#      examples, perfbench, tools or test other than its own module's.
+#      A use is qualified (Module.name, or Alias.name after module Alias
+#      = ...Module), or bare in a file that opens or includes the
+#      module; a bare name elsewhere (a label, a local, another module's
+#      value) is not a use. Vals declared in a module type or a
+#      functor's signature keep the bare-name match, since their callers
+#      reach them through modules that do not name the declaring one. A
+#      value only its own module uses stays off the interface; one
+#      nothing uses is deleted. A deliberate API export is marked on its
+#      val line with `(* lint: api *)`.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -285,31 +291,94 @@ if [ -d "$root/lib" ]; then
 fi
 
 # --- Rule 10: no dead exports ----------------------------------------------
-# One index of "file identifier" pairs (comments and strings blanked),
-# then one awk pass: a val is live when some file other than its own
-# .ml/.mli names it.
+# One index over every .ml/.mli (comments and strings blanked), one line
+# per fact: "B file name" for each bare identifier, "Q file X.name" for
+# each qualified value path (X the module right before the name), "O
+# file X" for each module opened or included (open, include, let open,
+# a local X.( open), "A file Y X" for each alias module Y = ...X. Then
+# each lib/**/*.mli val is live when some file other than its own
+# module's names it as X.name, as Y.name for an alias Y of X, or bare
+# while opening X or the .mli's module. X is the module the val is
+# declared in: the .mli's, or a nested module X : sig ... end in it.
+# Vals inside a module type or a functor's signature are reached
+# through modules that do not name X, so a bare use anywhere counts.
 if [ -d "$root/lib" ]; then
   idx=$(mktemp)
   for dir in lib bin bench examples perfbench tools test; do
     [ -d "$root/$dir" ] || continue
     # shellcheck disable=SC2044
     for f in $(find "$root/$dir" -name '*.ml' -o -name '*.mli'); do
-      strip_comments_strings "$f" | grep -oE "[A-Za-z_][A-Za-z0-9_']*" \
-        | sort -u | sed "s|^|$f |"
+      strip_comments_strings "$f" > "$idx.src"
+      grep -oE "[A-Za-z_][A-Za-z0-9_']*" "$idx.src" | sed "s|^|B $f |"
+      grep -oE "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" "$idx.src" \
+        | sed "s|^|Q $f |"
+      grep -oE "(open!?|include)[[:space:]]+[A-Z][A-Za-z0-9_'.]*" "$idx.src" \
+        | sed -E "s|.*[[:space:].]([A-Z][A-Za-z0-9_']*)$|O $f \1|"
+      grep -oE "[A-Z][A-Za-z0-9_']*\.[({[]" "$idx.src" \
+        | sed -E "s|^(.*)\..$|O $f \1|"
+      grep -oE "module[[:space:]]+[A-Z][A-Za-z0-9_']*[[:space:]]*=[[:space:]]*[A-Z][A-Za-z0-9_'.]*" "$idx.src" \
+        | sed -E "s|^module[[:space:]]+([A-Za-z0-9_']+)[[:space:]]*=.*[^A-Za-z0-9_']([A-Z][A-Za-z0-9_']*)$|A $f \1 \2|;
+                  s|^module[[:space:]]+([A-Za-z0-9_']+)[[:space:]]*=[[:space:]]*([A-Z][A-Za-z0-9_']*)$|A $f \1 \2|"
     done
-  done > "$idx"
+  done | sort -u > "$idx"
+  # One "VAL mli line name module bare" line per val.
   # shellcheck disable=SC2044
-  hits=$(for f in $(find "$root/lib" -name '*.mli'); do
-      grep -nE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" "$f" \
-        | grep -v 'lint: api' \
-        | sed -E "s|^([0-9]+):[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*).*|VAL $f \1 \2|"
-    done | awk -v idx="$idx" '
-      BEGIN { while ((getline l < idx) > 0) { split(l, p, " "); files[p[2]] = files[p[2]] " " p[1] " " } }
-      { mli = $2; ml = substr(mli, 1, length(mli) - 1); live = 0
-        n = split(files[$4], fs, " ")
-        for (i = 1; i <= n; i++) if (fs[i] != mli && fs[i] != ml) { live = 1; break }
-        if (!live) print mli ":" $3 ": val " $4 }')
-  rm -f "$idx"
+  vals=$(for f in $(find "$root/lib" -name '*.mli'); do
+      api=$(grep -n 'lint: api' "$f" | cut -d: -f1 | tr '\n' ' ')
+      base=$(basename "$f" .mli)
+      strip_comments_strings "$f" | awk -v f="$f" -v api=" $api " \
+        -v m="$(printf '%s' "$base" | cut -c1 | tr a-z A-Z)$(printf '%s' "$base" | cut -c2-)" '
+        { line = $0; pre = ""
+          while (match(line, /(^|[^A-Za-z0-9_'"'"'])(sig|end)([^A-Za-z0-9_'"'"']|$)/)) {
+            tok = substr(line, RSTART, RLENGTH); pre = pre substr(line, 1, RSTART)
+            line = substr(line, RSTART + RLENGTH - 1)
+            if (tok ~ /sig/) {
+              if (pre ~ /module[ \t]+type/) k = "T"
+              else if (pre ~ /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*$/ ||
+                       pre ~ /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*.$/) {
+                k = pre; sub(/^[ \t]*module[ \t]+/, "", k); sub(/[ \t:].*$/, "", k)
+              } else k = "T"
+              st[++n] = k
+            } else if (n > 0) n--
+          }
+          if ($0 ~ /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'"'"']*/ && index(api, " " NR " ") == 0) {
+            name = $0; sub(/^[ \t]*val[ \t]+/, "", name); sub(/[^A-Za-z0-9_'"'"'].*$/, "", name)
+            x = m; bare = 0
+            for (i = 1; i <= n; i++) if (st[i] == "T") bare = 1; else x = st[i]
+            print "VAL", f, NR, name, x, m, bare
+          } }'
+    done)
+  hits=$(printf '%s\n' "$vals" | awk -v idx="$idx" '
+      BEGIN {
+        while ((getline l < idx) > 0) {
+          split(l, p, " ")
+          if (p[1] == "B") bare[p[3]] = bare[p[3]] " " p[2] " "
+          else if (p[1] == "Q") qual[p[3]] = qual[p[3]] " " p[2] " "
+          else if (p[1] == "O") opened[p[3]] = opened[p[3]] " " p[2] " "
+          else if (p[1] == "A") alias[p[4]] = alias[p[4]] " " p[2] ":" p[3]
+        } }
+      function other(f) { return f != mli && f != ml }
+      function named(list, x,   n, fs, i) {
+        n = split(list, fs, " ")
+        for (i = 1; i <= n; i++) if (other(fs[i])) return 1
+        return 0 }
+      $1 == "VAL" {
+        mli = $2; ml = substr(mli, 1, length(mli) - 1); name = $4; x = $5; m = $6
+        live = 0
+        if ($7 == 1) live = named(bare[name])
+        else {
+          live = named(qual[x "." name])
+          n = split(alias[x], as, " ")
+          for (i = 1; i <= n && !live; i++) {
+            split(as[i], fy, ":")
+            if (other(fy[1]) && index(qual[fy[2] "." name], " " fy[1] " ")) live = 1
+          }
+          n = split(opened[x] " " opened[m], os, " ")
+          for (i = 1; i <= n && !live; i++)
+            if (other(os[i]) && index(bare[name], " " os[i] " ")) live = 1
+        }
+        if (!live) print mli ":" $3 ": val " name }')
+  rm -f "$idx" "$idx.src"
   if [ -n "$hits" ]; then
     fail "lint: exported val named nowhere outside its own module (delete it, drop it from the .mli, or mark a deliberate API export with (* lint: api *)):"
     printf '%s\n' "$hits" >&2
@@ -552,6 +621,35 @@ RC
   echo 'let planted = 1' > "$tmp/lib/simcore/planted.ml"
   echo 'let y = Simcore.Planted.planted' > "$tmp/test/t.ml"
   check_passes "an export a test calls"
+
+  # A bare name in a file that neither opens nor aliases the module is
+  # some other binding (here a label), not a use.
+  mkdir -p "$tmp/lib/simcore"
+  echo 'val planted : int' > "$tmp/lib/simcore/planted.mli"
+  echo 'let planted = 1' > "$tmp/lib/simcore/planted.ml"
+  echo 'let f ~planted = planted + 1' > "$tmp/lib/simcore/other.ml"
+  check_catches "an export named only unqualified in an unrelated file"
+
+  mkdir -p "$tmp/lib/simcore" "$tmp/test"
+  printf 'val planted : int\nval aliased : int\nmodule Inner : sig\n  val nested : int\nend\n' \
+    > "$tmp/lib/simcore/planted.mli"
+  echo 'let planted = 1 let aliased = 2 module Inner = struct let nested = 3 end' \
+    > "$tmp/lib/simcore/planted.ml"
+  echo 'open Simcore.Planted let y = planted' > "$tmp/test/t.ml"
+  echo 'module P = Simcore.Planted let z = P.aliased + P.Inner.nested' > "$tmp/test/u.ml"
+  check_passes "exports used through an open, an alias and a nested module"
+
+  mkdir -p "$tmp/lib/simcore" "$tmp/test"
+  printf 'module Inner : sig\n  val nested : int\nend\n' > "$tmp/lib/simcore/planted.mli"
+  echo 'module Inner = struct let nested = 3 end' > "$tmp/lib/simcore/planted.ml"
+  echo 'let nested = 4 let w = Simcore.Planted.nested' > "$tmp/test/t.ml"
+  check_catches "a nested export used only outside its nested module"
+
+  mkdir -p "$tmp/lib/simcore"
+  printf 'module type S = sig\n  val planted : int\nend\n' > "$tmp/lib/simcore/planted.mli"
+  echo 'module type S = sig val planted : int end' > "$tmp/lib/simcore/planted.ml"
+  echo 'let planted = 1' > "$tmp/lib/simcore/other.ml"
+  check_passes "a module type val implemented elsewhere"
 
   echo "lint --self-test: ok"
   exit 0
