@@ -124,3 +124,13 @@ val recent_reports : unit -> string list * int
 (** Reports from every instance since the last {!mark} (capped
     retention, full count), for the CLI's per-experiment report
     block. Completion order under a parallel sweep. *)
+
+(**/**)
+
+(* Simulator-internal interface, for the tests only. *)
+
+val joined : int array -> int array -> int array
+(* [joined a b]: the component-wise max of two vector clocks, a missing
+   component counting as 0. Written into [a], which is returned, when
+   [b] is no longer than [a]; otherwise a fresh array of [b]'s length.
+   Exact for components in [0, 2^48). *)

@@ -29,22 +29,6 @@ type point = {
   counters : (string * int) list;
 }
 
-(* Each point churns transient scheduler state; a periodic full major
-   keeps long sweeps within RAM. Points may run on any
-   {!Simcore.Domain_pool} worker domain, so the pacing counter is
-   domain-local state, not a shared ref. *)
-let gc_major_every = 8
-
-let points_since_major : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0) (* lint: allow-atomic *)
-
-let after_point_gc () =
-  let n = Domain.DLS.get points_since_major + 1 in (* lint: allow-atomic *)
-  if n >= gc_major_every then begin
-    Domain.DLS.set points_since_major 0; (* lint: allow-atomic *)
-    Gc.full_major ()
-  end
-  else Domain.DLS.set points_since_major n (* lint: allow-atomic *)
-
 (* Driver cell protocol (shared with the compiled driver below): cell 0
    counts completed operations, cell 1 is the next sampling deadline. *)
 let ops_cell = 0
@@ -140,7 +124,6 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
       failwith
         (Printf.sprintf "benchmark process %d faulted: %s" pid
            (Printexc.to_string exn)));
-  after_point_gc ();
   let total_ops = Array.fold_left ( + ) 0 ops in
   let makespan = max 1 res.Sim.makespan in
   {

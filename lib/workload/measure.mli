@@ -89,9 +89,10 @@ val run_point :
     [--jobs 1], so a trace is always a single coherent sequential
     story.
 
-    Between points the measurement layer runs a periodic [Gc.full_major].
-    The pacing counter is per-domain ([Domain.DLS]), so each pool worker
-    paces its own GC. *)
+    No point forces a collection: the OCaml runtime's incremental major
+    collector paces itself, and a long sweep's peak heap is lower
+    without forced majors than with them (EXPERIMENTS.md, "Host-time
+    A/B runs: branch-free joins, no forced majors"). *)
 
 val default_threads : int list
 (** The sweep used by the figures: 1 … 192, crossing the paper's

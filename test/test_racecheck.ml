@@ -280,6 +280,27 @@ let prop_pack_clamps =
       done;
       !ok)
 
+(* The branch-free join kernel against a plain per-component [max]:
+   lengths 0-130 run both the in-place path (b no longer than a) and
+   the widening one, and components hit both ends of the [0, 2^48)
+   range the kernel is exact on. *)
+let prop_join_kernel =
+  let top = (1 lsl 48) - 1 in
+  let comp = QCheck.Gen.(frequency [ (1, oneofl [ 0; 1; top ]); (3, int_bound top) ]) in
+  let clock = QCheck.Gen.(array_size (int_range 0 130) comp) in
+  let show v = String.concat ";" (Array.to_list (Array.map string_of_int v)) in
+  QCheck.Test.make ~count:500 ~name:"joined = zero-extended per-component max"
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "a=[%s] b=[%s]" (show a) (show b))
+       QCheck.Gen.(pair clock clock))
+    (fun (a, b) ->
+      let get v i = if i < Array.length v then v.(i) else 0 in
+      let la = Array.length a and lb = Array.length b in
+      let want = Array.init (Int.max la lb) (fun i -> Int.max (get a i) (get b i)) in
+      let a' = Array.copy a in
+      let r = Racecheck.joined a' b in
+      r = want && (lb > la || r == a'))
+
 (* {1 Differential guarantees} *)
 
 (* A racy counter plus a publication on two processes, as closures or
@@ -414,6 +435,7 @@ let suite =
     Alcotest.test_case "barrier per run" `Quick test_barrier_per_run;
     Alcotest.test_case "barrier per domain" `Quick test_barrier_per_domain;
     QCheck_alcotest.to_alcotest prop_pack_clamps;
+    QCheck_alcotest.to_alcotest prop_join_kernel;
     QCheck_alcotest.to_alcotest prop_fastpath_verdict_identity;
     QCheck_alcotest.to_alcotest prop_engine_verdict_racy;
   ]
