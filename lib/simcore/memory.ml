@@ -192,14 +192,14 @@ let validate_addr t a = ignore (validate t a)
    equal what [Proc.self]/[Proc.global_now] would return here. The
    {!Vm}'s memory opcodes call {!instrument} at the same point, after
    flushing their elided pays, so the virtual time the instruments read
-   does not depend on the engine. *)
+   does not depend on the engine. The access kind travels as a value
+   and both instruments are direct calls; the race checker gets the
+   run's envs array, so it need not read domain-local state. *)
 
 let env_pid = function Some e -> e.Proc.pid | None -> -1
 
-let env_time = function Some e -> e.Proc.gclock () | None -> 0
-
 (* The sanitizer's audit of a validated access to [a]. *)
-let san_access t ~write ~pid ~time a =
+let[@inline] san_access t ~write ~pid ~time a =
   let h = t.h in
   let bid = h.Memcore.block_id.(a) in
   if Sanitizer.on_access t.san ~bid ~write ~pid ~time then
@@ -215,12 +215,20 @@ let race_noted t = function
       file t "data-race" r.Racecheck.r_addr ~header:"racecheck report"
   | None -> ()
 
-(* Both instruments on one validated access to [a]; [race] is the
-   checker's hook for the access kind. *)
-let instrument t env ~write race a =
-  let pid = env_pid env and time = env_time env in
-  if t.san_on then san_access t ~write ~pid ~time a;
-  if t.race_on then race_noted t (race t.race ~addr:a ~pid ~time)
+(* Both instruments on one validated access of [kind] to [a], by [pid]
+   of the run whose envs array is [run] at virtual time [time]. *)
+let[@inline] observe t run ~pid ~time kind a =
+  if t.san_on then
+    san_access t
+      ~write:(match kind with Racecheck.Read -> false | Write | Rmw -> true)
+      ~pid ~time a;
+  if t.race_on then
+    match Racecheck.access t.race run kind ~addr:a ~pid ~time with
+    | None -> ()
+    | r -> race_noted t r
+
+let instrument t e kind a =
+  observe t e.Proc.peers ~pid:e.Proc.pid ~time:(e.Proc.gclock ()) kind a
 
 (* {1 Allocation} *)
 
@@ -399,17 +407,20 @@ let[@inline] pay_access h ~write a =
   | None -> ());
   env
 
-(* A single-word access up to the data itself: pay, validate, then
-   observe when an instrument is armed ([hook]: the race checker's hook
-   for the access kind). *)
-let[@inline] access t ~write hook a =
+(* A single-word access of [kind] up to the data itself: pay, validate,
+   then observe when an instrument is armed (outside a simulation as
+   the orchestrator, pid [-1] at time 0). *)
+let[@inline] access t ~write kind a =
   let h = t.h in
   let env = pay_access h ~write a in
   validate_addr t a;
-  if h.Memcore.san_on then instrument t env ~write hook a
+  if h.Memcore.san_on then
+    match env with
+    | Some e -> instrument t e kind a
+    | None -> observe t [||] ~pid:(-1) ~time:0 kind a
 
 let read t a =
-  access t ~write:false Racecheck.on_read a;
+  access t ~write:false Racecheck.Read a;
   t.h.Memcore.words.(a)
 
 (* {1 Span reads}
@@ -428,7 +439,11 @@ let read t a =
    after flushing: a pay outside the grant, or one that would deliver a
    pending signal, an armed instrument (it reads the clocks), a
    zero-tick pay (which counts no step), or an address that fails
-   validation. *)
+   validation. The tests that need no validation run first, and the
+   rest of the line is validated only when the word can still take
+   the line at once; a word whose own cost reaches the budget cannot
+   (the line's total is at least that cost). So under an armed
+   instrument each word is validated once, on [read]'s path. *)
 
 (* [validate]'s verdict without the fault: [a] lies in a live block. *)
 let[@inline] live_word h a =
@@ -444,7 +459,7 @@ let rec live_upto h a stop =
 (* The span loop over [a, stop), one line at a time: [acc] ticks over
    [k] elided pays are not on the clocks yet. Top level, so a span
    allocates no closure. *)
-let rec span t env e f a stop acc k =
+let rec span t e f a stop acc k =
   if a >= stop then begin
     if k > 0 then e.Proc.bulk_pay acc k
   end
@@ -452,13 +467,17 @@ let rec span t env e f a stop acc k =
     let h = t.h in
     let l1 = h.Memcore.c_l1 in
     let c = Memcore.cost_read h ~pid:e.Proc.pid ~addr:a in
-    let line_end = (Memcore.line_of_addr a + 1) * Memcore.line_words in
-    let v = live_upto h a (Int.min stop line_end) - a in
+    let v =
+      if
+        c > 0 && l1 > 0 && e.Proc.fast && c < e.Proc.budget
+        && (not e.Proc.intr) && not h.Memcore.san_on
+      then
+        let line_end = (Memcore.line_of_addr a + 1) * Memcore.line_words in
+        live_upto h a (Int.min stop line_end) - a
+      else 0
+    in
     let total = c + ((v - 1) * l1) in
-    if
-      v > 0 && c > 0 && l1 > 0 && e.Proc.fast && total < e.Proc.budget
-      && (not e.Proc.intr) && not h.Memcore.san_on
-    then begin
+    if v > 0 && total < e.Proc.budget then begin
       (match e.Proc.prof with
       | Some p ->
           let pen = Int.max 0 (c - l1) in
@@ -470,34 +489,33 @@ let rec span t env e f a stop acc k =
       for i = a to a + v - 1 do
         f h.Memcore.words.(i)
       done;
-      span t env e f (a + v) stop (acc + total) (k + v)
+      span t e f (a + v) stop (acc + total) (k + v)
     end
     else begin
       if k > 0 then e.Proc.bulk_pay acc k;
       Proc.pay_env e c;
       Profiler.demote e (c - l1);
       validate_addr t a;
-      if h.Memcore.san_on then
-        instrument t env ~write:false Racecheck.on_read a;
+      if h.Memcore.san_on then instrument t e Racecheck.Read a;
       f h.Memcore.words.(a);
-      span t env e f (a + 1) stop 0 0
+      span t e f (a + 1) stop 0 0
     end
   end
 
 let read_span t base n f =
   match Proc.get_env () with
-  | Some e as env -> span t env e f base (base + n) 0 0
+  | Some e -> span t e f base (base + n) 0 0
   | None ->
       for a = base to base + n - 1 do
         f (read t a)
       done
 
 let write t a v =
-  access t ~write:true Racecheck.on_write a;
+  access t ~write:true Racecheck.Write a;
   t.h.Memcore.words.(a) <- v
 
 let cas t a ~expected ~desired =
-  access t ~write:true Racecheck.on_rmw a;
+  access t ~write:true Racecheck.Rmw a;
   let w = t.h.Memcore.words in
   if w.(a) = expected then begin
     w.(a) <- desired;
@@ -506,14 +524,14 @@ let cas t a ~expected ~desired =
   else false
 
 let faa t a d =
-  access t ~write:true Racecheck.on_rmw a;
+  access t ~write:true Racecheck.Rmw a;
   let w = t.h.Memcore.words in
   let old = w.(a) in
   w.(a) <- old + d;
   old
 
 let fas t a v =
-  access t ~write:true Racecheck.on_rmw a;
+  access t ~write:true Racecheck.Rmw a;
   let w = t.h.Memcore.words in
   let old = w.(a) in
   w.(a) <- v;

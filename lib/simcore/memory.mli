@@ -85,7 +85,11 @@ val read_span : t -> int -> int -> (int -> unit) -> unit
     validation, instrument calls and faults are exactly those of [n]
     calls to {!read}, but the host work is done once per cache line.
     Elided pays are held back until the span ends or a word needs the
-    clocks, so [f] must not pay, access the heap or raise. *)
+    clocks, so [f] must not pay, access the heap or raise. A word that
+    cannot take the line-at-once path (an armed instrument, no grant, a
+    pending signal, its cost reaching the budget) is read as by {!read}
+    without validating the rest of its line first, so an armed span
+    validates each word once. *)
 
 val write : t -> int -> int -> unit
 
@@ -234,17 +238,13 @@ val validate_addr : t -> int -> unit
    exact {!Fault} [read]/[write] would. The {!Vm} inlines the common
    checks and calls this to materialize the fault on failure. *)
 
-val instrument :
-  t ->
-  Proc.env option ->
-  write:bool ->
-  (Racecheck.t -> addr:int -> pid:int -> time:int -> Racecheck.race option) ->
-  int ->
-  unit
-(* [instrument t env ~write hook a]: the armed instruments' observer for
-   one validated access to [a] — the sanitizer's audit and provenance
-   note, then the race checker's [hook] for the access kind. The heap's
-   own entry points and the {!Vm}'s memory opcodes both call it after
-   paying and validating, and only while [Memcore.san_on] is set. The
-   VM flushes its elided pays first, so the pid and virtual time read
-   from [env] are the closure path's. *)
+val instrument : t -> Proc.env -> Racecheck.access -> int -> unit
+(* [instrument t e kind a]: the armed instruments' observer for one
+   validated access of [kind] to [a] by the process of [e] — the
+   sanitizer's audit and provenance note, then the race checker's
+   verdict ({!Racecheck.access}, which names the run by [e]'s envs
+   array). Direct calls throughout: no hook closure, no domain-local
+   read. The heap's own entry points and the {!Vm}'s memory opcodes
+   both call it after paying and validating, and only while
+   [Memcore.san_on] is set. The VM flushes its elided pays first, so
+   the pid and virtual time read from [e] are the closure path's. *)

@@ -1,20 +1,29 @@
 type _ Effect.t += Pay : int -> unit Effect.t
 
-(* Per-process profiling state (see {!Profiler}, which owns the
-   interning of packed phase stacks into slots). It lives here, below
-   the module that interprets it, so that [pay_env] — the single point
-   every simulated tick flows through — can charge the current slot
-   with one array store and no dependency cycle. All fields are plain
-   ints: the charge is branch-plus-store, and [prof = None] (profiling
-   off) costs one match. *)
+(* The slots of one profiler: a trie of phase stacks, one node per
+   distinct stack, shared by all its processes (see {!Profiler}, which
+   grows it). Slot 0 is the empty stack. Moving along an edge is an
+   array load, so entering and leaving a phase never hashes. *)
+type trie = {
+  mutable child : int array;  (* slot * n_codes + code -> child slot; 0 = none yet *)
+  mutable parent : int array;  (* slot -> the slot one level up *)
+  mutable packed_of : int array;  (* slot -> packed stack, 4 bits per level *)
+  mutable n_slots : int;
+}
+
+(* Per-process profiling state (see {!Profiler}, which owns the trie of
+   phase stacks). It lives here, below the module that interprets it,
+   so that [pay_env] — the single point every simulated tick flows
+   through — can charge the current slot with one array store and no
+   dependency cycle. The charge is branch-plus-store, and [prof = None]
+   (profiling off) costs one match. *)
 type prof = {
   mutable pcounts : int array;  (* ticks charged per interned stack slot *)
   mutable pcur : int;  (* slot of the current phase stack *)
   mutable pcoh : int;  (* slot of current stack + coherence-penalty child *)
-  mutable pstack : int;  (* packed stack, 4 bits per level (code + 1) *)
-  mutable pdepth : int;
+  mutable pdepth : int;  (* levels of the current stack *)
   mutable pover : int;  (* pushes beyond the packing depth, popped first *)
-  pintern : int -> int;  (* profiler callback: packed stack -> slot *)
+  ptrie : trie;  (* the profiler's slot trie, shared by its processes *)
 }
 
 type env = {

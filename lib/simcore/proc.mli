@@ -77,18 +77,26 @@ val with_signals_deferred : (unit -> 'a) -> 'a
 
 (* Scheduler-side interface; not for algorithm code. *)
 
+(* One profiler's slots: a trie of phase stacks shared by its
+   processes, grown by {!Profiler}; slot 0 is the empty stack. *)
+type trie = {
+  mutable child : int array;  (* slot * n_codes + code -> child slot; 0 = none yet *)
+  mutable parent : int array;  (* slot -> the slot one level up *)
+  mutable packed_of : int array;  (* slot -> packed stack, 4 bits per level *)
+  mutable n_slots : int;
+}
+
 (* Per-process profiling state (interpreted by {!Profiler}, which owns
-   the interning of packed phase stacks into slots). Declared here so
-   [pay_env] can charge the current slot with one array store and no
-   dependency cycle; [prof = None] (profiling off) costs one match. *)
+   the trie of phase stacks). Declared here so [pay_env] can charge the
+   current slot with one array store and no dependency cycle;
+   [prof = None] (profiling off) costs one match. *)
 type prof = {
   mutable pcounts : int array;  (* ticks charged per interned stack slot *)
   mutable pcur : int;  (* slot of the current phase stack *)
   mutable pcoh : int;  (* slot of current stack + coherence-penalty child *)
-  mutable pstack : int;  (* packed stack, 4 bits per level (code + 1) *)
-  mutable pdepth : int;
+  mutable pdepth : int;  (* levels of the current stack *)
   mutable pover : int;  (* pushes beyond the packing depth, popped first *)
-  pintern : int -> int;  (* profiler callback: packed stack -> slot *)
+  ptrie : trie;  (* the profiler's slot trie, shared by its processes *)
 }
 
 type env = {

@@ -2,27 +2,32 @@
    phase stack its process was in when it paid.
 
    The mechanism is split across two modules. {!Proc} holds the
-   per-process state ([Proc.prof]: a counts array, the packed stack and
-   the two hot slots) so that [Proc.pay_env] — the single point every
-   tick flows through — can charge with one array store. This module
-   owns everything else: the phase taxonomy, the interning of packed
-   stacks into slots, enter/exit, the coherence-penalty split, the
+   per-process state ([Proc.prof]: a counts array, the depth and the
+   two hot slots) and the slot trie's type, so that [Proc.pay_env] —
+   the single point every tick flows through — can charge with one
+   array store. This module owns everything else: the phase taxonomy,
+   growing the trie, enter/exit, the coherence-penalty split, the
    conservation check and the reports.
 
-   Representation. A phase stack is packed into one int, 4 bits per
-   level holding [code + 1] (so 0 reads as "empty level"), at most
-   [max_depth] levels; deeper pushes only bump an overflow counter and
-   keep charging the deepest packed stack. Each distinct packed value
-   is interned to a dense slot index shared by all processes of the
-   profiler; each process counts ticks per slot in its own array (so
-   the service layer can take per-process deltas around a request).
-   Entering a phase eagerly interns both the new stack and its
+   Representation. Each distinct phase stack is a dense slot index,
+   shared by all processes of the profiler, and the slots form a trie
+   ([Proc.trie]): a slot has a child slot per phase code and a parent
+   slot, so entering a phase is one array load (a slot is created the
+   first time its stack is entered), leaving one is another, and
+   nothing on either path hashes. Each process counts ticks per slot
+   in its own array (so the service layer can take per-process deltas
+   around a request). Entering a phase also looks up the new stack's
    coherence-penalty child, so the charge and the demotion stay
-   branch-plus-store.
+   branch-plus-store. For the reports each slot keeps its stack packed
+   into one int, 4 bits per level holding [code + 1] (so 0 reads as
+   "empty level"), at most [max_depth] levels; deeper pushes only bump
+   an overflow counter and keep charging the deepest stack. Slots are
+   numbered in the order the stacks are first entered, each stack
+   before its coherence child.
 
    Concurrency: one profiler belongs to one benchmark cell, which runs
    on one domain (the {!Domain_pool} cell-isolation argument), so the
-   intern table needs no lock. The global registry list is shared
+   trie needs no lock. The global registry list is shared
    across domains and mutex-protected, like {!Telemetry}'s.
 
    Conservation. Clocks advance only through pays ([Sim]'s fast_pay /
@@ -94,11 +99,11 @@ let phase_of_code = function
    = 52: comfortably inside a 63-bit int. *)
 let max_depth = 12
 
+let n_codes = 11 (* phase codes 0..10: the trie's fan-out *)
+
 type t = {
   label : string;
-  islots : (int, int) Hashtbl.t;  (* packed stack -> slot *)
-  mutable packed_of : int array;  (* slot -> packed stack *)
-  mutable n_slots : int;
+  trie : Proc.trie;
   pstates : (int, Proc.prof) Hashtbl.t;  (* pid -> its counting state *)
   mutable expected : int;  (* accumulated sum-of-clocks of each Sim.run *)
 }
@@ -120,48 +125,58 @@ let recent () =
   Mutex.unlock registry_mutex;
   r
 
-(* {1 Construction and interning} *)
+(* {1 Construction and the slot trie} *)
 
-let intern t packed =
-  match Hashtbl.find_opt t.islots packed with
-  | Some s -> s
-  | None ->
-      let s = t.n_slots in
-      if s >= Array.length t.packed_of then begin
-        let a = Array.make (2 * Array.length t.packed_of) 0 in
-        Array.blit t.packed_of 0 a 0 (Array.length t.packed_of);
-        t.packed_of <- a
-      end;
-      t.packed_of.(s) <- packed;
-      t.n_slots <- s + 1;
-      Hashtbl.add t.islots packed s;
-      s
+let grown a n = Memcore.grow_array a ~needed:n ~fill:0
+
+(* A new slot for [slot]'s stack with [c] pushed at [level] (the
+   parent's depth). *)
+let add_child (tr : Proc.trie) slot c level =
+  let s = tr.Proc.n_slots in
+  if s >= Array.length tr.Proc.packed_of then begin
+    tr.Proc.packed_of <- grown tr.Proc.packed_of (s + 1);
+    tr.Proc.parent <- grown tr.Proc.parent (s + 1);
+    tr.Proc.child <- grown tr.Proc.child ((s + 1) * n_codes)
+  end;
+  tr.Proc.packed_of.(s) <-
+    tr.Proc.packed_of.(slot) lor ((c + 1) lsl (4 * level));
+  tr.Proc.parent.(s) <- slot;
+  tr.Proc.child.((slot * n_codes) + c) <- s;
+  tr.Proc.n_slots <- s + 1;
+  s
+
+(* The slot of [slot]'s stack with phase code [c] pushed at [level]. *)
+let[@inline] child (tr : Proc.trie) slot c level =
+  let s = Array.unsafe_get tr.Proc.child ((slot * n_codes) + c) in
+  if s <> 0 then s else add_child tr slot c level
 
 let create ?(label = "") () =
   let t =
     {
       label;
-      islots = Hashtbl.create 64;
-      packed_of = Array.make 16 0;
-      n_slots = 0;
+      (* slot 0, the root, is the empty stack *)
+      trie =
+        {
+          Proc.child = Array.make (16 * n_codes) 0;
+          parent = Array.make 16 0;
+          packed_of = Array.make 16 0;
+          n_slots = 1;
+        };
       pstates = Hashtbl.create 64;
       expected = 0;
     }
   in
-  ignore (intern t 0);  (* slot 0 is always the root *)
   Mutex.lock registry_mutex;
   registry := t :: !registry;
   Mutex.unlock registry_mutex;
   t
 
-(* Recompute the two hot slots after any stack change, growing this
-   process's counts array to cover them. *)
-let refresh (p : Proc.prof) =
-  let cur = p.Proc.pintern p.Proc.pstack in
-  let coh =
-    p.Proc.pintern
-      (p.Proc.pstack lor ((code Coherence + 1) lsl (4 * p.Proc.pdepth)))
-  in
+let coh_code = code Coherence
+
+(* Move to slot [cur] at depth [p.pdepth]: look up its coherence child
+   and grow this process's counts array to cover both. *)
+let refresh (p : Proc.prof) cur =
+  let coh = child p.Proc.ptrie cur coh_code p.Proc.pdepth in
   let need = 1 + Int.max cur coh in
   if need > Array.length p.Proc.pcounts then begin
     let a = Array.make (Int.max need (2 * Array.length p.Proc.pcounts)) 0 in
@@ -180,13 +195,12 @@ let pstate t ~pid =
           Proc.pcounts = Array.make 8 0;
           pcur = 0;
           pcoh = 0;
-          pstack = 0;
           pdepth = 0;
           pover = 0;
-          pintern = intern t;
+          ptrie = t.trie;
         }
       in
-      refresh p;
+      refresh p 0;
       Hashtbl.add t.pstates pid p;
       p
 
@@ -197,20 +211,19 @@ let expected t = t.expected
 (* {1 Phase stack (hot: called from scheme annotation sites)} *)
 
 let push_prof (p : Proc.prof) ph =
-  if p.Proc.pdepth >= max_depth then p.Proc.pover <- p.Proc.pover + 1
+  let d = p.Proc.pdepth in
+  if d >= max_depth then p.Proc.pover <- p.Proc.pover + 1
   else begin
-    p.Proc.pstack <-
-      p.Proc.pstack lor ((code ph + 1) lsl (4 * p.Proc.pdepth));
-    p.Proc.pdepth <- p.Proc.pdepth + 1;
-    refresh p
+    let cur = child p.Proc.ptrie p.Proc.pcur (code ph) d in
+    p.Proc.pdepth <- d + 1;
+    refresh p cur
   end
 
 let pop_prof (p : Proc.prof) =
   if p.Proc.pover > 0 then p.Proc.pover <- p.Proc.pover - 1
   else if p.Proc.pdepth > 0 then begin
     p.Proc.pdepth <- p.Proc.pdepth - 1;
-    p.Proc.pstack <- p.Proc.pstack land ((1 lsl (4 * p.Proc.pdepth)) - 1);
-    refresh p
+    refresh p p.Proc.ptrie.Proc.parent.(p.Proc.pcur)
   end
 
 let active () =
@@ -287,8 +300,8 @@ let slot_total t slot =
 
 let leaf_totals t =
   let sums = Array.make (List.length phases) 0 in
-  for s = 0 to t.n_slots - 1 do
-    let c = code (leaf_phase t.packed_of.(s)) in
+  for s = 0 to t.trie.Proc.n_slots - 1 do
+    let c = code (leaf_phase t.trie.Proc.packed_of.(s)) in
     sums.(c) <- sums.(c) + slot_total t s
   done;
   List.map (fun ph -> (ph, sums.(code ph))) phases
@@ -311,12 +324,12 @@ let group_of_packed packed =
    slots), used to take before/after deltas around a request. *)
 let group_snapshot t (p : Proc.prof) =
   let tot = ref 0 and retry = ref 0 and reclaim = ref 0 in
-  let n = Int.min t.n_slots (Array.length p.Proc.pcounts) in
+  let n = Int.min t.trie.Proc.n_slots (Array.length p.Proc.pcounts) in
   for s = 0 to n - 1 do
     let v = p.Proc.pcounts.(s) in
     if v <> 0 then begin
       tot := !tot + v;
-      match group_of_packed t.packed_of.(s) with
+      match group_of_packed t.trie.Proc.packed_of.(s) with
       | G_retry -> retry := !retry + v
       | G_reclaim -> reclaim := !reclaim + v
       | G_other -> ()
@@ -331,10 +344,12 @@ let group_snapshot t (p : Proc.prof) =
 let collapsed t =
   let root = if t.label = "" then "all" else t.label in
   let lines = ref [] in
-  for s = t.n_slots - 1 downto 0 do
+  for s = t.trie.Proc.n_slots - 1 downto 0 do
     let v = slot_total t s in
     if v > 0 then begin
-      let frames = root :: List.map phase_name (decode t.packed_of.(s)) in
+      let frames =
+        root :: List.map phase_name (decode t.trie.Proc.packed_of.(s))
+      in
       lines := (String.concat ";" frames, v) :: !lines
     end
   done;

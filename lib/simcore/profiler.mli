@@ -4,8 +4,8 @@
     small explicit phase stack. The charge itself happens in
     {!Proc.pay_env} (and the VM's elided memory opcodes), which store
     into the per-process counts held in [Proc.prof]; this module owns
-    the taxonomy, the stack, the interning, the conservation check and
-    the reports.
+    the taxonomy, the stack (a trie of slots: entering and leaving a
+    phase are array loads), the conservation check and the reports.
 
     Profiling is opt-in per {!Sim.run} (its [?profiler] argument) and
     zero-perturbation: it pays nothing, draws no randomness and touches

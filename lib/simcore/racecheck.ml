@@ -28,12 +28,12 @@
      whose stores are plain writes in the model (HP announcements, EBR
      reservations, swcopy destinations).
    - custody: free/retire release the freeing process's clock into a
-     per-block hand-off vector; a reallocation acquires it and stamps
-     every word of the block with the allocating process's fresh
-     epoch. Benign reuse through the allocator (either policy) is
-     thereby ordered, while a write racing the custody transfer — or a
-     reader reaching a block before the publishing release — is not,
-     and reports.
+     per-block hand-off vector; a reallocation acquires it (zeroing it
+     in place, as [L_x] is zeroed) and stamps every word of the block
+     with the allocating process's fresh epoch. Benign reuse through
+     the allocator (either policy) is thereby ordered, while a write
+     racing the custody transfer — or a reader reaching a block before
+     the publishing release — is not, and reports.
 
    Run boundaries: {!note_run_start} gives the calling domain a fresh
    run token; the first in-sim access of a new run performs a barrier
@@ -42,7 +42,9 @@
    about any particular heap. Orchestrator accesses between runs lazily
    join every in-sim clock first. The token is held domain-locally, so
    parallel [--jobs] sweeps cannot leak barriers into each other's
-   cells. *)
+   cells. The heap's accesses ({!access}) come with their run's envs
+   array, which all envs of one {!Sim.run} share and no other run has,
+   so the token is read only when that array changes. *)
 
 (* {1 Mode} *)
 
@@ -85,7 +87,7 @@ let max_pids = Memcore.max_pids
 
 let n_slots = max_pids + 2
 
-let slot_of pid =
+let[@inline] slot_of pid =
   if pid < 0 then 0 else if pid >= max_pids then max_pids else pid + 1
 
 let time_mask = 0xFFFF_FFFF_FFFF
@@ -205,6 +207,8 @@ let run_token : int Domain.DLS.key = Domain.DLS.new_key fresh_token (* lint: all
 (* lint: allow-atomic *)
 let note_run_start () = Domain.DLS.set run_token (fresh_token ()) (* lint: allow-atomic *)
 
+let domain_token () = Domain.DLS.get run_token (* lint: allow-atomic *)
+
 (* {1 State} *)
 
 (* Per-word flag bits. *)
@@ -222,6 +226,8 @@ type t = {
   vcs : int array array; (* slot -> clock vector; [||] = unborn *)
   mutable max_slot : int;
   mutable seen_token : int; (* run token of the last barrier; -1 = none *)
+  mutable seen_run : Proc.env array option;
+      (* envs array of the run of the last in-sim {!access} *)
   mutable sim_dirty : bool;
   (* per-word shadow state, parallel to [Memcore.words] *)
   mutable wep : int array; (* last-write epoch; 0 = none *)
@@ -237,7 +243,9 @@ type t = {
          sync word: acquired-set bits for slots >= acq_bits, all-zero
          unless f_wide *)
   (* custody *)
-  mutable custody : int array array; (* block id -> hand-off clock; [||] = none *)
+  mutable custody : int array array;
+      (* block id -> hand-off clock; [||] = never released, all-zero =
+         none since the block's last allocation *)
   mutable b_alloc : int array; (* block id -> packed alloc (pid, time) *)
   (* reports *)
   mutable rev_reports : string list; (* newest first, capped *)
@@ -252,6 +260,7 @@ let create m tele h =
     vcs = Array.make n_slots [||];
     max_slot = 0;
     seen_token = -1;
+    seen_run = None;
     sim_dirty = false;
     wep = Array.make 256 0;
     winfo = Array.make 256 0;
@@ -287,7 +296,7 @@ let ensure_blocks t n =
     t.custody <- Memcore.grow_array t.custody ~needed:n ~fill:[||]
   end
 
-let flag_test t a f = Char.code (Bytes.get t.flags a) land f <> 0
+let[@inline] flag_test t a f = Char.code (Bytes.get t.flags a) land f <> 0
 
 let flag_set t a f =
   Bytes.set t.flags a (Char.chr (Char.code (Bytes.get t.flags a) lor f))
@@ -302,25 +311,25 @@ let flag_clear_all t a = Bytes.set t.flags a '\000'
 (* Birth a slot's clock: fork from the orchestrator's clock (setup
    writes happen-before every process), own component strictly beyond
    anything any other clock holds for this slot. *)
-let cvec t s =
-  let v = t.vcs.(s) in
-  if not (unborn v) then v
-  else begin
-    if s > t.max_slot then t.max_slot <- s;
-    let root = t.vcs.(0) in
-    let len = Int.max (s + 1) (Array.length root) in
-    let v = Array.make len 0 in
-    Array.blit root 0 v 0 (Array.length root);
-    v.(s) <- v.(s) + 1;
-    t.vcs.(s) <- v;
-    v
-  end
+let birth t s =
+  if s > t.max_slot then t.max_slot <- s;
+  let root = t.vcs.(0) in
+  let len = Int.max (s + 1) (Array.length root) in
+  let v = Array.make len 0 in
+  Array.blit root 0 v 0 (Array.length root);
+  v.(s) <- v.(s) + 1;
+  t.vcs.(s) <- v;
+  v
 
-let bump t s =
+let[@inline] cvec t s =
+  let v = t.vcs.(s) in
+  if unborn v then birth t s else v
+
+let[@inline] bump t s =
   let v = t.vcs.(s) in
   v.(s) <- v.(s) + 1
 
-let cur_epoch t s = epoch s t.vcs.(s).(s)
+let[@inline] cur_epoch t s = epoch s t.vcs.(s).(s)
 
 (* Run-start barrier: everything before the run happens-before every
    process of the run. Join all born clocks, then advance each so
@@ -356,15 +365,40 @@ let root_join t =
 (* The run stamp is one int compare against the domain's token: an
    in-sim access always follows its own run's {!note_run_start} in the
    same domain, so a changed token is exactly a new run. *)
+let check_token t =
+  let token = domain_token () in
+  if token <> t.seen_token then barrier t token
+
+(* The slot of [pid], after the run-boundary work its access implies:
+   a barrier for the first in-sim access of a new run, the root join
+   for the first orchestrator access after a run. *)
 let prologue t ~pid =
-  let s = slot_of pid in
   if pid >= 0 then begin
-    let token = Domain.DLS.get run_token (* lint: allow-atomic *) in
-    if token <> t.seen_token then barrier t token;
+    check_token t;
     t.sim_dirty <- true
   end
   else if t.sim_dirty then root_join t;
-  s
+  slot_of pid
+
+let new_run t run =
+  t.seen_run <- Some run;
+  check_token t
+
+(* The same for an access by a process of the run whose envs array is
+   [run]. A {!Sim.run} calls {!note_run_start} before it builds its
+   envs, and the array last seen stays reachable from [seen_run], so
+   no later run can own an array physically equal to it: while the
+   array is the one last seen, the token has not moved, and only a
+   changed array needs the domain-local read. *)
+let[@inline] run_prologue t run ~pid =
+  if pid >= 0 then begin
+    (match t.seen_run with
+    | Some r when r == run -> ()
+    | Some _ | None -> new_run t run);
+    t.sim_dirty <- true
+  end
+  else if t.sim_dirty then root_join t;
+  slot_of pid
 
 (* {1 Reports} *)
 
@@ -455,36 +489,41 @@ let found t addr ~pid ~time what prev_info prev_what =
 
 let acq_bits = 62 (* bits 0..61: [rep] stays non-negative, never -1 *)
 
-let acquired t addr s =
+(* The narrow cases inline into the access path; the wide ones are
+   calls. *)
+let acquired_wide t addr s =
+  let k = (s / acq_bits) - 1 and w = t.rvcs.(addr) in
+  k < Array.length w && w.(k) land (1 lsl (s mod acq_bits)) <> 0
+
+let[@inline] acquired t addr s =
   if s < acq_bits then t.rep.(addr) land (1 lsl s) <> 0
-  else begin
-    let k = (s / acq_bits) - 1 and w = t.rvcs.(addr) in
-    k < Array.length w && w.(k) land (1 lsl (s mod acq_bits)) <> 0
-  end
+  else acquired_wide t addr s
 
-let add_acquired t addr s =
+let add_acquired_wide t addr s =
+  let k = (s / acq_bits) - 1 in
+  let w = t.rvcs.(addr) in
+  let w =
+    if k < Array.length w then w
+    else begin
+      let w = grow_int_array w ~needed:(k + 1) in
+      t.rvcs.(addr) <- w;
+      w
+    end
+  in
+  w.(k) <- w.(k) lor (1 lsl (s mod acq_bits));
+  flag_set t addr f_wide
+
+let[@inline] add_acquired t addr s =
   if s < acq_bits then t.rep.(addr) <- t.rep.(addr) lor (1 lsl s)
-  else begin
-    let k = (s / acq_bits) - 1 in
-    let w = t.rvcs.(addr) in
-    let w =
-      if k < Array.length w then w
-      else begin
-        let w = grow_int_array w ~needed:(k + 1) in
-        t.rvcs.(addr) <- w;
-        w
-      end
-    in
-    w.(k) <- w.(k) lor (1 lsl (s mod acq_bits));
-    flag_set t addr f_wide
-  end
+  else add_acquired_wide t addr s
 
-let clear_acquired t addr =
+let clear_wide t addr =
+  zero_clock t.rvcs.(addr);
+  flag_clear t addr f_wide
+
+let[@inline] clear_acquired t addr =
   t.rep.(addr) <- 0;
-  if flag_test t addr f_wide then begin
-    zero_clock t.rvcs.(addr);
-    flag_clear t addr f_wide
-  end
+  if flag_test t addr f_wide then clear_wide t addr
 
 (* A word's release clock is never dropped, only zeroed (see
    {!on_alloc}); an all-zero clock acquires nothing and releases into
@@ -523,9 +562,7 @@ let release t s addr =
     bump t s
   end
 
-let on_read t ~addr ~pid ~time =
-  ensure_words t (addr + 1);
-  let s = prologue t ~pid in
+let read_at t s ~addr ~pid ~time =
   let c = cvec t s in
   if flag_test t addr f_sync then begin
     acquire t s addr;
@@ -586,9 +623,7 @@ let plain_write_race t ~addr ~pid ~time c =
         if epoch_leq re c then None
         else found t addr ~pid ~time "write" t.rinfo.(addr) "read"
 
-let on_write t ~addr ~pid ~time =
-  ensure_words t (addr + 1);
-  let s = prologue t ~pid in
+let write_at t s ~addr ~pid ~time =
   let c = cvec t s in
   if flag_test t addr f_sync then begin
     (* A plain store to a sync word is a store-release (the model's
@@ -605,9 +640,7 @@ let on_write t ~addr ~pid ~time =
     race
   end
 
-let on_rmw t ~addr ~pid ~time =
-  ensure_words t (addr + 1);
-  let s = prologue t ~pid in
+let rmw_at t s ~addr ~pid ~time =
   let c = cvec t s in
   if flag_test t addr f_sync then begin
     (* After the acquire C_s covers L_x, so L_x := C_s is a copy in
@@ -634,6 +667,32 @@ let on_rmw t ~addr ~pid ~time =
     release_copy t s addr;
     race
   end
+
+(* The access hooks for a caller that holds no run: the domain's token
+   decides the barrier, and the shadow arrays are grown to [addr]. *)
+let on_read t ~addr ~pid ~time =
+  ensure_words t (addr + 1);
+  read_at t (prologue t ~pid) ~addr ~pid ~time
+
+let on_write t ~addr ~pid ~time =
+  ensure_words t (addr + 1);
+  write_at t (prologue t ~pid) ~addr ~pid ~time
+
+let on_rmw t ~addr ~pid ~time =
+  ensure_words t (addr + 1);
+  rmw_at t (prologue t ~pid) ~addr ~pid ~time
+
+type access = Read | Write | Rmw
+
+(* The heap's observer: one direct call per access kind, and no
+   growth check, since every address the heap validates lies in a
+   block whose words {!on_alloc} covered. *)
+let access t run kind ~addr ~pid ~time =
+  let s = run_prologue t run ~pid in
+  match kind with
+  | Read -> read_at t s ~addr ~pid ~time
+  | Write -> write_at t s ~addr ~pid ~time
+  | Rmw -> rmw_at t s ~addr ~pid ~time
 
 let mark_sync t ~addr =
   ensure_words t (addr + 1);
@@ -671,7 +730,9 @@ let on_alloc t ~bid ~base ~size ~pid ~time =
        let c = cvec t s in
        let c' = joined c cv in
        if c' != c then t.vcs.(s) <- c';
-       t.custody.(bid) <- [||]
+       (* Zeroed, not dropped: the lifetime's first free or retire
+          then joins into it in place. *)
+       zero_clock cv
      end);
   let c = cvec t s in
   let me = epoch s c.(s) in

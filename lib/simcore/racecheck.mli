@@ -61,7 +61,10 @@ val note_run_start : unit -> unit
     calling domain a fresh run token from a process-wide counter. The
     first in-sim access of a new run sees a token the heap has not
     seen and performs a barrier join: everything before the run
-    happens-before every process of the run. *)
+    happens-before every process of the run. The heap's accesses
+    ({!access}) name their run by its envs array, so the checker reads
+    the domain-local token only when that array changes, not on every
+    access. *)
 
 val pack_info : int -> int -> int
 (** [pack_info pid time]: an access's (pid, virtual time) in one int,
@@ -73,6 +76,23 @@ val pack_info : int -> int -> int
     lazily joins all in-sim clocks), [time] is {!Proc.global_now}.
     A returned race has already been recorded against the word (one
     report per word); the caller files it with {!report_race}. *)
+
+type access = Read | Write | Rmw
+
+val access :
+  t -> Proc.env array -> access -> addr:int -> pid:int -> time:int -> race option
+(** [access t run kind ~addr ~pid ~time]: the heap's per-access
+    observer ({!Memory} and the {!Vm} call it through
+    [Memory.instrument]). [run] is the caller's [Proc.peers], the envs
+    array every process of one {!Sim.run} shares (ignored for
+    [pid = -1]); a run boundary is noticed when it changes, and only
+    then is the domain's run token read. [addr] must lie in a block
+    {!on_alloc} covered, as every address the heap validates does.
+    Same verdicts as the hook for the kind below. *)
+
+(** The hooks below serve callers that hold no run (the reference
+    model drives the checker through them): each reads the domain's run
+    token itself and accepts any address. *)
 
 val on_read : t -> addr:int -> pid:int -> time:int -> race option
 
@@ -94,9 +114,11 @@ val mark_sync : t -> addr:int -> unit
 (** {1 Custody} *)
 
 val on_alloc : t -> bid:int -> base:int -> size:int -> pid:int -> time:int -> unit
-(** New lifetime: acquire any pending hand-off clock for the block,
-    then stamp every word with the allocating process's fresh epoch
-    and demote it back to a data word. *)
+(** New lifetime: acquire any pending hand-off clock for the block
+    (and zero it in place, so the lifetime's first free or retire
+    releases into it without allocating), then stamp every word with
+    the allocating process's fresh epoch and demote it back to a data
+    word. *)
 
 val on_free : t -> bid:int -> pid:int -> unit
 

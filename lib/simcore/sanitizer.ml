@@ -87,7 +87,7 @@ let ev_name = function
   | 4 -> "retire"
   | _ -> "?"
 
-let pack ev pid time =
+let[@inline] pack ev pid time =
   let p = pid + 2 in
   let pid' = if p < 0 then 0 else if p > 4095 then 4095 else p in
   (ev lsl 60) lor (pid' lsl 48) lor (time land 0xFFFF_FFFF_FFFF)

@@ -669,7 +669,6 @@ let coroutine p fr =
     | Some e -> e
     | None -> invalid_arg "Vm.coroutine: not inside a simulation"
   in
-  let env = Some e in
   let code = p.code in
   let regs = fr.regs in
   let cells = fr.cells in
@@ -680,9 +679,9 @@ let coroutine p fr =
      has paid and validated flushes — so the instruments read the
      closure path's virtual time — and calls the observer the {!Memory}
      entry points call, at the same point of the access. *)
-  let observe ~write hook a =
+  let observe kind a =
     flush e fr;
-    Memory.instrument mem env ~write hook a
+    Memory.instrument mem e kind a
   in
   (* A host call's outcome: returned, or parked in the frame on a pay
      the loop yields (resumed before the next dispatch). *)
@@ -798,7 +797,7 @@ let coroutine p fr =
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:false a;
             if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then observe ~write:false Racecheck.on_read a;
+            if hc.Memcore.san_on then observe Racecheck.Read a;
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get hc.Memcore.words a);
@@ -807,7 +806,7 @@ let coroutine p fr =
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
             charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then observe ~write:true Racecheck.on_write a;
+            if hc.Memcore.san_on then observe Racecheck.Write a;
             Array.unsafe_set hc.Memcore.words a
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
@@ -815,7 +814,7 @@ let coroutine p fr =
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
+            if hc.Memcore.san_on then observe Racecheck.Rmw a;
             if
               Array.unsafe_get hc.Memcore.words a
               = Array.unsafe_get regs (Array.unsafe_get code (base + 3))
@@ -830,7 +829,7 @@ let coroutine p fr =
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
+            if hc.Memcore.san_on then observe Racecheck.Rmw a;
             let d = Array.unsafe_get code (base + 3) in
             let d = if op = 19 then Array.unsafe_get regs d else d in
             let old = Array.unsafe_get hc.Memcore.words a in
@@ -841,7 +840,7 @@ let coroutine p fr =
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
             if not (valid hc a) then vfail e fr a;
-            if hc.Memcore.san_on then observe ~write:true Racecheck.on_rmw a;
+            if hc.Memcore.san_on then observe Racecheck.Rmw a;
             let old = Array.unsafe_get hc.Memcore.words a in
             Array.unsafe_set hc.Memcore.words a
               (Array.unsafe_get regs (Array.unsafe_get code (base + 3)));

@@ -142,9 +142,173 @@ let test_overflow_depth () =
     [ ("deep", 2); (deep_path, 5) ]
     (Prof.collapsed prof)
 
+(* --- the slot trie against a packed-stack reference model --- *)
+
+(* Phase-stack scripts: one per process, run concurrently so the
+   processes share (and race to grow) the profiler's slot trie. [Demote]
+   pays like a memory access and moves part of it to the coherence
+   child; [Burst] drives the stack past its 12-level packing depth. *)
+type op =
+  | Enter of Prof.phase
+  | Exit
+  | With of Prof.phase * op list
+  | Pay of int
+  | Demote of int * int  (* pay c, then move pen <= c to coherence *)
+  | Burst of Prof.phase * int
+
+let rec show_op = function
+  | Enter ph -> "enter " ^ Prof.phase_name ph
+  | Exit -> "exit"
+  | With (ph, ops) ->
+      Printf.sprintf "with %s [%s]" (Prof.phase_name ph)
+        (String.concat "; " (List.map show_op ops))
+  | Pay n -> Printf.sprintf "pay %d" n
+  | Demote (c, pen) -> Printf.sprintf "demote %d/%d" pen c
+  | Burst (ph, k) -> Printf.sprintf "burst %s x%d" (Prof.phase_name ph) k
+
+let gen_ops =
+  let open QCheck.Gen in
+  let phase = oneofl Prof.phases in
+  let leaf =
+    frequency
+      [
+        (3, map (fun ph -> Enter ph) phase);
+        (3, return Exit);
+        (3, map (fun n -> Pay n) (int_range 0 5));
+        ( 2,
+          int_range 1 6 >>= fun c ->
+          map (fun pen -> Demote (c, pen)) (int_range 0 c) );
+        (1, map2 (fun ph k -> Burst (ph, k)) phase (int_range 8 16));
+      ]
+  in
+  sized_size (int_range 0 40)
+  @@ fix (fun self n ->
+         if n <= 1 then list_size (int_range 0 3) leaf
+         else
+           list_size (int_range 1 6)
+             (frequency
+                [
+                  (4, leaf);
+                  (1, map2 (fun ph ops -> With (ph, ops)) phase (self (n / 3)));
+                ]))
+
+(* The reference: each process's stack as a list of phases, top first,
+   with the overflow count; ticks per (pid, stack bottom first). *)
+let model scripts =
+  let ticks = Hashtbl.create 64 in
+  let charge pid stack n =
+    let k = (pid, List.rev stack) in
+    Hashtbl.replace ticks k (n + Option.value ~default:0 (Hashtbl.find_opt ticks k))
+  in
+  List.iteri
+    (fun pid ops ->
+      let stack = ref [] and depth = ref 0 and over = ref 0 in
+      let push ph =
+        if !depth >= 12 then incr over
+        else begin
+          stack := ph :: !stack;
+          incr depth
+        end
+      in
+      let pop () =
+        if !over > 0 then decr over
+        else
+          match !stack with
+          | _ :: rest ->
+              stack := rest;
+              decr depth
+          | [] -> ()
+      in
+      let rec run = function
+        | Enter ph -> push ph
+        | Exit -> pop ()
+        | With (ph, ops) ->
+            push ph;
+            List.iter run ops;
+            pop ()
+        | Pay n -> charge pid !stack n
+        | Demote (c, pen) ->
+            charge pid !stack (c - pen);
+            charge pid (Prof.Coherence :: !stack) pen
+        | Burst (ph, k) -> for _ = 1 to k do push ph done
+      in
+      List.iter run ops)
+    scripts;
+  ticks
+
+let trie_prop scripts =
+  let prof = Prof.create ~label:"trie" () in
+  let procs = List.length scripts in
+  let scripts_a = Array.of_list scripts in
+  ignore
+    (Sim.run ~profiler:prof ~config:Config.small ~procs (fun pid ->
+         let rec run = function
+           | Enter ph -> Prof.enter ph
+           | Exit -> Prof.exit ()
+           | With (ph, ops) -> Prof.with_phase ph (fun () -> List.iter run ops)
+           | Pay n -> Proc.pay n
+           | Demote (c, pen) -> (
+               Proc.pay c;
+               match Proc.get_env () with
+               | Some e -> Prof.demote e pen
+               | None -> ())
+           | Burst (ph, k) -> for _ = 1 to k do Prof.enter ph done
+         in
+         List.iter run scripts_a.(pid)));
+  let ticks = model scripts in
+  let sum f =
+    Hashtbl.fold (fun k v acc -> if f k then acc + v else acc) ticks 0
+  in
+  let stacks =
+    List.sort_uniq compare (Hashtbl.fold (fun (_, st) _ acc -> st :: acc) ticks [])
+  in
+  let collapsed =
+    List.filter_map
+      (fun st ->
+        let v = sum (fun (_, st') -> st' = st) in
+        if v > 0 then
+          Some (String.concat ";" ("trie" :: List.map Prof.phase_name st), v)
+        else None)
+      stacks
+    |> List.sort compare
+  in
+  let leaf st = match List.rev st with [] -> Prof.Traverse | ph :: _ -> ph in
+  let leaf_totals =
+    List.map (fun ph -> (ph, sum (fun (_, st) -> leaf st = ph))) Prof.phases
+  in
+  let group pid =
+    let mine f = sum (fun (p, st) -> p = pid && f st) in
+    let retry st = List.mem Prof.Cas_retry st in
+    let reclaim st =
+      (not (retry st))
+      && List.exists (fun ph -> List.mem ph [ Prof.Smr_scan; Drc_defer; Free ]) st
+    in
+    (mine (fun _ -> true), mine retry, mine reclaim)
+  in
+  Prof.collapsed prof = collapsed
+  && Prof.leaf_totals prof = leaf_totals
+  && List.for_all
+       (fun pid -> Prof.group_snapshot prof (Prof.pstate prof ~pid) = group pid)
+       (List.init procs Fun.id)
+
+let trie_test =
+  QCheck.Test.make ~count:200
+    ~name:"slot trie = packed-stack model (collapsed, leaves, groups)"
+    (QCheck.make
+       ~print:(fun scripts ->
+         String.concat "\n"
+           (List.mapi
+              (fun pid ops ->
+                Printf.sprintf "pid %d: %s" pid
+                  (String.concat "; " (List.map show_op ops)))
+              scripts))
+       QCheck.Gen.(list_size (int_range 1 4) gen_ops))
+    trie_prop
+
 let suite =
   [
     QCheck_alcotest.to_alcotest conservation_test;
+    QCheck_alcotest.to_alcotest trie_test;
     Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
     Alcotest.test_case "phase-stack overflow conserves" `Quick
       test_overflow_depth;

@@ -6,8 +6,9 @@
    interrupted PC in a static buffer; the timer is process-wide, so
    handlers on several threads may run at once and each reserves its
    index atomically. At exit the main executable's load address and the
-   PCs are written to PCPROF_OUT as hex, one per line, for report.py to
-   map onto `nm` symbols.
+   PCs are written to PCPROF_OUT as hex, one per line, and the process's
+   memory map is copied to PCPROF_OUT.maps, for report.py to map PCs
+   onto `nm` symbols of the executable and of the shared libraries.
 
    The handler runs on its own signal stack: OCaml 5 runs code on small
    fiber stacks that have no room for a signal frame, so a handler on
@@ -61,6 +62,20 @@ static unsigned long find_exe_base(void) {
   return base;
 }
 
+/* Copy /proc/self/maps to OUT.maps: where each shared library was
+   loaded, so report.py can name samples outside the executable. */
+static void dump_maps(const char *out) {
+  char path[4096], buf[1 << 14];
+  size_t n;
+  if (snprintf(path, sizeof path, "%s.maps", out) >= (int)sizeof path) return;
+  FILE *in = fopen("/proc/self/maps", "r");
+  FILE *f = in ? fopen(path, "w") : NULL;
+  if (f)
+    while ((n = fread(buf, 1, sizeof buf, in)) > 0) fwrite(buf, 1, n, f);
+  if (f) fclose(f);
+  if (in) fclose(in);
+}
+
 static void dump(void) {
   const char *out = getenv("PCPROF_OUT");
   FILE *f = out ? fopen(out, "w") : NULL;
@@ -72,6 +87,7 @@ static void dump(void) {
   fprintf(f, "base %lx\n", exe_base);
   for (long i = 0; i < n; i++) fprintf(f, "%lx\n", pcs[i]);
   fclose(f);
+  dump_maps(out);
 }
 
 __attribute__((constructor)) static void pcprof_start(void) {

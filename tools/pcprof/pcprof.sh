@@ -6,7 +6,8 @@
 # Builds pcprof.so next to OUT, runs EXE under LD_PRELOAD with samples
 # written to OUT (one SIGPROF per millisecond of CPU time, or per kernel
 # tick if that is longer), then prints EXE's 40 hottest symbols with
-# report.py. Run EXE directly, not through a wrapper script: every
+# report.py (OUT.maps, saved beside the samples, names the shared
+# libraries). Run EXE directly, not through a wrapper script: every
 # process that inherits LD_PRELOAD samples itself and the last to exit
 # overwrites OUT.
 set -eu
