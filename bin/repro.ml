@@ -136,8 +136,9 @@ let alloc_arg =
      (constant-time per-process pools with balanced stealing through a \
      shared exchange). Benchmark tables are byte-identical either way — \
      the machine model is allocation-oblivious; the policies differ in \
-     allocator telemetry ($(b,mem.pool.*)) and in modeled \
-     allocator-metadata contention (see the alloc_churn bench). Also \
+     allocator telemetry ($(b,mem.pool.*)) and in allocator-metadata \
+     contention, which only $(b,Config.alloc_contention) models (off in \
+     every figure). Also \
      settable with $(b,REPRO_ALLOC)."
   in
   Arg.(

@@ -68,8 +68,6 @@ let create ?(mode = `Lockfree) ?(snapshots = true) ?(snapshot_slots = 7)
         { t; pid; arh = Ar.handle artbl pid; next_takeover = 0 });
   t
 
-let ar t = t.artbl
-
 let handle t pid = if pid = -1 then t.handles.(t.procs) else t.handles.(pid)
 
 let register_class ?(weak = false) ?(weak_fields = []) t ~tag ~fields

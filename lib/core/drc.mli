@@ -60,9 +60,6 @@ val create :
 val handle : t -> int -> h
 (** [handle t pid]; [pid = -1] is the sequential setup handle. *)
 
-val ar : t -> Acquire_retire.Ar.t
-(** The underlying acquire-retire instance (for bound audits). *)
-
 (** {1 Classes and object creation} *)
 
 val register_class :

@@ -1,5 +1,4 @@
 module H = Simcore.Stats.Histogram
-module J = Simcore.Bench_json
 
 (* Per-request critical-path totals, summed over the completed requests
    of one cell (see {!Bench}: profiler group deltas taken around each
@@ -61,10 +60,29 @@ let quantile_points =
     (0.9999, "p99.99");
   ]
 
+(* One flat JSON object per report: string and fixed-point number
+   fields only. Keys are literals; the scheme name is escaped. *)
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | ('"' | '\\') as c ->
+          Buffer.add_char b '\\';
+          Buffer.add_char b c
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let to_json r =
+  let int name v = Printf.sprintf "\"%s\": %d" name v in
+  let float ~dec name v = Printf.sprintf "\"%s\": %.*f" name dec v in
   let quantiles =
     List.map
-      (fun (q, name) -> J.float ~dec:1 name (H.quantile r.latency q))
+      (fun (q, name) -> float ~dec:1 name (H.quantile r.latency q))
       quantile_points
   in
   let breakdown =
@@ -72,24 +90,26 @@ let to_json r =
     | None -> []
     | Some b ->
         [
-          J.int "bd_requests" b.requests;
-          J.int "bd_queue_wait" b.queue_wait;
-          J.int "bd_service" b.service;
-          J.int "bd_retry_stall" b.retry_stall;
-          J.int "bd_reclaim_stall" b.reclaim_stall;
+          int "bd_requests" b.requests;
+          int "bd_queue_wait" b.queue_wait;
+          int "bd_service" b.service;
+          int "bd_retry_stall" b.retry_stall;
+          int "bd_reclaim_stall" b.reclaim_stall;
         ]
   in
-  J.obj
-    ([
-       J.str "scheme" r.scheme;
-       J.int "rate" r.rate;
-       J.int "offered" r.offered;
-       J.int "completed" r.completed;
-       J.int "ok" r.ok;
-       J.int "shed" r.shed;
-       J.int "makespan" r.makespan;
-       J.float ~dec:3 "throughput" (throughput r);
-       J.float ~dec:3 "goodput" (goodput r);
-       J.float ~dec:4 "shed_rate" (shed_rate r);
-     ]
-    @ quantiles @ breakdown)
+  let fields =
+    [
+      "\"scheme\": " ^ json_string r.scheme;
+      int "rate" r.rate;
+      int "offered" r.offered;
+      int "completed" r.completed;
+      int "ok" r.ok;
+      int "shed" r.shed;
+      int "makespan" r.makespan;
+      float ~dec:3 "throughput" (throughput r);
+      float ~dec:3 "goodput" (goodput r);
+      float ~dec:4 "shed_rate" (shed_rate r);
+    ]
+    @ quantiles @ breakdown
+  in
+  "{" ^ String.concat ", " fields ^ "}"

@@ -36,8 +36,8 @@
    pay. The legacy freelist's single head line ping-pongs ownership
    across every churning process (c_rmw_transfer per op); the pooled
    scheme pays owned-line prices locally and transfers only on the
-   ~1/batch_size hand-off/steal edges. That difference is the
-   alloc_churn benchmark; with contention off (the default, and all
+   ~1/batch_size hand-off/steal edges. That difference is what
+   [test alloc]'s churn cases assert; with contention off (the default, and all
    figure workloads) both policies charge exactly the flat
    c_alloc/c_free. *)
 

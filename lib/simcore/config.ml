@@ -17,8 +17,6 @@ type cost = Memcore.cost = {
    benchmark tables are byte-identical under either policy. *)
 type alloc_policy = Legacy | Pooled
 
-let alloc_policy_to_string = function Legacy -> "legacy" | Pooled -> "pooled"
-
 let alloc_policy_of_string s =
   match String.lowercase_ascii s with
   | "legacy" -> Ok Legacy

@@ -28,8 +28,6 @@ type cost = Memcore.cost = {
     tables are byte-identical under either policy. *)
 type alloc_policy = Legacy | Pooled
 
-val alloc_policy_to_string : alloc_policy -> string
-
 val alloc_policy_of_string : string -> (alloc_policy, string) result
 (** Case-insensitive ["legacy"]/["pooled"]; [Error] explains the rest. *)
 
@@ -74,8 +72,8 @@ type t = {
           [alloc]/[free], in a coherence domain separate from the
           simulated heap's. Off by default — the figure workloads charge
           the flat [c_alloc]/[c_free] of a scalable allocator; the
-          [alloc_churn] bench turns this on to expose the legacy
-          freelist's serial point. *)
+          allocator tests' churn cases turn this on to expose the
+          legacy freelist's serial point. *)
 }
 
 val default_cost : cost

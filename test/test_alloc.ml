@@ -273,6 +273,110 @@ let test_auditor_clean_pooled () =
   Alcotest.(check int) "no sanitizer reports" 0
     (List.length (Memory.sanitizer_reports mem))
 
+(* {1 Pooled beats legacy under modeled contention}
+
+   The two allocation-bound shapes, run with [Config.alloc_contention]
+   on (off everywhere else), so that the legacy freelist's one shared
+   head line costs an ownership transfer per alloc and per free. Both
+   allocate and free through [Memory] directly, to a fixed virtual
+   horizon, and compare completed operations per simulated megatick:
+
+   - queue: P/2 producer/consumer pairs share one single-producer
+     single-consumer ring of node addresses each, prefilled deep. Every
+     free lands on another process than the alloc, so pooled blocks
+     flow back through hand-offs and batch steals;
+   - list: each process keeps a 64-node FIFO list of 2-word nodes,
+     allocating at the head and freeing at the tail. All reuse is
+     process-local, where pooled runs its local push/pop on lines it
+     owns. *)
+
+let churn_procs = 16
+
+let churn_horizon = 250_000
+
+let queue_churn mem ops =
+  let ring_cap = 256 and ring_prefill = 192 and node_words = 4 in
+  let pairs = churn_procs / 2 in
+  (* Each ring's write and read index is owned by one process, so both
+     live host-side; 0 is an empty slot. *)
+  let ring =
+    Array.init pairs (fun _ -> Memory.alloc mem ~tag:"ring" ~size:ring_cap)
+  in
+  let wpos = Array.make pairs ring_prefill and rpos = Array.make pairs 0 in
+  for p = 0 to pairs - 1 do
+    for s = 0 to ring_prefill - 1 do
+      let a = Memory.alloc mem ~tag:"qnode" ~size:node_words in
+      Memory.write mem a (1000 + s);
+      Memory.write mem (ring.(p) + s) a
+    done
+  done;
+  fun pid ->
+    let p = pid / 2 in
+    if pid land 1 = 0 then
+      while Proc.now () < churn_horizon do
+        let slot = ring.(p) + (wpos.(p) mod ring_cap) in
+        if Memory.read mem slot = 0 then begin
+          let a = Memory.alloc mem ~tag:"qnode" ~size:node_words in
+          Memory.write mem a (pid + ops.(pid));
+          Memory.write mem slot a;
+          wpos.(p) <- wpos.(p) + 1;
+          ops.(pid) <- ops.(pid) + 1
+        end
+      done
+    else
+      while Proc.now () < churn_horizon do
+        let slot = ring.(p) + (rpos.(p) mod ring_cap) in
+        let a = Memory.read mem slot in
+        if a <> 0 then begin
+          Memory.write mem slot 0;
+          ignore (Memory.read mem a);
+          Memory.free mem a; (* lint: allow-free *)
+          rpos.(p) <- rpos.(p) + 1;
+          ops.(pid) <- ops.(pid) + 1
+        end
+      done
+
+let list_churn mem ops pid =
+  let list_len = 64 in
+  let fifo = Array.make list_len 0 in
+  let head = ref 0 and len = ref 0 and pos = ref 0 in
+  while Proc.now () < churn_horizon do
+    let a = Memory.alloc mem ~tag:"lnode" ~size:2 in
+    Memory.write mem (a + 1) !head;
+    head := a;
+    if !len = list_len then begin
+      let old = fifo.(!pos) in
+      ignore (Memory.read mem old);
+      Memory.free mem old (* lint: allow-free *)
+    end
+    else incr len;
+    fifo.(!pos) <- a;
+    pos := (!pos + 1) mod list_len;
+    ops.(pid) <- ops.(pid) + 1
+  done
+
+let ops_per_mtick case alloc =
+  let config = { Config.default with Config.alloc; alloc_contention = true } in
+  let mem = Memory.create config in
+  let ops = Array.make churn_procs 0 in
+  let res = Sim.run ~seed:42 ~config ~procs:churn_procs (case mem ops) in
+  Alcotest.(check int) "no faults" 0 (List.length res.Sim.faults);
+  1e6 *. float_of_int (Array.fold_left ( + ) 0 ops)
+  /. float_of_int res.Sim.makespan
+
+let test_pooled_beats_legacy () =
+  List.iter
+    (fun (name, case) ->
+      let legacy = ops_per_mtick case Config.Legacy in
+      let pooled = ops_per_mtick case Config.Pooled in
+      Printf.printf "%s: pooled %.0f vs legacy %.0f ops/Mtick (%+.1f%%)\n%!"
+        name pooled legacy
+        (100.0 *. (pooled -. legacy) /. legacy);
+      if not (pooled > legacy) then
+        Alcotest.failf "%s: pooled %.0f ops/Mtick does not beat legacy %.0f"
+          name pooled legacy)
+    [ ("queue", queue_churn); ("list", list_churn) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pooled_matches_legacy;
@@ -285,4 +389,6 @@ let suite =
       test_aba_pooled;
     Alcotest.test_case "auditor-clean drc list (pooled)" `Quick
       test_auditor_clean_pooled;
+    Alcotest.test_case "pooled beats legacy under modeled contention (queue, list)"
+      `Quick test_pooled_beats_legacy;
   ]

@@ -62,14 +62,15 @@
 #      guarded set is a reused Int_set, and ar.ml's announced multiset
 #      is an open-addressed int table cleared in place. Comments and
 #      string literals are ignored.
-#   9. No environment reads under lib/: Sys.getenv and Sys.getenv_opt
-#      belong to the executables. The CLI turns its flags and REPRO_*
-#      variables into one Config.t (Config.resolve, which takes a
-#      getenv function), so a library default can never depend on the
-#      process environment behind a caller's back.
+#   9. One environment reader: Sys.getenv and Sys.getenv_opt may appear
+#      in no .ml under lib, bin, test or tools except bin/repro.ml, which
+#      hands Sys.getenv_opt to Config.resolve. The CLI turns its flags and
+#      REPRO_* variables into one Config.t there, so neither a library
+#      default nor a test or tool can depend on the process environment
+#      behind a caller's back.
 #  10. No dead exports: every val of a lib/**/*.mli must be used, outside
-#      comments and strings, in some .ml/.mli of lib, bin, bench,
-#      examples, perfbench, tools or test other than its own module's.
+#      comments and strings, in some .ml/.mli of lib, bin, examples,
+#      perfbench, tools or test other than its own module's.
 #      A use is qualified (Module.name, or Alias.name after module Alias
 #      = ...Module), or bare in a file that opens or includes the
 #      module; a bare name elsewhere (a label, a local, another module's
@@ -77,8 +78,7 @@
 #      functor's signature keep the bare-name match, since their callers
 #      reach them through modules that do not name the declaring one. A
 #      value only its own module uses stays off the interface; one
-#      nothing uses is deleted. A deliberate API export is marked on its
-#      val line with `(* lint: api *)`.
+#      nothing uses is deleted.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -209,7 +209,7 @@ atomic_allowed() {
   esac
 }
 
-for dir in lib bin test examples bench; do
+for dir in lib bin test examples; do
   [ -d "$root/$dir" ] || continue
   # shellcheck disable=SC2044
   for f in $(find "$root/$dir" -name '*.ml'); do
@@ -281,14 +281,19 @@ for name in $sweeps; do
   fi
 done
 
-# --- Rule 9: no environment reads under lib/ --------------------------------
-if [ -d "$root/lib" ]; then
-  hits=$(grep -rnE '(^|[^.A-Za-z0-9_])Sys\.getenv' "$root/lib" --include='*.ml' 2>/dev/null)
-  if [ -n "$hits" ]; then
-    fail "lint: Sys.getenv under lib/ (resolve the environment in the executable and pass a Config.t, or pass a getenv function):"
-    printf '%s\n' "$hits" >&2
-  fi
-fi
+# --- Rule 9: one environment reader ----------------------------------------
+for dir in lib bin test tools; do
+  [ -d "$root/$dir" ] || continue
+  # shellcheck disable=SC2044
+  for f in $(find "$root/$dir" -name '*.ml'); do
+    [ "$f" = "$root/bin/repro.ml" ] && continue
+    hits=$(grep -nE '(^|[^.A-Za-z0-9_])Sys\.getenv' "$f" 2>/dev/null)
+    if [ -n "$hits" ]; then
+      fail "lint: Sys.getenv outside bin/repro.ml in $f (resolve the environment through Config.resolve and pass a Config.t):"
+      printf '%s\n' "$hits" >&2
+    fi
+  done
+done
 
 # --- Rule 10: no dead exports ----------------------------------------------
 # One index over every .ml/.mli (comments and strings blanked), one line
@@ -304,7 +309,7 @@ fi
 # through modules that do not name X, so a bare use anywhere counts.
 if [ -d "$root/lib" ]; then
   idx=$(mktemp)
-  for dir in lib bin bench examples perfbench tools test; do
+  for dir in lib bin examples perfbench tools test; do
     [ -d "$root/$dir" ] || continue
     # shellcheck disable=SC2044
     for f in $(find "$root/$dir" -name '*.ml' -o -name '*.mli'); do
@@ -324,9 +329,8 @@ if [ -d "$root/lib" ]; then
   # One "VAL mli line name module bare" line per val.
   # shellcheck disable=SC2044
   vals=$(for f in $(find "$root/lib" -name '*.mli'); do
-      api=$(grep -n 'lint: api' "$f" | cut -d: -f1 | tr '\n' ' ')
       base=$(basename "$f" .mli)
-      strip_comments_strings "$f" | awk -v f="$f" -v api=" $api " \
+      strip_comments_strings "$f" | awk -v f="$f" \
         -v m="$(printf '%s' "$base" | cut -c1 | tr a-z A-Z)$(printf '%s' "$base" | cut -c2-)" '
         { line = $0; pre = ""
           while (match(line, /(^|[^A-Za-z0-9_'"'"'])(sig|end)([^A-Za-z0-9_'"'"']|$)/)) {
@@ -341,7 +345,7 @@ if [ -d "$root/lib" ]; then
               st[++n] = k
             } else if (n > 0) n--
           }
-          if ($0 ~ /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'"'"']*/ && index(api, " " NR " ") == 0) {
+          if ($0 ~ /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'"'"']*/) {
             name = $0; sub(/^[ \t]*val[ \t]+/, "", name); sub(/[^A-Za-z0-9_'"'"'].*$/, "", name)
             x = m; bare = 0
             for (i = 1; i <= n; i++) if (st[i] == "T") bare = 1; else x = st[i]
@@ -380,7 +384,7 @@ if [ -d "$root/lib" ]; then
         if (!live) print mli ":" $3 ": val " name }')
   rm -f "$idx" "$idx.src"
   if [ -n "$hits" ]; then
-    fail "lint: exported val named nowhere outside its own module (delete it, drop it from the .mli, or mark a deliberate API export with (* lint: api *)):"
+    fail "lint: exported val named nowhere outside its own module (delete it, or drop it from the .mli):"
     printf '%s\n' "$hits" >&2
   fi
 fi
@@ -592,22 +596,25 @@ RC
   echo 'let vm () = Sys.getenv_opt "REPRO_VM" <> Some "0"' >> "$tmp/lib/workload/fig6.ml"
   check_catches "Sys.getenv_opt in lib/workload/fig6.ml"
 
+  mkdir -p "$tmp/test"
+  echo 'let seed () = Sys.getenv_opt "SEED"' > "$tmp/test/bad.ml"
+  check_catches "Sys.getenv_opt in test/"
+
+  mkdir -p "$tmp/bin"
+  echo 'let c = Config.resolve ~getenv:Sys.getenv_opt ()' > "$tmp/bin/repro.ml"
+  check_passes "Sys.getenv_opt in bin/repro.ml"
+  rm -rf "$tmp/bin"
+
   # Rule 10: an export nothing outside its module names, planted in a
-  # copy of the whole tree; the api escape must clear it.
-  for dir in bin bench examples perfbench tools; do
+  # copy of the whole tree.
+  for dir in bin examples perfbench tools; do
     if [ -d "$root/$dir" ]; then cp -R "$root/$dir" "$tmp/$dir"; fi
   done
-  for escape in '' ' (* lint: api *)'; do
-    cp -R "$root/lib" "$root/test" "$tmp/"
-    echo 'let uncalled_export x = x + 1' >> "$tmp/lib/simcore/config.ml"
-    echo "val uncalled_export : int -> int$escape" >> "$tmp/lib/simcore/config.mli"
-    if [ -z "$escape" ]; then
-      check_catches "an uncalled export in lib/simcore/config.mli"
-    else
-      check_passes "an uncalled export marked lint: api"
-    fi
-  done
-  rm -rf "$tmp"/bin "$tmp"/bench "$tmp"/examples "$tmp"/perfbench "$tmp"/tools
+  cp -R "$root/lib" "$root/test" "$tmp/"
+  echo 'let uncalled_export x = x + 1' >> "$tmp/lib/simcore/config.ml"
+  echo "val uncalled_export : int -> int" >> "$tmp/lib/simcore/config.mli"
+  check_catches "an uncalled export in lib/simcore/config.mli"
+  rm -rf "$tmp"/bin "$tmp"/examples "$tmp"/perfbench "$tmp"/tools
 
   # Named only in a comment and a string is not named; a test caller is.
   mkdir -p "$tmp/lib/simcore"
