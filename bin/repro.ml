@@ -121,11 +121,12 @@ let race_arg =
 
 let no_vm_arg =
   let doc =
-    "Run workload inner loops through the closure interpreter instead of \
-     the compiled $(b,Simcore.Vm) instruction streams. Output is \
-     byte-identical either way (the closure path is the differential \
-     oracle); the flag exists for A/B timing and debugging. Also \
-     settable with $(b,REPRO_VM=0)."
+    "Run the Figure 6a-6d op bodies through the closure interpreter \
+     instead of their compiled $(b,Simcore.Vm) instruction streams. \
+     Only those bodies are compiled, so the flag changes nothing \
+     elsewhere. Output is byte-identical either way (the closure path \
+     is the differential oracle); the flag exists for A/B timing and \
+     debugging. Also settable with $(b,REPRO_VM=0)."
   in
   Arg.(value & flag & info [ "no-vm" ] ~doc)
 

@@ -75,18 +75,19 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
        queueing phase. *)
     Prof.with_phase Prof.Queueing (fun () -> Proc.pay request_overhead);
     ignore (Kv.exec kv ~pid op);
+    let finish = Proc.now () in
     (match profiler with
     | Some t ->
         let _, r1, c1 = Prof.group_snapshot t (Prof.pstate t ~pid) in
         let _, r0, c0 = snap0 in
         bd_requests := !bd_requests + 1;
         bd_queue_wait := !bd_queue_wait + (start - arr);
-        bd_service := !bd_service + (Proc.now () - start);
+        bd_service := !bd_service + (finish - start);
         bd_retry := !bd_retry + (r1 - r0);
         bd_reclaim := !bd_reclaim + (c1 - c0)
     | None -> ());
     span_end ();
-    let lat = Proc.now () - arr in
+    let lat = finish - arr in
     Tele.observe lat_h lat;
     Tele.add_gauge inflight (-1);
     Tele.incr done_c;
@@ -128,79 +129,14 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
         serve pid (Proc.now ()) r.Loadgen.op)
       shards.(pid)
   in
-  (* The compiled request loop: one {!Simcore.Vm} program per worker
-     whose host call performs a single [Queueing.poll] step, with the
-     loop control and the idle pay as flat instructions, run as a flat
-     coroutine (see [Sim.run]'s [coroutine]). Bit-identical to
-     [open_loop]: the poll/serve sequence is unchanged and [PAYR] of
-     a non-positive register is a no-op (the Serve/Done cases pay
-     nothing). *)
-  let open_loop_vm pid =
-    let inbox =
-      Queueing.create ~cap:p.queue_cap
-        ~arr:(fun r -> r.Loadgen.arr)
-        ~on_admit:(fun d ->
-          Tele.set_gauge depth_g d;
-          Tele.add_gauge inflight 1)
-        ~on_serve:(fun d -> Tele.set_gauge depth_g d)
-        ~on_shed:(fun _ -> Tele.incr shed_c)
-        shards.(pid)
-    in
-    let module Vm = Simcore.Vm in
-    let a = Vm.Asm.create () in
-    let r_done = Vm.Asm.reg a and r_pay = Vm.Asm.reg a in
-    let loop = Vm.Asm.label a and halt = Vm.Asm.label a in
-    (* Idle attribution across the VM boundary: the idle pay is the
-       PAYR instruction after this host call, so the Idle phase is
-       entered before returning to the stream and left on the next
-       poll. A pay-elision yield inside PAYR cannot re-run the host
-       call, so enter/exit stay balanced. *)
-    let idling = ref false in
-    Vm.Asm.place a loop;
-    Vm.Asm.host a (fun fr ->
-        if !idling then begin
-          Prof.exit ();
-          idling := false
-        end;
-        let now = Proc.now () in
-        match Queueing.poll inbox ~now with
-        | Queueing.Done -> fr.Vm.regs.(r_done) <- 1
-        | Queueing.Idle_until t ->
-            Prof.enter Prof.Idle;
-            idling := true;
-            fr.Vm.regs.(r_done) <- 0;
-            fr.Vm.regs.(r_pay) <- max 1 (t - now)
-        | Queueing.Serve r ->
-            serve pid r.Loadgen.arr r.Loadgen.op;
-            fr.Vm.regs.(r_done) <- 0;
-            fr.Vm.regs.(r_pay) <- 0);
-    Vm.Asm.bnei a r_done 0 halt;
-    Vm.Asm.payr a r_pay;
-    Vm.Asm.jmp a loop;
-    Vm.Asm.place a halt;
-    Vm.Asm.halt a;
-    let prog = Vm.Asm.assemble a in
-    let fr =
-      Vm.frame prog ~mem ~rng:(Proc.rng ())
-        ~cells:(Array.make prog.Vm.n_cells 0)
-    in
-    Vm.coroutine prog fr
+  let body =
+    match p.arrival with
+    | Loadgen.Closed { think } -> closed_loop ~think
+    | _ -> open_loop
   in
-  let closed = match p.arrival with Loadgen.Closed _ -> true | _ -> false in
   let res =
-    if (not closed) && config.Simcore.Config.vm then
-      Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
-        ~procs:p.workers
-        ~coroutine:(fun pid -> Some (open_loop_vm pid))
-        (fun _ -> assert false)
-    else
-      let body =
-        match p.arrival with
-        | Loadgen.Closed { think } -> closed_loop ~think
-        | _ -> open_loop
-      in
-      Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
-        ~procs:p.workers body
+    Sim.run ~policy:Sim.Fair ~seed ?fastpath ?tracer ?profiler ~config
+      ~procs:p.workers body
   in
   (match res.Sim.faults with
   | [] -> ()

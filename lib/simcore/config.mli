@@ -57,9 +57,11 @@ type t = {
   vm : bool;
       (** run workload inner loops as compiled {!Vm} instruction streams
           where a compiled form exists, instead of the closure
-          interpreter. Results are bit-identical either way (the
-          closure path is the oracle; see [test/test_invariance.ml]);
-          off exists for differential testing and as an escape hatch. *)
+          interpreter. Only the Figure 6a–6d op bodies have one, so
+          every other workload runs the same driver either way. Results
+          are bit-identical either way (the closure path is the oracle;
+          see [test/test_invariance.ml]); off exists for differential
+          testing and as an escape hatch. *)
   alloc : alloc_policy;
       (** which allocator backs the heap's alloc/free ([Memory])
           ({!Legacy} by default). Results are byte-identical either way;

@@ -2,20 +2,24 @@
    run the benchmarks' inner loops without re-entering the closure
    interpreter on every simulated instruction.
 
-   The workload drivers compile their hot loop (pick a location, run one
-   scheme operation, bump the op counter, maybe sample) into [code]
+   The Figure 6a–6d driver compiles its hot loop (pick a location, run
+   one scheme operation, bump the op counter, maybe sample) into [code]
    once per process, then [exec] dispatches it in a tight loop that
    touches only unboxed ints: registers, the shared {!Memcore} arrays,
    and a local tick accumulator. Everything that is rare or cold — an
    allocation, a reclamation scan, a sampling callback — stays an
    ordinary OCaml closure invoked by the [HOST] opcode, or — when it
-   never pays — by the cheaper [LEAF] opcode.
+   never pays — by the cheaper [LEAF] opcode. A [HOST] call runs in a
+   fresh fiber, whose stack the runtime allocates and frees per call,
+   so code with no compiled form (structure operations, the serving
+   loop) runs in the closure driver, on its process's one fiber, rather
+   than behind a [HOST] call per operation.
 
    Two invariants make the compiled path bit-identical to the closure
    path (which remains as the differential oracle, see
    test/test_invariance.ml):
 
-   - {b Pays are exact, only batched.} [PAYI]/[PAYR] and the memory
+   - {b Pays are exact, only batched.} [PAYI] and the memory
      opcodes charge the same tick sequence as {!Proc.pay}: a pay inside
      the granted run-ahead budget is elided (drawn from [env.budget]) and
      accumulated locally; any other pay, and every [HOST]/[HALT]/fault,
@@ -145,31 +149,29 @@ let op_fas = 21 (* rd ra rv *)
 
 let op_payi = 22 (* i *)
 
-let op_payr = 23 (* r *)
+let op_now = 23 (* rd *)
 
-let op_now = 24 (* rd *)
+let op_rngi = 24 (* rd i: Rng.int *)
 
-let op_rngi = 25 (* rd i: Rng.int *)
+let op_rngb = 25 (* rd #f: Rng.below, 0/1 *)
 
-let op_rngb = 26 (* rd #f: Rng.below, 0/1 *)
+let op_host = 26 (* #h *)
 
-let op_host = 27 (* #h *)
+let op_tab = 27 (* rd #t ri *)
 
-let op_tab = 28 (* rd #t ri *)
+let op_cellld = 28 (* rd #c *)
 
-let op_cellld = 29 (* rd #c *)
+let op_cellinc = 29 (* #c i *)
 
-let op_cellinc = 30 (* #c i *)
+let op_leaf = 30 (* #h *)
 
-let op_leaf = 31 (* #h *)
-
-let n_opcodes = 32
+let n_opcodes = 31
 
 (* Operand count per opcode (instruction size minus one). *)
 let arity =
   [|
     0; 1; 3; 3; 3; 3; 3; 3; 3; 2; 2; 3; 3; 3; 3; 3; 2; 2; 4; 3; 3; 3; 1; 1;
-    1; 2; 2; 1; 3; 2; 2; 1;
+    2; 2; 1; 3; 2; 2; 1;
   |]
 
 let () = assert (Array.length arity = n_opcodes)
@@ -203,7 +205,6 @@ type instr =
   | Faai of int * int * int
   | Fas of int * int * int
   | Payi of int
-  | Payr of int
   | Now of int
   | Rngi of int * int
   | Rngb of int * int
@@ -243,7 +244,6 @@ let encode instrs =
         | Faai (rd, ra, i) -> [ op_faai; rd; ra; i ]
         | Fas (rd, ra, rv) -> [ op_fas; rd; ra; rv ]
         | Payi i -> [ op_payi; i ]
-        | Payr r -> [ op_payr; r ]
         | Now rd -> [ op_now; rd ]
         | Rngi (rd, i) -> [ op_rngi; rd; i ]
         | Rngb (rd, f) -> [ op_rngb; rd; f ]
@@ -288,7 +288,6 @@ let decode code =
           else if op = op_faai then Faai (a 1, a 2, a 3)
           else if op = op_fas then Fas (a 1, a 2, a 3)
           else if op = op_payi then Payi (a 1)
-          else if op = op_payr then Payr (a 1)
           else if op = op_now then Now (a 1)
           else if op = op_rngi then Rngi (a 1, a 2)
           else if op = op_rngb then Rngb (a 1, a 2)
@@ -482,10 +481,6 @@ module Asm = struct
   let payi a i =
     push a op_payi;
     push a i
-
-  let payr a r =
-    push a op_payr;
-    push a r
 
   let now a rd =
     push a op_now;
@@ -852,21 +847,17 @@ let coroutine p fr =
             fr.pc <- base + 2;
             let n = Array.unsafe_get code (base + 1) in
             if n > 0 then pay e fr n 0 false
-        | 23 (* PAYR r *) ->
-            fr.pc <- base + 2;
-            let n = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
-            if n > 0 then pay e fr n 0 false
-        | 24 (* NOW rd *) ->
+        | 23 (* NOW rd *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (e.Proc.clock () + fr.acc);
             fr.pc <- base + 2
-        | 25 (* RNGI rd i *) ->
+        | 24 (* RNGI rd i *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Rng.int rng (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 26 (* RNGB rd #f *) ->
+        | 25 (* RNGB rd #f *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (if
@@ -876,12 +867,12 @@ let coroutine p fr =
                then 1
                else 0);
             fr.pc <- base + 3
-        | 27 (* HOST #h *) ->
+        | 26 (* HOST #h *) ->
             fr.pc <- base + 2;
             flush e fr;
             let h = Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)) in
             park (Effect.Deep.match_with h fr host_handler)
-        | 28 (* TAB rd #t ri *) ->
+        | 27 (* TAB rd #t ri *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get p.tables (Array.unsafe_get code (base + 2))).(Array.unsafe_get
@@ -891,17 +882,17 @@ let coroutine p fr =
                                                                                    (base
                                                                                   + 3)));
             fr.pc <- base + 4
-        | 29 (* CELLLD rd #c *) ->
+        | 28 (* CELLLD rd #c *) ->
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
               (Array.unsafe_get cells (Array.unsafe_get code (base + 2)));
             fr.pc <- base + 3
-        | 30 (* CELLINC #c i *) ->
+        | 29 (* CELLINC #c i *) ->
             let c = Array.unsafe_get code (base + 1) in
             Array.unsafe_set cells c
               (Array.unsafe_get cells c + Array.unsafe_get code (base + 2));
             fr.pc <- base + 3
-        | 31 (* LEAF #h *) ->
+        | 30 (* LEAF #h *) ->
             fr.pc <- base + 2;
             leaf e fr
               (Array.unsafe_get p.hosts (Array.unsafe_get code (base + 1)))

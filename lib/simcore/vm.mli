@@ -202,8 +202,6 @@ module Asm : sig
 
   val payi : t -> int -> unit
 
-  val payr : t -> int -> unit
-
   val now : t -> int -> unit
   (** [now a rd]: the process-visible clock, unflushed batched ticks
       included — equals what {!Proc.now} would return at a flush. *)
@@ -254,7 +252,6 @@ type instr =
   | Faai of int * int * int
   | Fas of int * int * int
   | Payi of int
-  | Payr of int
   | Now of int
   | Rngi of int * int
   | Rngb of int * int

@@ -77,11 +77,10 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race
      draws (location, store coin, payload) and tick sequence as [op]
      above, which stays as the closure form (and oracle of the
      invariance harness's vm-off modes).
-     Allocation stays a host call. Schemes without compiled ops instead
-     run [op] behind a host call in the compiled driver loop. Sanitized
-     and raced runs compile too: the memory opcodes call the same
-     observer as {!M}, and DRC's acquire emits its slot-protection
-     notes. *)
+     Allocation stays a host call. A scheme without compiled ops runs
+     [op] in the closure driver. Sanitized and raced runs compile too:
+     the memory opcodes call the same observer as {!M}, and DRC's
+     acquire emits its slot-protection notes. *)
   let vm_body =
     match R.vm_ops t with
     | Some vops ->
@@ -117,8 +116,9 @@ let loadstore_point ?policy ?fastpath ?tracer ?sanitize ?race
   in
   let pt =
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~vm:(mem, vm_body) ~config ~seed ~threads
-      ~horizon ~op
+      ~telemetry:(M.telemetry mem)
+      ?compiled:(Option.map (fun e -> (mem, e)) vm_body)
+      ~config ~seed ~threads ~horizon ~op
       ~sample:(fun () -> M.live_with_tag mem "obj")
       ()
   in
@@ -198,10 +198,9 @@ let stack_point ?tracer ?(config = Simcore.Config.default) ?(profile = false)
     else ignore (S.find h ~stack:s (Rng.int rng (init_size + (init_size / 4) + 1)))
   in
   let pt =
-    (* Structure ops are deep closures; the compiled driver still runs
-       the loop flat with [op] as a host call. *)
+    (* Structure ops are deep closures: the closure driver runs them. *)
     Measure.run_point ?tracer ?profiler ~telemetry:(M.telemetry mem)
-      ~vm:(mem, None) ~config ~seed ~threads ~horizon ~op
+      ~config ~seed ~threads ~horizon ~op
       ~sample:(fun () -> S.live_nodes t)
       ()
   in

@@ -167,11 +167,10 @@ let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
     else ignore (inst.i_contains pid k)
   in
   let pt =
-    (* Structure ops stay closures behind a host call; the driver loop
-       itself runs compiled (see Measure.run_point's [vm]). *)
+    (* Structure ops are deep closures: the closure driver runs them. *)
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~vm:(mem, None) ~config ~seed ~threads
-      ~horizon ~op ~sample:inst.i_extra ()
+      ~telemetry:(M.telemetry mem) ~config ~seed ~threads ~horizon ~op
+      ~sample:inst.i_extra ()
   in
   Fig6.assert_conservation scheme profiler;
   inst.i_flush ();

@@ -203,12 +203,12 @@ let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
   in
   let pt =
     (* Ambient adversary so DEBRA+'s neutralizations are counted on
-       [adv.signals]; structure ops stay closures behind a host call
-       while the driver loop runs compiled, exactly like Figure 7. *)
+       [adv.signals]; structure ops run in the closure driver, like
+       Figure 7. *)
     Adv.with_ambient adv @@ fun () ->
     Measure.run_point ?policy ?fastpath ?tracer ?profiler
-      ~telemetry:(M.telemetry mem) ~adversary:adv ~vm:(mem, None) ~config
-      ~seed ~threads ~horizon ~op ~sample ()
+      ~telemetry:(M.telemetry mem) ~adversary:adv ~config ~seed ~threads
+      ~horizon ~op ~sample ()
   in
   Fig6.assert_conservation scheme profiler;
   (* A faulted run can end with a victim parked inside its critical

@@ -35,9 +35,10 @@ val point :
     unreclaimed-memory series [(sample index, extra nodes)]. Exposed for
     the invariance harness, the divergence test and the
     race-freedom audit. [config] (default {!Simcore.Config.default})
-    picks the driver: [config.vm] selects the compiled driver loop,
-    and points are bit-identical either way, faulted or not, with the
-    fast path on or off ([test/test_invariance.ml] checks both).
+    is the cell's configuration; the cell always runs in the closure
+    driver (an adversary needs it), and points are bit-identical
+    whatever [config.vm] says, faulted or not, with the fast path on or
+    off ([test/test_invariance.ml] checks both).
     The cell always runs with the sanitizer's protocol auditor on, on
     top of [config.sanitize]: it is the adversary's pin oracle and is
     zero-perturbation. DEBRA+ cells register the

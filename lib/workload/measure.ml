@@ -36,29 +36,21 @@ let ops_cell = 0
 let sample_cell = 1
 
 let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
-    ?telemetry ?adversary ?vm ~config ~threads ~horizon ~op ?sample () =
+    ?telemetry ?adversary ?compiled ~config ~threads ~horizon ~op ?sample () =
+  if Option.is_some compiled && Option.is_some adversary then
+    invalid_arg "Measure.run_point: an adversary needs the closure driver";
   let ops = Array.make threads 0 in
-  (* A faulted run ({!Simcore.Adversary}) can end with processes parked
-     mid-benchmark; the compiled driver's per-process epilogue (counter
-     flush, op-count readback) then never runs inside the simulation, so
-     it is also kept here and replayed after the run for everyone — both
-     actions are idempotent — keeping faulted results identical between
-     the compiled and closure drivers. *)
-  let epilogues = Array.make threads (fun () -> ()) in
   let samples_sum = ref 0.0 and samples_n = ref 0 in
   let sample_every = max 1 (horizon / 64) in
   let res =
-    match vm with
+    match compiled with
     | Some (mem, emit) when config.Simcore.Config.vm ->
         (* Compiled driver: the whole benchmark loop — horizon check, op
            body, op counting, sampling pacing — is assembled into a
            {!Simcore.Vm} program per process and run as a flat coroutine
            (see [Sim.run]'s [coroutine]): scheduling points return to
-           the scheduler by plain call, with no fiber in between. The op
-           body is the caller's compiled form when it has one, else the
-           closure [op] behind a host call (the loop around it still
-           avoids re-entering the interpreter). Bit-identical to the
-           closure driver below either way. *)
+           the scheduler by plain call, with no fiber in between.
+           Bit-identical to the closure driver below. *)
         let coroutine pid =
           let a = Vm.Asm.create ~cells:2 () in
           let r_now = Vm.Asm.reg a in
@@ -66,9 +58,7 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
           Vm.Asm.place a loop;
           Vm.Asm.now a r_now;
           Vm.Asm.bgei a r_now horizon halt;
-          (match emit with
-          | Some e -> e a ~pid
-          | None -> Vm.Asm.host a (fun fr -> op pid fr.Vm.rng));
+          emit a ~pid;
           Vm.Asm.cellinc a ops_cell 1;
           (match sample with
           | Some f when pid = 0 ->
@@ -86,18 +76,19 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
           Vm.Asm.jmp a loop;
           Vm.Asm.place a halt;
           (* The process's epilogue, in its final resume. *)
-          Vm.Asm.host_leaf a (fun _ -> epilogues.(pid) ());
+          let epilogue = ref ignore in
+          Vm.Asm.host_leaf a (fun _ -> !epilogue ());
           Vm.Asm.halt a;
           let prog = Vm.Asm.assemble a in
           let cells = Array.make prog.Vm.n_cells 0 in
           let fr = Vm.frame prog ~mem ~rng:(Proc.rng ()) ~cells in
-          epilogues.(pid) <-
+          epilogue :=
             (fun () ->
               Vm.flush_counters prog fr;
               ops.(pid) <- cells.(ops_cell));
           Some (Vm.coroutine prog fr)
         in
-        Sim.run ~policy ~seed ?fastpath ?tracer ?profiler ?adversary ~config
+        Sim.run ~policy ~seed ?fastpath ?tracer ?profiler ~config
           ~procs:threads ~coroutine (fun _ -> assert false)
     | Some _ | None ->
         let body pid =
@@ -117,7 +108,6 @@ let run_point ?(policy = Sim.Fair) ?(seed = 42) ?fastpath ?tracer ?profiler
         Sim.run ~policy ~seed ?fastpath ?tracer ?profiler ?adversary ~config
           ~procs:threads body
   in
-  Array.iter (fun f -> f ()) epilogues;
   (match res.Sim.faults with
   | [] -> ()
   | { pid; exn } :: _ ->

@@ -43,8 +43,7 @@ val run_point :
   ?profiler:Simcore.Profiler.t ->
   ?telemetry:Simcore.Telemetry.t ->
   ?adversary:Simcore.Adversary.t ->
-  ?vm:
-    Simcore.Memory.t * (Simcore.Vm.Asm.t -> pid:int -> unit) option ->
+  ?compiled:Simcore.Memory.t * (Simcore.Vm.Asm.t -> pid:int -> unit) ->
   config:Simcore.Config.t ->
   threads:int ->
   horizon:int ->
@@ -59,20 +58,20 @@ val run_point :
     {!Simcore.Sim.run}; points are bit-identical either way.
 
     [adversary] is passed to {!Simcore.Sim.run} to fault the point
-    ({e Figure R}). A faulted run may end with processes parked
-    mid-benchmark; their partial op counts and batched counters are
-    folded in after the run, so faulted points too are bit-identical
-    across the compiled/closure drivers and [fastpath] modes. [op] is
-    responsible for catching {!Simcore.Proc.Interrupted} if the point
-    pairs the adversary with a neutralizing scheme.
+    ({e Figure R}); such a point runs in the closure driver, and
+    passing it together with [compiled] raises [Invalid_argument]. A
+    faulted run may end with processes parked mid-benchmark; the
+    operations they completed still count. [op] is responsible for catching
+    {!Simcore.Proc.Interrupted} if the point pairs the adversary with a
+    neutralizing scheme.
 
-    [vm] opts the point into the compiled driver when [config.vm] is on:
-    the per-process benchmark loop is assembled into a {!Simcore.Vm}
-    program over the given heap and dispatched flat, with the second
-    component (when present) emitting the compiled op body in place of a
-    host call to [op]. Results are bit-identical across all four
-    combinations of [config.vm] and the emitter's presence — the closure
-    path is the oracle ([test/test_invariance.ml] checks this).
+    [compiled] is the op body's compiled form, over the given heap: when
+    [config.vm] is on, the per-process benchmark loop is assembled
+    around it into a {!Simcore.Vm} program and dispatched flat. Only
+    Figure 6a–6d bodies have one; every other point, and every point
+    under [config.vm = false], runs [op] in the closure driver. Results
+    are bit-identical either way — the closure path is the oracle
+    ([test/test_invariance.ml] checks this).
     [telemetry] (normally the heap's registry, {!Simcore.Memory.telemetry})
     is snapshotted into [counters] after the run.
 

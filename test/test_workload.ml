@@ -32,6 +32,20 @@ let test_run_point_reports_faults () =
        false
      with Failure _ -> true)
 
+(* An adversary can park a process mid-benchmark, which only the closure
+   driver's loop accounts for: a compiled body beside one is refused. *)
+let test_run_point_rejects_compiled_adversary () =
+  let mem = Memory.create Config.small in
+  let adv = Adversary.create ~procs:1 { Adversary.stalls = []; delays = [] } in
+  Alcotest.check_raises "adversary with a compiled body"
+    (Invalid_argument
+       "Measure.run_point: an adversary needs the closure driver")
+    (fun () ->
+      ignore
+        (Workload.Measure.run_point ~config:Config.small ~adversary:adv
+           ~compiled:(mem, fun a ~pid:_ -> Vm.Asm.payi a 1)
+           ~threads:1 ~horizon:1_000 ~op:(fun _ _ -> Proc.pay 1) ()))
+
 let test_registry_complete () =
   let ids = List.map (fun e -> e.Workload.Registry.id) Workload.Registry.all in
   List.iter
@@ -94,6 +108,8 @@ let suite =
   [
     Alcotest.test_case "run_point" `Quick test_run_point;
     Alcotest.test_case "run_point faults" `Quick test_run_point_reports_faults;
+    Alcotest.test_case "run_point adversary needs closures" `Quick
+      test_run_point_rejects_compiled_adversary;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
     Alcotest.test_case "point determinism" `Quick test_point_determinism;

@@ -79,6 +79,12 @@
 #      reach them through modules that do not name the declaring one. A
 #      value only its own module uses stays off the interface; one
 #      nothing uses is deleted.
+#  11. One compiled driver: under lib/, only lib/workload/measure.ml may
+#      pass a coroutine to Sim.run (lib/simcore/sim.ml declares the
+#      parameter). Code without a compiled body runs in the closure
+#      driver, which keeps one fiber per process for its whole life;
+#      wrapping it in a Vm program instead costs a fresh fiber per HOST
+#      call. test/ and perfbench/ are outside the rule.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -389,6 +395,21 @@ if [ -d "$root/lib" ]; then
   fi
 fi
 
+# --- Rule 11: one compiled driver ------------------------------------------
+if [ -d "$root/lib" ]; then
+  # shellcheck disable=SC2044
+  for f in $(find "$root/lib" -name '*.ml'); do
+    case $f in
+      "$root"/lib/workload/measure.ml|"$root"/lib/simcore/sim.ml) continue ;;
+    esac
+    hits=$(strip_comments_strings "$f" | grep -nE "[~?]coroutine([^A-Za-z0-9_']|\$)")
+    if [ -n "$hits" ]; then
+      fail "lint: a coroutine passed to Sim.run outside lib/workload/measure.ml in $f (run closure code in the closure driver; compiled op bodies go through Measure.run_point's ~compiled):"
+      printf '%s\n' "$hits" >&2
+    fi
+  done
+fi
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -657,6 +678,21 @@ RC
   echo 'module type S = sig val planted : int end' > "$tmp/lib/simcore/planted.ml"
   echo 'let planted = 1' > "$tmp/lib/simcore/other.ml"
   check_passes "a module type val implemented elsewhere"
+
+  # Rule 11: a compiled request loop outside the measurement driver.
+  mkdir -p "$tmp/lib/service"
+  echo 'let r body = Sim.run ~procs:1 ~coroutine:(fun _ -> None) body' > "$tmp/lib/service/bench.ml"
+  check_catches "~coroutine in lib/service/bench.ml"
+
+  mkdir -p "$tmp/lib/workload" "$tmp/lib/simcore" "$tmp/lib/service"
+  if [ -f "$root/lib/workload/measure.ml" ]; then
+    cp "$root/lib/workload/measure.ml" "$tmp/lib/workload/measure.ml"
+  fi
+  if [ -f "$root/lib/simcore/sim.ml" ]; then
+    cp "$root/lib/simcore/sim.ml" "$tmp/lib/simcore/sim.ml"
+  fi
+  echo '(* no ~coroutine here *) let s = "~coroutine" and coroutine = 1' > "$tmp/lib/service/ok.ml"
+  check_passes "measure.ml's compiled driver"
 
   echo "lint --self-test: ok"
   exit 0
