@@ -61,8 +61,12 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
      unprofiled runs stay bit-identical. *)
   let bd_requests = ref 0 and bd_queue_wait = ref 0 and bd_service = ref 0 in
   let bd_retry = ref 0 and bd_reclaim = ref 0 in
-  let serve pid arr op =
-    let start = Proc.now () in
+  (* A worker fetches its env once when it starts ([worker_env]): its
+     process never changes, so the request loop reads the clock and
+     pays through it with no domain-local lookup. *)
+  let serve e arr op =
+    let pid = e.Proc.pid in
+    let start = e.Proc.clock () in
     Tele.observe qd_h (start - arr);
     span_begin ();
     let snap0 =
@@ -73,9 +77,11 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
     (* The fixed handling cost (parse + dispatch + reply) is
        serving-stack overhead, not backend work: charge it to the
        queueing phase. *)
-    Prof.with_phase Prof.Queueing (fun () -> Proc.pay request_overhead);
+    Prof.enter_env e Prof.Queueing;
+    Proc.pay_env e request_overhead;
+    Prof.exit_env e;
     ignore (Kv.exec kv ~pid op);
-    let finish = Proc.now () in
+    let finish = e.Proc.clock () in
     (match profiler with
     | Some t ->
         let _, r1, c1 = Prof.group_snapshot t (Prof.pstate t ~pid) in
@@ -93,7 +99,13 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
     Tele.incr done_c;
     if lat <= p.slo then Tele.incr ok_c
   in
+  let worker_env () =
+    match Proc.get_env () with
+    | Some e -> e
+    | None -> invalid_arg "Bench.run: worker outside a simulation"
+  in
   let open_loop pid =
+    let e = worker_env () in
     let inbox =
       Queueing.create ~cap:p.queue_cap
         ~arr:(fun r -> r.Loadgen.arr)
@@ -105,28 +117,34 @@ let run ?fastpath ?tracer ?(config = Simcore.Config.default) ?profiler
         shards.(pid)
     in
     let rec loop () =
-      let now = Proc.now () in
+      let now = e.Proc.clock () in
       match Queueing.poll inbox ~now with
       | Queueing.Done -> ()
       | Queueing.Idle_until t ->
           (* Waiting for the next arrival is idle time, not service. *)
-          Prof.with_phase Prof.Idle (fun () -> Proc.pay (max 1 (t - now)));
+          Prof.enter_env e Prof.Idle;
+          Proc.pay_env e (Int.max 1 (t - now));
+          Prof.exit_env e;
           loop ()
       | Queueing.Serve r ->
-          serve pid r.Loadgen.arr r.Loadgen.op;
+          serve e r.Loadgen.arr r.Loadgen.op;
           loop ()
     in
     loop ()
   in
   let closed_loop ~think pid =
+    let e = worker_env () in
     Array.iter
       (fun r ->
-        if think > 0 then
-          Prof.with_phase Prof.Idle (fun () -> Proc.pay think);
+        if think > 0 then begin
+          Prof.enter_env e Prof.Idle;
+          Proc.pay_env e think;
+          Prof.exit_env e
+        end;
         Tele.add_gauge inflight 1;
         (* Latency counts from issue: a closed-loop client experiences
            no queueing, so arrival = serve start. *)
-        serve pid (Proc.now ()) r.Loadgen.op)
+        serve e (e.Proc.clock ()) r.Loadgen.op)
       shards.(pid)
   in
   let body =

@@ -6,7 +6,12 @@
 let uniform rng ~n = Rng.int rng n
 
 module Zipf = struct
-  type z = { cdf : float array }
+  (* [guide.(j)] is the first index whose CDF value is >= j/n (n - 1
+     when none is), so a draw of [u] starts next to its answer: the
+     CDF entries in [j/n, (j+1)/n) are the only ones to step over, n
+     in all over the n slots, and a draw costs O(1) expected steps
+     instead of a binary search's log n unpredictable branches. *)
+  type z = { cdf : float array; guide : int array }
 
   let create ~n ~theta =
     assert (n > 0 && theta >= 0.0 && theta < 1.0);
@@ -18,17 +23,36 @@ module Zipf = struct
     done;
     let total = !acc in
     Array.iteri (fun i v -> cdf.(i) <- v /. total) cdf;
-    { cdf }
-
-  let draw z rng =
-    let u = Rng.float rng in
-    (* First index with cdf >= u. *)
-    let lo = ref 0 and hi = ref (Array.length z.cdf - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if z.cdf.(mid) >= u then hi := mid else lo := mid + 1
+    let guide = Array.make n 0 in
+    let i = ref 0 in
+    for j = 0 to n - 1 do
+      let lo = float_of_int j /. float_of_int n in
+      while !i < n - 1 && cdf.(!i) < lo do
+        incr i
+      done;
+      guide.(j) <- !i
     done;
-    !lo
+    { cdf; guide }
+
+  let cdf z = Array.copy z.cdf
+
+  (* The first index with cdf >= u, clamped to n - 1: exactly the
+     binary search's answer. The guide entry is a hint only (u and j/n
+     round independently), so the walk goes back while the previous
+     entry still covers u and forward while this one does not. *)
+  let index z u =
+    let cdf = z.cdf in
+    let n = Array.length cdf in
+    let i = ref z.guide.(Int.min (n - 1) (int_of_float (u *. float_of_int n))) in
+    while !i > 0 && cdf.(!i - 1) >= u do
+      decr i
+    done;
+    while !i < n - 1 && cdf.(!i) < u do
+      incr i
+    done;
+    !i
+
+  let draw z rng = index z (Rng.float rng)
 end
 
 module Poisson = struct

@@ -20,7 +20,16 @@ module Zipf : sig
       uniform; 0.99 = the YCSB default). Preprocessing is O(n). *)
 
   val draw : z -> Rng.t -> int
-  (** O(log n) by binary search on the CDF. *)
+  (** [index z (Rng.float rng)]. *)
+
+  val index : z -> float -> int
+  (** [index z u] for [u] in [\[0, 1)]: the first index whose CDF value
+      is [>= u], or [n - 1] when none is — the binary search's answer
+      on {!cdf}, found in O(1) expected steps from a guide table built
+      by [create]. *)
+
+  val cdf : z -> float array
+  (** A copy of the CDF, nondecreasing, ending at [1.0]. *)
 end
 
 (** Poisson arrival process, as inter-arrival gaps. *)

@@ -171,3 +171,5 @@ let map_grid t ?label ~rows ~cols f =
   regroup rows flat
 
 let sequential = create ~jobs:1
+
+let domain_id () = (Domain.self () :> int)

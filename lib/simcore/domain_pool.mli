@@ -68,3 +68,7 @@ val sequential : t
 (** A shared [jobs = 1] pool (no domains, nothing to shut down) — the
     default for every harness entry point, preserving sequential
     behaviour exactly when no [--jobs] is given. *)
+
+val domain_id : unit -> int
+(** The calling domain's id ([Domain.self]), for messages that name a
+    domain. A C call: not for per-access paths. *)

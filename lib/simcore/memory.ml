@@ -37,6 +37,12 @@ type usage = {
   live_words : int;
 }
 
+type tag_stats = {
+  mutable tag_live : int;
+  c_tag_alloc : Telemetry.counter;  (* mem.alloc[tag] *)
+  c_tag_free : Telemetry.counter;  (* mem.free[tag] *)
+}
+
 (* The words, block metadata and coherence state live in the flat
    {!Memcore} record (parallel int arrays) shared with the bytecode
    {!Vm}; this record layers allocation bookkeeping, freelists,
@@ -50,7 +56,14 @@ type t = {
      block metadata ([b_next]), so alloc and free never allocate or
      hash on the common path under either policy. *)
   al : Alloc.t;
-  tag_live : (string, int ref) Hashtbl.t;
+  (* The creating domain's env cell ({!Proc.here}): every access, alloc
+     and free reads the running process's env from it with one field
+     load. A heap is driven only on the domain that created it; [alloc]
+     checks that. *)
+  here : Proc.here;
+  (* Per-tag live count and telemetry counters, one lookup per alloc
+     and free. *)
+  tags : (string, tag_stats) Hashtbl.t;
   mutable allocated : int;
   mutable freed : int;
   mutable live : int;
@@ -64,7 +77,6 @@ type t = {
   c_alloc_fresh : Telemetry.counter;
   c_alloc_reuse : Telemetry.counter;
   c_free : Telemetry.counter;
-  tag_probes : (string, Telemetry.counter * Telemetry.counter) Hashtbl.t;
   (* Sanitizer: always present, owning its per-block state; called
      only when [san_on]. *)
   san : Sanitizer.t;
@@ -96,7 +108,8 @@ let create config =
     al =
       Alloc.create ~policy:config.Config.alloc
         ~contended:config.Config.alloc_contention h tele;
-    tag_live = Hashtbl.create 16;
+    here = Proc.here ();
+    tags = Hashtbl.create 16;
     allocated = 0;
     freed = 0;
     live = 0;
@@ -108,7 +121,6 @@ let create config =
     c_alloc_fresh = Telemetry.counter tele "mem.alloc.fresh";
     c_alloc_reuse = Telemetry.counter tele "mem.alloc.reuse";
     c_free = Telemetry.counter tele "mem.free";
-    tag_probes = Hashtbl.create 16;
     san;
     san_on;
     race;
@@ -126,24 +138,26 @@ let recorder t = t.recorder
 
 let hot t = t.h
 
-let tag_probe t tag =
-  match Hashtbl.find_opt t.tag_probes tag with
-  | Some p -> p
-  | None ->
-      let p =
-        ( Telemetry.counter t.tele ("mem.alloc[" ^ tag ^ "]"),
-          Telemetry.counter t.tele ("mem.free[" ^ tag ^ "]") )
+let tag_stats t tag =
+  match Hashtbl.find t.tags tag with
+  | s -> s
+  | exception Not_found ->
+      let s =
+        {
+          tag_live = 0;
+          c_tag_alloc = Telemetry.counter t.tele ("mem.alloc[" ^ tag ^ "]");
+          c_tag_free = Telemetry.counter t.tele ("mem.free[" ^ tag ^ "]");
+        }
       in
-      Hashtbl.add t.tag_probes tag p;
-      p
+      Hashtbl.add t.tags tag s;
+      s
 
-let tag_cell t tag =
-  match Hashtbl.find_opt t.tag_live tag with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.tag_live tag r;
-      r
+(* A heap's accesses read its creating domain's env cell, so driving it
+   from another domain would read the wrong process (or none). *)
+let[@inline never] wrong_domain t what =
+  invalid_arg
+    (Printf.sprintf "Memory.%s: heap created on domain %d, driven from domain %d"
+       what t.here.Proc.domain (Proc.here ()).Proc.domain)
 
 (* File a report to the flight recorder: note it under [label] at
    [addr] and, when auto-dump is on, print the merged timeline. *)
@@ -183,20 +197,23 @@ let validate_addr t a = ignore (validate t a)
 
 (* {1 Instrument glue}
 
-   A real (tick-charged) access fetches the ambient environment once,
-   pays, validates, and only then — when an instrument is armed
-   ([Memcore.san_on] covers both) — reads pid and virtual time from
-   that same environment and hands them to the sanitizer and the race
-   checker. The pay may suspend and resume this process, but it
-   resumes under the same environment, so [e.pid] and [e.gclock ()]
-   equal what [Proc.self]/[Proc.global_now] would return here. The
-   {!Vm}'s memory opcodes call {!instrument} at the same point, after
-   flushing their elided pays, so the virtual time the instruments read
-   does not depend on the engine. The access kind travels as a value
-   and both instruments are direct calls; the race checker gets the
-   run's envs array, so it need not read domain-local state. *)
+   A real (tick-charged) access reads the running process's env from
+   the heap's held cell ([t.here], one field load), pays, validates,
+   and only then — when an instrument is armed ([Memcore.san_on]
+   covers both) — reads pid and virtual time from that same env and
+   hands them to the sanitizer and the race checker. The pay may
+   suspend and resume this process, but it resumes under the same env,
+   so [e.pid] and [e.gclock ()] equal what [Proc.self]/[Proc.global_now]
+   would return here. The {!Vm}'s memory opcodes call {!instrument} at
+   the same point, after flushing their elided pays, so the virtual
+   time the instruments read does not depend on the engine. The access
+   kind travels as a value and both instruments are direct calls; the
+   race checker gets the run's envs array, so it need not read
+   domain-local state. *)
 
 let env_pid = function Some e -> e.Proc.pid | None -> -1
+
+let env_time = function Some e -> e.Proc.gclock () | None -> 0
 
 (* The sanitizer's audit of a validated access to [a]. *)
 let[@inline] san_access t ~write ~pid ~time a =
@@ -254,7 +271,9 @@ let round_up_align a =
 let alloc t ~tag ~size =
   assert (size > 0);
   let h = t.h in
-  let pid = Proc.self () in
+  if t.here != Proc.here () then wrong_domain t "alloc";
+  let env = t.here.Proc.env in
+  let pid = env_pid env in
   (* Plan first (a pure peek of the path the acquisition will take,
      plus the modeled metadata-contention ticks, if any), then pay,
      then acquire. Only pays consume virtual time, so bracketing
@@ -267,16 +286,20 @@ let alloc t ~tag ~size =
     if t.config.Config.reuse then Alloc.plan_acquire t.al ~pid ~size
     else { Alloc.source = Alloc.Fresh; cost = 0 }
   in
-  Profiler.enter Profiler.Alloc;
-  (match plan.Alloc.source with
-  | Alloc.Local -> Profiler.enter Profiler.Alloc_local
-  | Alloc.Steal -> Profiler.enter Profiler.Alloc_steal
-  | Alloc.Fresh -> ());
-  Proc.pay (h.Memcore.c_alloc + plan.Alloc.cost);
-  (match plan.Alloc.source with
-  | Alloc.Local | Alloc.Steal -> Profiler.exit ()
-  | Alloc.Fresh -> ());
-  Profiler.exit ();
+  (match env with
+  | Some e ->
+      Profiler.enter_env e Profiler.Alloc;
+      (match plan.Alloc.source with
+      | Alloc.Local -> Profiler.enter_env e Profiler.Alloc_local
+      | Alloc.Steal -> Profiler.enter_env e Profiler.Alloc_steal
+      | Alloc.Fresh -> ());
+      let n = h.Memcore.c_alloc + plan.Alloc.cost in
+      if n > 0 then Proc.pay_env e n;
+      (match plan.Alloc.source with
+      | Alloc.Local | Alloc.Steal -> Profiler.exit_env e
+      | Alloc.Fresh -> ());
+      Profiler.exit_env e
+  | None -> ());
   let bid = if t.config.Config.reuse then Alloc.acquire t.al ~pid ~size else 0 in
   let id, base =
     match bid with
@@ -304,7 +327,7 @@ let alloc t ~tag ~size =
         (id, base)
   in
   if h.Memcore.san_on then begin
-    let time = Proc.global_now () in
+    let time = env_time env in
     if t.san_on then Sanitizer.on_alloc t.san ~bid:id ~pid ~time;
     if t.race_on then
       Racecheck.on_alloc t.race ~bid:id ~base ~size:h.Memcore.b_size.(id) ~pid
@@ -314,9 +337,10 @@ let alloc t ~tag ~size =
   t.live <- t.live + 1;
   t.live_words <- t.live_words + size;
   if t.live > t.peak_live then t.peak_live <- t.live;
-  incr (tag_cell t tag);
+  let ts = tag_stats t tag in
+  ts.tag_live <- ts.tag_live + 1;
   Telemetry.incr (if bid <> 0 then t.c_alloc_reuse else t.c_alloc_fresh);
-  Telemetry.incr (fst (tag_probe t tag));
+  Telemetry.incr ts.c_tag_alloc;
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
   Recorder.count t.recorder tag base;
@@ -324,7 +348,8 @@ let alloc t ~tag ~size =
 
 let free t a =
   let h = t.h in
-  let pid = Proc.self () in
+  let env = t.here.Proc.env in
+  let pid = env_pid env in
   (* Peek the size for the release plan without validating: a bogus
      address gets cost 0 here and faults below, after the [c_free]
      charge — exactly the legacy validation order. *)
@@ -337,9 +362,13 @@ let free t a =
       else 0
     end
   in
-  Profiler.enter Profiler.Free;
-  Proc.pay (h.Memcore.c_free + release_cost);
-  Profiler.exit ();
+  (match env with
+  | Some e ->
+      Profiler.enter_env e Profiler.Free;
+      let n = h.Memcore.c_free + release_cost in
+      if n > 0 then Proc.pay_env e n;
+      Profiler.exit_env e
+  | None -> ());
   Recorder.count t.recorder "free" a;
   let bid = Memcore.block_of h a in
   if bid = 0 then mem_fault t Not_a_block ~addr:a ();
@@ -348,7 +377,7 @@ let free t a =
   if h.Memcore.b_live.(bid) = 0 then mem_fault t Double_free ~addr:a ~tag ();
   let freed =
     if t.san_on then
-      Sanitizer.on_free t.san ~bid ~pid ~time:(Proc.global_now ())
+      Sanitizer.on_free t.san ~bid ~pid ~time:(env_time env)
     else Sanitizer.Take_back
   in
   (match freed with
@@ -361,9 +390,10 @@ let free t a =
   t.freed <- t.freed + 1;
   t.live <- t.live - 1;
   t.live_words <- t.live_words - h.Memcore.b_size.(bid);
-  decr (tag_cell t tag);
+  let ts = tag_stats t tag in
+  ts.tag_live <- ts.tag_live - 1;
   Telemetry.incr t.c_free;
-  Telemetry.incr (snd (tag_probe t tag));
+  Telemetry.incr ts.c_tag_free;
   Telemetry.set_gauge t.g_live t.live;
   Telemetry.set_gauge t.g_live_words t.live_words;
   let back =
@@ -380,9 +410,10 @@ let free t a =
 
 (* {1 Atomic word operations}
 
-   Every access fetches the ambient environment once and pays inline
-   ({!Proc.pay_env}); outside a simulation the coherence transition
-   still happens (with pid [-1]) and the pay is skipped. Profiling
+   Every access reads the env from the heap's held cell (no
+   domain-local lookup) and pays inline ({!Proc.pay_env}); outside a
+   simulation the coherence transition still happens (with pid [-1])
+   and the pay is skipped. Profiling
    splits each cost into the scheme-independent floor (an L1 read, an
    owned-line RMW) charged to the surrounding phase and the coherence
    penalty above it, which {!Profiler.demote} moves to the phase's
@@ -392,8 +423,9 @@ let free t a =
 
 (* Charge one access to [a] and return the environment for the
    instruments. *)
-let[@inline] pay_access h ~write a =
-  let env = Proc.get_env () in
+let[@inline] pay_access t ~write a =
+  let h = t.h in
+  let env = t.here.Proc.env in
   let pid = env_pid env in
   let c =
     if write then Memcore.cost_write h ~pid ~addr:a
@@ -412,7 +444,7 @@ let[@inline] pay_access h ~write a =
    the orchestrator, pid [-1] at time 0). *)
 let[@inline] access t ~write kind a =
   let h = t.h in
-  let env = pay_access h ~write a in
+  let env = pay_access t ~write a in
   validate_addr t a;
   if h.Memcore.san_on then
     match env with
@@ -503,7 +535,7 @@ let rec span t e f a stop acc k =
   end
 
 let read_span t base n f =
-  match Proc.get_env () with
+  match t.here.Proc.env with
   | Some e -> span t e f base (base + n) 0 0
   | None ->
       for a = base to base + n - 1 do
@@ -570,7 +602,7 @@ let usage t =
   }
 
 let live_with_tag t tag =
-  match Hashtbl.find_opt t.tag_live tag with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.tags tag with Some s -> s.tag_live | None -> 0
 
 let iter_live t f =
   let h = t.h in
@@ -590,11 +622,12 @@ let retire_note t a =
   Recorder.count t.recorder "retire" a;
   let bid = Memcore.block_of t.h a in
   if bid <> 0 then begin
-    let pid = Proc.self () in
+    let env = t.here.Proc.env in
+    let pid = env_pid env in
     if t.race_on then Racecheck.on_retire t.race ~bid ~pid;
     if
       t.san_on
-      && Sanitizer.on_retire t.san ~bid ~pid ~time:(Proc.global_now ())
+      && Sanitizer.on_retire t.san ~bid ~pid ~time:(env_time env)
     then
       mem_fault t Double_free ~addr:a ~tag:t.h.Memcore.b_tag.(bid)
         ~extra:[ "second retire of the same block (double retire)" ] ()

@@ -53,6 +53,10 @@ val fault_to_string : exn -> string
     exceptions. *)
 
 val create : Config.t -> t
+(** A fresh heap, bound to the calling domain: it keeps that domain's
+    env cell ({!Proc.here}) and reads the running process from it on
+    every access, so it must be driven on that domain only (a
+    {!Domain_pool} job creates its own heaps). *)
 
 (** {1 Allocation} *)
 
@@ -61,7 +65,9 @@ val alloc : t -> tag:string -> size:int -> int
     [size] words, aligned to {!Memcore.alloc_align} (a cache-line
     pair). [tag] is a diagnostic label (per-tag live counts are kept).
     Charges [c_alloc], plus the modeled allocator-metadata contention
-    when [Config.alloc_contention] is on. *)
+    when [Config.alloc_contention] is on.
+    @raise Invalid_argument, naming both domains, when called from a
+    domain other than the heap's. *)
 
 val free : t -> int -> unit
 (** Release a block by its base address. Charges [c_free] (plus

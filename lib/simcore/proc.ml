@@ -47,14 +47,25 @@ exception Interrupted
 
 (* The ambient environment is domain-local: each worker domain of a
    parallel sweep (see {!Domain_pool}) hosts its own simulation, and a
-   shared ref would make them clobber each other's scheduler state. DLS
-   gives every domain an independent slot at a cost of a couple of loads
-   per access. *)
-let current : env option Domain.DLS.key = Domain.DLS.new_key (fun () -> None) (* lint: allow-atomic *)
+   shared ref would make them clobber each other's scheduler state. The
+   DLS slot holds one mutable cell per domain, created on the domain's
+   first lookup; {!Sim.run} writes the running process's env into it.
+   A simulation never leaves the domain that runs it, so the code that
+   creates a heap, a registry or a run looks the cell up once and keeps
+   it, and each access then reads the env with one field load. The
+   functions below serve callers that hold no cell, at the cost of a
+   DLS lookup per call. *)
+type here = { mutable env : env option; domain : int }
 
-let set_env e = Domain.DLS.set current e (* lint: allow-atomic *)
+let new_here () = { env = None; domain = Domain_pool.domain_id () }
 
-let get_env () = Domain.DLS.get current (* lint: allow-atomic *)
+let slot : here Domain.DLS.key = Domain.DLS.new_key new_here (* lint: allow-atomic *)
+
+let here () = Domain.DLS.get slot (* lint: allow-atomic *)
+
+let set_env e = (here ()).env <- e
+
+let get_env () = (here ()).env
 
 (* The scheduler grants [budget] ticks that this process may consume
    before any scheduling decision could differ; while the budget lasts, a
@@ -113,33 +124,26 @@ let pay_env e n =
   end
 
 let pay n =
-  if n > 0 then
-    match Domain.DLS.get current with (* lint: allow-atomic *)
-    | None -> ()
-    | Some e -> pay_env e n
+  if n > 0 then match get_env () with None -> () | Some e -> pay_env e n
 
-let self () = match Domain.DLS.get current with Some e -> e.pid | None -> -1 (* lint: allow-atomic *)
+let self () = match get_env () with Some e -> e.pid | None -> -1
 
-let now () = match Domain.DLS.get current with Some e -> e.clock () | None -> 0 (* lint: allow-atomic *)
+let now () = match get_env () with Some e -> e.clock () | None -> 0
 
-let global_now () =
-  match Domain.DLS.get current with Some e -> e.gclock () | None -> 0 (* lint: allow-atomic *)
+let global_now () = match get_env () with Some e -> e.gclock () | None -> 0
 
 let rng () =
-  match Domain.DLS.get current with (* lint: allow-atomic *)
+  match get_env () with
   | Some e -> e.prng
   | None -> failwith "Proc.rng: not inside a simulation"
 
 let signal pid =
-  match Domain.DLS.get current with (* lint: allow-atomic *)
+  match get_env () with
   | Some e when pid >= 0 && pid < Array.length e.peers ->
       e.peers.(pid).intr <- true
   | Some _ | None -> ()
 
-let on_signal f =
-  match Domain.DLS.get current with (* lint: allow-atomic *)
-  | Some e -> e.on_sig <- Some f
-  | None -> ()
+let on_signal f = match get_env () with Some e -> e.on_sig <- Some f | None -> ()
 
 (* The simulated sigprocmask: a raise out of the middle of reclamation
    bookkeeping (a half-swept limbo bag, a half-recorded retirement)
@@ -150,7 +154,7 @@ let on_signal f =
    and since every shared-memory access pays (unmasked) first, delivery
    still precedes the process's next tracked access. *)
 let with_signals_deferred f =
-  match Domain.DLS.get current with (* lint: allow-atomic *)
+  match get_env () with
   | None -> f ()
   | Some e ->
       let prev = e.sigmask in

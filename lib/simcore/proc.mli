@@ -143,10 +143,24 @@ type env = {
          any pid *)
 }
 
+(* The calling domain's environment cell: one per domain, held in
+   domain-local storage. {!Sim.run} writes the running process's env
+   into [env]; [None] outside a simulation. Code that creates a heap, a
+   registry or a run ({!Memory.create}, {!Telemetry.create},
+   {!Recorder.create}, {!Sim.run}) fetches the cell once and reads
+   [env] per access with one field load, so the object must be driven
+   on the domain that created it. [domain] is that domain's id, for
+   the message that reports a violation. *)
+type here = { mutable env : env option; domain : int }
+
+val here : unit -> here
+
 val set_env : env option -> unit
 
 val get_env : unit -> env option
+(* [(here ()).env]: one domain-local lookup per call. *)
 
 val pay_env : env -> int -> unit
-(* [pay] with the environment already in hand: hot paths ({!Memory})
-   fetch the DLS slot once per operation instead of twice. *)
+(* [pay] with the environment already in hand, as read from a held
+   {!here} cell: no domain-local lookup. Unlike [pay], it runs the
+   signal check even when [n = 0]. *)

@@ -241,6 +241,12 @@ let exit () =
   | Some { Proc.prof = Some p; _ } -> pop_prof p
   | Some _ | None -> ()
 
+let enter_env (e : Proc.env) ph =
+  match e.Proc.prof with Some p -> push_prof p ph | None -> ()
+
+let exit_env (e : Proc.env) =
+  match e.Proc.prof with Some p -> pop_prof p | None -> ()
+
 let with_phase ph f =
   match Proc.get_env () with
   | Some { Proc.prof = Some p; _ } -> (

@@ -73,6 +73,12 @@ val exit : unit -> unit
 
 val with_phase : phase -> (unit -> 'a) -> 'a
 
+val enter_env : Proc.env -> phase -> unit
+(** [enter] with the process's env in hand (as read from a held
+    {!Proc.here} cell): no domain-local read. *)
+
+val exit_env : Proc.env -> unit
+
 (** {1 Charging} (internal: called by [Memory]) *)
 
 val demote : Proc.env -> int -> unit

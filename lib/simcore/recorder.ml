@@ -30,6 +30,9 @@ type ring = {
 }
 
 type t = {
+  here : Proc.here;
+      (* the creating domain's env cell: [record] reads pid and global
+         step from it without a domain-local lookup *)
   capacity : int;
   mutable rings : ring option array;  (* index pid + 1 *)
   mutable run : int;  (* bumped by {!Sim.run} on a tracer *)
@@ -49,7 +52,7 @@ let default_capacity = 32
 
 let create ?(capacity = default_capacity) () =
   assert (capacity > 0);
-  { capacity; rings = Array.make 16 None; run = 0 }
+  { here = Proc.here (); capacity; rings = Array.make 16 None; run = 0 }
 
 let fresh t =
   {
@@ -77,9 +80,10 @@ let ring_for t pid =
       r
 
 let record t code value label =
-  let r = ring_for t (Proc.self ()) in
+  let env = t.here.Proc.env in
+  let r = ring_for t (match env with Some e -> e.Proc.pid | None -> -1) in
   let s = r.next mod t.capacity in
-  r.steps.(s) <- Proc.global_now ();
+  r.steps.(s) <- (match env with Some e -> e.Proc.gclock () | None -> 0);
   r.kinds.(s) <- code lor (t.run lsl 2);
   r.values.(s) <- value;
   r.labels.(s) <- label;

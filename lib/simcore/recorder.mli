@@ -39,7 +39,9 @@ type event = {
 val create : ?capacity:int -> unit -> t
 (** [capacity] events (default 32, a flight recorder's) are retained
     per process. Per-process rings are allocated lazily, on each pid's
-    first event. *)
+    first event. Events take pid and global step from the creating
+    domain's env cell ({!Proc.here}), so a recorder records on that
+    domain only ([--trace-out] needs [--jobs 1]). *)
 
 (** {1 Recording}
 

@@ -48,6 +48,9 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     match adversary with Some a -> Adversary.active a | None -> false
   in
   Racecheck.note_run_start ();
+  (* The domain's env cell, fetched once: switching processes is then
+     one field store, with no domain-local lookup per resume. *)
+  let here = Proc.here () in
   (match tracer with Some tr -> Recorder.new_run tr | None -> ());
   let root_rng = Rng.create ~seed in
   let quantum = Int.max 1 config.Config.quantum in
@@ -275,7 +278,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
   in
   let resume p =
     cur_pid := p;
-    Proc.set_env (Array.unsafe_get some_envs p);
+    here.Proc.env <- Array.unsafe_get some_envs p;
     (match tracer with
     | Some tr when p <> !last_resumed ->
         last_resumed := p;
@@ -421,7 +424,7 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     end
   in
   let finish () =
-    Proc.set_env None;
+    here.Proc.env <- None;
     let clocks =
       match policy with
       | Fair -> Array.map (fun c -> c.clock) cores
@@ -438,13 +441,13 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     | None -> ());
     { makespan; steps = !steps; faults = List.rev !faults; clocks }
   in
-  Fun.protect ~finally:(fun () -> Proc.set_env None) @@ fun () ->
+  Fun.protect ~finally:(fun () -> here.Proc.env <- None) @@ fun () ->
   let continue_loop = ref true in
   (* Fair process mid-grant (suspension-per-pay mode only); -1 = none. *)
   let running = ref (-1) in
   while !continue_loop && !remaining > 0 do
     if config.Config.max_steps > 0 && !steps > config.Config.max_steps then begin
-      Proc.set_env None;
+      here.Proc.env <- None;
       raise
         (Stuck
            (Printf.sprintf "exceeded max_steps=%d with %d processes unfinished"

@@ -42,16 +42,25 @@ module Histogram = struct
   let create () =
     { buckets = Array.make n_buckets 0; n = 0; total = 0.0; max_sample = 0 }
 
+  (* The bit length of [x] for [0 <= x < 2^53], read off the exponent
+     of its float conversion; above 2^53 rounding may add one, which
+     only ever lands beyond the last bucket. *)
+  let bit_length x =
+    if x = 0 then 0
+    else
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.bits_of_float (float_of_int x)) 52)
+      - 1022
+
+  (* Sample [v > 0] lands in the smallest [i] with [2^(i-1) >= v]: one
+     more than the bit length of [v - 1]. *)
   let bucket_of v =
-    if v <= 0 then 0
-    else begin
-      let rec go i acc = if acc >= v then i else go (i + 1) (acc * 2) in
-      min (n_buckets - 1) (go 1 1)
-    end
+    if v <= 0 then 0 else Int.min (n_buckets - 1) (1 + bit_length (v - 1))
 
   let add h v =
     assert (v >= 0);
-    h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+    let b = bucket_of v in
+    h.buckets.(b) <- h.buckets.(b) + 1;
     h.n <- h.n + 1;
     h.total <- h.total +. float_of_int v;
     if v > h.max_sample then h.max_sample <- v

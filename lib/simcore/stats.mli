@@ -43,6 +43,11 @@ module Histogram : sig
   (** Number of power-of-two buckets; samples at or beyond
       [2 ^ (n_buckets - 2)] all land in the last bucket. *)
 
+  val bucket_of : int -> int
+  (** The bucket a sample lands in: [0] for [v <= 0], else the
+      smallest [i] with [2 ^ (i - 1) >= v], clamped to
+      [n_buckets - 1]. *)
+
   val count : h -> int
 
   val mean : h -> float

@@ -1,10 +1,14 @@
-type counter = { mutable shards : int array }
+(* Counters and histograms hold the env cell of the domain that
+   created their registry ({!Proc.here}), so an update reads the
+   running pid with one field load instead of a domain-local lookup. *)
+type counter = { mutable shards : int array; chere : Proc.here }
 
 type gauge = { mutable cur : int; mutable peak : int }
 
-type hist = { mutable hshards : Stats.Histogram.h option array }
+type hist = { mutable hshards : Stats.Histogram.h option array; hhere : Proc.here }
 
 type t = {
+  here : Proc.here;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
@@ -43,6 +47,7 @@ let recent () =
 let create () =
   let t =
     {
+      here = Proc.here ();
       counters = Hashtbl.create 16;
       gauges = Hashtbl.create 16;
       hists = Hashtbl.create 8;
@@ -57,7 +62,7 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { shards = Array.make initial_shards 0 } in
+      let c = { shards = Array.make initial_shards 0; chere = t.here } in
       Hashtbl.add t.counters name c;
       c
 
@@ -73,7 +78,7 @@ let hist t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
   | None ->
-      let h = { hshards = Array.make initial_shards None } in
+      let h = { hshards = Array.make initial_shards None; hhere = t.here } in
       Hashtbl.add t.hists name h;
       h
 
@@ -86,8 +91,12 @@ let grow c i =
   Array.blit s 0 s' 0 (Array.length s);
   c.shards <- s'
 
+(* The shard of the running process: pid + 1, 0 outside a simulation. *)
+let[@inline] shard_of (here : Proc.here) =
+  match here.Proc.env with Some e -> e.Proc.pid + 1 | None -> 0
+
 let add c n =
-  let i = Proc.self () + 1 in
+  let i = shard_of c.chere in
   let s = c.shards in
   if i < Array.length s then s.(i) <- s.(i) + n
   else begin
@@ -114,7 +123,7 @@ let gauge_value g = g.cur
 let gauge_peak g = g.peak
 
 let rec observe h v =
-  let i = Proc.self () + 1 in
+  let i = shard_of h.hhere in
   if i < Array.length h.hshards then begin
     let s =
       match h.hshards.(i) with

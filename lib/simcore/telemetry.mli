@@ -11,7 +11,7 @@
       with {!Stats.Histogram.merge} at read time.
 
     Determinism: probes are updated only from algorithm code, keyed by
-    {!Proc.self}, and never read wall-clock time — so for a fixed seed
+    the running process's pid, and never read wall-clock time — so for a fixed seed
     the full telemetry snapshot is bit-identical across runs, and in
     particular across [Sim.run ~fastpath:true/false] (the fast path
     preserves the instruction interleaving; telemetry only observes
@@ -33,7 +33,10 @@ type hist
 val create : unit -> t
 (** Create a registry, collected (see {!mark}/{!recent}) while a
     collection is open. {!Memory.create} makes one per simulated heap;
-    subsystems sharing that heap register their probes there. *)
+    subsystems sharing that heap register their probes there. The
+    registry keeps the calling domain's env cell ({!Proc.here}) and
+    reads the running pid from it on each update, so its probes are
+    updated on that domain only, like the heap's accesses. *)
 
 (** {1 Probe registration (idempotent)} *)
 

@@ -67,6 +67,59 @@ let prop_zipf_monotone_ranks =
       done;
       !ok)
 
+(* The binary search the guide table replaced: the first index whose
+   CDF value is >= u, clamped to n - 1. *)
+let bsearch cdf u =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) >= u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* [index] against the binary search on [u] at, just below and just
+   above every CDF entry and every guide boundary j/n, inside [0, 1). *)
+let index_exact z =
+  let cdf = Dist.Zipf.cdf z in
+  let n = Array.length cdf in
+  let agrees u = u < 0.0 || u >= 1.0 || Dist.Zipf.index z u = bsearch cdf u in
+  let around u = agrees (Float.pred u) && agrees u && agrees (Float.succ u) in
+  Array.for_all around cdf
+  && List.for_all
+       (fun j -> around (float_of_int j /. float_of_int n))
+       (List.init n Fun.id)
+  && agrees 0.0
+  && agrees (Float.pred 1.0)
+
+let prop_zipf_guided_exact =
+  QCheck.Test.make ~count:200 ~name:"zipf guided draw = binary search"
+    QCheck.(triple (int_range 1 2048) (int_range 0 99) small_int)
+    (fun (n, t, seed) ->
+      let z = Dist.Zipf.create ~n ~theta:(float_of_int t /. 100.0) in
+      let cdf = Dist.Zipf.cdf z in
+      let a = Rng.create ~seed in
+      let b = Rng.copy a in
+      let ok = ref (index_exact z) in
+      for _ = 1 to 500 do
+        if Dist.Zipf.draw z a <> bsearch cdf (Rng.float b) then ok := false
+      done;
+      !ok)
+
+let test_zipf_guided_edges () =
+  List.iter
+    (fun (n, theta) ->
+      let z = Dist.Zipf.create ~n ~theta in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d theta=%.2f" n theta)
+        true (index_exact z))
+    [ (1, 0.0); (1, 0.5); (1, 0.99); (2, 0.0); (3, 0.0); (7, 0.0);
+      (1024, 0.0); (1024, 0.9); (1000, 0.99) ];
+  let z = Dist.Zipf.create ~n:1 ~theta:0.9 in
+  let rng = Rng.create ~seed:5 in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "n = 1 draws 0" 0 (Dist.Zipf.draw z rng)
+  done
+
 (* {1 Uniform} *)
 
 let prop_uniform_range =
@@ -140,6 +193,8 @@ let suite =
     Alcotest.test_case "zipf uniform limit" `Quick test_zipf_uniform_limit;
     QCheck_alcotest.to_alcotest prop_zipf_range;
     QCheck_alcotest.to_alcotest prop_zipf_monotone_ranks;
+    QCheck_alcotest.to_alcotest prop_zipf_guided_exact;
+    Alcotest.test_case "zipf guided draw edges" `Quick test_zipf_guided_edges;
     QCheck_alcotest.to_alcotest prop_uniform_range;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
     QCheck_alcotest.to_alcotest prop_poisson_nonneg;

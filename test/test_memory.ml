@@ -326,6 +326,32 @@ let prop_int_multiset_model =
               Int_set.Multi.take s k = (c > 0))
         ops)
 
+(* A heap reads the env cell of the domain that created it, so it is
+   driven only there: an alloc from another domain is refused, naming
+   both domains, while a heap that domain creates works. *)
+let test_foreign_domain () =
+  let m = fresh () in
+  let worker () =
+    let own = fresh () in
+    let ok = Memory.alloc own ~tag:"t" ~size:1 > 0 in
+    match Memory.alloc m ~tag:"t" ~size:1 with
+    | _ -> (ok, "no exception")
+    | exception Invalid_argument msg -> (ok, msg)
+  in
+  let ok, msg = Domain.join (Domain.spawn worker) (* lint: allow-atomic *) in
+  let main = (Domain.self () :> int) (* lint: allow-atomic *) in
+  Alcotest.(check bool) "own heap works on the worker" true ok;
+  let prefix =
+    Printf.sprintf "Memory.alloc: heap created on domain %d, driven from domain "
+      main
+  in
+  Alcotest.(check bool) ("names both domains: " ^ msg) true
+    (String.starts_with ~prefix msg
+    && String.length msg > String.length prefix
+    && msg <> prefix ^ string_of_int main);
+  Alcotest.(check bool) "still usable on its own domain" true
+    (Memory.alloc m ~tag:"t" ~size:1 > 0)
+
 let suite =
   [
     Alcotest.test_case "alloc/read/write" `Quick test_alloc_read_write;
@@ -342,6 +368,7 @@ let suite =
     Alcotest.test_case "usage accounting" `Quick test_usage_accounting;
     Alcotest.test_case "iter_live" `Quick test_iter_live;
     Alcotest.test_case "block_base" `Quick test_block_base;
+    Alcotest.test_case "foreign domain refused" `Quick test_foreign_domain;
     QCheck_alcotest.to_alcotest prop_alloc_model;
     QCheck_alcotest.to_alcotest prop_atomic_ops_model;
     QCheck_alcotest.to_alcotest prop_read_span;

@@ -99,6 +99,35 @@ let test_merge_wraparound () =
   Alcotest.(check bool) "equals concatenation" true
     (m = hist_of [ huge1; huge2; edge ])
 
+(* The loop [bucket_of] replaced: double until 2^(i-1) >= v, then
+   clamp to the last bucket. The original doubled past the clamp (and
+   overflowed, never returning, for v > 2^61); stopping at the last
+   bucket returns the clamped value wherever it returned at all. *)
+let loop_bucket_of v =
+  if v <= 0 then 0
+  else begin
+    let rec go i acc =
+      if acc >= v || i = H.n_buckets - 1 then i else go (i + 1) (acc * 2)
+    in
+    go 1 1
+  end
+
+let test_bucket_of () =
+  for v = 0 to 1 lsl 20 do
+    if H.bucket_of v <> loop_bucket_of v then
+      Alcotest.failf "bucket_of %d = %d, loop says %d" v (H.bucket_of v)
+        (loop_bucket_of v)
+  done;
+  for k = 0 to 61 do
+    List.iter
+      (fun v ->
+        Alcotest.(check int) (Printf.sprintf "v = %d" v) (loop_bucket_of v)
+          (H.bucket_of v))
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  Alcotest.(check int) "max_int" (H.n_buckets - 1) (H.bucket_of max_int);
+  Alcotest.(check int) "negative" 0 (H.bucket_of (-5))
+
 (* Bounded ints keep the float totals exact, so structural equality is
    the right spec: merge = histogram of the concatenated samples. *)
 let prop_merge_concat =
@@ -221,6 +250,7 @@ let suite =
     Alcotest.test_case "merge empty" `Quick test_merge_empty;
     Alcotest.test_case "merge single bucket" `Quick test_merge_single_bucket;
     Alcotest.test_case "merge bucket clamp" `Quick test_merge_wraparound;
+    Alcotest.test_case "bucket_of = doubling loop" `Quick test_bucket_of;
     QCheck_alcotest.to_alcotest prop_merge_concat;
     QCheck_alcotest.to_alcotest prop_merge_commutative;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;

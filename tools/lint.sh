@@ -85,6 +85,15 @@
 #      driver, which keeps one fiber per process for its whole life;
 #      wrapping it in a Vm program instead costs a fresh fiber per HOST
 #      call. test/ and perfbench/ are outside the rule.
+#  12. Hot paths read the held env cell: lib/simcore/memory.ml outside
+#      its fault and report helpers (mem_fault, wrong_domain, file,
+#      race_noted), and all of lib/simcore/telemetry.ml and
+#      lib/simcore/recorder.ml, may not call Proc.get_env, Proc.pay,
+#      Proc.self or Proc.global_now. Each is a domain-local lookup;
+#      heaps, registries and recorders capture their domain's env cell
+#      (Proc.here) when created and read the running process's env from
+#      it, paying through Proc.pay_env. Comments and string literals are
+#      ignored.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -410,6 +419,26 @@ if [ -d "$root/lib" ]; then
   done
 fi
 
+# --- Rule 12: hot paths read the held env cell -----------------------------
+# The enclosing top-level binding of each hit decides: a line starting
+# with "let" or "and" at column 0 names it.
+ambient='Proc\.(get_env|pay|self|global_now)([^A-Za-z0-9_]|$)'
+for name in memory telemetry recorder; do
+  f=$root/lib/simcore/$name.ml
+  [ -f "$f" ] || continue
+  hits=$(strip_comments_strings "$f" | awk -v pat="$ambient" -v file="$name" '
+    /^(let|and)[ \t]/ {
+      cur = $0; sub(/^(let|and)([ \t]+rec)?[ \t]*(\[@[^]]*\])?[ \t]*/, "", cur)
+      sub(/[^A-Za-z0-9_].*$/, "", cur) }
+    $0 ~ pat {
+      if (file == "memory" && cur ~ /^(mem_fault|wrong_domain|file|race_noted)$/) next
+      print NR ": " $0 }')
+  if [ -n "$hits" ]; then
+    fail "lint: ambient env lookup on a hot path in $f (read the env from the held Proc.here cell and pay with Proc.pay_env):"
+    printf '%s\n' "$hits" >&2
+  fi
+done
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -693,6 +722,46 @@ RC
   fi
   echo '(* no ~coroutine here *) let s = "~coroutine" and coroutine = 1' > "$tmp/lib/service/ok.ml"
   check_passes "measure.ml's compiled driver"
+
+  # Rule 12: an ambient lookup seeded into alloc and free of a copy of
+  # memory.ml, and into telemetry.ml and recorder.ml.
+  mkdir -p "$tmp/lib/simcore"
+  if [ -f "$root/lib/simcore/memory.ml" ]; then
+    cp "$root/lib/simcore/memory.ml" "$tmp/lib/simcore/memory.ml"
+  fi
+  echo 'let alloc t ~tag ~size = ignore (t, tag, size); Proc.self ()' >> "$tmp/lib/simcore/memory.ml"
+  check_catches "Proc.self in memory.ml's alloc"
+
+  mkdir -p "$tmp/lib/simcore"
+  printf 'let free t a =\n  ignore (t, a);\n  Proc.pay 3\n' > "$tmp/lib/simcore/memory.ml"
+  check_catches "Proc.pay in memory.ml's free"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let[@inline] pay_access t = match Proc.get_env () with _ -> t' > "$tmp/lib/simcore/memory.ml"
+  check_catches "Proc.get_env in memory.ml's pay_access"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let add c n = c.(Proc.self () + 1) <- n' > "$tmp/lib/simcore/telemetry.ml"
+  check_catches "Proc.self in telemetry.ml"
+
+  mkdir -p "$tmp/lib/simcore"
+  echo 'let record t = t.(0) <- Proc.global_now ()' > "$tmp/lib/simcore/recorder.ml"
+  check_catches "Proc.global_now in recorder.ml"
+
+  # The real memory.ml (whose mem_fault reads Proc.self), the exempt
+  # helpers, pay_env and mentions in comments and strings pass.
+  mkdir -p "$tmp/lib/simcore"
+  if [ -f "$root/lib/simcore/memory.ml" ]; then
+    cp "$root/lib/simcore/memory.ml" "$tmp/lib/simcore/memory.ml"
+  fi
+  cat >> "$tmp/lib/simcore/memory.ml" <<'MEM'
+let file t label = ignore (t, label, Proc.self (), Proc.global_now ())
+and race_noted t = ignore (t, Proc.self ())
+(* free used to call Proc.pay and Proc.self *)
+let free_note e n = Proc.pay_env e n; ignore "Proc.get_env ()"
+MEM
+  echo 'let add c n = ignore "Proc.self ()"; c.(0) <- n (* not Proc.self *)' > "$tmp/lib/simcore/telemetry.ml"
+  check_passes "memory.ml's fault and report helpers"
 
   echo "lint --self-test: ok"
   exit 0
