@@ -9,39 +9,39 @@
    Run with: dune exec examples/kv_cache.exe *)
 
 open Simcore
-module Cache = Cds.Hash_rc.With_snapshots
+module Sets = Cds.Set_catalogue
 
 let () =
   let config = Config.default in
   let mem = Memory.create config in
   let procs = 96 in
   let capacity = 4096 in
-  let cache = Cache.create mem ~procs ~buckets:capacity in
+  let cache =
+    Sets.create Sets.Hash_set "DRC (+snap)" mem ~procs ~buckets:capacity
+  in
 
   (* Warm the cache with half its key space. *)
-  let setup = Cache.handle cache (-1) in
   for k = 0 to (capacity / 2) - 1 do
-    ignore (Cache.insert setup (k * 2))
+    ignore (cache.insert (-1) (k * 2))
   done;
 
   let hits = Array.make procs 0 and misses = Array.make procs 0 in
   let result =
     Sim.run ~config ~procs (fun pid ->
-        let h = Cache.handle cache pid in
         let rng = Proc.rng () in
         while Proc.now () < 150_000 do
           let k = Rng.int rng capacity in
           if Rng.below rng 0.95 then begin
             (* Lookup; on miss, populate (a tiny cache-fill protocol). *)
-            if Cache.contains h k then hits.(pid) <- hits.(pid) + 1
+            if cache.contains pid k then hits.(pid) <- hits.(pid) + 1
             else begin
               misses.(pid) <- misses.(pid) + 1;
-              ignore (Cache.insert h k)
+              ignore (cache.insert pid k)
             end
           end
           else
             (* Eviction pressure. *)
-            ignore (Cache.delete h (Rng.int rng capacity))
+            ignore (cache.delete pid (Rng.int rng capacity))
         done)
   in
   assert (result.Sim.faults = []);
@@ -49,8 +49,8 @@ let () =
   Printf.printf "cache run: %d hits, %d misses (fills), makespan %d ticks\n"
     (total hits) (total misses) result.Sim.makespan;
   Printf.printf "unreclaimed evicted nodes right now: %d\n"
-    (Cache.extra_nodes cache);
-  Cache.flush cache;
+    (cache.extra_nodes ());
+  cache.flush ();
   Printf.printf "after quiescent flush: %d (the paper's point: nobody ever \
                  wrote a retire call)\n"
-    (Cache.extra_nodes cache)
+    (cache.extra_nodes ())

@@ -165,65 +165,7 @@ let flush t =
       t.handles
   done
 
-(* {1 Compiled forms} *)
-
-module A = Simcore.Vm.Asm
-
-(* [dec] of the non-null word in [r_w]; the zero transition (and its
-   O(P) immediate scan, this scheme's signature cost) is a host call. *)
-let emit_dec h a r_w =
-  let r_a = A.reg a and r_old = A.reg a in
-  let skip = A.label a in
-  A.shri a r_a r_w 2;
-  A.faai a r_old r_a (-1);
-  A.bnei a r_old 1 skip;
-  A.host a (fun fr -> zero_tail h (Word.clean fr.Simcore.Vm.regs.(r_w)));
-  A.place a skip
-
-let vm_ops t =
-  Some
-    {
-      Rc_intf.vm_header = Protectors.header;
-      vm_load =
-        (fun a ~pid ~src ->
-          let ga = Protectors.guard_addr (prot t) ~pid ~slot:0 in
-          let r_ga = A.reg a and r_v = A.reg a and r_v' = A.reg a in
-          A.movi a r_ga ga;
-          A.read a r_v src;
-          let retry = A.label a and got = A.label a in
-          A.place a retry;
-          A.write a r_ga r_v;
-          A.read a r_v' src;
-          A.beq a r_v' r_v got;
-          A.mov a r_v r_v';
-          A.jmp a retry;
-          A.place a got;
-          let r_a = A.reg a and r_t = A.reg a and r_zero = A.reg a in
-          let out = A.label a in
-          A.shri a r_a r_v 2;
-          A.beqi a r_a 0 out;
-          A.faai a r_t r_a 1;
-          A.movi a r_zero 0;
-          A.write a r_ga r_zero;
-          A.place a out;
-          r_v);
-      vm_store_fresh =
-        (fun a ~pid ~dst ~value ->
-          let h = handle t pid in
-          let r_old = A.reg a and r_oa = A.reg a in
-          let skip = A.label a in
-          A.fas a r_old dst value;
-          A.shri a r_oa r_old 2;
-          A.beqi a r_oa 0 skip;
-          emit_dec h a r_old;
-          A.place a skip);
-      vm_destruct =
-        (fun a ~pid ~ptr ->
-          let h = handle t pid in
-          let r_a = A.reg a in
-          let skip = A.label a in
-          A.shri a r_a ptr 2;
-          A.beqi a r_a 0 skip;
-          emit_dec h a ptr;
-          A.place a skip);
-    }
+(* No compiled form: its zero transition (the O(P) scan) would be a
+   [HOST] call, a fiber per call, and the closure driver runs this
+   scheme's Fig 6 cells faster than such a stream (EXPERIMENTS.md). *)
+let vm_ops _ = None

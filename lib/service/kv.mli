@@ -1,12 +1,12 @@
 (** The request-level façade of the simulated KV service.
 
-    A [Kv.t] wraps one of the concurrent set structures behind the
-    paper's reclamation schemes ({!Cds.Set_intf.OPS} over the Michael
-    hash table) and exposes the three request verbs a serving stack
-    sees. Keys are presence-keyed: [Put] inserts, [Remove] deletes,
-    [Get] reads membership; every reply reports whether the request
-    changed (or observed) the key, so replies are checkable against a
-    functional-map specification ({!Simcore.Lincheck}).
+    A [Kv.t] is a Michael hash table from {!Cds.Set_catalogue}, under
+    one of the paper's reclamation schemes, and exposes the three
+    request verbs a serving stack sees. Keys are presence-keyed: [Put]
+    inserts, [Remove] deletes, [Get] reads membership; every reply
+    reports whether the request changed (or observed) the key, so
+    replies are checkable against a functional-map specification
+    ({!Simcore.Lincheck}).
 
     {b Read-your-writes.} The service routes every client to a fixed
     worker (client affinity, see {!Loadgen.shard}) and each worker's
@@ -22,9 +22,9 @@ type op = Get of int | Put of int | Remove of int
 type t
 
 val schemes : string list
-(** Backends the factory knows: the manual schemes ["EBR"], ["HP"],
-    ["IBR"], ["HE"], the leaking baseline ["No MM"], and the paper's
-    ["DRC"] / ["DRC (+snap)"]. *)
+(** Backends the service runs, each a {!Cds.Set_catalogue} scheme: the
+    manual schemes ["EBR"], ["HP"], ["IBR"], ["HE"], the leaking
+    baseline ["No MM"], and the paper's ["DRC"] / ["DRC (+snap)"]. *)
 
 val create :
   scheme:string ->
@@ -38,8 +38,8 @@ val create :
 (** Build the named backend on [mem] with per-process handles for
     [procs] workers, prefilled with [prefill] distinct keys drawn
     deterministically (from [seed]) out of [\[0, keyspace)].
-    @raise Invalid_argument on an unknown scheme or [prefill >
-    keyspace]. *)
+    @raise Invalid_argument on a scheme outside {!schemes} or
+    [prefill > keyspace]. *)
 
 val exec : t -> pid:int -> op -> bool
 (** Serve one request on worker [pid] ([-1] = the sequential setup

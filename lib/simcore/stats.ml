@@ -1,33 +1,3 @@
-type t = (string, int ref) Hashtbl.t
-
-let create () = Hashtbl.create 32
-
-let cell t key =
-  match Hashtbl.find_opt t key with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t key r;
-      r
-
-let incr ?(by = 1) t key =
-  let r = cell t key in
-  r := !r + by
-
-let set t key v = cell t key := v
-
-let set_max t key v =
-  let r = cell t key in
-  if v > !r then r := v
-
-let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
-
-let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let clear = Hashtbl.clear
-
 module Histogram = struct
   (* Bucket i holds samples in [2^(i-1), 2^i); bucket 0 holds {0}. *)
   type h = {

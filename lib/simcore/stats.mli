@@ -1,27 +1,4 @@
-(** Named integer counters and gauges for instrumenting simulation runs. *)
-
-type t
-
-val create : unit -> t
-
-val incr : ?by:int -> t -> string -> unit
-
-val set : t -> string -> int -> unit
-
-val set_max : t -> string -> int -> unit
-(** [set_max t k v] records [max v (get t k)]. *)
-
-val get : t -> string -> int
-(** 0 when the counter was never touched. *)
-
-val to_list : t -> (string * int) list
-(** All counters, sorted by name. *)
-
-val clear : t -> unit
-
-(** {1 Histograms}
-
-    Power-of-two-bucketed latency histograms, for per-operation tick
+(** Power-of-two-bucketed latency histograms, for per-operation tick
     distributions (tail latency is where lock-freedom and wait-freedom
     part ways). *)
 

@@ -234,13 +234,9 @@ let latency ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
   (* Histograms are computed through the pool (one independent cell per
      scheme), then rendered in legend order on the calling domain. *)
   let contenders =
-    [
-      ("Folly", (module Rc_baselines.Split_rc : Rc_baselines.Rc_intf.S));
-      ("Herlihy (opt)", (module Rc_baselines.Herlihy_rc.Optimized));
-      ("OrcGC", (module Rc_baselines.Orcgc_rc));
-      ("DRC (+snap)", (module Rc_baselines.Drc_scheme.Snapshots));
-      ("DRC (wait-free)", (module Rc_baselines.Drc_scheme.Waitfree));
-    ]
+    List.map
+      (fun name -> (name, Rc_baselines.Rc_catalogue.find name))
+      [ "Folly"; "Herlihy (opt)"; "OrcGC"; "DRC (+snap)"; "DRC (wait-free)" ]
   in
   let hists =
     Pool.map_ordered arm.Measure.pool
@@ -261,66 +257,36 @@ let latency ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
    nodes; snapshot reads keep hot-node cache lines shared, while counted
    reads fight over them. Not a paper figure — an extension using the
    same machinery. *)
-module H_ebr_skew = Cds.Hash_smr.Make (Smr.Ebr)
-
 let skew ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
   let size = 4096 in
   let thetas = [ 0.0; 0.5; 0.9; 0.99 ] in
+  let schemes = [ "EBR"; "DRC (+snap)"; "DRC" ] in
   let config = arm.Measure.config in
-  let run_point theta (build : M.t -> (int -> int -> bool) * (unit -> unit)) =
+  let run_point theta scheme =
     let mem = M.create config in
-    let contains, flush = build mem in
+    let inst =
+      Cds.Set_catalogue.(create Hash_set) scheme mem ~procs:threads
+        ~buckets:size
+    in
+    for k = 0 to size - 1 do
+      ignore (inst.insert (-1) (2 * k))
+    done;
     let z = Simcore.Dist.Zipf.create ~n:(2 * size) ~theta in
     let op pid rng =
-      ignore pid;
-      ignore (contains pid (Simcore.Dist.Zipf.draw z rng))
+      ignore (inst.contains pid (Simcore.Dist.Zipf.draw z rng))
     in
     let pt =
       Measure.run_point ?tracer:arm.tracer ~config ~seed ~threads
         ~horizon:100_000 ~op ()
     in
-    flush ();
+    inst.flush ();
     pt.Measure.throughput
   in
-  let ebr mem =
-    let params = { Smr.Smr_intf.slots = 5; batch = 32; era_freq = 24 } in
-    let t = H_ebr_skew.create mem ~procs:threads ~params ~buckets:size in
-    let setup = H_ebr_skew.handle t (-1) in
-    for k = 0 to size - 1 do
-      ignore (H_ebr_skew.insert setup (2 * k))
-    done;
-    let handles = Array.init threads (H_ebr_skew.handle t) in
-    ((fun pid k -> H_ebr_skew.contains handles.(pid) k),
-     fun () -> H_ebr_skew.flush t)
-  in
-  let drc mem =
-    let t = Cds.Hash_rc.With_snapshots.create mem ~procs:threads ~buckets:size in
-    let setup = Cds.Hash_rc.With_snapshots.handle t (-1) in
-    for k = 0 to size - 1 do
-      ignore (Cds.Hash_rc.With_snapshots.insert setup (2 * k))
-    done;
-    let handles =
-      Array.init threads (Cds.Hash_rc.With_snapshots.handle t)
-    in
-    ((fun pid k -> Cds.Hash_rc.With_snapshots.contains handles.(pid) k),
-     fun () -> Cds.Hash_rc.With_snapshots.flush t)
-  in
-  let drc_plain mem =
-    let t = Cds.Hash_rc.Plain.create mem ~procs:threads ~buckets:size in
-    let setup = Cds.Hash_rc.Plain.handle t (-1) in
-    for k = 0 to size - 1 do
-      ignore (Cds.Hash_rc.Plain.insert setup (2 * k))
-    done;
-    let handles = Array.init threads (Cds.Hash_rc.Plain.handle t) in
-    ((fun pid k -> Cds.Hash_rc.Plain.contains handles.(pid) k),
-     fun () -> Cds.Hash_rc.Plain.flush t)
-  in
   let rows =
-    Pool.map_grid arm.Measure.pool ~rows:thetas
-      ~cols:[ ("EBR", ebr); ("DRC (+snap)", drc); ("DRC", drc_plain) ]
-      ~label:(fun theta (name, _) ->
+    Pool.map_grid arm.Measure.pool ~rows:thetas ~cols:schemes
+      ~label:(fun theta name ->
         Printf.sprintf "ablation-skew [%s, theta=%.2f]" name theta)
-      (fun theta (_, build) -> run_point theta build)
+      run_point
     |> List.map (fun (theta, row) -> (int_of_float (theta *. 100.0), row))
   in
   Tables.print_series
@@ -328,9 +294,7 @@ let skew ?(arm = Measure.unarmed) ?(threads = 96) ?(seed = 42) () =
       (Printf.sprintf
          "Ablation: Zipfian read skew on the hash table (theta x100 rows, %d           threads, lookups only)"
          threads)
-    ~unit_label:"throughput (ops/Mtick)"
-    ~columns:[ "EBR"; "DRC (+snap)"; "DRC" ]
-    ~rows ()
+    ~unit_label:"throughput (ops/Mtick)" ~columns:schemes ~rows ()
 
 (* {1 Race-freedom certification}
 

@@ -4,10 +4,15 @@
     no-reclamation / DRC / DRC(+snapshots), reporting throughput and the
     "extra nodes" (removed but unreclaimed) memory series. *)
 
-type structure = List_set | Hash_set | Bst_set
+type structure = Cds.Set_catalogue.structure = List_set | Hash_set | Bst_set
 
 val scheme_names : string list
-(** Column order of the output tables. *)
+(** Column order of the output tables; each name is a
+    {!Cds.Set_catalogue} scheme. *)
+
+val prefill : seed:int -> size:int -> Cds.Set_catalogue.instance -> unit
+(** Insert [size] keys of [\[0, 2*size)], shuffled by [seed], through
+    the setup handle: the prefill of every Figure 7 and Figure R cell. *)
 
 val point :
   ?policy:Simcore.Sim.policy ->

@@ -15,7 +15,6 @@ module Rng = Simcore.Rng
 module Proc = Simcore.Proc
 module Adv = Simcore.Adversary
 module San = Simcore.Sanitizer
-module Smr_intf = Smr.Smr_intf
 
 let scheme_names = [ "EBR"; "DEBRA"; "DEBRA+"; "IBR"; "HE"; "HP"; "DRC" ]
 
@@ -34,80 +33,12 @@ let fault_name f =
     | Stall_k -> 2
     | Crash_restart -> 3)
 
-module L_ebr = Cds.List_smr.Make (Smr.Ebr)
-module L_debra = Cds.List_smr.Make (Smr.Debra)
-module L_debra_plus = Cds.List_smr.Make (Smr.Debra.Plus)
-module L_ibr = Cds.List_smr.Make (Smr.Ibr)
-module L_he = Cds.List_smr.Make (Smr.He)
-module L_hp = Cds.List_smr.Make (Smr.Hp)
-
 (* Smaller retire batches than Figure 7: this figure is about
    reclamation dynamics, not peak throughput, and the divergence story
    needs every scheme actually scanning many times inside the run
    window (a scheme that never fills a batch reclaims nothing and
    "diverges" even unfaulted, which would prove nothing). *)
-let epoch_params = { Smr_intf.slots = 5; batch = 8; era_freq = 24 }
-
-let hp_params = { Smr_intf.slots = 5; batch = 8; era_freq = 1 }
-
-type instance = {
-  i_insert : int -> int -> bool;
-  i_delete : int -> int -> bool;
-  i_contains : int -> int -> bool;
-  i_extra : unit -> int;
-  i_flush : unit -> unit;
-}
-
-let wrap (type t) (module S : Cds.Set_intf.OPS with type t = t) (t : t) ~procs
-    ~seed ~size =
-  let setup = S.handle t (-1) in
-  let keys = Array.init (2 * size) (fun i -> i) in
-  Rng.shuffle (Rng.create ~seed:(seed + 7)) keys;
-  for i = 0 to size - 1 do
-    ignore (S.insert setup keys.(i))
-  done;
-  let handles = Array.init procs (S.handle t) in
-  {
-    i_insert = (fun pid k -> S.insert handles.(pid) k);
-    i_delete = (fun pid k -> S.delete handles.(pid) k);
-    i_contains = (fun pid k -> S.contains handles.(pid) k);
-    i_extra = (fun () -> S.extra_nodes t);
-    i_flush = (fun () -> S.flush t);
-  }
-
-let factory scheme mem ~procs ~seed ~size =
-  match scheme with
-  | "EBR" ->
-      wrap (module L_ebr)
-        (L_ebr.create mem ~procs ~params:epoch_params)
-        ~procs ~seed ~size
-  | "DEBRA" ->
-      wrap (module L_debra)
-        (L_debra.create mem ~procs ~params:epoch_params)
-        ~procs ~seed ~size
-  | "DEBRA+" ->
-      wrap
-        (module L_debra_plus)
-        (L_debra_plus.create mem ~procs ~params:epoch_params)
-        ~procs ~seed ~size
-  | "IBR" ->
-      wrap (module L_ibr)
-        (L_ibr.create mem ~procs ~params:epoch_params)
-        ~procs ~seed ~size
-  | "HE" ->
-      wrap (module L_he)
-        (L_he.create mem ~procs ~params:epoch_params)
-        ~procs ~seed ~size
-  | "HP" ->
-      wrap (module L_hp)
-        (L_hp.create mem ~procs ~params:hp_params)
-        ~procs ~seed ~size
-  | "DRC" ->
-      wrap
-        (module Cds.List_rc.Plain)
-        (Cds.List_rc.Plain.create mem ~procs)
-        ~procs ~seed ~size
-  | other -> invalid_arg ("Fig_robust.factory: unknown scheme " ^ other)
+let batch = 8
 
 (* Fault scripts, in global scheduler steps: the stall lands early (the
    victim parks at the first decision point at/after [horizon/4] steps
@@ -173,10 +104,14 @@ let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
       (fault_spec fault ~pinned:(scheme <> "DRC") ~threads ~horizon ~seed)
   in
   Adv.set_pinned_probe adv (fun pid -> San.pid_shielded (M.sanitizer mem) ~pid);
-  let inst = factory scheme mem ~procs:threads ~seed ~size in
+  let inst =
+    Cds.Set_catalogue.create_batched ~batch Cds.Set_catalogue.List_set scheme
+      mem ~procs:threads ~buckets:0
+  in
+  Fig7.prefill ~seed ~size inst;
   let series = ref [] and n_samples = ref 0 in
   let sample () =
-    let v = inst.i_extra () in
+    let v = inst.extra_nodes () in
     series := (!n_samples, v) :: !series;
     incr n_samples;
     v
@@ -196,9 +131,9 @@ let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
     let k = Rng.int rng key_range in
     let r = Rng.int rng 200 in
     try
-      if r < half then ignore (inst.i_insert pid k)
-      else if r < 2 * half then ignore (inst.i_delete pid k)
-      else ignore (inst.i_contains pid k)
+      if r < half then ignore (inst.insert pid k)
+      else if r < 2 * half then ignore (inst.delete pid k)
+      else ignore (inst.contains pid k)
     with Proc.Interrupted -> ()
   in
   let pt =
@@ -216,7 +151,7 @@ let point ?policy ?fastpath ?tracer ?(config = Simcore.Config.default)
      frees everything, so drop them first (the simulation is over — this
      is exactly the "all processes stopped" precondition of [flush]). *)
   San.reset_protocol (M.sanitizer mem);
-  inst.i_flush ();
+  inst.flush ();
   (pt, List.rev !series)
 
 let counter pt name =

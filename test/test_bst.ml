@@ -6,86 +6,79 @@
 open Simcore
 module ISet = Set.Make (Int)
 
-let params = { Smr.Smr_intf.slots = 5; batch = 8; era_freq = 4 }
-
 let config = { Config.small with max_steps = 300_000_000 }
 
-module B_hp = Cds.Bst_smr.Make (Smr.Hp)
-module B_ebr = Cds.Bst_smr.Make (Smr.Ebr)
-module B_drc = Cds.Bst_rc.With_snapshots
+(* A tree from the catalogue, with small retire batches so the short
+   runs reclaim. *)
+let create scheme mem ~procs : Cds.Set_catalogue.instance =
+  Cds.Set_catalogue.(create_batched ~batch:8 Bst_set) scheme mem ~procs
+    ~buckets:0
+
+let drc = "DRC (+snap)"
 
 let test_empty_tree () =
   let mem = Memory.create config in
-  let t = B_drc.create mem ~procs:1 in
-  let h = B_drc.handle t (-1) in
-  Alcotest.(check bool) "contains on empty" false (B_drc.contains h 5);
-  Alcotest.(check bool) "delete on empty" false (B_drc.delete h 5);
-  Alcotest.(check (list int)) "empty to_list" [] (B_drc.to_list t)
+  let t = create drc mem ~procs:1 in
+  Alcotest.(check bool) "contains on empty" false (t.contains (-1) 5);
+  Alcotest.(check bool) "delete on empty" false (t.delete (-1) 5);
+  Alcotest.(check (list int)) "empty to_list" [] (t.to_list ())
 
 let test_insert_delete_reinsert () =
   let mem = Memory.create config in
-  let t = B_drc.create mem ~procs:1 in
-  let h = B_drc.handle t (-1) in
-  Alcotest.(check bool) "insert" true (B_drc.insert h 5);
-  Alcotest.(check bool) "duplicate insert" false (B_drc.insert h 5);
-  Alcotest.(check bool) "delete" true (B_drc.delete h 5);
-  Alcotest.(check bool) "gone" false (B_drc.contains h 5);
-  Alcotest.(check bool) "reinsert" true (B_drc.insert h 5);
-  Alcotest.(check bool) "back" true (B_drc.contains h 5);
-  Alcotest.(check bool) "delete last key" true (B_drc.delete h 5);
-  Alcotest.(check (list int)) "empty again" [] (B_drc.to_list t);
-  B_drc.flush t;
-  Alcotest.(check int) "no nodes beyond skeleton" 0 (B_drc.extra_nodes t)
+  let t = create drc mem ~procs:1 in
+  Alcotest.(check bool) "insert" true (t.insert (-1) 5);
+  Alcotest.(check bool) "duplicate insert" false (t.insert (-1) 5);
+  Alcotest.(check bool) "delete" true (t.delete (-1) 5);
+  Alcotest.(check bool) "gone" false (t.contains (-1) 5);
+  Alcotest.(check bool) "reinsert" true (t.insert (-1) 5);
+  Alcotest.(check bool) "back" true (t.contains (-1) 5);
+  Alcotest.(check bool) "delete last key" true (t.delete (-1) 5);
+  Alcotest.(check (list int)) "empty again" [] (t.to_list ());
+  t.flush ();
+  Alcotest.(check int) "no nodes beyond skeleton" 0 (t.extra_nodes ())
 
 let test_ascending_descending () =
   (* External trees have no rebalancing; sorted insertions build a
      degenerate spine that must still behave. *)
   let mem = Memory.create config in
-  let t = B_drc.create mem ~procs:1 in
-  let h = B_drc.handle t (-1) in
+  let t = create drc mem ~procs:1 in
   for k = 0 to 63 do
-    ignore (B_drc.insert h k)
+    ignore (t.insert (-1) k)
   done;
   for k = 63 downto 32 do
-    Alcotest.(check bool) "delete from spine" true (B_drc.delete h k)
+    Alcotest.(check bool) "delete from spine" true (t.delete (-1) k)
   done;
   Alcotest.(check (list int)) "survivors" (List.init 32 Fun.id)
-    (B_drc.to_list t)
+    (t.to_list ())
 
 (* Two deletes of sibling leaves under the same parent, driven to
    overlap: this is exactly the case where the retire-walk must pick the
    removed leaf by address, not by flag (see Bst_smr.cleanup). *)
-let sibling_delete_race (type t) (module B : Cds.Set_intf.OPS with type t = t)
-    (create : Memory.t -> t) seeds () =
+let sibling_delete_race scheme seeds () =
   List.iter
     (fun seed ->
       let mem = Memory.create config in
-      let t = create mem in
-      let h0 = B.handle t (-1) in
+      let t = create scheme mem ~procs:2 in
       (* Keys 10 and 11 end up as the two leaves of one parent. *)
-      ignore (B.insert h0 10);
-      ignore (B.insert h0 11);
+      ignore (t.insert (-1) 10);
+      ignore (t.insert (-1) 11);
       let r =
         Sim.run ~policy:Sim.Uniform ~seed ~config ~procs:2 (fun pid ->
-            let h = B.handle t pid in
-            ignore (B.delete h (10 + pid)))
+            ignore (t.delete pid (10 + pid)))
       in
       Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
-      Alcotest.(check (list int)) "both deleted" [] (B.to_list t);
-      B.flush t;
-      Alcotest.(check int) "no leak" 0 (B.extra_nodes t))
+      Alcotest.(check (list int)) "both deleted" [] (t.to_list ());
+      t.flush ();
+      Alcotest.(check int) "no leak" 0 (t.extra_nodes ()))
     seeds
 
-let test_concurrent_mixed_vs_model (type t)
-    (module B : Cds.Set_intf.OPS with type t = t) (create : Memory.t -> t)
-    seed () =
+let test_concurrent_mixed_vs_model scheme seed () =
   let mem = Memory.create config in
-  let t = create mem in
-  let h0 = B.handle t (-1) in
+  let t = create scheme mem ~procs:4 in
   let model = ref ISet.empty in
   for k = 0 to 31 do
     if k mod 3 = 0 then begin
-      ignore (B.insert h0 k);
+      ignore (t.insert (-1) k);
       model := ISet.add k !model
     end
   done;
@@ -93,14 +86,13 @@ let test_concurrent_mixed_vs_model (type t)
   let r =
     Sim.run ~policy:(Sim.Chaos { pause_prob = 0.01; pause_steps = 400 }) ~seed
       ~config ~procs:4 (fun pid ->
-        let h = B.handle t pid in
         let rng = Proc.rng () in
         for _ = 1 to 150 do
           let k = Rng.int rng 32 in
           if Rng.bool rng then begin
-            if B.insert h k then ins.(pid) <- k :: ins.(pid)
+            if t.insert pid k then ins.(pid) <- k :: ins.(pid)
           end
-          else if B.delete h k then del.(pid) <- k :: del.(pid)
+          else if t.delete pid k then del.(pid) <- k :: del.(pid)
         done)
   in
   Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
@@ -111,13 +103,13 @@ let test_concurrent_mixed_vs_model (type t)
     let ins_k = Array.fold_left (fun a l -> a + count l) 0 ins in
     let del_k = Array.fold_left (fun a l -> a + count l) 0 del in
     let was = if ISet.mem k !model then 1 else 0 in
-    let now = if List.mem k (B.to_list t) then 1 else 0 in
+    let now = if List.mem k (t.to_list ()) then 1 else 0 in
     Alcotest.(check int)
       (Printf.sprintf "key %d flux" k)
       (now - was) (ins_k - del_k)
   done;
-  B.flush t;
-  Alcotest.(check int) "no leak" 0 (B.extra_nodes t)
+  t.flush ();
+  Alcotest.(check int) "no leak" 0 (t.extra_nodes ())
 
 (* Set linearizability on small histories via the checker. *)
 module Set_spec = struct
@@ -138,12 +130,11 @@ end
 let test_bst_linearizable () =
   for seed = 1 to 10 do
     let mem = Memory.create config in
-    let t = B_drc.create mem ~procs:3 in
+    let t = create drc mem ~procs:3 in
     let rec_ = Lincheck.recorder () in
     let r =
       Sim.run ~policy:(Sim.Chaos { pause_prob = 0.05; pause_steps = 150 })
         ~seed ~config ~procs:3 (fun pid ->
-          let h = B_drc.handle t pid in
           let rng = Proc.rng () in
           for _ = 1 to 5 do
             let k = Rng.int rng 4 in
@@ -151,15 +142,15 @@ let test_bst_linearizable () =
             | 0 ->
                 ignore
                   (Lincheck.record rec_ (Set_spec.Ins k) (fun () ->
-                       B_drc.insert h k))
+                       t.insert pid k))
             | 1 ->
                 ignore
                   (Lincheck.record rec_ (Set_spec.Del k) (fun () ->
-                       B_drc.delete h k))
+                       t.delete pid k))
             | _ ->
                 ignore
                   (Lincheck.record rec_ (Set_spec.Mem k) (fun () ->
-                       B_drc.contains h k))
+                       t.contains pid k))
           done)
     in
     Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
@@ -176,25 +167,15 @@ let suite =
       test_insert_delete_reinsert;
     Alcotest.test_case "degenerate spine" `Quick test_ascending_descending;
     Alcotest.test_case "sibling delete race (hp)" `Quick
-      (sibling_delete_race (module B_hp)
-         (fun m -> B_hp.create m ~procs:2 ~params)
-         (List.init 20 (fun i -> i + 1)));
+      (sibling_delete_race "HP" (List.init 20 (fun i -> i + 1)));
     Alcotest.test_case "sibling delete race (ebr)" `Quick
-      (sibling_delete_race (module B_ebr)
-         (fun m -> B_ebr.create m ~procs:2 ~params)
-         (List.init 20 (fun i -> i + 1)));
+      (sibling_delete_race "EBR" (List.init 20 (fun i -> i + 1)));
     Alcotest.test_case "sibling delete race (drc)" `Quick
-      (sibling_delete_race (module B_drc)
-         (fun m -> B_drc.create m ~procs:2)
-         (List.init 20 (fun i -> i + 1)));
+      (sibling_delete_race drc (List.init 20 (fun i -> i + 1)));
     Alcotest.test_case "mixed vs model (hp)" `Quick
-      (test_concurrent_mixed_vs_model (module B_hp)
-         (fun m -> B_hp.create m ~procs:4 ~params)
-         51);
+      (test_concurrent_mixed_vs_model "HP" 51);
     Alcotest.test_case "mixed vs model (drc)" `Quick
-      (test_concurrent_mixed_vs_model (module B_drc)
-         (fun m -> B_drc.create m ~procs:4)
-         52);
+      (test_concurrent_mixed_vs_model drc 52);
     Alcotest.test_case "small histories linearizable" `Quick
       test_bst_linearizable;
   ]

@@ -1,20 +1,24 @@
 (* The invariance harness: no execution mode or instrument may change a
    result. Each run of the property draws small random cells — one
-   Figure 6a point per scheme, a Figure 7 list point, a faulted Figure R
-   point and a serving-benchmark cell, each with its own seed, process
-   count and lookahead window — runs each cell plain and once per mode,
-   and requires plain's fingerprint from every mode: fastpath off, VM
-   off, either allocator, the sanitizer, the race checker, the profiler,
-   all three instruments at once (on either engine), and a pool of two
-   domains. Across the two engines the instruments' own outputs (the
-   sanitizer's and race checker's report texts, the collapsed profile
-   stacks) must agree too.
+   Figure 6a point per scheme, two load/store points of the Figure
+   6b–6d shapes (store share, location count), a Figure 7 list point, a
+   faulted Figure R point and a serving-benchmark cell, each with its
+   own seed, process count and lookahead window — runs each cell plain
+   and once per mode, and requires plain's fingerprint from every mode:
+   fastpath off, VM off, either allocator, the sanitizer, the race
+   checker, the profiler, all three instruments at once (on either
+   engine), and a pool of two domains. The VM-off modes run only on
+   cells with a compiled op body; elsewhere the VM is not in play and
+   they would rerun plain. Across the two engines the instruments' own
+   outputs (the sanitizer's and race checker's report texts, the
+   collapsed profile stacks) must agree too.
 
-   Coverage is enumerated, not sampled: every run covers all four cell
+   Coverage is enumerated, not sampled: every run covers all five cell
    kinds, every {!Workload.Fig6.schemes} entry, all three policies and
    both lookahead windows, and each mode must show in at least one cell
    that it took effect. A failure names the cell (kind, scheme, seed,
-   P, policy, lookahead) and the mode; [QCHECK_SEED=N] replays a run. *)
+   P, policy, lookahead, and a load/store cell's shape) and the mode;
+   [QCHECK_SEED=N] replays a run. *)
 
 open Simcore
 module W = Workload
@@ -22,7 +26,7 @@ module B = Service.Bench
 
 (* {1 Cells and modes} *)
 
-type kind = Fig6a | Fig7a | Robust | Serve
+type kind = Fig6a | Fig6bd | Fig7a | Robust | Serve
 
 type cell = {
   kind : kind;
@@ -31,7 +35,11 @@ type cell = {
   procs : int;
   policy : int;  (** index into [policies] *)
   lookahead : int;
+  n_locs : int;  (** load/store cells: locations ... *)
+  p_store : float;  (** ... and store share *)
 }
+
+let loadstore c = c.kind = Fig6a || c.kind = Fig6bd
 
 let policies =
   [|
@@ -41,12 +49,16 @@ let policies =
   |]
 
 let cell_name c =
-  Printf.sprintf "%s %S seed=%d P=%d policy=%s lookahead=%d"
+  Printf.sprintf "%s %S seed=%d P=%d policy=%s lookahead=%d%s"
     (List.assoc c.kind
-       [ (Fig6a, "6a"); (Fig7a, "7a"); (Robust, "robust"); (Serve, "serve") ])
+       [ (Fig6a, "6a"); (Fig6bd, "6b-6d"); (Fig7a, "7a"); (Robust, "robust");
+         (Serve, "serve") ])
     c.scheme c.seed c.procs
     (fst policies.(c.policy))
     c.lookahead
+    (if c.kind = Fig6bd then
+       Printf.sprintf " locs=%d stores=%.1f" c.n_locs c.p_store
+     else "")
 
 (* A mode arms a cell's config; the fast path and the profiler are
    arguments of the runners instead. *)
@@ -111,11 +123,12 @@ let fingerprint cell m =
   in
   let run () =
     match cell.kind with
-    | Fig6a ->
+    | Fig6a | Fig6bd ->
         Point
           ( W.Fig6.loadstore_point ~policy ~fastpath ~config ~profile ~on_heap
               (List.assoc cell.scheme W.Fig6.schemes)
-              ~threads ~horizon:10_000 ~seed ~n_locs:8 ~p_store:0.3,
+              ~threads ~horizon:10_000 ~seed ~n_locs:cell.n_locs
+              ~p_store:cell.p_store,
             [] )
     | Fig7a ->
         Point
@@ -225,20 +238,37 @@ let differs cell mode ~plain got =
 
 (* {1 The property} *)
 
-(* One 6a cell per scheme, then one cell of each other kind. Policies
-   and windows rotate over the cells from a random offset, so every draw
-   covers all three policies and both windows. *)
+(* The Figure 6 schemes whose load/store op body compiles. *)
+let compiled_schemes =
+  List.filter_map
+    (fun (name, (module R : Rc_baselines.Rc_intf.S)) ->
+      let t = R.create (Memory.create Config.small) ~procs:1 in
+      if Option.is_some (R.vm_ops t) then Some name else None)
+    W.Fig6.schemes
+
+let compiled c = loadstore c && List.mem c.scheme compiled_schemes
+
+(* One 6a cell per scheme, two compiled load/store cells of the 6b–6d
+   shapes (6b's store share, 6c's location count), then one cell of
+   each other kind. Policies and windows rotate over the cells from a
+   random offset, so every draw covers all three policies and both
+   windows. *)
 let cells_gen =
-  let schemes6 = List.map fst W.Fig6.schemes in
-  let n = List.length schemes6 + 3 in
+  let schemes6 = List.map fst W.Fig6.schemes and shape6a = (8, 0.3) in
+  let n = List.length schemes6 + 5 in
   QCheck.Gen.(
     let* base_seed = int_range 0 1_000_000 in
     let* procs = array_size (return n) (int_range 1 8) in
     let* shift = int_bound 5 in
+    let* shapes =
+      list_repeat 2
+        (triple (oneofl compiled_schemes) (oneofl [ 10; 100; 1000 ])
+           (oneofl [ 0.1; 0.5 ]))
+    in
     let* s7 = oneofl W.Fig7.scheme_names in
     let+ s_serve = oneofl Service.Kv.schemes in
     List.mapi
-      (fun i (kind, scheme) ->
+      (fun i (kind, scheme, (n_locs, p_store)) ->
         let p = procs.(i) in
         {
           kind;
@@ -250,11 +280,16 @@ let cells_gen =
           (* The serving benchmark always schedules [Fair]. *)
           policy = (if kind = Serve then 0 else (i + shift) mod 3);
           lookahead = (if (i + (shift / 3)) mod 2 = 0 then 0 else 64);
+          n_locs;
+          p_store;
         })
-      (List.map (fun s -> (Fig6a, s)) schemes6
+      (List.map (fun s -> (Fig6a, s, shape6a)) schemes6
+      @ List.map (fun (s, locs, stores) -> (Fig6bd, s, (locs, stores))) shapes
       (* DEBRA+'s pinned stall fires at every seed, P and policy, and its
          victim is neutralized mid-operation. *)
-      @ [ (Fig7a, s7); (Robust, "DEBRA+"); (Serve, s_serve) ]))
+      @ List.map
+          (fun (kind, s) -> (kind, s, shape6a))
+          [ (Fig7a, s7); (Robust, "DEBRA+"); (Serve, s_serve) ]))
 
 let is_drc s = String.starts_with ~prefix:"DRC" s
 
@@ -268,7 +303,7 @@ let check_plain cell fp =
   if cell.kind = Robust && counter fp "adv.stalls" = 0 then
     fail cell plain.name "the stall never fired";
   if
-    cell.kind = Fig6a && is_drc cell.scheme
+    loadstore cell && is_drc cell.scheme
     && not
          (List.mem_assoc "drc.deferred_decs/peak" (counters fp)
          && List.mem_assoc "ar.delayed/peak" (counters fp)
@@ -295,7 +330,7 @@ let took_effect m ~base o =
    ROADMAP item). Such an outcome must still be the same under every
    mode; from any other scheme it fails the property. *)
 let known_unsafe cell =
-  cell.kind = Fig6a && List.mem cell.scheme [ "Herlihy"; "Herlihy (opt)"; "OrcGC" ]
+  loadstore cell && List.mem cell.scheme [ "Herlihy"; "Herlihy (opt)"; "OrcGC" ]
 
 (* Run [cell] plain and under each of [modes]; record in [evidence] each
    mode that took effect. The pooled allocator recycles other addresses
@@ -309,6 +344,10 @@ let known_unsafe cell =
    the pooled allocator: which block a stale access lands on, and so
    whether it faults, depends on reuse order. *)
 let check_cell evidence modes cell =
+  let modes =
+    if compiled cell then modes
+    else List.filter (fun m -> (m.arm Config.default).Config.vm) modes
+  in
   let base = observe cell plain in
   let unsafe = match base.fp with Unsafe _ -> true | _ -> false in
   if unsafe && not (known_unsafe cell) then fail cell plain.name (brief base.fp);
@@ -329,7 +368,7 @@ let check_cell evidence modes cell =
         fail cell m.name ("sanitizer reports:\n" ^ String.concat "\n" o.san);
       if m.profile && o.stacks = [] then fail cell m.name "no collapsed stacks";
       if
-        m.profile && cell.kind = Fig6a && is_drc cell.scheme
+        m.profile && loadstore cell && is_drc cell.scheme
         && not
              (List.exists
                 (fun (path, _) -> String.ends_with ~suffix:"drc-defer" path)
@@ -431,8 +470,8 @@ let slices suite =
     [
       ("fastpath", "fig6a point identical", [ Fig6a ], [ "fastpath off" ]);
       ("fastpath", "fig7 point identical", [ Fig7a ], [ "fastpath off" ]);
-      ( "fastpath", "faulted point identical (fastpath x vm)", [ Robust ],
-        [ "fastpath off"; "vm off" ] );
+      ( "fastpath", "faulted point identical (fastpath off)", [ Robust ],
+        [ "fastpath off" ] );
       ( "fastpath", "telemetry identical on/off (3 policies)", [ Fig6a ],
         [ "fastpath off" ] );
       ( "vm", "oracle identity (schemes x policies)", [ Fig6a ],

@@ -4,52 +4,52 @@
 
 open Simcore
 
-let params = { Smr.Smr_intf.slots = 3; batch = 8; era_freq = 4 }
-
 let config = { Config.small with max_steps = 300_000_000 }
 
-module L_hp = Cds.List_smr.Make (Smr.Hp)
-module L_drc = Cds.List_rc.With_snapshots
+(* A list from the catalogue, with small retire batches so the short
+   runs reclaim. *)
+let create scheme mem ~procs : Cds.Set_catalogue.instance =
+  Cds.Set_catalogue.(create_batched ~batch:8 List_set) scheme mem ~procs
+    ~buckets:0
+
+let drc = "DRC (+snap)"
 
 let test_boundaries () =
   let mem = Memory.create config in
-  let t = L_drc.create mem ~procs:1 in
-  let h = L_drc.handle t (-1) in
+  let t = create drc mem ~procs:1 in
   (* min_int/max_int-adjacent keys exercise comparison edges. *)
-  Alcotest.(check bool) "insert big" true (L_drc.insert h (max_int / 4));
-  Alcotest.(check bool) "insert negative" true (L_drc.insert h (-17));
-  Alcotest.(check bool) "insert zero" true (L_drc.insert h 0);
-  Alcotest.(check (list int)) "sorted" [ -17; 0; max_int / 4 ] (L_drc.to_list t)
+  Alcotest.(check bool) "insert big" true (t.insert (-1) (max_int / 4));
+  Alcotest.(check bool) "insert negative" true (t.insert (-1) (-17));
+  Alcotest.(check bool) "insert zero" true (t.insert (-1) 0);
+  Alcotest.(check (list int)) "sorted" [ -17; 0; max_int / 4 ] (t.to_list ())
 
 let test_marked_invisible () =
   (* A logically deleted node is absent from to_list even before any
      traversal physically unlinks it. *)
   let mem = Memory.create config in
-  let t = L_drc.create mem ~procs:1 in
-  let h = L_drc.handle t (-1) in
-  ignore (L_drc.insert h 1);
-  ignore (L_drc.insert h 2);
-  ignore (L_drc.insert h 3);
-  ignore (L_drc.delete h 2);
-  Alcotest.(check (list int)) "marked excluded" [ 1; 3 ] (L_drc.to_list t);
-  Alcotest.(check bool) "contains agrees" false (L_drc.contains h 2)
+  let t = create drc mem ~procs:1 in
+  ignore (t.insert (-1) 1);
+  ignore (t.insert (-1) 2);
+  ignore (t.insert (-1) 3);
+  ignore (t.delete (-1) 2);
+  Alcotest.(check (list int)) "marked excluded" [ 1; 3 ] (t.to_list ());
+  Alcotest.(check bool) "contains agrees" false (t.contains (-1) 2)
 
 let test_traversal_cleans_up () =
   (* After a delete, a later traversal physically unlinks and the node
      count drops back to the live set. *)
   let mem = Memory.create config in
-  let t = L_hp.create mem ~procs:1 ~params in
-  let h = L_hp.handle t (-1) in
+  let t = create "HP" mem ~procs:1 in
   for k = 0 to 9 do
-    ignore (L_hp.insert h k)
+    ignore (t.insert (-1) k)
   done;
   for k = 0 to 9 do
-    if k mod 2 = 1 then ignore (L_hp.delete h k)
+    if k mod 2 = 1 then ignore (t.delete (-1) k)
   done;
   (* Traversals to the end sweep any leftover marked nodes. *)
-  ignore (L_hp.contains h 100);
-  L_hp.flush t;
-  Alcotest.(check int) "unlinked nodes freed" 0 (L_hp.extra_nodes t);
+  ignore (t.contains (-1) 100);
+  t.flush ();
+  Alcotest.(check int) "unlinked nodes freed" 0 (t.extra_nodes ());
   Alcotest.(check int) "five survive" 5 (Memory.live_with_tag mem "node")
 
 let test_interleaved_same_key () =
@@ -58,17 +58,16 @@ let test_interleaved_same_key () =
   List.iter
     (fun seed ->
       let mem = Memory.create config in
-      let t = L_drc.create mem ~procs:4 in
+      let t = create drc mem ~procs:4 in
       let r =
         Sim.run ~policy:Sim.Uniform ~seed ~config ~procs:4 (fun pid ->
-            let h = L_drc.handle t pid in
             for _ = 1 to 40 do
-              if pid mod 2 = 0 then ignore (L_drc.insert h 7)
-              else ignore (L_drc.delete h 7)
+              if pid mod 2 = 0 then ignore (t.insert pid 7)
+              else ignore (t.delete pid 7)
             done)
       in
       Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
-      let l = L_drc.to_list t in
+      let l = t.to_list () in
       Alcotest.(check bool) "at most one copy" true
         (l = [] || l = [ 7 ]))
     [ 3; 4; 5; 6 ]
@@ -90,36 +89,28 @@ let test_schemes_agree () =
         | _ -> contains k)
       script
   in
-  let mem1 = Memory.create config in
-  let t1 = L_hp.create mem1 ~procs:1 ~params in
-  let h1 = L_hp.handle t1 (-1) in
-  let r1 = run_script (L_hp.insert h1) (L_hp.delete h1) (L_hp.contains h1) in
-  let mem2 = Memory.create config in
-  let t2 = L_drc.create mem2 ~procs:1 in
-  let h2 = L_drc.handle t2 (-1) in
-  let r2 =
-    run_script (L_drc.insert h2) (L_drc.delete h2) (L_drc.contains h2)
+  let run scheme =
+    let t = create scheme (Memory.create config) ~procs:1 in
+    (run_script (t.insert (-1)) (t.delete (-1)) (t.contains (-1)), t.to_list ())
   in
+  let r1, l1 = run "HP" and r2, l2 = run drc in
   Alcotest.(check (list bool)) "result streams equal" r1 r2;
-  Alcotest.(check (list int)) "final sets equal" (L_hp.to_list t1)
-    (L_drc.to_list t2)
+  Alcotest.(check (list int)) "final sets equal" l1 l2
 
 let test_snapshot_budget () =
   (* The DRC list promises at most three snapshots in flight; exceeding
      the seven slots would silently fall back to counted increments, so
      traversals of long lists must leave counts untouched. *)
   let mem = Memory.create config in
-  let t = L_drc.create mem ~procs:1 in
-  let h0 = L_drc.handle t (-1) in
+  let t = create drc mem ~procs:1 in
   for k = 0 to 63 do
-    ignore (L_drc.insert h0 k)
+    ignore (t.insert (-1) k)
   done;
   (* Apply the prefill's deferred decrements so the baseline is clean. *)
-  L_drc.flush t;
+  t.flush ();
   let r =
     Sim.run ~config ~procs:1 (fun _ ->
-        let h = L_drc.handle t 0 in
-        Alcotest.(check bool) "find far key" true (L_drc.contains h 63))
+        Alcotest.(check bool) "find far key" true (t.contains 0 63))
   in
   Alcotest.(check int) "no faults" 0 (List.length r.Sim.faults);
   (* Every node's count must be exactly 1 (its predecessor's link). *)

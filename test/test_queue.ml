@@ -6,15 +6,8 @@ open Simcore
 
 let config = { Config.small with max_steps = 300_000_000 }
 
-let schemes : (string * (module Rc_baselines.Rc_intf.S)) list =
-  [
-    ("drc-snap", (module Rc_baselines.Drc_scheme.Snapshots));
-    ("drc", (module Rc_baselines.Drc_scheme.Plain));
-    ("folly", (module Rc_baselines.Split_rc));
-    ("herlihy-opt", (module Rc_baselines.Herlihy_rc.Optimized));
-    ("orcgc", (module Rc_baselines.Orcgc_rc));
-    ("locked", (module Rc_baselines.Locked_rc));
-  ]
+(* Case names by catalogue scheme; this suite calls Folly "folly". *)
+let slug = function "Folly" -> "folly" | name -> Test_rc_schemes.slug name
 
 let sequential_fifo (module R : Rc_baselines.Rc_intf.S) () =
   let module Q = Cds.Queue_rc.Make (R) in
@@ -119,10 +112,11 @@ let concurrent (module R : Rc_baselines.Rc_intf.S) seed () =
 let suite =
   List.concat_map
     (fun (name, m) ->
+      let name = slug name in
       [
         Alcotest.test_case (name ^ ": sequential fifo") `Quick
           (sequential_fifo m);
         Alcotest.test_case (name ^ ": concurrent") `Quick (concurrent m 41);
         QCheck_alcotest.to_alcotest (prop_fifo_model m name);
       ])
-    schemes
+    Rc_baselines.Rc_catalogue.all

@@ -1,23 +1,20 @@
 (* One generic battery applied to every reference-counting scheme of
-   Figure 6: sequential count bookkeeping against a model, concurrent
+   the catalogue: sequential count bookkeeping against a model, concurrent
    stack conservation under chaos, and exact reclamation at teardown. *)
 
 open Simcore
 
 let small = Config.small
 
-let schemes : (string * (module Rc_baselines.Rc_intf.S)) list =
-  [
-    ("locked", (module Rc_baselines.Locked_rc));
-    ("split", (module Rc_baselines.Split_rc));
-    ("dwcas", (module Rc_baselines.Dwcas_rc));
-    ("herlihy", (module Rc_baselines.Herlihy_rc.Plain));
-    ("herlihy-opt", (module Rc_baselines.Herlihy_rc.Optimized));
-    ("orcgc", (module Rc_baselines.Orcgc_rc));
-    ("drc", (module Rc_baselines.Drc_scheme.Plain));
-    ("drc-snap", (module Rc_baselines.Drc_scheme.Snapshots));
-    ("drc-waitfree", (module Rc_baselines.Drc_scheme.Waitfree));
-  ]
+(* Case names by catalogue scheme. *)
+let slug = function
+  | "GNU C++" -> "locked"
+  | "just::thread" -> "dwcas"
+  | "Folly" -> "split"
+  | "Herlihy (opt)" -> "herlihy-opt"
+  | "DRC (+snap)" -> "drc-snap"
+  | "DRC (wait-free)" -> "drc-waitfree"
+  | name -> String.lowercase_ascii name
 
 (* Sequential model check: random loads/stores/cas over a few cells;
    the model tracks which object each cell holds and which references
@@ -216,6 +213,7 @@ let snapshot_after_flush (module R : Rc_baselines.Rc_intf.S) () =
 let suite =
   List.concat_map
     (fun (name, m) ->
+      let name = slug name in
       [
         Alcotest.test_case (name ^ ": sequential model") `Quick (fun () ->
             sequential_model m 101);
@@ -227,4 +225,4 @@ let suite =
           (snapshot_after_flush m);
         QCheck_alcotest.to_alcotest (prop_script m name);
       ])
-    schemes
+    Rc_baselines.Rc_catalogue.all

@@ -258,52 +258,35 @@ let test_leaks_off_is_empty () =
    register only validated protections, so any report would be a real
    protocol bug. *)
 
-module L_hp = Cds.List_smr.Make (Smr.Hp)
-module L_ebr = Cds.List_smr.Make (Smr.Ebr)
-module L_he = Cds.List_smr.Make (Smr.He)
-module L_ibr = Cds.List_smr.Make (Smr.Ibr)
-
-let clean_list_workload (type a) name
-    (module S : Cds.Set_intf.OPS with type t = a) (create : Memory.t -> a) =
+let clean_list_workload scheme =
   let config = { small with cores = 4; sanitize = Sanitizer.default_on } in
   let mem = Memory.create config in
-  let t = create mem in
-  let setup = S.handle t (-1) in
+  let t =
+    Cds.Set_catalogue.(create List_set) scheme mem ~procs:4 ~buckets:0
+  in
   for k = 0 to 15 do
-    ignore (S.insert setup (2 * k))
+    ignore (t.insert (-1) (2 * k))
   done;
   let res =
     Sim.run ~config ~procs:4 (fun pid ->
-        let h = S.handle t pid in
         let rng = Proc.rng () in
         for _ = 1 to 150 do
           let k = Rng.int rng 32 in
           match Rng.int rng 4 with
-          | 0 -> ignore (S.insert h k)
-          | 1 -> ignore (S.delete h k)
-          | _ -> ignore (S.contains h k)
+          | 0 -> ignore (t.insert pid k)
+          | 1 -> ignore (t.delete pid k)
+          | _ -> ignore (t.contains pid k)
         done)
   in
-  S.flush t;
-  Alcotest.(check int) (name ^ ": no faults") 0 (List.length res.Sim.faults);
+  t.flush ();
+  Alcotest.(check int) (scheme ^ ": no faults") 0 (List.length res.Sim.faults);
   Alcotest.(check int)
-    (name ^ ": no sanitizer reports")
+    (scheme ^ ": no sanitizer reports")
     0
     (List.length (Memory.sanitizer_reports mem))
 
-let params = { Smr.Smr_intf.slots = 5; batch = 32; era_freq = 24 }
-
 let test_schemes_auditor_clean () =
-  clean_list_workload "HP" (module L_hp) (fun mem ->
-      L_hp.create mem ~procs:4 ~params);
-  clean_list_workload "EBR" (module L_ebr) (fun mem ->
-      L_ebr.create mem ~procs:4 ~params);
-  clean_list_workload "HE" (module L_he) (fun mem ->
-      L_he.create mem ~procs:4 ~params);
-  clean_list_workload "IBR" (module L_ibr) (fun mem ->
-      L_ibr.create mem ~procs:4 ~params);
-  clean_list_workload "DRC" (module Cds.List_rc.Plain) (fun mem ->
-      Cds.List_rc.Plain.create mem ~procs:4)
+  List.iter clean_list_workload Cds.Set_catalogue.schemes
 
 (* {1 Protocol state edge cases}
 

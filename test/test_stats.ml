@@ -1,24 +1,6 @@
-(* Counters and histograms. *)
+(* Histograms. *)
 
 open Simcore
-
-let test_counters () =
-  let s = Stats.create () in
-  Stats.incr s "ops";
-  Stats.incr ~by:4 s "ops";
-  Stats.set s "gauge" 17;
-  Stats.set_max s "peak" 3;
-  Stats.set_max s "peak" 9;
-  Stats.set_max s "peak" 5;
-  Alcotest.(check int) "incr" 5 (Stats.get s "ops");
-  Alcotest.(check int) "set" 17 (Stats.get s "gauge");
-  Alcotest.(check int) "set_max" 9 (Stats.get s "peak");
-  Alcotest.(check int) "missing key" 0 (Stats.get s "nope");
-  Alcotest.(check (list (pair string int))) "to_list sorted"
-    [ ("gauge", 17); ("ops", 5); ("peak", 9) ]
-    (Stats.to_list s);
-  Stats.clear s;
-  Alcotest.(check int) "cleared" 0 (Stats.get s "ops")
 
 module H = Stats.Histogram
 
@@ -242,7 +224,6 @@ let prop_quantile_merge_invariant =
 
 let suite =
   [
-    Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram zeros" `Quick test_histogram_zero;

@@ -94,6 +94,18 @@
 #      (Proc.here) when created and read the running process's env from
 #      it, paying through Proc.pay_env. Comments and string literals are
 #      ignored.
+#  13. One scheme catalogue per family: the (structure x scheme) sets
+#      come from lib/cds/set_catalogue.ml and the counted-pointer
+#      schemes from lib/rc_baselines/rc_catalogue.ml. A *_smr.Make
+#      application may appear in no .ml under lib, bin, test or examples
+#      outside lib/cds, and inside lib/cds only on a functor parameter
+#      (a structure built over another), never on a concrete Smr
+#      scheme outside the set catalogue. Under lib/, a first-class
+#      (module ...) of a counted-pointer scheme (Locked_rc, Dwcas_rc,
+#      Split_rc, Herlihy_rc, Orcgc_rc, Drc_scheme) may appear only in
+#      the RC catalogue: callers look schemes up by name there, so each
+#      scheme's list, names and parameters are written once. Comments
+#      and string literals are ignored.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -439,6 +451,36 @@ for name in memory telemetry recorder; do
   fi
 done
 
+# --- Rule 13: one scheme catalogue per family -------------------------------
+smr_make='_smr\.Make([^A-Za-z0-9_]|$)'
+smr_concrete='_smr\.Make[ \t]*\([ \t]*(Smr\.|Ebr|Hp|Ibr|He|Nomm|Debra)'
+rc_module='\(module[ \t]+(Rc_baselines\.)?(Locked_rc|Dwcas_rc|Split_rc|Herlihy_rc|Orcgc_rc|Drc_scheme)([^A-Za-z0-9_]|$)'
+for dir in lib bin test examples; do
+  [ -d "$root/$dir" ] || continue
+  # shellcheck disable=SC2044
+  for f in $(find "$root/$dir" -name '*.ml'); do
+    case $f in
+      "$root"/lib/cds/set_catalogue.ml) hits= ;;
+      "$root"/lib/cds/*) hits=$(strip_comments_strings "$f" | grep -nE "$smr_concrete") ;;
+      *) hits=$(strip_comments_strings "$f" | grep -nE "$smr_make") ;;
+    esac
+    if [ -n "$hits" ]; then
+      fail "lint: a set functor applied outside lib/cds/set_catalogue.ml in $f (take the instance from Cds.Set_catalogue):"
+      printf '%s\n' "$hits" >&2
+    fi
+    case $f in
+      "$root"/lib/rc_baselines/rc_catalogue.ml) continue ;;
+      "$root"/lib/*) ;;
+      *) continue ;;
+    esac
+    hits=$(strip_comments_strings "$f" | grep -nE "$rc_module")
+    if [ -n "$hits" ]; then
+      fail "lint: a counted-pointer scheme named outside lib/rc_baselines/rc_catalogue.ml in $f (look it up with Rc_baselines.Rc_catalogue.find):"
+      printf '%s\n' "$hits" >&2
+    fi
+  done
+done
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -762,6 +804,31 @@ let free_note e n = Proc.pay_env e n; ignore "Proc.get_env ()"
 MEM
   echo 'let add c n = ignore "Proc.self ()"; c.(0) <- n (* not Proc.self *)' > "$tmp/lib/simcore/telemetry.ml"
   check_passes "memory.ml's fault and report helpers"
+
+  # Rule 13: set functors applied to a scheme outside the catalogue,
+  # and a counted-pointer scheme list outside the RC catalogue.
+  mkdir -p "$tmp/lib/workload"
+  echo 'module L = Cds.List_smr.Make (Smr.Ebr)' > "$tmp/lib/workload/bad.ml"
+  check_catches "Cds.List_smr.Make in lib/workload/"
+
+  mkdir -p "$tmp/test"
+  printf 'module R = Smr.Hp\nmodule B = Cds.Bst_smr.Make (R)\n' > "$tmp/test/bad.ml"
+  check_catches "Cds.Bst_smr.Make in test/"
+
+  mkdir -p "$tmp/lib/cds"
+  echo 'module H = Hash_smr.Make (Smr.Hp)' > "$tmp/lib/cds/bad.ml"
+  check_catches "Hash_smr.Make on a concrete scheme in lib/cds/"
+
+  mkdir -p "$tmp/lib/service"
+  echo 'let schemes = [ ("DRC", (module Rc_baselines.Drc_scheme.Plain : Rc_baselines.Rc_intf.S)) ]' > "$tmp/lib/service/bad.ml"
+  check_catches "an inline counted-pointer scheme list in lib/service/"
+
+  mkdir -p "$tmp/lib/cds" "$tmp/lib/rc_baselines" "$tmp/test"
+  printf 'module Make (R : Smr_intf.S) = struct\n  module L = List_smr.Make (R)\nend\n' > "$tmp/lib/cds/hash_smr.ml"
+  printf 'module Over (R : Smr_intf.S) = struct module L = List_smr.Make (R) end\nmodule Ebr = Over (Smr.Ebr)\nmodule H = Hash_smr.Make (Smr.Hp)\n' > "$tmp/lib/cds/set_catalogue.ml"
+  echo 'let all = [ ("OrcGC", (module Orcgc_rc : Rc_intf.S)) ]' > "$tmp/lib/rc_baselines/rc_catalogue.ml"
+  echo 'module Q = Cds.Queue_rc.Make (Rc_baselines.Drc_scheme.Snapshots) (* not Cds.List_smr.Make (Smr.Ebr) *)' > "$tmp/test/ok.ml"
+  check_passes "the two catalogues, a functor-parameter application and a comment"
 
   echo "lint --self-test: ok"
   exit 0
