@@ -4,19 +4,17 @@
    {!Memory} owns one of these and layers allocation bookkeeping,
    telemetry and the sanitizer on top; {!Vm} reads it directly so a
    compiled instruction stream can run an entire run-ahead window
-   without crossing a module boundary. Cross-module calls do not
-   inline in this build: dune's default (dev) profile compiles with
-   [-opaque], which withholds each module's [.cmx] inlining
-   information from its clients, so the bytecode interpreter must see
-   these fields first-hand. (Closure-mode ocamlopt, no flambda needed,
-   does inline small functions across modules when it can read the
-   [.cmx]: a release-profile build ran [repro run --quick 6a] and
-   [7a] in about 11% less wall time, with identical output (min of 5,
-   2-vCPU x86-64 host). It is not adopted because it changes the
-   tier-1 build.) Block metadata lives in parallel arrays indexed by
-   block id — the former per-block record cost a pointer chase per
-   validation — and the coherence line/L1 state rides in the same
-   record so one load reaches everything an access needs. *)
+   without crossing a module boundary. The helpers both engines share
+   on every access live here: the validity predicate [valid], marked
+   [@inline], and the coherence cost functions. The build uses dune's
+   release profile, so ocamlopt reads this module's [.cmx]: [valid]
+   inlines into {!Memory}'s entry points and the VM's dispatch loop
+   alike, and the cost functions are direct calls from both (DESIGN.md,
+   "Measured build profile"). Block metadata lives in
+   parallel arrays indexed by block id — the former per-block record
+   cost a pointer chase per validation — and the coherence line/L1
+   state rides in the same record so one load reaches everything an
+   access needs. *)
 
 (* The instruction cost model, re-exported and documented as
    {!Config.cost}. It lives here so that the instruments, whose modes
@@ -161,6 +159,15 @@ let reset_lines t ~base ~size =
   done
 
 let block_of t a = if a > 0 && a < t.top then t.block_id.(a) else 0
+
+(* [a] lies in a live block. [a < top] also bounds the unchecked loads:
+   [block_id] is kept at least [top] long, and block ids index the
+   metadata arrays. *)
+let[@inline] valid t a =
+  a > 0 && a < t.top
+  &&
+  let id = Array.unsafe_get t.block_id a in
+  id <> 0 && Array.unsafe_get t.b_live id = 1
 
 let[@inline] pid_slot pid = if pid < 0 || pid >= max_pids then max_pids - 1 else pid
 

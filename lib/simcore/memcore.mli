@@ -2,12 +2,12 @@
     metadata and coherence-line state in parallel unboxed int arrays.
 
     Internal to the simulator: {!Memory} owns and maintains one; {!Vm}
-    reads the fields directly so compiled instruction streams never
-    cross a module boundary on the access fast path (dune's dev
-    profile compiles with [-opaque], so cross-module calls do not
-    inline; see memcore.ml). Algorithm
-    and workload code should use {!Memory}. The record is exposed
-    transparently for exactly those two clients. *)
+    reads the fields directly, and both engines share the access
+    helpers below ({!valid}, inlined, and the cost functions), so a compiled
+    instruction stream and a {!Memory} entry point run the same code on
+    the access fast path (see memcore.ml). Algorithm and workload code
+    should use {!Memory}. The record is exposed transparently for
+    exactly those two clients. *)
 
 type cost = {
   c_l1 : int;
@@ -82,6 +82,11 @@ val line_of_addr : int -> int
 val block_of : t -> int -> int
 (** The id of the block containing address [a] (live or freed), or [0]
     when [a] lies in none. *)
+
+val valid : t -> int -> bool
+(** [valid t a]: address [a] lies in a live block — the one validity
+    predicate of every data access, on both engines.
+    {!Memory.validate_addr} classifies the fault when it is false. *)
 
 (** {1 Coherence cost model}
 

@@ -180,20 +180,17 @@ let mem_fault : type a. t -> fault_kind -> addr:int -> ?tag:string ->
   file t what addr ~header:what;
   raise (Fault { kind; addr; pid; tag })
 
-(* Address validation for a data access at [a]; returns the block id. *)
-let validate t a =
+(* The fault of a data access at [a], which fails {!Memcore.valid}. *)
+let[@inline never] invalid t a =
   let h = t.h in
   if a <= 0 then mem_fault t Null_deref ~addr:a ()
-  else if a >= h.Memcore.top then mem_fault t Out_of_bounds ~addr:a ()
-  else begin
-    let bid = h.Memcore.block_id.(a) in
-    if bid = 0 then mem_fault t Out_of_bounds ~addr:a ()
-    else if h.Memcore.b_live.(bid) = 0 then
-      mem_fault t Use_after_free ~addr:a ~tag:h.Memcore.b_tag.(bid) ()
-    else bid
-  end
+  else
+    match Memcore.block_of h a with
+    | 0 -> mem_fault t Out_of_bounds ~addr:a ()
+    | bid -> mem_fault t Use_after_free ~addr:a ~tag:h.Memcore.b_tag.(bid) ()
 
-let validate_addr t a = ignore (validate t a)
+(* Address validation for a data access at [a]. *)
+let[@inline] validate_addr t a = if not (Memcore.valid t.h a) then invalid t a
 
 (* {1 Instrument glue}
 
@@ -411,15 +408,14 @@ let free t a =
 (* {1 Atomic word operations}
 
    Every access reads the env from the heap's held cell (no
-   domain-local lookup) and pays inline ({!Proc.pay_env}); outside a
+   domain-local lookup) and pays inline ({!Proc.pay_split}); outside a
    simulation the coherence transition still happens (with pid [-1])
-   and the pay is skipped. Profiling
-   splits each cost into the scheme-independent floor (an L1 read, an
-   owned-line RMW) charged to the surrounding phase and the coherence
-   penalty above it, which {!Profiler.demote} moves to the phase's
-   [Coherence] child; with profiling off both are one no-op match. The
-   shared prelude below is inlined into each entry point, which thus
-   makes the same calls as a hand-written body. *)
+   and the pay is skipped. Profiling splits each cost into the
+   scheme-independent floor (an L1 read, an owned-line RMW) charged to
+   the surrounding phase and the coherence penalty above it, charged to
+   the phase's [Coherence] child ({!Proc.charge}, as the VM's memory
+   opcodes do). The shared prelude below is inlined into each entry
+   point, which thus makes the same calls as a hand-written body. *)
 
 (* Charge one access to [a] and return the environment for the
    instruments. *)
@@ -433,9 +429,8 @@ let[@inline] pay_access t ~write a =
   in
   (match env with
   | Some e ->
-      Proc.pay_env e c;
-      Profiler.demote e
-        (c - if write then h.Memcore.c_rmw_owned else h.Memcore.c_l1)
+      Proc.pay_split e c
+        ~pen:(c - if write then h.Memcore.c_rmw_owned else h.Memcore.c_l1)
   | None -> ());
   env
 
@@ -477,16 +472,9 @@ let read t a =
    (the line's total is at least that cost). So under an armed
    instrument each word is validated once, on [read]'s path. *)
 
-(* [validate]'s verdict without the fault: [a] lies in a live block. *)
-let[@inline] live_word h a =
-  a > 0 && a < h.Memcore.top
-  &&
-  let bid = h.Memcore.block_id.(a) in
-  bid <> 0 && h.Memcore.b_live.(bid) = 1
-
 (* The first address in [a, stop) that fails validation, or [stop]. *)
 let rec live_upto h a stop =
-  if a < stop && live_word h a then live_upto h (a + 1) stop else a
+  if a < stop && Memcore.valid h a then live_upto h (a + 1) stop else a
 
 (* The span loop over [a, stop), one line at a time: [acc] ticks over
    [k] elided pays are not on the clocks yet. Top level, so a span
@@ -510,13 +498,7 @@ let rec span t e f a stop acc k =
     in
     let total = c + ((v - 1) * l1) in
     if v > 0 && total < e.Proc.budget then begin
-      (match e.Proc.prof with
-      | Some p ->
-          let pen = Int.max 0 (c - l1) in
-          let pc = p.Proc.pcounts in
-          pc.(p.Proc.pcur) <- pc.(p.Proc.pcur) + total - pen;
-          if pen > 0 then pc.(p.Proc.pcoh) <- pc.(p.Proc.pcoh) + pen
-      | None -> ());
+      Proc.charge e total (c - l1);
       e.Proc.budget <- e.Proc.budget - total;
       for i = a to a + v - 1 do
         f h.Memcore.words.(i)
@@ -525,8 +507,7 @@ let rec span t e f a stop acc k =
     end
     else begin
       if k > 0 then e.Proc.bulk_pay acc k;
-      Proc.pay_env e c;
-      Profiler.demote e (c - l1);
+      Proc.pay_split e c ~pen:(c - l1);
       validate_addr t a;
       if h.Memcore.san_on then instrument t e Racecheck.Read a;
       f h.Memcore.words.(a);
@@ -574,16 +555,14 @@ let fas t a v =
 (* Debug access bypasses the sanitizer hooks (no protection audit, no
    provenance-ring pollution): oracles peek at will. *)
 let peek t a =
-  let _bid = validate t a in
+  validate_addr t a;
   t.h.Memcore.words.(a)
 
-let block_is_live t a =
-  let bid = Memcore.block_of t.h a in
-  bid <> 0 && t.h.Memcore.b_live.(bid) = 1
+let block_is_live t a = Memcore.valid t.h a
 
 let block_base t a =
-  let bid = validate t a in
-  t.h.Memcore.b_base.(bid)
+  validate_addr t a;
+  t.h.Memcore.b_base.(t.h.Memcore.block_id.(a))
 
 let block_tag t a =
   match Memcore.block_of t.h a with

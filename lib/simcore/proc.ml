@@ -13,7 +13,7 @@ type trie = {
 
 (* Per-process profiling state (see {!Profiler}, which owns the trie of
    phase stacks). It lives here, below the module that interprets it,
-   so that [pay_env] — the single point every simulated tick flows
+   so that [charge] — the single point every simulated tick flows
    through — can charge the current slot with one array store and no
    dependency cycle. The charge is branch-plus-store, and [prof = None]
    (profiling off) costs one match. *)
@@ -35,7 +35,7 @@ type env = {
   fast : bool;
   fast_pay : int -> unit;
   bulk_pay : int -> int -> unit;
-  mutable regrant : int -> bool;
+  regrant : int -> bool;
   prof : prof option;
   mutable intr : bool;  (* pending simulated signal (see {!signal}) *)
   mutable on_sig : (unit -> unit) option;  (* per-process signal handler *)
@@ -67,24 +67,37 @@ let set_env e = (here ()).env <- e
 
 let get_env () = (here ()).env
 
-(* The scheduler grants [budget] ticks that this process may consume
-   before any scheduling decision could differ; while the budget lasts, a
-   pay is a pair of integer updates instead of an effect suspension plus
-   a run-queue round trip. The pay that exhausts the budget performs the
-   effect, so the scheduler regains control exactly where it would have
-   made a different decision. *)
-(* A pay that outlives the budget first offers itself to [regrant]: the
-   scheduler may prove that after charging it the same process would be
-   picked right back, replay its bookkeeping in place, and hand out a
-   fresh budget — so the effect fiber round trip happens only at genuine
-   scheduling points (another core due, quantum rotation). [regrant]
-   charges nothing when it declines. *)
-(* Every path below advances this process's clock by exactly [n], so
-   charging the current phase slot here — once, before the branch —
-   keeps the per-phase sums equal to the clock sum (the profiler's
-   conservation invariant). The VM's elided memory opcodes bypass
-   [pay_env] and charge at their own sites; [bulk_pay] and the
-   scheduler's accounting never charge. *)
+(* Charge [c] ticks to the current phase slot, [pen] of them — the
+   coherence penalty above the access's floor (an L1 read, an
+   owned-line RMW) — to the slot's [Coherence] child. Every pay site
+   calls it exactly once per pay, before any suspension, so the
+   per-phase sums equal the clock sum (the profiler's conservation
+   invariant): [pay_split] here (and so [pay_env]), the VM's elided
+   pays, {!Memory}'s span reads and the scheduler's adversary charge.
+   Inlined into each; with profiling off it is one [None] match. *)
+let[@inline] charge e c pen =
+  match e.prof with
+  | Some p ->
+      let pc = p.pcounts in
+      if pen > 0 then begin
+        pc.(p.pcur) <- pc.(p.pcur) + c - pen;
+        pc.(p.pcoh) <- pc.(p.pcoh) + pen
+      end
+      else pc.(p.pcur) <- pc.(p.pcur) + c
+  | None -> ()
+
+exception Unhandled_signal of int
+
+let () =
+  Printexc.register_printer (function
+    | Unhandled_signal pid ->
+        Some
+          (Printf.sprintf
+             "Proc: a signal reached pid %d, which registered no on_signal \
+              handler"
+             pid)
+    | _ -> None)
+
 (* Simulated-signal delivery (the adversary's neutralization channel,
    see {!Adversary}): a pending signal is consumed by the victim's very
    next pay — which, because every shared-memory access pays before it
@@ -98,30 +111,40 @@ let get_env () = (here ()).env
    back in, before user code resumes.) The handler runs in the victim's
    context and must not pay; the raise unwinds its in-flight operation
    to whatever restart point the workload installed — the simulated
-   analogue of a POSIX signal handler plus longjmp. Without a
-   registered handler the signal is dropped (SIG_IGN). The
+   analogue of a POSIX signal handler plus longjmp. A victim without a
+   registered handler faults: its sender (DEBRA+) has already closed
+   its protection window, so letting it run on would be unsafe. The
    check-and-raise charges no ticks, so delivery lands at the identical
    instruction across fastpath and VM execution modes. *)
-let pay_env e n =
+let[@inline never] deliver e =
+  e.intr <- false;
+  match e.on_sig with
+  | Some f ->
+      f ();
+      raise Interrupted
+  | None -> raise (Unhandled_signal e.pid)
+
+(* The scheduler grants [budget] ticks that this process may consume
+   before any scheduling decision could differ; while the budget lasts, a
+   pay is a pair of integer updates instead of an effect suspension plus
+   a run-queue round trip. The pay that exhausts the budget performs the
+   effect, so the scheduler regains control exactly where it would have
+   made a different decision. Every path advances this process's clock
+   by exactly [n]; the VM's elided memory opcodes bypass [pay_split]
+   and charge at their own sites, and [bulk_pay] and the scheduler's
+   accounting never charge. *)
+let pay_split e n ~pen =
   if n > 0 then begin
-    (match e.prof with
-    | Some p -> p.pcounts.(p.pcur) <- p.pcounts.(p.pcur) + n
-    | None -> ());
+    charge e n pen;
     if e.fast && n < e.budget then begin
       e.budget <- e.budget - n;
       e.fast_pay n
     end
-    else if e.fast && e.regrant n then ()
     else Effect.perform (Pay n)
   end;
-  if e.intr && not e.sigmask then begin
-    e.intr <- false;
-    match e.on_sig with
-    | Some f ->
-        f ();
-        raise Interrupted
-    | None -> ()
-  end
+  if e.intr && not e.sigmask then deliver e
+
+let pay_env e n = pay_split e n ~pen:0
 
 let pay n =
   if n > 0 then match get_env () with None -> () | Some e -> pay_env e n

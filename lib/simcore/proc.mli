@@ -48,11 +48,16 @@ val global_now : unit -> int
     handler the victim registered with [on_signal] and raises
     {!Interrupted} through its in-flight operation, the simulated
     analogue of a POSIX signal handler plus longjmp. A victim without a
-    registered handler drops the signal (SIG_IGN). Delivery charges no
-    ticks, so it lands at the identical instruction across fastpath and
-    VM execution modes. *)
+    registered handler faults with {!Unhandled_signal}: the sender has
+    already closed its protection window. Delivery charges no ticks, so
+    it lands at the identical instruction across fastpath and VM
+    execution modes. *)
 
 exception Interrupted
+
+exception Unhandled_signal of int
+(** Raised through the in-flight operation of the victim, pid given,
+    when a signal reaches a process that registered no handler. *)
 
 val signal : int -> unit
 (** Mark process [pid] for interruption at its next pay. No-op outside
@@ -87,8 +92,8 @@ type trie = {
 }
 
 (* Per-process profiling state (interpreted by {!Profiler}, which owns
-   the trie of phase stacks). Declared here so [pay_env] can charge the
-   current slot with one array store and no dependency cycle;
+   the trie of phase stacks). Declared here so {!charge} can charge the
+   current slot with one or two array stores and no dependency cycle;
    [prof = None] (profiling off) costs one match. *)
 type prof = {
   mutable pcounts : int array;  (* ticks charged per interned stack slot *)
@@ -120,14 +125,10 @@ type env = {
          one update — the {!Vm}'s window-batched flush. Equivalent to [k]
          calls of [fast_pay] summing to [n]; the caller draws the budget
          down itself. *)
-  mutable regrant : int -> bool;
-      (* [regrant n] is the scheduler's inline end-of-grant path: if
-         charging the budget-exhausting pay [n] provably leads the
-         scheduler straight back to this process, it replays the
-         suspension's accounting plus the next pick/grant in place and
-         returns [true]; otherwise it charges nothing and returns
-         [false], and the caller performs {!Pay} as usual. Installed by
-         {!Sim.run} under [Fair]; the default declines always. *)
+  regrant : int -> bool;
+      (* never called: a pay that exhausts its budget always performs
+         {!Pay}. Kept only because perfbench/probes.ml builds env
+         records field by field; it goes with that file's next change. *)
   prof : prof option;
       (* latency-attribution state when this run is profiled
          ({!Sim.run}'s [profiler]); [None] costs nothing on the pay
@@ -164,3 +165,16 @@ val pay_env : env -> int -> unit
 (* [pay] with the environment already in hand, as read from a held
    {!here} cell: no domain-local lookup. Unlike [pay], it runs the
    signal check even when [n = 0]. *)
+
+val pay_split : env -> int -> pen:int -> unit
+(* [pay_env e n] for a memory access whose cost [n] carries [pen] ticks
+   of coherence penalty: the profiler charges those to the current
+   phase's [Coherence] child (see {!charge}). *)
+
+val charge : env -> int -> int -> unit
+(* [charge e c pen]: the profiler's floor/penalty charge of one pay of
+   [c] ticks, [pen] of them coherence penalty (none when [pen <= 0]).
+   Every pay charges exactly once; sites that advance the clocks
+   without [pay_split] (the VM's elided pays, span reads, the
+   adversary's charge) call it themselves. Inlined; one match when
+   profiling is off. *)

@@ -3,11 +3,11 @@
 
    The mechanism is split across two modules. {!Proc} holds the
    per-process state ([Proc.prof]: a counts array, the depth and the
-   two hot slots) and the slot trie's type, so that [Proc.pay_env] —
-   the single point every tick flows through — can charge with one
-   array store. This module owns everything else: the phase taxonomy,
-   growing the trie, enter/exit, the coherence-penalty split, the
-   conservation check and the reports.
+   two hot slots) and the slot trie's type, so that [Proc.charge] —
+   the one floor/penalty charge every tick flows through — can charge
+   with one or two array stores. This module owns everything else: the
+   phase taxonomy, growing the trie, enter/exit, the conservation check
+   and the reports.
 
    Representation. Each distinct phase stack is a dense slot index,
    shared by all processes of the profiler, and the slots form a trie
@@ -17,7 +17,7 @@
    nothing on either path hashes. Each process counts ticks per slot
    in its own array (so the service layer can take per-process deltas
    around a request). Entering a phase also looks up the new stack's
-   coherence-penalty child, so the charge and the demotion stay
+   coherence-penalty child, so the split charge stays
    branch-plus-store. For the reports each slot keeps its stack packed
    into one int, 4 bits per level holding [code + 1] (so 0 reads as
    "empty level"), at most [max_depth] levels; deeper pushes only bump
@@ -31,8 +31,9 @@
    across domains and mutex-protected, like {!Telemetry}'s.
 
    Conservation. Clocks advance only through pays ([Sim]'s fast_pay /
-   bulk_pay / regrant / account_pay are fed exclusively by [pay_env]
-   and the VM's elide/yield sites, which all charge exactly once), so
+   bulk_pay / account_pay are fed exclusively by [Proc.pay_split], the
+   VM's elide/yield sites and span reads, which all charge exactly once
+   through [Proc.charge]), so
    the per-phase sums equal the summed per-core clocks that
    {!add_expected} accumulates — exactly, or the accounting is buggy. *)
 
@@ -259,17 +260,6 @@ let with_phase ph f =
           pop_prof p;
           raise e)
   | Some _ | None -> f ()
-
-(* {1 Charging (hot: called from pay/demote sites)} *)
-
-(* [pay_env] already charged the full cost to the current slot; move
-   the coherence penalty to the stack's coherence child. *)
-let demote (e : Proc.env) pen =
-  match e.Proc.prof with
-  | Some p when pen > 0 ->
-      p.Proc.pcounts.(p.Proc.pcur) <- p.Proc.pcounts.(p.Proc.pcur) - pen;
-      p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
-  | Some _ | None -> ()
 
 (* {1 Reading} *)
 

@@ -2,8 +2,8 @@
 
     A profiler charges every simulated tick of one benchmark cell to a
     small explicit phase stack. The charge itself happens in
-    {!Proc.pay_env} (and the VM's elided memory opcodes), which store
-    into the per-process counts held in [Proc.prof]; this module owns
+    {!Proc.charge}, called once per pay, which stores into the
+    per-process counts held in [Proc.prof]; this module owns
     the taxonomy, the stack (a trie of slots: entering and leaving a
     phase are array loads), the conservation check and the reports.
 
@@ -78,13 +78,6 @@ val enter_env : Proc.env -> phase -> unit
     {!Proc.here} cell): no domain-local read. *)
 
 val exit_env : Proc.env -> unit
-
-(** {1 Charging} (internal: called by [Memory]) *)
-
-val demote : Proc.env -> int -> unit
-(** Move [pen] already-charged ticks from the current slot to its
-    coherence-penalty child (the closure path: [pay_env] charged the
-    full memory-op cost first). *)
 
 (** {1 Reading} *)
 

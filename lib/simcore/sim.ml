@@ -167,43 +167,6 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
     in
     (Array.unsafe_get envs p).Proc.budget <- b
   in
-  (* Inline end-of-grant: when the pay that exhausts a budget provably
-     leads the scheduler straight back to the same process, replay the
-     suspension's accounting ([on_pay]) and the next main-loop iteration
-     (step count, root re-key, [grant]) in place — the effect fiber
-     round trip then happens only at genuine scheduling points: another
-     core due, a quantum rotation, or the max_steps valve. The running
-     core sits at the heap root for its whole grant, and a re-keyed root
-     carries a fresh insertion sequence number, so it loses key ties —
-     hence the strict [clock' < second] test mirrors the heap exactly. *)
-  if fair then
-    Array.iteri
-      (fun p e ->
-        let core = cores.(core_of.(p)) in
-        e.Proc.regrant <-
-          (fun n ->
-            let clock' = core.clock + n in
-            let slice' = core.slice - n in
-            if
-              adv_on
-              (* A faulted run must hit the main loop at every genuine
-                 decision point so the adversary script is consulted
-                 there in both fastpath modes; the inline replay would
-                 skip it with fastpath on only. *)
-              || (slice' <= 0 && not (Queue.is_empty core.runq))
-              || clock' >= Pqueue.Core_ring.second_key core_pq
-              || config.Config.max_steps > 0
-                 && !steps > config.Config.max_steps
-            then false
-            else begin
-              core.clock <- clock';
-              core.slice <- slice';
-              incr steps;
-              Pqueue.Core_ring.reprioritize_min core_pq ~key:clock';
-              grant core p;
-              true
-            end))
-      envs;
   (* Chaos / Uniform bookkeeping. *)
   let sleep_until = Array.make procs 0 in
   let sched_rng = Rng.split root_rng in
@@ -382,11 +345,9 @@ let run ?(policy = Fair) ?(seed = 1) ?(fastpath = true) ?tracer ?profiler
         let core = cores.(core_of.(p)) in
         core.clock <- core.clock + n
     | Uniform | Chaos _ -> pclocks.(p) <- pclocks.(p) + n);
-    (* Mirror [pay_env]: the ticks also land on the victim's current
-       phase slot, preserving the profiler's conservation invariant. *)
-    match envs.(p).Proc.prof with
-    | Some pr -> pr.pcounts.(pr.pcur) <- pr.pcounts.(pr.pcur) + n
-    | None -> ()
+    (* Like a pay, the ticks also land on the victim's current phase
+       slot, preserving the profiler's conservation invariant. *)
+    Proc.charge envs.(p) n 0
   in
   (* Preallocated scratch for [pick_random]: the previous per-step list
      and array builds were O(P) allocation per instruction. Filled in

@@ -99,8 +99,7 @@ val run :
     scheduling decision point — points whose global step counts are
     identical with the fastpath on or off and under the VM driver, so a
     faulted run is bit-identical across execution modes like an
-    unfaulted one (the inline regrant elision is disabled for faulted
-    runs to keep those points visible). Parked processes stop consuming
+    unfaulted one. Parked processes stop consuming
     instructions; a run whose unparked processes all finish terminates
     normally, reporting the parked ones' clocks as they stood. An
     inactive adversary (empty script) perturbs nothing.

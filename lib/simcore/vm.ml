@@ -518,16 +518,18 @@ end
 (* {1 Execution}
 
    The dispatch loop is the simulator's innermost loop, so it is written
-   for the code the OCaml compiler actually emits here: no flambda, and
-   no cross-module inlining, since dune's dev profile passes [-opaque]
-   (see {!Memcore}). Calls within this module do inline. A dense
-   integer [match] compiles to a jump table, every branch bumps [fr.pc]
-   by its own constant (no [arity] lookup), and stream/register/cell
-   accesses are unchecked — the indices come from {!Asm}, which only
-   hands out dense register/cell ids and patches labels to instruction
-   starts. The loop therefore trusts its program: running a hand-built
-   stream that [decode] rejects is undefined behaviour. Heap accesses
-   keep their checks: [valid] bounds-tests the address before the
+   for the code the OCaml compiler actually emits here: closure-mode
+   ocamlopt, no flambda. The release build lets it read other modules'
+   [.cmx], so the [@inline] helpers it shares with {!Memory}
+   ({!Memcore.valid}, {!Proc.charge}) inline here as they do there, and
+   the cost functions are direct calls. A dense integer [match]
+   compiles to a jump table, every branch bumps [fr.pc] by its own
+   constant (no [arity] lookup), and stream/register/cell accesses are
+   unchecked — the indices come from {!Asm}, which only hands out dense
+   register/cell ids and patches labels to instruction starts. The
+   loop therefore trusts its program: running a hand-built stream that
+   [decode] rejects is undefined behaviour. Heap accesses keep their
+   checks: {!Memcore.valid} bounds-tests the address before the
    unchecked [words] load, exactly like {!Memory}.
 
    A {!coroutine} runs flat: a pay that must reach the scheduler saves
@@ -579,28 +581,20 @@ let flush e fr =
   end
 
 (* Every pay site of the loop: [c] ticks, [pen] of them coherence
-   penalty. The inline sites bypass [Proc.pay_env], so the profiler's
-   phase split is charged here, exactly once per pay (mirroring
-   [Memory]'s demotion on the closure path; one [None] match with
-   profiling off). A pay inside the granted run-ahead budget is elided
-   into the accumulator; any other flushes and yields [c]. No inline
-   regrant: at the process counts where the flat path matters the
-   running core has lost the race by [c] almost surely, and the
-   scheduler's own round replays the would-be regrant bit-identically
-   (same accounting, same [steps] bump, fresh seq). [mid] marks a
+   penalty. The inline sites bypass [Proc.pay_split], so they make the
+   profiler's floor/penalty charge ({!Proc.charge}) themselves, exactly
+   once per pay. A pay inside the granted run-ahead budget is elided
+   into the accumulator; any other flushes and yields [c], and the
+   scheduler's round does the suspension's accounting. [mid] marks a
    memory opcode's mid-instruction pay: [fr.pc] still points at the
    opcode, and [fr.paid] makes the re-dispatch skip the charge
    (coherence state already transitioned) and go straight to the
    access — which, exactly like the closure path, happens after the
-   suspension. Inlined, like [charge] and [valid], so the dispatch loop
-   makes no call on the elided path but the cost function's. *)
+   suspension. Inlined, like [charge] and {!Memcore.valid}, so the
+   dispatch loop makes no call on the elided path but the cost
+   function's. *)
 let[@inline] pay e fr c pen mid =
-  (match e.Proc.prof with
-  | Some p ->
-      p.Proc.pcounts.(p.Proc.pcur) <- p.Proc.pcounts.(p.Proc.pcur) + c - pen;
-      if pen > 0 then
-        p.Proc.pcounts.(p.Proc.pcoh) <- p.Proc.pcounts.(p.Proc.pcoh) + pen
-  | None -> ());
+  Proc.charge e c pen;
   if e.Proc.fast && c < e.Proc.budget then begin
     e.Proc.budget <- e.Proc.budget - c;
     fr.acc <- fr.acc + c;
@@ -627,17 +621,8 @@ let[@inline] charge e fr hc ~write a =
     pay e fr c (c - hc.Memcore.c_l1) true
   end
 
-(* Inline address validation ([a < top] also bounds the unchecked
-   [words]/[block_id] loads — both arrays are kept at least [top]
-   long); on failure, [vfail] materializes the exact {!Memory.Fault}
-   through the slow path (which never returns). *)
-let[@inline] valid hc a =
-  a > 0 && a < hc.Memcore.top
-  && begin
-       let id = Array.unsafe_get hc.Memcore.block_id a in
-       id <> 0 && Array.unsafe_get hc.Memcore.b_live id = 1
-     end
-
+(* An address that fails {!Memcore.valid}: flush, then materialize the
+   exact {!Memory.Fault} through the slow path (which never returns). *)
 let vfail e fr a =
   flush e fr;
   Memory.validate_addr fr.mem a;
@@ -791,7 +776,7 @@ let coroutine p fr =
         | 16 (* READ rd ra *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:false a;
-            if not (valid hc a) then vfail e fr a;
+            if not (Memcore.valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe Racecheck.Read a;
             Array.unsafe_set regs
               (Array.unsafe_get code (base + 1))
@@ -800,7 +785,7 @@ let coroutine p fr =
         | 17 (* WRITE ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 1)) in
             charge e fr hc ~write:true a;
-            if not (valid hc a) then vfail e fr a;
+            if not (Memcore.valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe Racecheck.Write a;
             Array.unsafe_set hc.Memcore.words a
               (Array.unsafe_get regs (Array.unsafe_get code (base + 2)));
@@ -808,7 +793,7 @@ let coroutine p fr =
         | 18 (* CAS rd ra re rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
-            if not (valid hc a) then vfail e fr a;
+            if not (Memcore.valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe Racecheck.Rmw a;
             if
               Array.unsafe_get hc.Memcore.words a
@@ -823,7 +808,7 @@ let coroutine p fr =
         | (19 | 20) as op (* FAA rd ra rdelta, FAAI rd ra i *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
-            if not (valid hc a) then vfail e fr a;
+            if not (Memcore.valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe Racecheck.Rmw a;
             let d = Array.unsafe_get code (base + 3) in
             let d = if op = 19 then Array.unsafe_get regs d else d in
@@ -834,7 +819,7 @@ let coroutine p fr =
         | 21 (* FAS rd ra rv *) ->
             let a = Array.unsafe_get regs (Array.unsafe_get code (base + 2)) in
             charge e fr hc ~write:true a;
-            if not (valid hc a) then vfail e fr a;
+            if not (Memcore.valid hc a) then vfail e fr a;
             if hc.Memcore.san_on then observe Racecheck.Rmw a;
             let old = Array.unsafe_get hc.Memcore.words a in
             Array.unsafe_set hc.Memcore.words a

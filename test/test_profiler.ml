@@ -145,15 +145,15 @@ let test_overflow_depth () =
 (* --- the slot trie against a packed-stack reference model --- *)
 
 (* Phase-stack scripts: one per process, run concurrently so the
-   processes share (and race to grow) the profiler's slot trie. [Demote]
-   pays like a memory access and moves part of it to the coherence
-   child; [Burst] drives the stack past its 12-level packing depth. *)
+   processes share (and race to grow) the profiler's slot trie.
+   [Access] pays like a memory access, part of it charged to the
+   coherence child; [Burst] drives the stack past its 12-level packing depth. *)
 type op =
   | Enter of Prof.phase
   | Exit
   | With of Prof.phase * op list
   | Pay of int
-  | Demote of int * int  (* pay c, then move pen <= c to coherence *)
+  | Access of int * int  (* pay c, pen <= c of it to coherence *)
   | Burst of Prof.phase * int
 
 let rec show_op = function
@@ -163,7 +163,7 @@ let rec show_op = function
       Printf.sprintf "with %s [%s]" (Prof.phase_name ph)
         (String.concat "; " (List.map show_op ops))
   | Pay n -> Printf.sprintf "pay %d" n
-  | Demote (c, pen) -> Printf.sprintf "demote %d/%d" pen c
+  | Access (c, pen) -> Printf.sprintf "access %d/%d" pen c
   | Burst (ph, k) -> Printf.sprintf "burst %s x%d" (Prof.phase_name ph) k
 
 let gen_ops =
@@ -177,7 +177,7 @@ let gen_ops =
         (3, map (fun n -> Pay n) (int_range 0 5));
         ( 2,
           int_range 1 6 >>= fun c ->
-          map (fun pen -> Demote (c, pen)) (int_range 0 c) );
+          map (fun pen -> Access (c, pen)) (int_range 0 c) );
         (1, map2 (fun ph k -> Burst (ph, k)) phase (int_range 8 16));
       ]
   in
@@ -227,7 +227,7 @@ let model scripts =
             List.iter run ops;
             pop ()
         | Pay n -> charge pid !stack n
-        | Demote (c, pen) ->
+        | Access (c, pen) ->
             charge pid !stack (c - pen);
             charge pid (Prof.Coherence :: !stack) pen
         | Burst (ph, k) -> for _ = 1 to k do push ph done
@@ -247,10 +247,9 @@ let trie_prop scripts =
            | Exit -> Prof.exit ()
            | With (ph, ops) -> Prof.with_phase ph (fun () -> List.iter run ops)
            | Pay n -> Proc.pay n
-           | Demote (c, pen) -> (
-               Proc.pay c;
+           | Access (c, pen) -> (
                match Proc.get_env () with
-               | Some e -> Prof.demote e pen
+               | Some e -> Proc.pay_split e c ~pen
                | None -> ())
            | Burst (ph, k) -> for _ = 1 to k do Prof.enter ph done
          in

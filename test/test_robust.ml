@@ -120,6 +120,53 @@ let test_crash_restart_profile_conserves () =
         true (profiled = plain))
     FR.scheme_names
 
+(* Neutralization needs the victim's consent: a DEBRA+ process that
+   registered no signal handler and stalls inside its critical region
+   (here, a long run of private pays) is still neutralized — the
+   scanners close its protection window — so its next pay must fault
+   loudly, naming it, rather than drop the signal and run on
+   unprotected. *)
+let test_unhandled_signal_faults () =
+  let module D = Smr.Debra.Plus in
+  let open Simcore in
+  let config = Config.small in
+  let mem = Memory.create config in
+  let procs = 3 in
+  let d =
+    D.create mem ~procs ~params:{ Smr.Smr_intf.default_params with batch = 4 }
+  in
+  let r =
+    Sim.run ~config ~procs (fun pid ->
+        let h = D.handle d pid in
+        if pid = 0 then begin
+          D.begin_op h;
+          for _ = 1 to 1_000_000 do
+            Proc.pay 1
+          done;
+          D.end_op h
+        end
+        else
+          for _ = 1 to 400 do
+            D.begin_op h;
+            let a = D.alloc h ~tag:"node" ~size:2 in
+            D.retire h a;
+            D.end_op h
+          done)
+  in
+  match r.Sim.faults with
+  | [ { Sim.pid = 0; exn = Proc.Unhandled_signal 0 as e } ] ->
+      Alcotest.(check string) "the fault names the victim"
+        "Proc: a signal reached pid 0, which registered no on_signal handler"
+        (Printexc.to_string e)
+  | [] -> Alcotest.fail "the stalled process was not neutralized"
+  | l ->
+      Alcotest.failf "unexpected faults: %s"
+        (String.concat "; "
+           (List.map
+              (fun { Sim.pid; exn } ->
+                Printf.sprintf "pid %d: %s" pid (Printexc.to_string exn))
+              l))
+
 let suite =
   [
     Alcotest.test_case "stalled reader: ebr diverges, debra+ bounded" `Quick
@@ -132,4 +179,6 @@ let suite =
       test_plus_is_free_without_faults;
     Alcotest.test_case "crash-restart profile conserves ticks" `Quick
       test_crash_restart_profile_conserves;
+    Alcotest.test_case "debra+ victim without a handler faults" `Quick
+      test_unhandled_signal_faults;
   ]

@@ -138,6 +138,118 @@ let test_fault_routing () =
     (render (vm_fault ~sanitize ~compiled:false ()))
     (render vm)
 
+(* {1 Address classes}
+
+   Both engines validate with the one predicate {!Memcore.valid} and
+   classify a failure through {!Memory.validate_addr}. Every class of
+   address — null, past [top], the padding between a block's end and
+   the end of its 16-word slot, a freed block, a live word — must give
+   the same outcome as a compiled [READ]/[WRITE]/[CAS] and as
+   {!Memory.read}/[write]/[cas], with the run-ahead fast path on and
+   off: the same fault kind, address and pid from each of two
+   processes, or no fault at all. *)
+
+type op = Rd | Wr | Cs
+
+let op_name = function Rd -> "read" | Wr -> "write" | Cs -> "cas"
+
+(* Each class picks its address from (live block, freed block, top);
+   both blocks are 3 words long. *)
+let classes =
+  Memory.
+    [
+      ("null", (fun _ -> 0), Some Null_deref);
+      ("past top", (fun (_, _, top) -> top + 3), Some Out_of_bounds);
+      ("slot padding", (fun (live, _, _) -> live + 5), Some Out_of_bounds);
+      ("freed", (fun (_, freed, _) -> freed + 1), Some Use_after_free);
+      ("live", (fun (live, _, _) -> live + 1), None);
+    ]
+
+(* Each process pays, then accesses the address once: the faults as
+   (pid, kind, tag), in the order the run recorded them, each checked to
+   name its own process and the address accessed. *)
+let class_outcome ~compiled ~fastpath op addr_of =
+  let config = { Config.small with Config.vm = true } in
+  let mem = Memory.create config in
+  let live = Memory.alloc mem ~tag:"live" ~size:3 in
+  let freed = Memory.alloc mem ~tag:"freed" ~size:3 in
+  Memory.free mem freed (* lint: allow-free *);
+  let a = addr_of (live, freed, (Memory.hot mem).Memcore.top) in
+  let compiled_body _pid =
+    let module A = Vm.Asm in
+    let asm = A.create () in
+    let r_a = A.reg asm and r_d = A.reg asm in
+    A.payi asm 4;
+    A.movi asm r_a a;
+    A.movi asm r_d 7;
+    (match op with
+    | Rd -> A.read asm r_d r_a
+    | Wr -> A.write asm r_a r_d
+    | Cs -> A.cas asm r_d r_a ~expected:r_d ~desired:r_d);
+    A.halt asm;
+    let prog = A.assemble asm in
+    Some
+      (Vm.coroutine prog
+         (Vm.frame prog ~mem ~rng:(Proc.rng ())
+            ~cells:(Array.make prog.Vm.n_cells 0)))
+  in
+  let closure _pid =
+    Proc.pay 4;
+    match op with
+    | Rd -> ignore (Memory.read mem a)
+    | Wr -> Memory.write mem a 7
+    | Cs -> ignore (Memory.cas mem a ~expected:7 ~desired:7)
+  in
+  let coroutine = if compiled then Some compiled_body else None in
+  let res =
+    Sim.run ~policy:Sim.Fair ~fastpath ~seed:5 ~config ~procs:2 ?coroutine
+      closure
+  in
+  List.map
+    (fun { Sim.pid; exn } ->
+      match exn with
+      | Memory.Fault { kind; addr; pid = fpid; tag } ->
+          if fpid <> pid || addr <> a then
+            Alcotest.failf "fault (pid %d, address %d) raised in process %d \
+                            accessing %d"
+              fpid addr pid a;
+          (pid, kind, tag)
+      | e -> Alcotest.failf "not a Memory.Fault: %s" (Printexc.to_string e))
+    res.Sim.faults
+
+let test_address_classes () =
+  List.iter
+    (fun (cls, addr_of, kind) ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun fastpath ->
+              let name =
+                Printf.sprintf "%s %s, fastpath=%b" cls (op_name op) fastpath
+              in
+              let closure =
+                class_outcome ~compiled:false ~fastpath op addr_of
+              in
+              let kinds =
+                List.sort_uniq compare (List.map (fun (_, k, _) -> k) closure)
+              in
+              (match kind with
+              | Some k ->
+                  Alcotest.(check int) (name ^ ": both processes fault") 2
+                    (List.length closure);
+                  if kinds <> [ k ] then
+                    Alcotest.failf "%s: fault kind is not %s" name
+                      (Memory.fault_kind_to_string k)
+              | None ->
+                  Alcotest.(check int) (name ^ ": no fault") 0
+                    (List.length closure));
+              if class_outcome ~compiled:true ~fastpath op addr_of <> closure
+              then
+                Alcotest.failf "%s: compiled faults differ from Memory's" name)
+            [ true; false ])
+        [ Rd; Wr; Cs ])
+    classes
+
 (* {1 Leaf host calls}
 
    A leaf must never pay. [leaf_run] runs a program whose leaf pays
@@ -210,6 +322,8 @@ let suite =
     Alcotest.test_case "decode rejects malformed" `Quick test_decode_rejects;
     Alcotest.test_case "fault routing (inline + sanitized)" `Quick
       test_fault_routing;
+    Alcotest.test_case "address classes fault alike (both engines)" `Quick
+      test_address_classes;
     Alcotest.test_case "a paying leaf fails loudly (flat + exec)" `Quick
       test_leaf_contract;
   ]

@@ -106,6 +106,15 @@
 #      the RC catalogue: callers look schemes up by name there, so each
 #      scheme's list, names and parameters are written once. Comments
 #      and string literals are ignored.
+#  14. One build profile, not the dev one: a tree with a dune-project
+#      must have a dune-workspace that selects a profile other than dev
+#      (dev compiles with -opaque, which hides each module's .cmx from
+#      its clients, so no helper inlines across modules and every
+#      cross-module call is a generic application), and its root dune
+#      file must keep the dev profile's warning-as-error spec
+#      (-w @1..3@5..28@30..39@43@46..47@49..57@61..62-40) and strict
+#      flags (-strict-sequence -strict-formats -short-paths -keep-locs
+#      -g) in an env stanza. Dune comments are ignored.
 #
 # Usage:
 #   tools/lint.sh                lint the repository (exit 1 on violation)
@@ -481,6 +490,32 @@ for dir in lib bin test examples; do
   done
 done
 
+# --- Rule 14: the build profile --------------------------------------------
+# Dune comments run from ';' to the end of the line (no strings here).
+dune_text() { sed 's/;.*$//' "$1" | tr '\n\t' '  '; }
+if [ -f "$root/dune-project" ]; then
+  profile=
+  if [ -f "$root/dune-workspace" ]; then
+    profile=$(dune_text "$root/dune-workspace" \
+      | sed -n 's/.*( *profile  *\([^ )]*\) *).*/\1/p')
+  fi
+  if [ -z "$profile" ] || [ "$profile" = dev ]; then
+    fail "lint: dune-workspace must select a non-dev build profile, e.g. (profile release) (dev compiles with -opaque: no cross-module inlining)"
+  fi
+  env_text=
+  [ -f "$root/dune" ] && env_text=" $(dune_text "$root/dune") "
+  missing=
+  case $env_text in *"(env"*) ;; *) missing="$missing (env" ;; esac
+  env_text=$(printf '%s' "$env_text" | tr '()' '  ')
+  for flag in @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence \
+    -strict-formats -short-paths -keep-locs -g; do
+    case $env_text in *" $flag "*) ;; *) missing="$missing $flag" ;; esac
+  done
+  if [ -n "$missing" ]; then
+    fail "lint: the root dune env stanza must keep the dev profile's warning spec and strict flags; missing:$missing"
+  fi
+fi
+
 # --- Self-test: the linter must catch seeded violations ---------------------
 if [ "${1:-}" = "--self-test" ]; then
   if [ $status -ne 0 ]; then
@@ -829,6 +864,35 @@ MEM
   echo 'let all = [ ("OrcGC", (module Orcgc_rc : Rc_intf.S)) ]' > "$tmp/lib/rc_baselines/rc_catalogue.ml"
   echo 'module Q = Cds.Queue_rc.Make (Rc_baselines.Drc_scheme.Snapshots) (* not Cds.List_smr.Make (Smr.Ebr) *)' > "$tmp/test/ok.ml"
   check_passes "the two catalogues, a functor-parameter application and a comment"
+
+  # Rule 14: a dune tree without a non-dev workspace profile, or whose
+  # root env drops the dev warning spec or a strict flag; then the
+  # shipped pair of files.
+  seed_build() {
+    # $1 = workspace text, $2 = root dune text
+    echo '(lang dune 3.0)' > "$tmp/dune-project"
+    printf '%s\n' "$1" > "$tmp/dune-workspace"
+    printf '%s\n' "$2" > "$tmp/dune"
+  }
+  unseed_build() { rm -f "$tmp/dune-project" "$tmp/dune-workspace" "$tmp/dune"; }
+  env_ok='(env (_ (flags (-w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs -g))))'
+  seed_build '(lang dune 3.0)' "$env_ok"
+  check_catches "a dune-workspace that selects no profile"; unseed_build
+  seed_build '(lang dune 3.0) (profile dev)' "$env_ok"
+  check_catches "a dune-workspace that selects the dev profile"; unseed_build
+  seed_build '(lang dune 3.0) ; (profile release)' "$env_ok"
+  check_catches "a commented-out profile"; unseed_build
+  seed_build '(lang dune 3.0) (profile release)' '(env (_ (flags (:standard))))'
+  check_catches "a root env without the dev warning spec and strict flags"; unseed_build
+  seed_build '(lang dune 3.0) (profile release)' \
+    '(env (_ (flags (-w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -g))))'
+  check_catches "a root env without -keep-locs"; unseed_build
+  seed_build '(lang dune 3.0) (profile release)' "; $env_ok"
+  check_catches "a commented-out root env"; unseed_build
+  if [ -f "$root/dune-workspace" ] && [ -f "$root/dune" ]; then
+    seed_build "$(cat "$root/dune-workspace")" "$(cat "$root/dune")"
+    check_passes "the shipped dune-workspace and root dune"; unseed_build
+  fi
 
   echo "lint --self-test: ok"
   exit 0
